@@ -204,20 +204,18 @@ def _higher_order(args, circuit, stimuli, labels, model) -> int:
 
 def _cmd_ni(args, strong: bool) -> int:
     gen = gadgets.gen_dom_and if args.gadget == "dom_and" else gadgets.gen_isw_and
-    try:
-        _, _, _, spec = gen(args.order, cycles=args.cycles)
-        d = args.verif_order if args.verif_order is not None else args.order
-        checker = vf.check_sni if strong else vf.check_ni
-        verdict = checker(spec, d, args.glitches, args.enum_limit)
-    except vf.TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    _, _, _, spec = gen(args.order, cycles=args.cycles)
+    d = args.verif_order if args.verif_order is not None else args.order
+    checker = vf.check_sni if strong else vf.check_ni
+    verdict = checker(spec, d, args.glitches, args.enum_limit)
     prop = "SNI" if strong else "NI"
     glitch_txt = "with" if args.glitches else "without"
     print(f"{args.gadget} order {args.order}, {prop} at d={d} {glitch_txt} "
           f"glitches: {verdict.status}")
     if verdict.detail:
         print(f"  probes: {', '.join(verdict.detail)}")
+    if verdict.reason:
+        print(f"  reason: {verdict.reason}")
     if verdict.witness is not None:
         print(f"  witness: {json.dumps(verdict.witness.to_json(), sort_keys=True)}")
     return EXIT_OK if verdict.is_secure else EXIT_LEAKS

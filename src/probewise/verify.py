@@ -15,13 +15,26 @@ Two engines back the verdicts:
   member tuple over masks and free shares is the same for every secret
   assignment.
 
+  The test is a counting kernel (:func:`_first_bad_group`). Publics and
+  members are packed into one order-preserving int64 group key, publics
+  most significant; secrets into a vary key. Keys of base variables are
+  bit fields in which every combination occurs, so they are dense and
+  sorted as packed. The one sort left per call densifies the group key when
+  its bound exceeds the row count (wide members and int64 overflow while
+  packing also densify). ``np.bincount`` then counts rows per group and per
+  (group, vary value); the set is secure iff every group's row of that
+  histogram is constant. The witness is read from the first uneven group
+  only on failure.
+
 :func:`check` runs substitution first and falls back to enumeration within
 a configurable bit budget; past the budget the verdict is Inconclusive and
 must be treated as a potential false positive.
 
-NI/SNI predicates for gadget circuits reuse the enumeration machinery with
-probe tuples drawn from symbolic values (or flattened LeakSets when glitches
-are modelled) and exhaustive search over share-index selections.
+NI/SNI predicates for gadget circuits use the same kernel, with probe tuples
+drawn from symbolic values (or flattened LeakSets when glitches are
+modelled), the selected shares as the fixed part of the group key and the
+other shares as the vary key, over every share-index selection. A tuple past
+the bit budget makes the verdict Inconclusive.
 """
 
 from __future__ import annotations
@@ -109,8 +122,8 @@ class Verdict:
         return Verdict(LEAKS, witness=witness, detail=detail)
 
     @staticmethod
-    def inconclusive(reason: str) -> "Verdict":
-        return Verdict(INCONCLUSIVE, reason=reason)
+    def inconclusive(reason: str, detail: tuple = ()) -> "Verdict":
+        return Verdict(INCONCLUSIVE, reason=reason, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +275,8 @@ class _Space:
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                shares_free: bool) -> tuple[_Space, dict, list[str], list[str]]:
-    """Enumeration space, derived-share map, secret vars, public vars."""
+    """Enumeration space (not yet materialised), derived-share map, secret
+    vars, public vars; raises TooLarge past ``limit`` bits."""
     base: list[tuple[str, int]] = []
     derived: dict[str, tuple[str, list[str]]] = {}
     secrets: list[str] = []
@@ -315,7 +329,6 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
     if off > limit:
         raise TooLarge(off, limit)
     space = _Space([n for n, _ in base], offsets, {n: w for n, w in base}, off)
-    space.materialise(derived)
     return space, derived, sorted(set(secrets)), sorted(set(publics))
 
 
@@ -385,96 +398,121 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
     return out
 
 
-def _dense(arr: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    values, first, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    return inverse.astype(np.int64), len(values), first
+def _dense(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """Order-preserving dense ids of ``arr`` and their count (one sort)."""
+    values, inverse = np.unique(arr, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), len(values)
 
 
 _COMPOSE_CAP = 1 << 62
 
 
-def _compose(parts: Sequence[tuple[np.ndarray, int]],
-             n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Dense ids for the tuple of columns; each part is (column, value bound).
+def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, int]:
+    """Order-preserving int64 key of the tuple of columns, first part most
+    significant, and its exclusive bound; each part is (column, value bound),
+    the bound None for members too wide for int64.
 
-    Keys are packed into int64 and only re-densified when the running bound
-    would overflow, which keeps np.unique calls rare.
+    Only wide members are densified up front, and the running key only when
+    its bound would overflow, so packing base variables never sorts.
     """
-    key = np.zeros(n, dtype=np.int64)
-    bound = 1
+    key, bound = None, 1
     for col, b in parts:
-        if col.dtype == object or b is None:
-            col, b, _ = _dense(col)
+        if b is None:
+            col, b = _dense(col)
         if bound * b >= _COMPOSE_CAP:
-            key, bound, _ = _dense(key)
+            key, bound = _dense(key)
             if bound * b >= _COMPOSE_CAP:   # degenerate: huge single column
-                col, b, _ = _dense(col)
-        key = key * b + col.astype(np.int64, copy=False)
+                col, b = _dense(col)
+        # the first part is copied: the key is then updated in place
+        col = col.astype(np.int64, copy=key is None)
+        if key is None:
+            key = col
+        else:
+            key *= b
+            key += col
         bound *= b
-    return _dense(key)
+    return key, bound
 
 
-def _key_of(names: Sequence[str], cols, widths: Mapping[str, int],
-            n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    parts = [(cols[name], 1 << widths[name]) for name in names]
-    return _compose(parts, n)
+def _base_parts(names: Sequence[str], space: _Space) -> list[tuple[np.ndarray, int]]:
+    return [(space.cols[name], 1 << space.widths[name]) for name in names]
 
 
-@dataclass
-class _Violation:
-    row_fixed: int
-    vary_a_row: int
-    vary_b_row: int
-    count_a: int
-    count_b: int
-    tuple_row: int
+def _member_parts(exprs: Sequence[Expr], space: _Space, mems,
+                  memo: dict) -> list[tuple[np.ndarray, int | None]]:
+    return [(_eval_column(e, space.cols, space.size, mems, memo),
+             (1 << e.width) if e.width <= _INT64_WIDTH else None)
+            for e in exprs]
 
 
-def _invariance_violation(tuple_ids, n_tuple, fixed_ids, n_fixed,
-                          vary_ids, n_vary) -> _Violation | None:
-    """First (fixed, tuple) whose count is not uniform across vary values."""
-    if n_vary <= 1:
+def _first_bad_group(groups: np.ndarray, n_groups: int, vary: np.ndarray,
+                     n_vary: int) -> tuple[int, np.ndarray] | None:
+    """The counting kernel: the first group, in key order, whose rows are not
+    spread evenly over the ``n_vary`` values of ``vary``.
+
+    Returns one row of that group and its row count per vary value, or None
+    when every group is invariant. ``groups`` is densified (the only sort)
+    when its bound exceeds the row count. A group whose size is not a
+    multiple of ``n_vary`` is uneven without looking further; only the groups
+    before the first such one are histogrammed, at most 2 x rows cells.
+    """
+    n = len(groups)
+    if n_groups > n:
+        groups, n_groups = _dense(groups)
+    sizes = np.bincount(groups, minlength=n_groups)
+    uneven = np.flatnonzero(sizes % n_vary)
+    stop = int(uneven[0]) if uneven.size else n_groups
+    if stop:
+        rows = slice(None) if stop == n_groups else groups < stop
+        head, occupied = groups[rows], None
+        if stop * n_vary > 2 * n:
+            # skip empty groups; each other one here has >= n_vary rows
+            occupied = np.flatnonzero(sizes[:stop])
+            head = (np.cumsum(sizes[:stop] > 0) - 1)[head]
+        n_head = stop if occupied is None else len(occupied)
+        hist = np.bincount(head * n_vary + vary[rows],
+                           minlength=n_head * n_vary).reshape(n_head, n_vary)
+        bad = np.flatnonzero((hist != hist[:, :1]).any(axis=1))
+        if bad.size:
+            g = int(bad[0])
+            group = g if occupied is None else int(occupied[g])
+            return int(np.argmax(groups == group)), hist[g]
+    if stop == n_groups:
         return None
-    ft = fixed_ids * n_tuple + tuple_ids
-    ft_ids, n_ft, ft_first = _dense(ft)
-    comb = ft_ids * n_vary + vary_ids
-    u, first_idx, counts = np.unique(comb, return_index=True, return_counts=True)
-    group = u // n_vary
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    lens = np.diff(np.r_[starts, len(u)])
-    cmin = np.minimum.reduceat(counts, starts)
-    cmax = np.maximum.reduceat(counts, starts)
-    bad = np.flatnonzero((lens != n_vary) | (cmin != cmax))
-    if bad.size == 0:
-        return None
-    s = starts[bad[0]]
-    e = s + lens[bad[0]]
-    seg_vary = u[s:e] % n_vary
-    seg_counts = counts[s:e]
-    seg_rows = first_idx[s:e]
-    _, n_vary_total, vary_first = _dense(vary_ids)
-    if len(seg_vary) < n_vary:
-        present = set(int(v) for v in seg_vary)
-        missing = next(v for v in range(n_vary) if v not in present)
-        return _Violation(int(seg_rows[0]), int(seg_rows[0]),
-                          int(vary_first[missing]), int(seg_counts[0]), 0,
-                          int(seg_rows[0]))
-    uneq = np.flatnonzero(seg_counts != seg_counts[0])
-    j = int(uneq[0])
-    return _Violation(int(seg_rows[0]), int(seg_rows[0]), int(seg_rows[j]),
-                      int(seg_counts[0]), int(seg_counts[j]), int(seg_rows[0]))
+    in_group = groups == stop
+    return int(np.argmax(in_group)), np.bincount(vary[in_group],
+                                                 minlength=n_vary)
 
 
-def _tuple_ids(exprs: Sequence[Expr], space: _Space,
-               mems=None) -> tuple[np.ndarray, int, dict]:
-    memo: dict = {}
-    n = space.size
-    parts = []
-    for e in exprs:
-        col = _eval_column(e, space.cols, n, mems, memo)
-        parts.append((col, (1 << e.width) if e.width <= _INT64_WIDTH else None))
-    ids, count, _ = _compose(parts, n)
-    return ids, count, memo
+def _unpack(key: int, names: Sequence[str],
+            widths: Mapping[str, int]) -> dict[str, int]:
+    shift = sum(widths[n] for n in names)
+    out = {}
+    for name in names:
+        shift -= widths[name]
+        out[name] = (key >> shift) & mask(widths[name])
+    return out
+
+
+def _witness(row: int, counts: np.ndarray, space: _Space,
+             exprs: Sequence[Expr], memo: dict, vary: Sequence[str],
+             fixed: Sequence[str]) -> LeakWitness:
+    """Every row of a group shares its fixed and member values, so ``row``
+    stands for the group; the two assignments are the lowest vary value
+    present and the lowest absent one, or else the lowest with another
+    count."""
+    a = int(np.flatnonzero(counts)[0])
+    absent = np.flatnonzero(counts == 0)
+    b = int(absent[0]) if absent.size else \
+        int(np.flatnonzero(counts != counts[a])[0])
+    tuple_text = _format_tuple(exprs, memo, row)
+    return LeakWitness(
+        vary_a=_unpack(a, vary, space.widths),
+        vary_b=_unpack(b, vary, space.widths),
+        fixed=space.decode(row, fixed),
+        evidence=(f"joint value {tuple_text} "
+                  f"occurs {int(counts[a])} vs {int(counts[b])} times"),
+    )
 
 
 def _format_tuple(exprs: Sequence[Expr], memo: dict, row: int) -> str:
@@ -490,27 +528,20 @@ def check_enumeration(eset: ExprSet, labels: SymbolTable,
     symbols = set()
     for e in eset.exprs:
         symbols |= symbols_of(e)
-    space, _, secrets, publics = _space_for(symbols, labels, limit,
-                                            shares_free=False)
+    space, derived, secrets, publics = _space_for(symbols, labels, limit,
+                                                  shares_free=False)
     if not secrets:
         return Verdict.secure()
-    tuple_ids, n_tuple, memo = _tuple_ids(eset.exprs, space, memories)
-    fixed_ids, n_fixed, _ = _key_of(publics, space.cols, space.widths,
-                                    space.size)
-    vary_ids, n_vary, _ = _key_of(secrets, space.cols, space.widths,
-                                  space.size)
-    v = _invariance_violation(tuple_ids, n_tuple, fixed_ids, n_fixed,
-                              vary_ids, n_vary)
-    if v is None:
+    space.materialise(derived)
+    memo: dict = {}
+    groups, n_groups = _pack(_base_parts(publics, space)
+                             + _member_parts(eset.exprs, space, memories, memo))
+    vary, n_vary = _pack(_base_parts(secrets, space))
+    bad = _first_bad_group(groups, n_groups, vary, n_vary)
+    if bad is None:
         return Verdict.secure()
-    witness = LeakWitness(
-        vary_a=space.decode(v.vary_a_row, secrets),
-        vary_b=space.decode(v.vary_b_row, secrets),
-        fixed=space.decode(v.row_fixed, publics),
-        evidence=(f"joint value {_format_tuple(eset.exprs, memo, v.tuple_row)} "
-                  f"occurs {v.count_a} vs {v.count_b} times"),
-    )
-    return Verdict.leaks(witness)
+    return Verdict.leaks(_witness(*bad, space, eset.exprs, memo, secrets,
+                                  publics))
 
 
 def check(eset: ExprSet, labels: SymbolTable,
@@ -602,12 +633,17 @@ def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
     symbols = set()
     for e in exprs:
         symbols |= symbols_of(e)
-    space, _, _, _ = _space_for(symbols, gadget.labels, limit, shares_free=True)
+    space, derived, _, _ = _space_for(symbols, gadget.labels, limit,
+                                      shares_free=True)
     present = {secret: [s for s in shares if s in symbols]
                for secret, shares in gadget.secrets.items()}
     if all(len(p) <= budget for p in present.values()):
         return True, None
-    tuple_ids, n_tuple, memo = _tuple_ids(exprs, space)
+    space.materialise(derived)
+    memo: dict = {}
+    members, n_members = _pack(_member_parts(exprs, space, None, memo))
+    if n_members > space.size:   # densify once, not once per selection
+        members, n_members = _dense(members)
     choices = []
     for secret in sorted(present):
         shares = present[secret]
@@ -618,22 +654,14 @@ def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
         sel = sorted(n for combo in selection for n in combo)
         non_sel = sorted(n for ps in present.values() for n in ps
                          if n not in sel)
-        fixed_ids, n_fixed, _ = _key_of(sel, space.cols, space.widths,
-                                        space.size)
-        vary_ids, n_vary, _ = _key_of(non_sel, space.cols, space.widths,
-                                      space.size)
-        v = _invariance_violation(tuple_ids, n_tuple, fixed_ids, n_fixed,
-                                  vary_ids, n_vary)
-        if v is None:
+        groups, n_groups = _pack(_base_parts(sel, space)
+                                 + [(members, n_members)])
+        vary, n_vary = _pack(_base_parts(non_sel, space))
+        bad = _first_bad_group(groups, n_groups, vary, n_vary)
+        if bad is None:
             return True, None
         if first_witness is None:
-            first_witness = LeakWitness(
-                vary_a=space.decode(v.vary_a_row, non_sel),
-                vary_b=space.decode(v.vary_b_row, non_sel),
-                fixed=space.decode(v.row_fixed, sel),
-                evidence=(f"joint value {_format_tuple(exprs, memo, v.tuple_row)} "
-                          f"occurs {v.count_a} vs {v.count_b} times"),
-            )
+            first_witness = _witness(*bad, space, exprs, memo, non_sel, sel)
     return False, first_witness
 
 
@@ -647,7 +675,11 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
             union = tuple(sorted({e for p in combo for e in p.obs}, key=render))
             key = (union, budget)
             if key not in cache:
-                cache[key] = _simulatable(union, gadget, budget, limit)
+                try:
+                    cache[key] = _simulatable(union, gadget, budget, limit)
+                except TooLarge as exc:
+                    return Verdict.inconclusive(
+                        str(exc), tuple(p.describe() for p in combo))
             ok, witness = cache[key]
             if not ok:
                 detail = tuple(p.describe() for p in combo)

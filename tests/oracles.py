@@ -369,13 +369,12 @@ def toggle_assignments(base: dict[str, int], toggled: dict[str, int],
         yield a
 
 
-def independence_bruteforce(exprs, labels) -> bool:
-    """Dict-counting twin of the enumeration verdict.
+def _basis(exprs, labels, shares_free=False):
+    """Base variable widths, derived shares, secrets and publics of a set.
 
     Base variables are masks, publics, declared secrets and all shares but
-    the top-index one (which equals its secret XOR the rest). The set is
-    independent iff, for every public assignment, the joint histogram of the
-    expression tuple is the same for every secret assignment.
+    the top-index one (which equals its secret XOR the rest). With
+    ``shares_free`` every symbol is a base variable, as in NI/SNI.
     """
     symbols = sorted({n for e in exprs for n in ex.symbols_of(e)})
     base: dict[str, int] = {}
@@ -384,7 +383,9 @@ def independence_bruteforce(exprs, labels) -> bool:
     publics: set[str] = set()
     for name in symbols:
         kind = labels.kind(name)
-        if kind == "share":
+        if kind == "share" and shares_free:
+            base[name] = labels.width(name)
+        elif kind == "share":
             parent, _ = labels.share_parent(name)
             siblings = labels.shares_of(parent)
             if name == siblings[-1]:
@@ -401,10 +402,12 @@ def independence_bruteforce(exprs, labels) -> bool:
                 secrets.add(name)
             elif kind == "public":
                 publics.add(name)
-    if not secrets:
-        return True
+    return base, derived, secrets, publics
+
+
+def _assignments(base, derived):
+    """Every assignment of the base variables, derived shares filled in."""
     names = sorted(base)
-    hists: dict[tuple, dict[tuple, dict]] = {}
     for combo in itertools.product(*[range(1 << base[n]) for n in names]):
         a = dict(zip(names, combo))
         for share, (parent, others) in derived.items():
@@ -412,9 +415,24 @@ def independence_bruteforce(exprs, labels) -> bool:
             for o in others:
                 v ^= a[o]
             a[share] = v
+        yield a
+
+
+def independence_bruteforce(exprs, labels, memories=None) -> bool:
+    """Dict-counting twin of the enumeration verdict.
+
+    The set is independent iff, for every public assignment, the joint
+    histogram of the expression tuple is the same for every secret
+    assignment (see ``_basis`` for the variables enumerated).
+    """
+    base, derived, secrets, publics = _basis(exprs, labels)
+    if not secrets:
+        return True
+    hists: dict[tuple, dict[tuple, dict]] = {}
+    for a in _assignments(base, derived):
         pk = tuple(a[n] for n in sorted(publics))
         sk = tuple(a[n] for n in sorted(secrets))
-        value = tuple(ex.eval_concrete(e, a) for e in exprs)
+        value = tuple(ex.eval_concrete(e, a, memories) for e in exprs)
         hist = hists.setdefault(pk, {}).setdefault(sk, {})
         hist[value] = hist.get(value, 0) + 1
     for by_secret in hists.values():
@@ -422,6 +440,19 @@ def independence_bruteforce(exprs, labels) -> bool:
         if any(h != per_secret[0] for h in per_secret[1:]):
             return False
     return True
+
+
+def joint_value_counts(exprs, labels, pinned, shares_free=False,
+                       memories=None) -> dict[tuple, int]:
+    """How often each value tuple of ``exprs`` occurs over the enumerated
+    assignments that agree with ``pinned`` (name -> value)."""
+    base, derived, _, _ = _basis(exprs, labels, shares_free)
+    counts: dict[tuple, int] = {}
+    for a in _assignments(base, derived):
+        if all(a[n] == v for n, v in pinned.items()):
+            value = tuple(ex.eval_concrete(e, a, memories) for e in exprs)
+            counts[value] = counts.get(value, 0) + 1
+    return counts
 
 
 def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],

@@ -94,6 +94,16 @@ def test_ni_sni_subcommands(capsys):
     assert "witness" in out
 
 
+def test_ni_over_enum_limit_is_inconclusive(capsys):
+    code = main(["ni", "--gadget", "isw_and", "--order", "2",
+                 "--enum-limit", "4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "inconclusive" in out
+    assert "5 symbolic bits, limit is 4" in out
+    assert "probes: v01@0[int]" in out
+
+
 def test_higher_order_mode(fixture_dir, capsys):
     code = main(["verify", *_fig_args(fixture_dir, "dom_and_d1"),
                  "--model", "0,0", "--order", "2", "--ho-mode", "spatial"])

@@ -1,6 +1,7 @@
 """Independence checking: substitution, enumeration, combined, NI/SNI."""
 
 import json
+import re
 import random
 
 import pytest
@@ -284,3 +285,171 @@ def test_simulatability_matches_bruteforce_oracle(gen, glitches):
             slow = oracles.simulatable_bruteforce(union, spec.labels,
                                                   spec.secrets, budget)
             assert fast == slow, (q, budget, [p.describe() for p in combo])
+
+
+# ---------------------------------------------------------------------------
+# Leak witnesses and the counting kernel
+# ---------------------------------------------------------------------------
+
+_EVIDENCE = re.compile(r"joint value (\(.*\)) occurs (\d+) vs (\d+) times")
+
+
+def _format_values(exprs, values):
+    return "(" + ", ".join(f"{ex.render(e)}={ex.format_bits(v, e.width)}"
+                           for e, v in zip(exprs, values)) + ")"
+
+
+def _assert_witness_counts(exprs, labels, witness, shares_free=False,
+                           memories=None):
+    """The evidence tuple occurs, under ``fixed``, exactly as often as the
+    witness claims for each of its two assignments; returns those counts."""
+    joint, count_a, count_b = _EVIDENCE.fullmatch(witness.evidence).groups()
+    assert witness.vary_a != witness.vary_b
+    seen = []
+    for vary in (witness.vary_a, witness.vary_b):
+        counts = oracles.joint_value_counts(exprs, labels,
+                                            {**witness.fixed, **vary},
+                                            shares_free, memories)
+        seen.append(sum(n for values, n in counts.items()
+                        if _format_values(exprs, values) == joint))
+    assert seen == [int(count_a), int(count_b)], witness.evidence
+    return seen
+
+
+def test_enumeration_witness_counts_match_bruteforce():
+    rng = random.Random(5)
+    missing_value = unequal_counts = 0
+    for _ in range(400):
+        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        eset = make_expr_set(exprs)
+        symbols = {n for e in eset.exprs for n in ex.symbols_of(e)}
+        if sum(labels.width(n) for n in symbols) > 10:
+            continue
+        try:
+            v = check_enumeration(eset, labels, limit=14)
+        except TooLarge:
+            continue
+        if v.status != vf.LEAKS:
+            continue
+        _, count_b = _assert_witness_counts(eset.exprs, labels, v.witness)
+        if count_b == 0:
+            missing_value += 1
+        else:
+            unequal_counts += 1
+    assert missing_value > 5 and unequal_counts > 5
+
+
+def _probe_union(spec, glitches, detail):
+    probes = {p.describe(): p for p in vf.collect_probes(spec, glitches)}
+    return tuple(sorted({e for name in detail for e in probes[name].obs},
+                        key=ex.render))
+
+
+@pytest.mark.parametrize("checker, gen, order, glitches", [
+    (check_ni, gadgets.gen_isw_and, 2, True),
+    (check_sni, gadgets.gen_dom_and, 2, True),
+])
+def test_ni_sni_witness_counts_match_bruteforce(checker, gen, order, glitches):
+    _, _, _, spec = gen(order)
+    v = checker(spec, order, glitches)
+    assert v.status == vf.LEAKS
+    union = _probe_union(spec, glitches, v.detail)
+    _assert_witness_counts(union, spec.labels, v.witness, shares_free=True)
+
+
+def _agrees_with_oracle(exprs, labels, memories=None):
+    eset = make_expr_set(exprs)
+    v = check_enumeration(eset, labels, memories=memories)
+    assert v.is_secure == oracles.independence_bruteforce(
+        eset.exprs, labels, memories), eset.key
+    if v.status == vf.LEAKS:
+        _assert_witness_counts(eset.exprs, labels, v.witness,
+                               memories=memories)
+    return v
+
+
+def test_kernel_without_secrets_or_publics(km_labels):
+    k, m, mp = s("k"), s("m"), s("mp")
+    assert _agrees_with_oracle([s("m"), xor(m, mp)], km_labels).is_secure
+    assert _agrees_with_oracle([xor(k, m), mp], km_labels).is_secure
+    assert _agrees_with_oracle([xor(k, m), m], km_labels).status == vf.LEAKS
+
+
+def test_kernel_packed_bound_equal_to_rows():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m0", 1, ex.MASK)
+    labels.declare("m1", 1, ex.MASK)
+    k, m0, m1 = s("k"), s("m0"), s("m1")
+    # three 1-bit members over three base bits: 8 packed keys, 8 rows
+    secure = [xor(k, m0), m1, ex.build("AND", [xor(k, m0), m1])]
+    assert _agrees_with_oracle(secure, labels).is_secure
+    leak = [xor(k, m0), m0, m1]
+    assert _agrees_with_oracle(leak, labels).status == vf.LEAKS
+
+
+def test_kernel_pigeonhole_leak(km_labels):
+    # k & m = 0 on three of four rows: no group splits evenly over k
+    v = _agrees_with_oracle([ex.build("AND", [s("k"), s("m")])], km_labels)
+    assert v.witness.evidence.endswith("occurs 2 vs 1 times")
+
+
+def test_kernel_first_bad_group_after_good_ones():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("p", 1, ex.PUBLIC)
+    labels.declare("m", 2, ex.MASK)
+    # p = 0 is invariant; under p = 1 the value 0 occurs 4 + 2 times, an
+    # even split in size but not in shape
+    e = ex.build("AND", [s("p"), s("k"), ex.bit(s("m", 2), 0)])
+    v = _agrees_with_oracle([e], labels)
+    assert v.witness.fixed == {"p": 1}
+    assert v.witness.evidence.endswith("occurs 4 vs 2 times")
+
+
+def test_kernel_sparse_groups():
+    labels = SymbolTable()
+    labels.declare("k", 3, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    k, m = s("k", 3), s("m", 3)
+    # a 6-bit member over 6 base bits: 64 possible groups, 8 occupied
+    assert _agrees_with_oracle([ex.zext(xor(k, m), 6)], labels).is_secure
+    v = _agrees_with_oracle([ex.zext(xor(k, m), 6), ex.bit(m, 0)], labels)
+    assert v.status == vf.LEAKS
+
+
+def test_kernel_wide_members():
+    labels = SymbolTable()
+    labels.declare("k", 2, ex.SECRET)
+    labels.declare("m", 2, ex.MASK)
+    k, m = s("k", 2), s("m", 2)
+    assert _agrees_with_oracle([ex.zext(xor(k, m), 40)], labels).is_secure
+    wide = ex.concat([xor(k, m), ex.cst(0, 36), m])
+    assert _agrees_with_oracle([wide], labels).status == vf.LEAKS
+
+
+def test_kernel_compose_cap_redensify():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("p", 1, ex.PUBLIC)
+    labels.declare("m", 1, ex.MASK)
+    k, p, m = s("k"), s("p"), s("m")
+    # two 31-bit members pack past 2**62 and force a re-densify
+    members = [ex.zext(xor(k, m), 31), ex.zext(p, 31)]
+    assert _agrees_with_oracle(members, labels).is_secure
+    members.append(ex.zext(m, 31))
+    assert _agrees_with_oracle(members, labels).status == vf.LEAKS
+
+
+def test_kernel_array_reads():
+    labels = SymbolTable()
+    labels.declare("k", 2, ex.SECRET)
+    labels.declare("m", 2, ex.MASK)
+    k, m = s("k", 2), s("m", 2)
+    mems = {"t": [3, 1, 0, 2]}   # a permutation of 2-bit values
+    lookup = ex.array_lookup("t", xor(k, m), 2)
+    assert _agrees_with_oracle([lookup], labels, mems).is_secure
+    assert _agrees_with_oracle([lookup, m], labels, mems).status == vf.LEAKS
+    flat = {"t": [0, 0, 0, 1]}
+    assert _agrees_with_oracle([ex.array_lookup("t", k, 2)], labels,
+                               flat).status == vf.LEAKS
