@@ -2,23 +2,21 @@
 models, with bit- or support-wise probe granularity."""
 
 from .expr import (Expr, SymbolTable, build, cst, sym, bit, bits, concat,
-                   extract, eval_concrete, parse_expr, render,
-                   structurally_equal, symbols_of)
+                   extract, eval_concrete, parse_expr, render, symbols_of)
 from .netlist import (Circuit, CombinatorialLoop, Gate, Register, Schedule,
                       StructuralIndex, parse_netlist, serialize_netlist,
                       structural_index, validate_and_schedule)
 from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
                   Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
-                  conc_eval, consistency_check, eval_combinational,
-                  initial_state, lset_eval, parse_stimuli, register_step,
-                  stab_eval, step_cycle, symb_eval)
+                  consistency_check, eval_combinational, initial_state,
+                  parse_stimuli, register_step, step_cycle)
 from .verify import (ExprSet, GadgetSpec, LeakWitness, TooLarge, Verdict,
                      check, check_enumeration, check_ni, check_sni,
                      check_substitution, make_expr_set)
-from .manager import (BIT, SUPPORT_WISE, Cache, LeakReport, LeakageModel,
-                      ReportEntry, RunOptions, TooMany, cache_key,
-                      enumerate_duplets, expr_sets_for, recombine_split_wires,
-                      run, verify_higher_order, wires_to_verify)
+from .manager import (BIT, SUPPORT_WISE, LeakReport, LeakageModel,
+                      ReportEntry, RunOptions, TooMany, enumerate_duplets,
+                      expr_sets_for, recombine_split_wires, run,
+                      verify_higher_order, wires_to_verify)
 from . import gadgets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -101,11 +101,11 @@ def _leakage_model(args) -> mg.LeakageModel:
             glitches = transitions = True
             overapprox = True
         else:
-            try:
-                g, t = preset.split(",")
-                glitches, transitions = bool(int(g)), bool(int(t))
-            except ValueError:
-                raise SystemExit(EXIT_USAGE) from None
+            flags = [f.strip() for f in preset.split(",")]
+            if len(flags) != 2 or not set(flags) <= {"0", "1"}:
+                raise ValueError(f"--model must be 0,0, 0,1, 1,0, 1,1 or "
+                                 f"rr1sw, got {args.model!r}")
+            glitches, transitions = (f == "1" for f in flags)
     if args.glitches is not None:
         glitches = args.glitches
     if args.transitions is not None:

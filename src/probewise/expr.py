@@ -409,10 +409,6 @@ def array_lookup(mem_id: str, index: Expr, width: int) -> Expr:
     return _make("op", width, op="ARRAY", children=(index,), params=(mem_id,))
 
 
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    return a is b
-
-
 def symbols_of(e: Expr) -> frozenset[str]:
     if e._symbols is None:
         if e.kind == "sym":
@@ -687,7 +683,10 @@ class SymbolTable:
     @classmethod
     def from_json(cls, doc: Mapping) -> "SymbolTable":
         table = cls()
-        for entry in doc.get("symbols", []):
+        for i, entry in enumerate(doc.get("symbols", [])):
+            for key in ("name", "width", "kind"):
+                if key not in entry:
+                    raise ValueError(f"symbols[{i}].{key}: missing")
             table.declare(entry["name"], int(entry["width"]), entry["kind"],
                           entry.get("secret"), entry.get("index"))
         return table
@@ -718,6 +717,3 @@ def parse_bits(literal: str, width: int | None = None) -> int:
 def format_bits(value: int, width: int) -> str:
     return f"0b{value & mask(width):0{width}b}"
 
-
-def intern_table_size() -> int:
-    return len(_intern)

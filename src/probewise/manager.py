@@ -144,33 +144,6 @@ class LeakReport:
         return "\n".join(lines) + "\n"
 
 
-class Cache:
-    """Canonical expression-set key -> verdict; transparent by construction."""
-
-    def __init__(self) -> None:
-        self._table: dict[str, Verdict] = {}
-        self.hits = 0
-
-    def get(self, key: str) -> Verdict | None:
-        v = self._table.get(key)
-        if v is not None:
-            self.hits += 1
-        return v
-
-    def peek(self, key: str) -> Verdict | None:
-        return self._table.get(key)
-
-    def put(self, key: str, verdict: Verdict) -> None:
-        self._table[key] = verdict
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-
-def cache_key(eset: ExprSet) -> str:
-    return eset.key
-
-
 # ---------------------------------------------------------------------------
 # Expression sets per model (Table "expressions to verify")
 # ---------------------------------------------------------------------------
@@ -333,8 +306,8 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     schedule = validate_and_schedule(circuit)
     index = structural_index(circuit)
     report = LeakReport()
-    cache = Cache()
-    baseline_cache: set[str] = set()
+    cache: dict[tuple[Expr, ...], Verdict] = {}
+    baseline_seen: set[tuple[Expr, ...]] = set()
     state = sm.initial_state(circuit)
     stopped = False
 
@@ -355,7 +328,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
-                circuit, index, model, state, baseline_cache)
+                circuit, index, model, state, options, baseline_seen)
         verdicts = _dispatch(requests, cache, labels, state, options, report)
         cycle_flagged = False
         for (label, src, eset), verdict in zip(requests, verdicts):
@@ -375,61 +348,38 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     if not model.overapprox:
         # without the over-approximation both counters mean the same thing
         report.summary.expr_to_verify = report.summary.verified_expr
-    report.summary.cache_hits = cache.hits
     report.warnings = list(dict.fromkeys(state.warnings))
     report.entries.sort(key=lambda e: (e.cycle, e.wire))
     return report
 
 
-def _dispatch(requests, cache: Cache, labels: SymbolTable, state: SimState,
-              options: RunOptions, report: LeakReport) -> list[Verdict]:
-    """Resolve every request's verdict; fresh keys are checked once, in
-    parallel when requested, with counters matching the sequential order."""
-    keys = [cache_key(eset) for _, _, eset in requests]
-    pre_cached: dict[str, Verdict] = {}
-    fresh: list[tuple[str, ExprSet]] = []
-    fresh_keys: set[str] = set()
-    for key, (_, _, eset) in zip(keys, requests):
-        if options.use_cache:
-            if key in pre_cached:
-                continue
-            got = cache.peek(key)
-            if got is not None:
-                pre_cached[key] = got
-                continue
-            if key in fresh_keys:
-                continue
-            fresh_keys.add(key)
-        fresh.append((key, eset))
+def _dispatch(requests, cache: dict[tuple[Expr, ...], Verdict],
+              labels: SymbolTable, state: SimState, options: RunOptions,
+              report: LeakReport) -> list[Verdict]:
+    """Resolve every request's verdict; each distinct new member tuple is
+    checked once, in parallel when requested."""
+    if options.use_cache:
+        fresh = list(dict.fromkeys(eset.exprs for _, _, eset in requests
+                                   if eset.exprs not in cache))
+    else:
+        fresh = [eset.exprs for _, _, eset in requests]
 
-    def solve(eset: ExprSet) -> Verdict:
-        return vf.check(eset, labels, options.enum_limit, state.mem_conc)
+    def solve(exprs: tuple[Expr, ...]) -> Verdict:
+        return vf.check(ExprSet(exprs), labels, options.enum_limit,
+                        state.mem_conc)
 
     if options.jobs > 1 and len(fresh) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            solved = list(pool.map(solve, [eset for _, eset in fresh]))
+            solved = list(pool.map(solve, fresh))
     else:
-        solved = [solve(eset) for _, eset in fresh]
+        solved = [solve(exprs) for exprs in fresh]
     report.summary.verified_expr += len(fresh)
-    local: dict[str, Verdict] = {}
     if not options.use_cache:
-        return list(solved)
-    for (key, _), verdict in zip(fresh, solved):
-        local[key] = verdict
-        cache.put(key, verdict)
-    out: list[Verdict] = []
-    first_use: set[str] = set()
-    for key in keys:
-        if key in pre_cached:
-            cache.hits += 1
-            out.append(pre_cached[key])
-        else:
-            if key in first_use:
-                cache.hits += 1
-            first_use.add(key)
-            out.append(local[key])
-    return out
+        return solved
+    cache.update(zip(fresh, solved))
+    report.summary.cache_hits += len(requests) - len(fresh)
+    return [cache[eset.exprs] for _, _, eset in requests]
 
 
 def _cycle_units(circuit: Circuit, index: StructuralIndex, model: LeakageModel,
@@ -475,26 +425,20 @@ def _select_without_past(circuit: Circuit, index: StructuralIndex,
 
 
 def _baseline_count(circuit: Circuit, index: StructuralIndex,
-                    model: LeakageModel, state: SimState,
-                    baseline_cache: set[str]) -> int:
-    """Sets the standard (non-over-approximated) run would have dispatched."""
+                    model: LeakageModel, state: SimState, options: RunOptions,
+                    seen: set[tuple[Expr, ...]]) -> int:
+    """Sets the standard (non-over-approximated) run would have dispatched.
+
+    Without the over-approximation the transition+glitch model selects every
+    wire plus the split parents, and the past-stability rule does not apply,
+    so ``_cycle_units`` gives the standard run's units whatever the options.
+    """
     std = replace(model, overapprox=False)
     count = 0
-    for unit in wires_to_verify(circuit, index, std, state):
-        if isinstance(unit, str):
-            val = recombine_split_wires(circuit, state.current, unit)
-            prev = recombine_split_wires(circuit, state.previous, unit) \
-                if state.previous else val
-        else:
-            val = state.current[unit]
-            prev = _previous_valuation(state, unit)
-        for _, eset in expr_sets_for(val, prev, std):
-            if not eset:
-                continue
-            key = cache_key(eset)
-            if key not in baseline_cache:
-                baseline_cache.add(key)
-                count += 1
+    for _, _, eset in _cycle_units(circuit, index, std, state, options):
+        if eset and eset.exprs not in seen:
+            seen.add(eset.exprs)
+            count += 1
     return count
 
 
@@ -507,12 +451,9 @@ TEMPORAL = "temporal"
 MIXED = "mixed"
 
 
-def enumerate_duplets(positions: Sequence[object], d: int, mode: str = SPATIAL,
+def enumerate_duplets(positions: Sequence[object], d: int,
                       cap: int = 10 ** 6) -> Iterator[tuple]:
-    """All C(p, d) combinations of probe positions; ``mode`` only names what
-    the positions are (wires, cycles, or wire-cycle pairs)."""
-    if mode not in (SPATIAL, TEMPORAL, MIXED):
-        raise ValueError(f"unknown mode {mode!r}")
+    """All C(p, d) combinations of probe positions."""
     if d < 1:
         raise ValueError("d must be >= 1")
     p = len(positions)
@@ -541,6 +482,8 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     spatial: wire d-uplets, each combination checked at every cycle;
     temporal: cycle d-uplets, checked per wire; mixed: (wire, cycle) pairs.
     """
+    if mode not in (SPATIAL, TEMPORAL, MIXED):
+        raise ValueError(f"unknown mode {mode!r}")
     schedule = validate_and_schedule(circuit)
     state = sm.initial_state(circuit)
     per_cycle: list[dict[str, ExprSet]] = []
@@ -558,7 +501,7 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = list(range(len(per_cycle)))
     d = model.order
-    cache: dict[str, Verdict] = {}
+    cache: dict[tuple[Expr, ...], Verdict] = {}
 
     def run_combo(esets: Iterable[ExprSet]) -> Verdict:
         union = ExprSet(())
@@ -566,15 +509,14 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             union = union.union(s)
         if not union:
             return Verdict.secure()
-        key = union.key
-        if key not in cache:
-            cache[key] = vf.check(union, labels, enum_limit)
-        return cache[key]
+        if union.exprs not in cache:
+            cache[union.exprs] = vf.check(union, labels, enum_limit)
+        return cache[union.exprs]
 
     checked = 0
     if mode == SPATIAL:
         positions: Sequence = wires
-        combos = enumerate_duplets(positions, d, mode, cap)
+        combos = enumerate_duplets(positions, d, cap)
         total = _ncr(len(positions), d)
         for combo in combos:
             checked += 1
@@ -584,7 +526,7 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                     return HigherOrderResult(v, checked, total, combo)
     elif mode == TEMPORAL:
         positions = cycles
-        combos = enumerate_duplets(positions, d, mode, cap)
+        combos = enumerate_duplets(positions, d, cap)
         total = _ncr(len(positions), d)
         for combo in combos:
             checked += 1
@@ -594,7 +536,7 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                     return HigherOrderResult(v, checked, total, combo)
     else:
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
-        combos = enumerate_duplets(positions, d, mode, cap)
+        combos = enumerate_duplets(positions, d, cap)
         total = _ncr(len(positions), d)
         for combo in combos:
             checked += 1

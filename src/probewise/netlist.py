@@ -99,7 +99,8 @@ class MemoryDecl:
     init: tuple[int, ...]
 
 
-# kind -> (input arity, has params); width rules live in _check_gate_widths.
+# kind -> input arity (-1: shifts, whose arity depends on params["amount"]);
+# width rules live in _check_gate_shape.
 GATE_KINDS: dict[str, int] = {
     "bit_not": 1, "bit_and": 2, "bit_or": 2, "bit_xor": 2,
     "ucmp": 2, "scmp": 2, "equal": 2, "not_equal": 2,
@@ -112,8 +113,6 @@ GATE_KINDS: dict[str, int] = {
 }
 
 SHIFT_KINDS = ("shl", "shr", "sshr")
-# Gates whose output bits are a static remapping of input bits.
-RANK_REMAP_KINDS = ("trunc", "zext", "sext", "blit", "repeat")
 
 
 class Circuit:
@@ -171,7 +170,6 @@ class StructuralIndex:
     primary_output_wires: frozenset[int]
     split_member_wires: frozenset[int]
     mux_roles: dict[int, tuple[int, int, int]]          # gate uid -> (sel, in0, in1)
-    fanout: dict[int, tuple[int, ...]]                  # wire uid -> gate uids
     partially_used_wires: frozenset[int]                # some input rank dropped
     mem_write_input_wires: frozenset[int]
 
@@ -179,6 +177,13 @@ class StructuralIndex:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+def _field(entry, where: str, key: str):
+    """``entry[key]``, or MalformedDocument naming ``where.key``."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise MalformedDocument(f"{where}.{key}: missing")
+    return entry[key]
+
 
 def parse_netlist(text: str) -> Circuit:
     """Parse a JSON netlist document into a validated :class:`Circuit`."""
@@ -219,8 +224,10 @@ def parse_netlist(text: str) -> Circuit:
     outputs = [resolve(n).uid for n in doc["outputs"]]
 
     memories = []
-    for entry in doc.get("memories") or []:
-        mid, depth, width = entry["id"], int(entry["depth"]), int(entry["width"])
+    for i, entry in enumerate(doc.get("memories") or []):
+        where = f"memories[{i}]"
+        mid = _field(entry, where, "id")
+        depth, width = (int(_field(entry, where, k)) for k in ("depth", "width"))
         if depth < 1 or width < 1:
             raise MalformedDocument(f"memory {mid!r} needs positive depth and width")
         raw = entry.get("init") or []
@@ -237,8 +244,8 @@ def parse_netlist(text: str) -> Circuit:
         kind = entry.get("kind")
         if kind not in GATE_KINDS:
             raise UnknownGateKind(f"gate #{i}: unknown kind {kind!r}")
-        out = resolve(entry["output"])
-        ins = tuple(resolve(n) for n in entry["inputs"])
+        out = resolve(_field(entry, f"gates[{i}]", "output"))
+        ins = tuple(resolve(n) for n in _field(entry, f"gates[{i}]", "inputs"))
         params_doc = entry.get("params") or {}
         params = tuple(sorted(params_doc.items()))
         gate = Gate(i, kind, tuple(w.uid for w in ins), out.uid, params)
@@ -247,20 +254,23 @@ def parse_netlist(text: str) -> Circuit:
 
     registers: list[Register] = []
     for i, entry in enumerate(doc["registers"]):
-        win, wout = resolve(entry["input"]), resolve(entry["output"])
+        where = f"registers[{i}]"
+        win, wout = (resolve(_field(entry, where, k)) for k in ("input", "output"))
         if win.width != wout.width:
             raise WidthMismatch(f"register #{i} ({wout.name})", win.width, wout.width)
-        init = parse_bits(entry["init"], wout.width)
+        init = parse_bits(_field(entry, where, "init"), wout.width)
         registers.append(Register(i, win.uid, wout.uid, init))
 
     splits: list[SplitGroup] = []
-    for entry in doc.get("splits") or []:
-        parent, width = entry["parent"], int(entry["width"])
+    for i, entry in enumerate(doc.get("splits") or []):
+        where = f"splits[{i}]"
+        parent = _field(entry, where, "parent")
+        width = int(_field(entry, where, "width"))
         members = []
         seen_idx = set()
-        for m in entry["bits"]:
-            w = resolve(m["wire"])
-            idx = int(m["index"])
+        for j, m in enumerate(_field(entry, where, "bits")):
+            w = resolve(_field(m, f"{where}.bits[{j}]", "wire"))
+            idx = int(_field(m, f"{where}.bits[{j}]", "index"))
             if w.width != 1:
                 raise WidthMismatch(f"split member {w.name!r}", 1, w.width)
             if idx in seen_idx or not 0 <= idx < width:
@@ -441,13 +451,11 @@ def _consumed_ranks(circuit: Circuit, gate: Gate, input_pos: int) -> bool:
 
 
 def structural_index(circuit: Circuit) -> StructuralIndex:
-    fanout: dict[int, list[int]] = {w.uid: [] for w in circuit.wires}
     partially_used: set[int] = set()
     mux_roles: dict[int, tuple[int, int, int]] = {}
     mem_write_inputs: set[int] = set()
     for g in circuit.gates:
         for pos, wu in enumerate(g.inputs):
-            fanout[wu].append(g.uid)
             if not _consumed_ranks(circuit, g, pos):
                 partially_used.add(wu)
         if g.kind == "mux":
@@ -462,7 +470,6 @@ def structural_index(circuit: Circuit) -> StructuralIndex:
         primary_output_wires=frozenset(circuit.outputs),
         split_member_wires=frozenset(members),
         mux_roles=mux_roles,
-        fanout={u: tuple(v) for u, v in fanout.items()},
         partially_used_wires=frozenset(partially_used),
         mem_write_input_wires=frozenset(mem_write_inputs),
     )

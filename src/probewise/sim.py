@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from . import expr as ex
 from .expr import Expr, bit, bits, cst, mask
@@ -245,18 +245,6 @@ def register_step(circuit: Circuit, register, state: SimState,
     return Valuation(cur.conc, cur.symb, tuple(lset), stab)
 
 
-def stab_eval(circuit: Circuit, gate: Gate, inputs: Sequence[Valuation],
-              opts: SimOptions = SimOptions()) -> int:
-    """Stability vector of a combinatorial gate's output (memory excluded)."""
-    return eval_combinational(circuit, gate, list(inputs), opts).stab
-
-
-def lset_eval(circuit: Circuit, gate: Gate, inputs: Sequence[Valuation],
-              opts: SimOptions = SimOptions()) -> LeakSet:
-    """LeakSet vector of a combinatorial gate's output (memory excluded)."""
-    return eval_combinational(circuit, gate, list(inputs), opts).lset
-
-
 def _eval_gate(circuit: Circuit, state: SimState, g: Gate, ins: list[Valuation],
                opts: SimOptions, hook: MemoryHook | None,
                pending_writes: list, warnings: list, t: int) -> Valuation:
@@ -464,12 +452,6 @@ def _eval_mem_write(circuit: Circuit, state: SimState, g: Gate,
 # Concrete / symbolic functionalities
 # ---------------------------------------------------------------------------
 
-def conc_eval(circuit: Circuit, gate: Gate, input_values: Sequence[int]) -> int:
-    """Concrete functionality of one gate (registers and memory excluded)."""
-    return _conc_gate(circuit, gate, list(input_values),
-                      circuit.wire(gate.output).width)
-
-
 def _conc_gate(circuit: Circuit, g: Gate, vs: list[int], w: int) -> int:
     kind = g.kind
     if kind == "bit_not":
@@ -530,12 +512,6 @@ def _conc_gate(circuit: Circuit, g: Gate, vs: list[int], w: int) -> int:
     if kind == "mux":
         return vs[2] if vs[0] else vs[1]
     raise AssertionError(kind)
-
-
-def symb_eval(circuit: Circuit, gate: Gate, input_exprs: Sequence[Expr]) -> Expr:
-    """Symbolic functionality of one gate, canonically simplified."""
-    return _symb_gate(circuit, gate, list(input_exprs),
-                      circuit.wire(gate.output).width)
 
 
 def _or_reduce(e: Expr) -> Expr:
@@ -631,10 +607,15 @@ def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SimError(f"stimuli line {line_no}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SimError(f"stimuli line {line_no}: expected a JSON object")
         if "witness" in doc:
             for name, lit in doc["witness"].items():
                 witness[name] = ex.parse_bits(lit)
             continue
+        for key in ("cycle", "inputs"):
+            if key not in doc:
+                raise SimError(f"stimuli line {line_no}: frame has no {key!r}")
         inputs: dict[str, tuple[str, object]] = {}
         for name, drive in doc["inputs"].items():
             if "const" in drive:

@@ -65,10 +65,6 @@ class ExprSet:
     """Canonical order-independent set of expressions, constants removed."""
     exprs: tuple[Expr, ...]
 
-    @property
-    def key(self) -> str:
-        return "|".join(render(e) for e in self.exprs)
-
     def __bool__(self) -> bool:
         return bool(self.exprs)
 

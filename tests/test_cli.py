@@ -115,3 +115,60 @@ def test_higher_order_mode(fixture_dir, capsys):
 def test_stimuli_with_expressions_round_trip(fixture_dir):
     text = (fixture_dir / "fig5.stim.jsonl").read_text()
     assert '"expr"' in text   # fig5 drives i1 with XOR(k, m)
+
+
+def _drop_gate_output(fixture_dir, tmp_path):
+    doc = json.loads((fixture_dir / "fig5.netlist.json").read_text())
+    del doc["gates"][0]["output"]
+    path = tmp_path / "bad.netlist.json"
+    path.write_text(json.dumps(doc))
+    return ["--netlist", str(path)]
+
+
+def _drop_label_width(fixture_dir, tmp_path):
+    doc = json.loads((fixture_dir / "fig5.labels.json").read_text())
+    del doc["symbols"][0]["width"]
+    path = tmp_path / "bad.labels.json"
+    path.write_text(json.dumps(doc))
+    return ["--labels", str(path)]
+
+
+def _second_stimuli_line(fixture_dir, tmp_path, edit):
+    lines = (fixture_dir / "fig5.stim.jsonl").read_text().splitlines()
+    lines[1] = edit(lines[1])
+    path = tmp_path / "bad.stim.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return ["--stimuli", str(path)]
+
+
+def _drop_frame_inputs(fixture_dir, tmp_path):
+    def edit(line):
+        frame = json.loads(line)
+        del frame["inputs"]
+        return json.dumps(frame)
+    return _second_stimuli_line(fixture_dir, tmp_path, edit)
+
+
+def _frame_not_object(fixture_dir, tmp_path):
+    return _second_stimuli_line(fixture_dir, tmp_path, lambda line: "[]")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_drop_gate_output, "gates[0].output: missing"),
+    (_drop_label_width, "symbols[0].width: missing"),
+    (_drop_frame_inputs, "stimuli line 2: frame has no 'inputs'"),
+    (_frame_not_object, "stimuli line 2: expected a JSON object"),
+    (lambda *_: ["--model", "2,x"], "--model must be"),
+    (lambda *_: ["--model", "2,0"], "--model must be"),
+], ids=["gate-output", "label-width", "frame-inputs", "frame-not-object",
+        "model-2x", "model-20"])
+def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
+                                               mutate, message):
+    # later flags override the valid fig5 paths
+    code = main(["verify", *_fig_args(fixture_dir, "fig5"),
+                 *mutate(fixture_dir, tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert "Traceback" not in err

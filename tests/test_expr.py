@@ -112,9 +112,9 @@ def test_width_mismatch_rejected():
 
 def test_structural_equality_modulo_order(syms):
     k, m, mp = syms
-    assert ex.structurally_equal(xor(k, m), xor(m, k))
-    assert not ex.structurally_equal(xor(k, m), xor(k, mp))
-    assert ex.structurally_equal(xor(k, ex.cst(0, 1)), k)
+    assert xor(k, m) is xor(m, k)
+    assert xor(k, m) is not xor(k, mp)
+    assert xor(k, ex.cst(0, 1)) is k
 
 
 def _deep_equal(a, b):
@@ -139,7 +139,7 @@ def test_interning_matches_deep_compare():
         t2 = oracles.random_tree(rng, symbols, rng.randrange(0, 3), rng.choice((1, 2)))
         e1, e2 = oracles.tree_to_expr(t1), oracles.tree_to_expr(t2)
         pairs += 1
-        if ex.structurally_equal(e1, e2) == _deep_equal(e1, e2):
+        if (e1 is e2) == _deep_equal(e1, e2):
             agree += 1
     assert agree == pairs
 

@@ -6,7 +6,7 @@ import pytest
 
 from probewise import expr as ex, gadgets, manager as mg, netlist, sim
 from probewise.manager import (BIT, SUPPORT_WISE, LeakageModel, RunOptions,
-                               TooMany, cache_key, enumerate_duplets,
+                               TooMany, enumerate_duplets,
                                expr_sets_for, recombine_split_wires, run,
                                wires_to_verify)
 from probewise.verify import make_expr_set
@@ -24,7 +24,7 @@ def _states(fixture, opts=sim.SimOptions()):
 
 
 def _set_strs(eset):
-    return set(eset.key.split("|")) if eset.key else set()
+    return {ex.render(e) for e in eset.exprs}
 
 
 KM = "OP_XOR(SYMB(k), SYMB(m))"
@@ -214,6 +214,9 @@ def test_cache_transparency():
     assert key(with_cache) == key(without)
     assert without.summary.cache_hits == 0
     assert with_cache.summary.verified_expr <= without.summary.verified_expr
+    for rep in (with_cache, without):
+        assert rep.summary.cache_hits + rep.summary.verified_expr == \
+            len(rep.entries)
 
 
 def test_report_determinism():
@@ -238,19 +241,27 @@ def test_stop_on_first_leak():
 def test_parallel_jobs_match_sequential():
     fx = gadgets.gen_random_circuit(31, n_gates=22, cycles=3)
     model = LeakageModel(glitches=True, transitions=True)
-    seq = run(fx.circuit, fx.stimuli, fx.labels, model)
-    par = run(fx.circuit, fx.stimuli, fx.labels, model, RunOptions(jobs=4))
-    assert seq.to_jsonl() == par.to_jsonl()
+    for stop in (False, True):
+        seq = run(fx.circuit, fx.stimuli, fx.labels, model,
+                  RunOptions(stop_on_first_leak=stop))
+        par = run(fx.circuit, fx.stimuli, fx.labels, model,
+                  RunOptions(jobs=4, stop_on_first_leak=stop))
+        assert seq.to_jsonl() == par.to_jsonl()
 
 
 def test_overapprox_counters():
-    circuit, labels, stimuli, _ = gadgets.gen_dom_and(1)
-    model = LeakageModel(glitches=True, transitions=True, overapprox=True)
-    report = run(circuit, stimuli, labels, model)
-    assert report.summary.expr_to_verify >= report.summary.verified_expr
-    std = run(circuit, stimuli, labels, LeakageModel(glitches=True,
-                                                     transitions=True))
-    assert std.summary.expr_to_verify == std.summary.verified_expr
+    # rr1sw's expr_to_verify counts what the same model without the
+    # over-approximation dispatches.
+    fixtures = [gadgets.gen_dom_and(1)[:3], gadgets.gen_isw_and(2)[:3]]
+    for seed in (1, 17, 23):
+        fx = gadgets.gen_random_circuit(seed, n_gates=20, cycles=4)
+        fixtures.append((fx.circuit, fx.labels, fx.stimuli))
+    for circuit, labels, stimuli in fixtures:
+        report = run(circuit, stimuli, labels, LeakageModel.rr1sw())
+        std = run(circuit, stimuli, labels, LeakageModel(glitches=True,
+                                                         transitions=True))
+        assert std.summary.expr_to_verify == std.summary.verified_expr
+        assert report.summary.expr_to_verify == std.summary.verified_expr
 
 
 def test_bit_flags_imply_support_wise_flags():
@@ -303,7 +314,7 @@ def test_warning_on_symbolic_mux_selector():
 
 
 # ---------------------------------------------------------------------------
-# Cache keys and d-uplets
+# Expression-set identity and d-uplets
 # ---------------------------------------------------------------------------
 
 def test_reduction_covers_stable_mux_selector_drop():
@@ -359,15 +370,17 @@ def test_report_jsonl_schema():
             assert "witness" in entry
 
 
-def test_cache_key_canonicalisation():
+def test_expr_set_canonicalisation():
     k, m, mp = ex.sym("k", 1), ex.sym("m", 1), ex.sym("mp", 1)
-    a = make_expr_set([ex.build("XOR", [k, m])])
-    b = make_expr_set([ex.build("XOR", [m, k])])
-    assert cache_key(a) == cache_key(b)
-    assert cache_key(make_expr_set([m])) != cache_key(make_expr_set([mp]))
+    a = make_expr_set([ex.build("XOR", [k, m]), mp, m])
+    b = make_expr_set([m, ex.build("XOR", [m, k]), mp, ex.cst(1, 1)])
+    assert a.exprs == b.exprs
+    assert make_expr_set([m]).exprs != make_expr_set([mp]).exprs
 
 
-def test_cache_key_collision_free():
+def test_expr_set_tuples_identify_member_sets():
+    # The verdict memo is keyed by ``exprs``: the same members in any order
+    # must give the same tuple, and distinct member sets distinct tuples.
     rng = random.Random(3)
     import oracles
     symbols = {"a": 1, "b": 2, "c": 3}
@@ -378,19 +391,26 @@ def test_cache_key_collision_free():
                                 rng.choice((1, 2, 3))))
             for _ in range(rng.randrange(1, 4))]
         eset = make_expr_set(exprs)
+        rng.shuffle(exprs)
+        assert make_expr_set(exprs).exprs == eset.exprs
         ident = frozenset(e.uid for e in eset.exprs)
-        sets.setdefault(cache_key(eset), set()).add(ident)
+        sets.setdefault(eset.exprs, set()).add(ident)
     for key, idents in sets.items():
-        assert len(idents) == 1, key
+        assert len(idents) == 1, [ex.render(e) for e in key]
 
 
 def test_enumerate_duplets_counts():
     assert len(list(enumerate_duplets(list(range(4)), 2))) == 6
-    assert len(list(enumerate_duplets(list(range(10)), 3, mg.MIXED))) == 120
+    assert len(list(enumerate_duplets(list(range(10)), 3))) == 120
     with pytest.raises(TooMany):
         enumerate_duplets(list(range(100)), 4, cap=1000)
-    with pytest.raises(ValueError):
-        enumerate_duplets([1, 2], 1, "sideways")
+
+
+def test_higher_order_rejects_unknown_mode():
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(1)
+    with pytest.raises(ValueError, match="sideways"):
+        mg.verify_higher_order(circuit, stimuli, labels,
+                               LeakageModel(order=2), mode="sideways")
 
 
 def test_higher_order_counts_match_ncr():

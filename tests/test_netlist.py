@@ -73,6 +73,36 @@ def test_missing_key():
         parse_netlist(json.dumps({"wires": []}))
 
 
+def _doc_all_sections():
+    doc = doc_and()
+    doc["wires"].append({"name": "q", "width": 1})
+    doc["registers"] = [{"input": "o", "output": "q", "init": "0b0"}]
+    doc["splits"] = [{"parent": "ab", "width": 2,
+                      "bits": [{"wire": "a", "index": 0},
+                               {"wire": "b", "index": 1}]}]
+    doc["memories"] = [{"id": "t", "depth": 2, "width": 1}]
+    return doc
+
+
+@pytest.mark.parametrize("path, message", [
+    (("gates", 0, "output"), "gates[0].output: missing"),
+    (("gates", 0, "inputs"), "gates[0].inputs: missing"),
+    (("registers", 0, "init"), "registers[0].init: missing"),
+    (("splits", 0, "bits", 1, "index"), "splits[0].bits[1].index: missing"),
+    (("memories", 0, "depth"), "memories[0].depth: missing"),
+])
+def test_missing_entry_field_is_named(path, message):
+    doc = _doc_all_sections()
+    parse(doc)
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    del owner[path[-1]]
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 def test_fig6_split_round_trip():
     fx = gadgets.gen_counterexamples()["fig6"]
     text = serialize_netlist(fx.circuit)

@@ -195,39 +195,45 @@ def _and_gate_fixture():
     return fx.circuit, gate
 
 
-def _val(symb, lset=None, stab=0):
+def _val(symb, lset=None, stab=0, conc=0):
     if lset is None:
         lset = tuple(frozenset(() if b.is_cst else (b,))
                      for b in ex.bits(symb))
-    return sim.Valuation(0, symb, lset, stab)
+    return sim.Valuation(conc, symb, lset, stab)
 
 
 def test_stab_eval_and_rule_direct():
     circuit, gate = _and_gate_fixture()
     stable_zero = _val(ex.cst(0, 1), stab=1)
     unstable_m = _val(ex.sym("m", 1))
-    assert sim.stab_eval(circuit, gate, [stable_zero, unstable_m]) == 1
-    assert sim.stab_eval(circuit, gate, [_val(ex.cst(0, 1)), unstable_m]) == 0
+    assert sim.eval_combinational(circuit, gate,
+                                  [stable_zero, unstable_m]).stab == 1
+    assert sim.eval_combinational(circuit, gate,
+                                  [_val(ex.cst(0, 1)), unstable_m]).stab == 0
 
 
 def test_lset_eval_direct():
     circuit, gate = _and_gate_fixture()
     m = ex.sym("m", 1)
     # unstable output: rank-wise union of the input sets
-    out = sim.lset_eval(circuit, gate, [_val(ex.cst(1, 1)), _val(m)])
+    out = sim.eval_combinational(circuit, gate,
+                                 [_val(ex.cst(1, 1)), _val(m)]).lset
     assert out == (frozenset((m,)),)
     # stable output carries its own symbolic bit
-    stable = sim.lset_eval(circuit, gate,
-                           [_val(ex.cst(1, 1), stab=1), _val(m, stab=1)])
+    stable = sim.eval_combinational(
+        circuit, gate, [_val(ex.cst(1, 1), stab=1), _val(m, stab=1)]).lset
     assert stable == (frozenset((m,)),)
 
 
 def test_conc_and_symb_eval_direct():
     circuit, gate = _and_gate_fixture()
-    assert sim.conc_eval(circuit, gate, [0b1, 0b1]) == 1
     k, m = ex.sym("k", 1), ex.sym("m", 1)
-    assert sim.symb_eval(circuit, gate, [k, m]) is ex.build("AND", [k, m])
-    assert sim.symb_eval(circuit, gate, [k, ex.cst(0, 1)]) is ex.cst(0, 1)
+    ones = [_val(k, conc=1), _val(m, conc=1)]
+    assert sim.eval_combinational(circuit, gate, ones).conc == 1
+    assert sim.eval_combinational(circuit, gate, [_val(k), _val(m)]).symb \
+        is ex.build("AND", [k, m])
+    assert sim.eval_combinational(
+        circuit, gate, [_val(k), _val(ex.cst(0, 1))]).symb is ex.cst(0, 1)
 
 
 @pytest.mark.parametrize("kind, widths, params, ins, expected", [
@@ -248,7 +254,9 @@ def test_conc_eval_semantics(kind, widths, params, ins, expected):
         "registers": [],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    assert sim.conc_eval(circuit, circuit.gates[0], list(ins)) == expected
+    vals = [_val(ex.cst(v, w), conc=v) for v, w in zip(ins, widths)]
+    assert sim.eval_combinational(circuit, circuit.gates[0],
+                                  vals).conc == expected
 
 
 def test_register_step_direct():

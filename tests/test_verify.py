@@ -189,7 +189,7 @@ def test_enumeration_matches_bruteforce_oracle():
             continue   # share expansion pushed the basis over the cap
         compared += 1
         slow = oracles.independence_bruteforce(eset.exprs, labels)
-        assert fast == slow, eset.key
+        assert fast == slow, [ex.render(e) for e in eset.exprs]
 
 
 def test_substitution_secure_implies_enumeration_secure():
@@ -200,7 +200,8 @@ def test_substitution_secure_implies_enumeration_secure():
         eset = make_expr_set(exprs)
         if check_substitution(eset, labels).is_secure:
             checked += 1
-            assert check_enumeration(eset, labels, limit=18).is_secure, eset.key
+            assert check_enumeration(eset, labels, limit=18).is_secure, \
+                [ex.render(e) for e in eset.exprs]
     assert checked > 30   # the generator must produce provable sets
 
 
@@ -361,7 +362,7 @@ def _agrees_with_oracle(exprs, labels, memories=None):
     eset = make_expr_set(exprs)
     v = check_enumeration(eset, labels, memories=memories)
     assert v.is_secure == oracles.independence_bruteforce(
-        eset.exprs, labels, memories), eset.key
+        eset.exprs, labels, memories), [ex.render(e) for e in eset.exprs]
     if v.status == vf.LEAKS:
         _assert_witness_counts(eset.exprs, labels, v.witness,
                                memories=memories)
