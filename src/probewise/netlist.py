@@ -178,9 +178,16 @@ class StructuralIndex:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _object(entry, where: str) -> dict:
+    """``entry`` if it is a JSON object, else MalformedDocument naming ``where``."""
+    if not isinstance(entry, dict):
+        raise MalformedDocument(f"{where}: expected an object")
+    return entry
+
+
 def _field(entry, where: str, key: str):
-    """``entry[key]``, or MalformedDocument naming ``where.key``."""
-    if not isinstance(entry, dict) or key not in entry:
+    """``entry[key]``, or MalformedDocument naming ``where`` or ``where.key``."""
+    if key not in _object(entry, where):
         raise MalformedDocument(f"{where}.{key}: missing")
     return entry[key]
 
@@ -241,7 +248,7 @@ def parse_netlist(text: str) -> Circuit:
     gates: list[Gate] = []
     ports_used: dict[tuple[str, str], str] = {}
     for i, entry in enumerate(doc["gates"]):
-        kind = entry.get("kind")
+        kind = _object(entry, f"gates[{i}]").get("kind")
         if kind not in GATE_KINDS:
             raise UnknownGateKind(f"gate #{i}: unknown kind {kind!r}")
         out = resolve(_field(entry, f"gates[{i}]", "output"))

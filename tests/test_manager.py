@@ -262,6 +262,7 @@ def test_overapprox_counters():
                                                          transitions=True))
         assert std.summary.expr_to_verify == std.summary.verified_expr
         assert report.summary.expr_to_verify == std.summary.verified_expr
+        assert report.summary.verified_expr <= report.summary.expr_to_verify
 
 
 def test_bit_flags_imply_support_wise_flags():

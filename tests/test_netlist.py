@@ -103,6 +103,23 @@ def test_missing_entry_field_is_named(path, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("path, message", [
+    (("gates", 0), "gates[0]: expected an object"),
+    (("registers", 0), "registers[0]: expected an object"),
+    (("splits", 0, "bits", 1), "splits[0].bits[1]: expected an object"),
+    (("memories", 0), "memories[0]: expected an object"),
+])
+def test_non_object_entry_is_named(path, message):
+    doc = _doc_all_sections()
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    owner[path[-1]] = "x"
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 def test_fig6_split_round_trip():
     fx = gadgets.gen_counterexamples()["fig6"]
     text = serialize_netlist(fx.circuit)
