@@ -10,9 +10,9 @@ from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
                   Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
                   consistency_check, eval_combinational, initial_state,
                   parse_stimuli, register_step, step_cycle)
-from .verify import (ExprSet, GadgetSpec, LeakWitness, TooLarge, Verdict,
-                     check, check_enumeration, check_ni, check_sni,
-                     check_substitution, make_expr_set)
+from .verify import (ExprSet, GadgetSpec, LeakWitness, TooLarge,
+                     TupleResult, Verdict, check, check_enumeration, check_ni,
+                     check_sni, check_substitution, make_expr_set)
 from .manager import (BIT, SUPPORT_WISE, LeakReport, LeakageModel,
                       ReportEntry, RunOptions, TooMany, enumerate_duplets,
                       expr_sets_for, recombine_split_wires, run,

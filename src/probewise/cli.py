@@ -161,6 +161,9 @@ def _cmd_verify(args) -> int:
     except (sm.SimError, ex.UnboundSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIM
+    except vf.TooMany as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.report:
         Path(args.report).write_text(report.to_jsonl())
@@ -203,17 +206,24 @@ def _higher_order(args, circuit, stimuli, labels, model) -> int:
 
 
 def _cmd_ni(args, strong: bool) -> int:
+    d = args.verif_order if args.verif_order is not None else args.order
+    for flag, value in (("--order", args.order), ("--verif-order", d),
+                        ("--cycles", args.cycles)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     gen = gadgets.gen_dom_and if args.gadget == "dom_and" else gadgets.gen_isw_and
     _, _, _, spec = gen(args.order, cycles=args.cycles)
-    d = args.verif_order if args.verif_order is not None else args.order
     checker = vf.check_sni if strong else vf.check_ni
-    verdict = checker(spec, d, args.glitches, args.enum_limit)
+    result = checker(spec, d, args.glitches, args.enum_limit)
+    verdict = result.verdict
     prop = "SNI" if strong else "NI"
     glitch_txt = "with" if args.glitches else "without"
     print(f"{args.gadget} order {args.order}, {prop} at d={d} {glitch_txt} "
           f"glitches: {verdict.status}")
-    if verdict.detail:
-        print(f"  probes: {', '.join(verdict.detail)}")
+    if result.leaking_tuple is not None:
+        probes = ", ".join(p.describe() for p in result.leaking_tuple)
+        print(f"  probes: {probes}")
     if verdict.reason:
         print(f"  reason: {verdict.reason}")
     if verdict.witness is not None:

@@ -682,13 +682,26 @@ class SymbolTable:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SymbolTable":
+        if not isinstance(doc, Mapping):
+            raise ValueError("labels: expected a JSON object")
+        symbols = doc.get("symbols", [])
+        if not isinstance(symbols, list):
+            raise ValueError("symbols: expected a list")
         table = cls()
-        for i, entry in enumerate(doc.get("symbols", [])):
+        for i, entry in enumerate(symbols):
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"symbols[{i}]: expected an object")
             for key in ("name", "width", "kind"):
                 if key not in entry:
                     raise ValueError(f"symbols[{i}].{key}: missing")
-            table.declare(entry["name"], int(entry["width"]), entry["kind"],
-                          entry.get("secret"), entry.get("index"))
+            name, width = entry["name"], entry["width"]
+            if not isinstance(name, str):
+                raise ValueError(f"symbols[{i}].name: expected a string")
+            if type(width) is not int or width < 1:
+                raise ValueError(f"symbols[{i}].width: expected a positive "
+                                 f"integer, got {width!r}")
+            table.declare(name, width, entry["kind"], entry.get("secret"),
+                          entry.get("index"))
         return table
 
     def to_json(self) -> dict:

@@ -20,10 +20,9 @@ Wire selection mirrors the model:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping
 
 from . import expr as ex
 from . import sim as sm
@@ -32,16 +31,11 @@ from .expr import Expr, SymbolTable, bits, render
 from .netlist import Circuit, StructuralIndex, structural_index, \
     validate_and_schedule
 from .sim import SimOptions, SimState, Stimuli, Valuation
-from .verify import ExprSet, Verdict, make_expr_set
+from .verify import ExprSet, TooMany, TupleResult, Verdict, \
+    enumerate_duplets, make_expr_set  # noqa: F401 (re-exported)
 
 BIT = "bit"
 SUPPORT_WISE = "sw"
-
-
-class TooMany(Exception):
-    def __init__(self, count: int, limit: int):
-        super().__init__(f"{count} tuples exceed the cap of {limit}")
-        self.count, self.limit = count, limit
 
 
 @dataclass(frozen=True)
@@ -451,32 +445,10 @@ TEMPORAL = "temporal"
 MIXED = "mixed"
 
 
-def enumerate_duplets(positions: Sequence[object], d: int,
-                      cap: int = 10 ** 6) -> Iterator[tuple]:
-    """All C(p, d) combinations of probe positions."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    p = len(positions)
-    count = 1
-    for i in range(d):
-        count = count * (p - i) // (i + 1)
-    if count > cap:
-        raise TooMany(count, cap)
-    return itertools.combinations(positions, d)
-
-
-@dataclass
-class HigherOrderResult:
-    verdict: Verdict
-    tuples_checked: int
-    tuple_count: int
-    leaking_tuple: tuple | None = None
-
-
 def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                         model: LeakageModel, mode: str = SPATIAL,
                         enum_limit: int = vf.DEFAULT_ENUM_LIMIT,
-                        cap: int = 10 ** 6) -> HigherOrderResult:
+                        cap: int = 10 ** 6) -> TupleResult:
     """Check every d-uplet of probe positions under the given model.
 
     spatial: wire d-uplets, each combination checked at every cycle;
@@ -499,55 +471,25 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         per_cycle.append(sets)
 
     wires = sorted(per_cycle[0]) if per_cycle else []
-    cycles = list(range(len(per_cycle)))
-    d = model.order
-    cache: dict[tuple[Expr, ...], Verdict] = {}
-
-    def run_combo(esets: Iterable[ExprSet]) -> Verdict:
-        union = ExprSet(())
-        for s in esets:
-            union = union.union(s)
-        if not union:
-            return Verdict.secure()
-        if union.exprs not in cache:
-            cache[union.exprs] = vf.check(union, labels, enum_limit)
-        return cache[union.exprs]
-
-    checked = 0
+    cycles = range(len(per_cycle))
+    # each mode's positions, and the (wire, cycle) views a combo expands to
     if mode == SPATIAL:
-        positions: Sequence = wires
-        combos = enumerate_duplets(positions, d, cap)
-        total = _ncr(len(positions), d)
-        for combo in combos:
-            checked += 1
-            for t in cycles:
-                v = run_combo(per_cycle[t][w] for w in combo)
-                if not v.is_secure:
-                    return HigherOrderResult(v, checked, total, combo)
+        positions: list = wires
+        views = lambda combo: ([(w, t) for w in combo] for t in cycles)
     elif mode == TEMPORAL:
-        positions = cycles
-        combos = enumerate_duplets(positions, d, cap)
-        total = _ncr(len(positions), d)
-        for combo in combos:
-            checked += 1
-            for w in wires:
-                v = run_combo(per_cycle[t][w] for t in combo)
-                if not v.is_secure:
-                    return HigherOrderResult(v, checked, total, combo)
+        positions = list(cycles)
+        views = lambda combo: ([(w, t) for t in combo] for w in wires)
     else:
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
-        combos = enumerate_duplets(positions, d, cap)
-        total = _ncr(len(positions), d)
-        for combo in combos:
-            checked += 1
-            v = run_combo(per_cycle[t][w] for w, t in combo)
-            if not v.is_secure:
-                return HigherOrderResult(v, checked, total, combo)
-    return HigherOrderResult(Verdict.secure(), checked, total)
+        views = lambda combo: (combo,)
 
+    def observe(combo: tuple):
+        for view in views(combo):
+            union = make_expr_set(e for w, t in view
+                                  for e in per_cycle[t][w].exprs)
+            if union:
+                yield union.exprs
 
-def _ncr(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return vf.check_tuples(
+        positions, (model.order,), observe,
+        lambda exprs: vf.check(ExprSet(exprs), labels, enum_limit), cap)

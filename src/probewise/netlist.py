@@ -185,6 +185,13 @@ def _object(entry, where: str) -> dict:
     return entry
 
 
+def _list(value, where: str) -> list:
+    """``value`` if it is a JSON list, else MalformedDocument naming ``where``."""
+    if not isinstance(value, list):
+        raise MalformedDocument(f"{where}: expected a list")
+    return value
+
+
 def _field(entry, where: str, key: str):
     """``entry[key]``, or MalformedDocument naming ``where`` or ``where.key``."""
     if key not in _object(entry, where):
@@ -203,6 +210,7 @@ def parse_netlist(text: str) -> Circuit:
     for key in ("wires", "inputs", "outputs", "gates", "registers"):
         if key not in doc:
             raise MalformedDocument(f"missing required key {key!r}")
+        _list(doc[key], key)
 
     wires: list[Wire] = []
     names: dict[str, Wire] = {}
@@ -231,7 +239,7 @@ def parse_netlist(text: str) -> Circuit:
     outputs = [resolve(n).uid for n in doc["outputs"]]
 
     memories = []
-    for i, entry in enumerate(doc.get("memories") or []):
+    for i, entry in enumerate(_list(doc.get("memories") or [], "memories")):
         where = f"memories[{i}]"
         mid = _field(entry, where, "id")
         depth, width = (int(_field(entry, where, k)) for k in ("depth", "width"))
@@ -252,7 +260,8 @@ def parse_netlist(text: str) -> Circuit:
         if kind not in GATE_KINDS:
             raise UnknownGateKind(f"gate #{i}: unknown kind {kind!r}")
         out = resolve(_field(entry, f"gates[{i}]", "output"))
-        ins = tuple(resolve(n) for n in _field(entry, f"gates[{i}]", "inputs"))
+        ins = tuple(resolve(n) for n in _list(
+            _field(entry, f"gates[{i}]", "inputs"), f"gates[{i}].inputs"))
         params_doc = entry.get("params") or {}
         params = tuple(sorted(params_doc.items()))
         gate = Gate(i, kind, tuple(w.uid for w in ins), out.uid, params)
@@ -269,13 +278,14 @@ def parse_netlist(text: str) -> Circuit:
         registers.append(Register(i, win.uid, wout.uid, init))
 
     splits: list[SplitGroup] = []
-    for i, entry in enumerate(doc.get("splits") or []):
+    for i, entry in enumerate(_list(doc.get("splits") or [], "splits")):
         where = f"splits[{i}]"
         parent = _field(entry, where, "parent")
         width = int(_field(entry, where, "width"))
         members = []
         seen_idx = set()
-        for j, m in enumerate(_field(entry, where, "bits")):
+        for j, m in enumerate(_list(_field(entry, where, "bits"),
+                                    f"{where}.bits")):
             w = resolve(_field(m, f"{where}.bits[{j}]", "wire"))
             idx = int(_field(m, f"{where}.bits[{j}]", "index"))
             if w.width != 1:

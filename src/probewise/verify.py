@@ -34,14 +34,16 @@ NI/SNI predicates for gadget circuits use the same kernel, with probe tuples
 drawn from symbolic values (or flattened LeakSets when glitches are
 modelled), the selected shares as the fixed part of the group key and the
 other shares as the vary key, over every share-index selection. A tuple past
-the bit budget makes the verdict Inconclusive.
+the bit budget makes the verdict Inconclusive. NI/SNI and the higher-order
+d-uplet checks share one probe-tuple engine, :func:`check_tuples`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +62,12 @@ class TooLarge(Exception):
         self.bits, self.limit = bits, limit
 
 
+class TooMany(Exception):
+    def __init__(self, count: int, limit: int):
+        super().__init__(f"{count} tuples exceed the cap of {limit}")
+        self.count, self.limit = count, limit
+
+
 @dataclass(frozen=True)
 class ExprSet:
     """Canonical order-independent set of expressions, constants removed."""
@@ -67,9 +75,6 @@ class ExprSet:
 
     def __bool__(self) -> bool:
         return bool(self.exprs)
-
-    def union(self, other: "ExprSet") -> "ExprSet":
-        return make_expr_set(self.exprs + other.exprs)
 
 
 def make_expr_set(exprs: Iterable[Expr]) -> ExprSet:
@@ -103,7 +108,6 @@ class Verdict:
     status: str
     witness: LeakWitness | None = None
     reason: str | None = None
-    detail: tuple = ()
 
     @property
     def is_secure(self) -> bool:
@@ -111,15 +115,18 @@ class Verdict:
 
     @staticmethod
     def secure() -> "Verdict":
-        return Verdict(SECURE)
+        return _SECURE_VERDICT   # shared: memos hold one per secure tuple
 
     @staticmethod
-    def leaks(witness: LeakWitness, detail: tuple = ()) -> "Verdict":
-        return Verdict(LEAKS, witness=witness, detail=detail)
+    def leaks(witness: LeakWitness) -> "Verdict":
+        return Verdict(LEAKS, witness=witness)
 
     @staticmethod
-    def inconclusive(reason: str, detail: tuple = ()) -> "Verdict":
-        return Verdict(INCONCLUSIVE, reason=reason, detail=detail)
+    def inconclusive(reason: str) -> "Verdict":
+        return Verdict(INCONCLUSIVE, reason=reason)
+
+
+_SECURE_VERDICT = Verdict(SECURE)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +565,56 @@ def check(eset: ExprSet, labels: SymbolTable,
 
 
 # ---------------------------------------------------------------------------
+# Probe tuples
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TupleResult:
+    """The first verdict over the tuples that is not Secure (else Secure),
+    how many tuples were walked out of ``tuple_count``, and the tuple that
+    decided it."""
+    verdict: Verdict
+    tuples_checked: int
+    tuple_count: int
+    leaking_tuple: tuple | None = None
+
+
+def enumerate_duplets(positions: Sequence[object], d: int,
+                      cap: int | None = 10 ** 6) -> Iterator[tuple]:
+    """All C(p, d) combinations of probe positions; TooMany past ``cap``."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    count = math.comb(len(positions), d)
+    if cap is not None and count > cap:
+        raise TooMany(count, cap)
+    return itertools.combinations(positions, d)
+
+
+def check_tuples(positions: Sequence[object], sizes: Iterable[int],
+                 observe: Callable[[tuple], Iterable[Hashable]],
+                 decide: Callable[[Hashable], Verdict],
+                 cap: int | None = None) -> TupleResult:
+    """Walk every tuple of ``positions`` of each size and ``decide`` each
+    distinct key that ``observe(tuple)`` yields, once per run; stop at the
+    first verdict that is not Secure. TooMany, before any tuple is walked,
+    if the tuples of one size exceed ``cap``."""
+    sizes = list(sizes)
+    combos = [enumerate_duplets(positions, q, cap) for q in sizes]
+    count = sum(math.comb(len(positions), q) for q in sizes)
+    memo: dict[Hashable, Verdict] = {}
+    checked = 0
+    for combo in itertools.chain(*combos):
+        checked += 1
+        for key in observe(combo):
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = decide(key)
+            if not verdict.is_secure:
+                return TupleResult(verdict, checked, count, combo)
+    return TupleResult(Verdict.secure(), checked, count)
+
+
+# ---------------------------------------------------------------------------
 # NI / SNI
 # ---------------------------------------------------------------------------
 
@@ -623,9 +680,9 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
 
 
 def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
-                 limit: int) -> tuple[bool, LeakWitness | None]:
+                 limit: int) -> Verdict:
     """Can a simulator with ``budget`` shares of each input reproduce the
-    joint distribution of ``exprs``?"""
+    joint distribution of ``exprs``? A leak carries the first witness."""
     symbols = set()
     for e in exprs:
         symbols |= symbols_of(e)
@@ -634,7 +691,7 @@ def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
     present = {secret: [s for s in shares if s in symbols]
                for secret, shares in gadget.secrets.items()}
     if all(len(p) <= budget for p in present.values()):
-        return True, None
+        return Verdict.secure()
     space.materialise(derived)
     memo: dict = {}
     members, n_members = _pack(_member_parts(exprs, space, None, memo))
@@ -655,43 +712,38 @@ def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
         vary, n_vary = _pack(_base_parts(non_sel, space))
         bad = _first_bad_group(groups, n_groups, vary, n_vary)
         if bad is None:
-            return True, None
+            return Verdict.secure()
         if first_witness is None:
             first_witness = _witness(*bad, space, exprs, memo, non_sel, sel)
-    return False, first_witness
+    return Verdict.leaks(first_witness)
 
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
-                          strong: bool, limit: int) -> Verdict:
-    probes = collect_probes(gadget, glitches)
-    cache: dict[tuple, tuple[bool, LeakWitness | None]] = {}
-    for q in range(1, d + 1):
-        for combo in itertools.combinations(probes, q):
-            budget = sum(1 for p in combo if not p.is_output) if strong else q
-            union = tuple(sorted({e for p in combo for e in p.obs}, key=render))
-            key = (union, budget)
-            if key not in cache:
-                try:
-                    cache[key] = _simulatable(union, gadget, budget, limit)
-                except TooLarge as exc:
-                    return Verdict.inconclusive(
-                        str(exc), tuple(p.describe() for p in combo))
-            ok, witness = cache[key]
-            if not ok:
-                detail = tuple(p.describe() for p in combo)
-                assert witness is not None
-                return Verdict.leaks(witness, detail=detail)
-    return Verdict.secure()
+                          strong: bool, limit: int) -> TupleResult:
+    def observe(combo: tuple[Probe, ...]) -> Iterator[tuple]:
+        budget = sum(1 for p in combo if not p.is_output) if strong \
+            else len(combo)
+        yield make_expr_set(e for p in combo for e in p.obs).exprs, budget
+
+    def decide(key: tuple) -> Verdict:
+        exprs, budget = key
+        try:
+            return _simulatable(exprs, gadget, budget, limit)
+        except TooLarge as exc:
+            return Verdict.inconclusive(str(exc))
+
+    return check_tuples(collect_probes(gadget, glitches), range(1, d + 1),
+                        observe, decide)
 
 
 def check_ni(gadget: GadgetSpec, d: int, glitches: bool,
-             limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
+             limit: int = DEFAULT_ENUM_LIMIT) -> TupleResult:
     """d-NI: every tuple of q <= d probes is simulatable with q shares."""
     return _check_simulatability(gadget, d, glitches, strong=False, limit=limit)
 
 
 def check_sni(gadget: GadgetSpec, d: int, glitches: bool,
-              limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
+              limit: int = DEFAULT_ENUM_LIMIT) -> TupleResult:
     """d-SNI: output probes are free, the share budget is the number of
     internal probes in the tuple."""
     return _check_simulatability(gadget, d, glitches, strong=True, limit=limit)

@@ -124,7 +124,7 @@ def test_criterion_4_gadget_verdicts():
         (isw, check_sni, False, True), (isw, check_sni, True, False),
     ]
     for spec, checker, glitches, secure in expected:
-        verdict = checker(spec, 2, glitches)
+        verdict = checker(spec, 2, glitches).verdict
         assert verdict.is_secure == secure, (checker.__name__, glitches)
         if not secure:
             assert verdict.status == vf.LEAKS

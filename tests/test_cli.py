@@ -153,6 +153,38 @@ def _frame_not_object(fixture_dir, tmp_path):
     return _second_stimuli_line(fixture_dir, tmp_path, lambda line: "[]")
 
 
+def _edit_netlist(edit):
+    def mutate(fixture_dir, tmp_path):
+        doc = json.loads((fixture_dir / "fig5.netlist.json").read_text())
+        edit(doc)
+        path = tmp_path / "bad.netlist.json"
+        path.write_text(json.dumps(doc))
+        return ["--netlist", str(path)]
+    return mutate
+
+
+def _edit_labels(edit):
+    def mutate(fixture_dir, tmp_path):
+        doc = json.loads((fixture_dir / "fig5.labels.json").read_text())
+        path = tmp_path / "bad.labels.json"
+        path.write_text(json.dumps(edit(doc)))
+        return ["--labels", str(path)]
+    return mutate
+
+
+def _set_label_width(width):
+    def edit(doc):
+        doc["symbols"][0]["width"] = width
+        return doc
+    return _edit_labels(edit)
+
+
+def _over_tuple_cap(fixture_dir, tmp_path):
+    # C(36 wires, 6) = 1,947,792 spatial 6-uplets
+    return [*_fig_args(fixture_dir, "dom_and_d2"), "--model", "0,0",
+            "--order", "6"]
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_drop_gate_output, "gates[0].output: missing"),
     (_drop_label_width, "symbols[0].width: missing"),
@@ -160,8 +192,21 @@ def _frame_not_object(fixture_dir, tmp_path):
     (_frame_not_object, "stimuli line 2: expected a JSON object"),
     (lambda *_: ["--model", "2,x"], "--model must be"),
     (lambda *_: ["--model", "2,0"], "--model must be"),
+    (_edit_netlist(lambda doc: doc["gates"][0].update(inputs=5)),
+     "gates[0].inputs: expected a list"),
+    (_set_label_width(None), "symbols[0].width: expected a positive integer"),
+    (_set_label_width(-3), "symbols[0].width: expected a positive integer"),
+    (_edit_labels(lambda doc: doc["symbols"]), "labels: expected a JSON object"),
+    (_edit_labels(lambda doc: {"symbols": ["k"]}),
+     "symbols[0]: expected an object"),
+    (_edit_labels(lambda doc: {"symbols": [{"name": 5, "width": 1,
+                                            "kind": "secret"}]}),
+     "symbols[0].name: expected a string"),
+    (_over_tuple_cap, "1947792 tuples exceed the cap of 1000000"),
 ], ids=["gate-output", "label-width", "frame-inputs", "frame-not-object",
-        "model-2x", "model-20"])
+        "model-2x", "model-20", "gate-inputs-int", "label-width-null",
+        "label-width-negative", "labels-list", "label-not-object",
+        "label-name-int", "tuple-cap"])
 def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
                                                mutate, message):
     # later flags override the valid fig5 paths
@@ -172,3 +217,16 @@ def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ni", "sni"])
+@pytest.mark.parametrize("args, message", [
+    (["--order", "0"], "--order must be >= 1, got 0"),
+    (["--order", "1", "--verif-order", "0"], "--verif-order must be >= 1, got 0"),
+    (["--order", "1", "--cycles", "0"], "--cycles must be >= 1, got 0"),
+], ids=["order-0", "verif-order-0", "cycles-0"])
+def test_ni_sni_reject_arguments_below_1(capsys, command, args, message):
+    code = main([command, "--gadget", "dom_and", *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"

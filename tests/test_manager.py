@@ -1,10 +1,13 @@
 """Manager: expression sets per model, wire selection, cache, runs, duplets."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from probewise import expr as ex, gadgets, manager as mg, netlist, sim
+from probewise import verify as vf
 from probewise.manager import (BIT, SUPPORT_WISE, LeakageModel, RunOptions,
                                TooMany, enumerate_duplets,
                                expr_sets_for, recombine_split_wires, run,
@@ -421,6 +424,56 @@ def test_higher_order_counts_match_ncr():
                                  mode=mg.SPATIAL)
     n = len(circuit.wires)
     assert res.tuple_count == n * (n - 1) // 2
+    cycles = len(stimuli.frames)
+    for mode, positions in ((mg.TEMPORAL, cycles), (mg.MIXED, n * cycles)):
+        for d in (1, 2):
+            res = mg.verify_higher_order(circuit, stimuli, labels,
+                                         LeakageModel(order=d), mode=mode)
+            assert res.tuple_count == math.comb(positions, d), (mode, d)
+
+
+@pytest.mark.parametrize("mode", [mg.SPATIAL, mg.TEMPORAL, mg.MIXED])
+def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
+    # secure order-2 gadget at d=2: every tuple is walked, and each distinct
+    # non-empty union of the (wire, cycle) sets reaches the checker once
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(2)
+    model = LeakageModel(order=2)
+    checked = []
+    check = vf.check
+
+    def counting_check(eset, *args):
+        checked.append(eset.exprs)
+        return check(eset, *args)
+
+    monkeypatch.setattr(vf, "check", counting_check)
+    res = mg.verify_higher_order(circuit, stimuli, labels, model, mode=mode)
+    assert res.verdict.is_secure
+    assert res.tuples_checked == res.tuple_count
+
+    sched = netlist.validate_and_schedule(circuit)
+    state = sim.initial_state(circuit)
+    sets = {}
+    for t, frame in enumerate(stimuli.frames):
+        state = sim.step_cycle(circuit, sched, state, frame, stimuli.witness)
+        for uid in state.current:
+            prev = state.previous[uid] if state.previous else state.current[uid]
+            ((_, eset),) = expr_sets_for(state.current[uid], prev, model)
+            sets[circuit.name(uid), t] = eset
+    wires = sorted({w for w, _ in sets})
+    cycles = range(len(stimuli.frames))
+    if mode == mg.SPATIAL:
+        views = [[(w, t) for w in pair] for pair in
+                 itertools.combinations(wires, 2) for t in cycles]
+    elif mode == mg.TEMPORAL:
+        views = [[(w, t) for t in pair] for pair in
+                 itertools.combinations(cycles, 2) for w in wires]
+    else:
+        views = itertools.combinations(sorted(sets, key=lambda p: p[::-1]), 2)
+    unions = {make_expr_set(e for p in view for e in sets[p].exprs).exprs
+              for view in views}
+    unions.discard(())
+    assert len(checked) == len(set(checked)) == len(unions)
+    assert set(checked) == unions
 
 
 def test_higher_order_temporal_and_mixed_modes():

@@ -120,6 +120,23 @@ def test_non_object_entry_is_named(path, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("path, message", [
+    (("wires",), "wires: expected a list"),
+    (("gates", 0, "inputs"), "gates[0].inputs: expected a list"),
+    (("memories",), "memories: expected a list"),
+    (("splits", 0, "bits"), "splits[0].bits: expected a list"),
+])
+def test_non_list_field_is_named(path, message):
+    doc = _doc_all_sections()
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    owner[path[-1]] = 5
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 def test_fig6_split_round_trip():
     fx = gadgets.gen_counterexamples()["fig6"]
     text = serialize_netlist(fx.circuit)

@@ -1,6 +1,7 @@
 """Independence checking: substitution, enumeration, combined, NI/SNI."""
 
 import json
+import math
 import re
 import random
 
@@ -234,24 +235,36 @@ def _refresh_gadget():
 
 def test_refresh_gadget_is_1_ni():
     gadget = _refresh_gadget()
-    assert check_ni(gadget, 1, glitches=False).is_secure
-    assert check_ni(gadget, 1, glitches=True).is_secure
+    assert check_ni(gadget, 1, glitches=False).verdict.is_secure
+    assert check_ni(gadget, 1, glitches=True).verdict.is_secure
 
 
 def test_refresh_gadget_is_not_1_sni():
     # (c0, c1) jointly reveal a0 ^ a1 = a; with one internal probe allowed,
     # probing c0 (internal z-side) plus output c1 needs both shares.
     gadget = _refresh_gadget()
-    v = check_sni(gadget, 1, glitches=False)
+    v = check_sni(gadget, 1, glitches=False).verdict
     assert v.is_secure   # single probes only at d=1: still SNI
-    two = check_sni(gadget, 2, glitches=False)
+    two = check_sni(gadget, 2, glitches=False).verdict
     assert two.status == vf.LEAKS
 
 
 def test_dom_and_d1_table_style_checks():
     _, _, _, spec = gadgets.gen_dom_and(1)
-    assert check_ni(spec, 1, glitches=False).is_secure
-    assert check_ni(spec, 1, glitches=True).is_secure
+    assert check_ni(spec, 1, glitches=False).verdict.is_secure
+    assert check_ni(spec, 1, glitches=True).verdict.is_secure
+
+
+@pytest.mark.parametrize("checker, gen, glitches", [
+    (check_ni, gadgets.gen_dom_and, True),
+    (check_sni, gadgets.gen_isw_and, False),
+])
+def test_secure_ni_sni_walks_every_tuple(checker, gen, glitches):
+    _, _, _, spec = gen(2)
+    p = len(vf.collect_probes(spec, glitches))
+    res = checker(spec, 2, glitches)
+    assert res.verdict.is_secure and res.leaking_tuple is None
+    assert res.tuples_checked == res.tuple_count == p + math.comb(p, 2)
 
 
 def test_gadget_spec_validates_share_count():
@@ -263,9 +276,9 @@ def test_gadget_spec_validates_share_count():
 
 def test_ni_leak_carries_witness():
     _, _, _, spec = gadgets.gen_isw_and(2)
-    v = check_ni(spec, 2, glitches=True)
-    assert v.status == vf.LEAKS
-    assert v.witness is not None and v.detail
+    res = check_ni(spec, 2, glitches=True)
+    assert res.verdict.status == vf.LEAKS
+    assert res.verdict.witness is not None and res.leaking_tuple
 
 
 @pytest.mark.parametrize("gen, glitches", [
@@ -282,7 +295,7 @@ def test_simulatability_matches_bruteforce_oracle(gen, glitches):
         for combo in it.combinations(probes, q):
             union = tuple(sorted({e for p in combo for e in p.obs},
                                  key=ex.render))
-            fast, _ = vf._simulatable(union, spec, budget, limit=20)
+            fast = vf._simulatable(union, spec, budget, limit=20).is_secure
             slow = oracles.simulatable_bruteforce(union, spec.labels,
                                                   spec.secrets, budget)
             assert fast == slow, (q, budget, [p.describe() for p in combo])
@@ -340,22 +353,18 @@ def test_enumeration_witness_counts_match_bruteforce():
     assert missing_value > 5 and unequal_counts > 5
 
 
-def _probe_union(spec, glitches, detail):
-    probes = {p.describe(): p for p in vf.collect_probes(spec, glitches)}
-    return tuple(sorted({e for name in detail for e in probes[name].obs},
-                        key=ex.render))
-
-
 @pytest.mark.parametrize("checker, gen, order, glitches", [
     (check_ni, gadgets.gen_isw_and, 2, True),
     (check_sni, gadgets.gen_dom_and, 2, True),
 ])
 def test_ni_sni_witness_counts_match_bruteforce(checker, gen, order, glitches):
     _, _, _, spec = gen(order)
-    v = checker(spec, order, glitches)
-    assert v.status == vf.LEAKS
-    union = _probe_union(spec, glitches, v.detail)
-    _assert_witness_counts(union, spec.labels, v.witness, shares_free=True)
+    res = checker(spec, order, glitches)
+    assert res.verdict.status == vf.LEAKS
+    union = tuple(sorted({e for p in res.leaking_tuple for e in p.obs},
+                         key=ex.render))
+    _assert_witness_counts(union, spec.labels, res.verdict.witness,
+                           shares_free=True)
 
 
 def _agrees_with_oracle(exprs, labels, memories=None):
