@@ -5,8 +5,9 @@ Subcommands:
   ni / sni      (strong) non-interference checks on generated gadgets
   gen-fixtures  write the bundled benchmark fixtures to a directory
 
-Exit codes: 0 no leak found; 1 leaks or inconclusive verdicts; 2 usage or
-I/O errors; 3 simulation errors (combinatorial loop, consistency violation).
+Exit codes: 0 no leak found; 1 leaks or inconclusive verdicts; 2 usage, I/O
+or malformed-input errors; 3 simulation errors (combinatorial loop,
+consistency violation).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import gadgets
 from . import manager as mg
 from . import sim as sm
 from . import verify as vf
+from .inputs import load
 from .netlist import CombinatorialLoop, NetlistError, parse_netlist, \
     serialize_netlist
 
@@ -131,13 +133,10 @@ def _cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         circuit = parse_netlist(netlist_text)
-        labels = ex.SymbolTable.from_json(json.loads(labels_text))
+        labels = ex.SymbolTable.from_json(load(labels_text, "labels"))
         stimuli = sm.parse_stimuli(stimuli_text, labels.widths())
         model = _leakage_model(args)
-    except CombinatorialLoop as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIM
-    except (NetlistError, ValueError, sm.SimError, json.JSONDecodeError) as exc:
+    except (NetlistError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

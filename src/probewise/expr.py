@@ -23,6 +23,8 @@ import re
 import threading
 from typing import Iterator, Mapping, Sequence
 
+from .inputs import InputError, expect, field
+
 
 class WidthError(TypeError):
     """Operator applied to children of incompatible widths."""
@@ -682,26 +684,33 @@ class SymbolTable:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SymbolTable":
-        if not isinstance(doc, Mapping):
-            raise ValueError("labels: expected a JSON object")
-        symbols = doc.get("symbols", [])
-        if not isinstance(symbols, list):
-            raise ValueError("symbols: expected a list")
+        """Read a labels document. Each share must name a declared secret of
+        its own width; a malformed entry raises ``InputError`` naming it."""
         table = cls()
+        shares = []
+        symbols = field(expect(doc, "labels", dict), "", "symbols", list,
+                        default=[])
         for i, entry in enumerate(symbols):
-            if not isinstance(entry, Mapping):
-                raise ValueError(f"symbols[{i}]: expected an object")
-            for key in ("name", "width", "kind"):
-                if key not in entry:
-                    raise ValueError(f"symbols[{i}].{key}: missing")
-            name, width = entry["name"], entry["width"]
-            if not isinstance(name, str):
-                raise ValueError(f"symbols[{i}].name: expected a string")
-            if type(width) is not int or width < 1:
-                raise ValueError(f"symbols[{i}].width: expected a positive "
-                                 f"integer, got {width!r}")
-            table.declare(name, width, entry["kind"], entry.get("secret"),
-                          entry.get("index"))
+            where = f"symbols[{i}]"
+            name = field(entry, where, "name", str)
+            width = field(entry, where, "width", int, 1)
+            kind = field(entry, where, "kind", str)
+            secret = index = None
+            if kind == SHARE:
+                secret = field(entry, where, "secret", str)
+                index = field(entry, where, "index", int, 0)
+                shares.append((where, width, secret))
+            try:
+                table.declare(name, width, kind, secret, index)
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from None
+        for where, width, secret in shares:
+            if secret not in table or table.kind(secret) != SECRET:
+                raise InputError(
+                    f"{where}.secret: {secret!r} is not a declared secret")
+            if table.width(secret) != width:
+                raise InputError(f"{where}.width: {width} differs from the "
+                                 f"width of secret {secret!r}")
         return table
 
     def to_json(self) -> dict:
@@ -713,18 +722,6 @@ class SymbolTable:
                 entry["index"] = index
             out.append(entry)
         return {"symbols": out}
-
-
-def parse_bits(literal: str, width: int | None = None) -> int:
-    """Parse a ``0b…`` literal; when ``width`` is given the digit count must match."""
-    if not isinstance(literal, str) or not literal.startswith("0b"):
-        raise ValueError(f"expected 0b literal, got {literal!r}")
-    digits = literal[2:]
-    if not digits or set(digits) - {"0", "1"}:
-        raise ValueError(f"bad bit-vector literal {literal!r}")
-    if width is not None and len(digits) != width:
-        raise ValueError(f"literal {literal!r} must have exactly {width} digits")
-    return int(digits, 2)
 
 
 def format_bits(value: int, width: int) -> str:

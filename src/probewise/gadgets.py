@@ -76,6 +76,16 @@ def gen_dom_and(d: int, cycles: int = 2) -> tuple[Circuit, SymbolTable,
                                                   Stimuli, GadgetSpec]:
     """DOM masked AND: cross products refreshed and registered before the
     share-wise XOR compression. Needs d(d+1)/2 fresh masks."""
+    return _masked_and(d, cycles, registered=True)
+
+
+def gen_isw_and(d: int, cycles: int = 2) -> tuple[Circuit, SymbolTable,
+                                                  Stimuli, GadgetSpec]:
+    """ISW masked AND: unregistered cross terms, glitch-sensitive."""
+    return _masked_and(d, cycles, registered=False)
+
+
+def _masked_and(d: int, cycles: int, registered: bool):
     if d < 1:
         raise ValueError("order must be >= 1")
     n = d + 1
@@ -87,112 +97,52 @@ def gen_dom_and(d: int, cycles: int = 2) -> tuple[Circuit, SymbolTable,
     def wire(name: str):
         wires.append({"name": name, "width": 1})
 
+    def gate(kind: str, out: str, ins: list[str]):
+        wire(out)
+        gates.append({"kind": kind, "output": out, "inputs": ins})
+
     for i in range(n):
         wire(f"a{i}")
         wire(f"b{i}")
         inputs += [f"a{i}", f"b{i}"]
-    masks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = _pair_mask(i, j)
-            wire(m)
-            inputs.append(m)
-            masks.append(m)
+    masks = [_pair_mask(i, j) for i in range(n) for j in range(i + 1, n)]
+    for m in masks:
+        wire(m)
+    inputs += masks
     for i in range(n):
         for j in range(n):
-            wire(f"p{i}{j}")
-            gates.append({"kind": "bit_and", "output": f"p{i}{j}",
-                          "inputs": [f"a{i}", f"b{j}"]})
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            wire(f"t{i}{j}")
-            gates.append({"kind": "bit_xor", "output": f"t{i}{j}",
-                          "inputs": [f"p{i}{j}", _pair_mask(i, j)]})
-            wire(f"r{i}{j}")
-            registers.append({"input": f"t{i}{j}", "output": f"r{i}{j}",
-                              "init": "0b0"})
-    outputs = []
+            gate("bit_and", f"p{i}{j}", [f"a{i}", f"b{j}"])
+    if registered:
+        # DOM: t_ij = a_i b_j ^ z_ij, registered as r_ij, folded into c_i
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                gate("bit_xor", f"t{i}{j}", [f"p{i}{j}", _pair_mask(i, j)])
+                wire(f"r{i}{j}")
+                registers.append({"input": f"t{i}{j}", "output": f"r{i}{j}",
+                                  "init": "0b0"})
+        terms = [[f"r{i}{j}" for j in range(n) if j != i] for i in range(n)]
+        partial = "s"
+    else:
+        # ISW: v_ij = (z_ij ^ a_i b_j) ^ a_j b_i, the term folded into c_j
+        for i in range(n):
+            for j in range(i + 1, n):
+                gate("bit_xor", f"u{i}{j}", [_pair_mask(i, j), f"p{i}{j}"])
+                gate("bit_xor", f"v{i}{j}", [f"u{i}{j}", f"p{j}{i}"])
+        terms = [[(_pair_mask(i, j) if i < j else f"v{j}{i}")
+                  for j in range(n) if j != i] for i in range(n)]
+        partial = "w"
+    outputs = [f"c{i}" for i in range(n)]
     for i in range(n):
         acc = f"p{i}{i}"
-        others = [f"r{i}{j}" for j in range(n) if j != i]
-        for k, term in enumerate(others):
-            out = f"c{i}" if k == len(others) - 1 else f"s{i}_{k}"
-            wire(out)
-            gates.append({"kind": "bit_xor", "output": out,
-                          "inputs": [acc, term]})
+        for k, term in enumerate(terms[i]):
+            out = outputs[i] if k == len(terms[i]) - 1 else f"{partial}{i}_{k}"
+            gate("bit_xor", out, [acc, term])
             acc = out
-        outputs.append(f"c{i}")
 
     doc = {"wires": wires, "inputs": inputs, "outputs": outputs,
            "gates": gates, "registers": registers}
-    circuit = _circuit(doc)
-    labels = _share_labels(d)
-    names = sorted(set(inputs))
-    stimuli = Stimuli(_masked_and_witness(d),
-                      _frames_from_symbols(names, cycles, labels.widths()))
-    spec = GadgetSpec(circuit, labels, stimuli,
-                      secrets={"a": [f"a{i}" for i in range(n)],
-                               "b": [f"b{i}" for i in range(n)]},
-                      output_wires=tuple(outputs),
-                      randomness=tuple(masks), order=d)
-    return circuit, labels, stimuli, spec
-
-
-def gen_isw_and(d: int, cycles: int = 2) -> tuple[Circuit, SymbolTable,
-                                                  Stimuli, GadgetSpec]:
-    """ISW masked AND: unregistered cross terms, glitch-sensitive."""
-    if d < 1:
-        raise ValueError("order must be >= 1")
-    n = d + 1
-    wires = []
-    gates = []
-    inputs = []
-
-    def wire(name: str):
-        wires.append({"name": name, "width": 1})
-
-    for i in range(n):
-        wire(f"a{i}")
-        wire(f"b{i}")
-        inputs += [f"a{i}", f"b{i}"]
-    masks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = _pair_mask(i, j)
-            wire(m)
-            inputs.append(m)
-            masks.append(m)
-    for i in range(n):
-        for j in range(n):
-            wire(f"p{i}{j}")
-            gates.append({"kind": "bit_and", "output": f"p{i}{j}",
-                          "inputs": [f"a{i}", f"b{j}"]})
-    # v_ij = (z_ij ^ a_i b_j) ^ a_j b_i, the term folded into c_j
-    for i in range(n):
-        for j in range(i + 1, n):
-            wire(f"u{i}{j}")
-            gates.append({"kind": "bit_xor", "output": f"u{i}{j}",
-                          "inputs": [_pair_mask(i, j), f"p{i}{j}"]})
-            wire(f"v{i}{j}")
-            gates.append({"kind": "bit_xor", "output": f"v{i}{j}",
-                          "inputs": [f"u{i}{j}", f"p{j}{i}"]})
-    outputs = []
-    for i in range(n):
-        acc = f"p{i}{i}"
-        terms = [(_pair_mask(i, j) if i < j else f"v{j}{i}")
-                 for j in range(n) if j != i]
-        for k, term in enumerate(terms):
-            out = f"c{i}" if k == len(terms) - 1 else f"w{i}_{k}"
-            wire(out)
-            gates.append({"kind": "bit_xor", "output": out,
-                          "inputs": [acc, term]})
-            acc = out
-        outputs.append(f"c{i}")
-
-    doc = {"wires": wires, "inputs": inputs, "outputs": outputs,
-           "gates": gates, "registers": []}
     circuit = _circuit(doc)
     labels = _share_labels(d)
     names = sorted(set(inputs))

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .expr import format_bits, parse_bits
+from .expr import format_bits
+from .inputs import InputError, expect, field, literal, load
 
 
 class NetlistError(Exception):
@@ -42,9 +43,9 @@ class MultipleDrivers(NetlistError):
 
 
 class DanglingReference(NetlistError):
-    def __init__(self, name: str):
-        super().__init__(f"reference to undeclared name {name!r}")
-        self.name = name
+    def __init__(self, name: str, where: str):
+        super().__init__(f"{where}: reference to undeclared name {name!r}")
+        self.name, self.where = name, where
 
 
 class CombinatorialLoop(NetlistError):
@@ -113,6 +114,7 @@ GATE_KINDS: dict[str, int] = {
 }
 
 SHIFT_KINDS = ("shl", "shr", "sshr")
+_RANK_REMAP = frozenset({"trunc", "zext", "sext", "blit", "repeat"})
 
 
 class Circuit:
@@ -178,149 +180,136 @@ class StructuralIndex:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _object(entry, where: str) -> dict:
-    """``entry`` if it is a JSON object, else MalformedDocument naming ``where``."""
-    if not isinstance(entry, dict):
-        raise MalformedDocument(f"{where}: expected an object")
-    return entry
-
-
-def _list(value, where: str) -> list:
-    """``value`` if it is a JSON list, else MalformedDocument naming ``where``."""
-    if not isinstance(value, list):
-        raise MalformedDocument(f"{where}: expected a list")
-    return value
-
-
-def _field(entry, where: str, key: str):
-    """``entry[key]``, or MalformedDocument naming ``where`` or ``where.key``."""
-    if key not in _object(entry, where):
-        raise MalformedDocument(f"{where}.{key}: missing")
-    return entry[key]
-
-
 def parse_netlist(text: str) -> Circuit:
     """Parse a JSON netlist document into a validated :class:`Circuit`."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top-level value must be an object")
-    for key in ("wires", "inputs", "outputs", "gates", "registers"):
-        if key not in doc:
-            raise MalformedDocument(f"missing required key {key!r}")
-        _list(doc[key], key)
+        return _read_netlist(load(text, "netlist"))
+    except InputError as exc:
+        raise MalformedDocument(str(exc)) from None
 
+
+def _read_netlist(doc: dict) -> Circuit:
     wires: list[Wire] = []
     names: dict[str, Wire] = {}
-    for i, entry in enumerate(doc["wires"]):
-        try:
-            name, width = entry["name"], int(entry["width"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDocument(f"bad wire entry {entry!r}: {exc}") from None
-        if width < 1:
-            raise MalformedDocument(f"wire {name!r} has width {width} < 1")
+    for i, entry in enumerate(field(doc, "", "wires", list)):
+        where = f"wires[{i}]"
+        name = field(entry, where, "name", str)
+        width = field(entry, where, "width", int, 1)
         if name in names:
-            raise MalformedDocument(f"duplicate wire name {name!r}")
-        src = None
-        if entry.get("src") is not None:
-            src = SrcLoc(entry["src"]["file"], int(entry["src"]["line"]))
+            raise MalformedDocument(f"{where}.name: duplicate wire name {name!r}")
+        src = field(entry, where, "src", dict, default=None)
+        if src is not None:
+            src = SrcLoc(field(src, f"{where}.src", "file", str),
+                         field(src, f"{where}.src", "line", int))
         wire = Wire(i, name, width, src)
         wires.append(wire)
         names[name] = wire
 
-    def resolve(name) -> Wire:
-        if not isinstance(name, str) or name not in names:
-            raise DanglingReference(str(name))
+    def resolve(name, where: str) -> Wire:
+        if expect(name, where, str) not in names:
+            raise DanglingReference(name, where)
         return names[name]
 
-    inputs = [resolve(n).uid for n in doc["inputs"]]
-    outputs = [resolve(n).uid for n in doc["outputs"]]
+    def wire_field(entry, where: str, key: str) -> Wire:
+        return resolve(field(entry, where, key, str), f"{where}.{key}")
+
+    def resolve_all(values: list, where: str) -> list[Wire]:
+        return [resolve(name, f"{where}[{j}]")
+                for j, name in enumerate(values)]
+
+    inputs = [w.uid for w in resolve_all(field(doc, "", "inputs", list),
+                                         "inputs")]
+    outputs = [w.uid for w in resolve_all(field(doc, "", "outputs", list),
+                                          "outputs")]
 
     memories = []
-    for i, entry in enumerate(_list(doc.get("memories") or [], "memories")):
+    for i, entry in enumerate(field(doc, "", "memories", list, default=[])):
         where = f"memories[{i}]"
-        mid = _field(entry, where, "id")
-        depth, width = (int(_field(entry, where, k)) for k in ("depth", "width"))
-        if depth < 1 or width < 1:
-            raise MalformedDocument(f"memory {mid!r} needs positive depth and width")
-        raw = entry.get("init") or []
+        mid = field(entry, where, "id", str)
+        if any(m.mid == mid for m in memories):
+            raise MalformedDocument(f"{where}.id: duplicate memory id {mid!r}")
+        depth = field(entry, where, "depth", int, 1)
+        width = field(entry, where, "width", int, 1)
+        raw = field(entry, where, "init", list, default=[])
         if len(raw) > depth:
-            raise MalformedDocument(f"memory {mid!r} init longer than depth")
-        init = [parse_bits(lit, width) for lit in raw]
+            raise MalformedDocument(f"{where}.init: longer than depth {depth}")
+        init = [literal(lit, f"{where}.init[{j}]", width)
+                for j, lit in enumerate(raw)]
         init += [0] * (depth - len(init))
         memories.append(MemoryDecl(mid, depth, width, tuple(init)))
     memory_ids = {m.mid for m in memories}
 
     gates: list[Gate] = []
     ports_used: dict[tuple[str, str], str] = {}
-    for i, entry in enumerate(doc["gates"]):
-        kind = _object(entry, f"gates[{i}]").get("kind")
+    for i, entry in enumerate(field(doc, "", "gates", list)):
+        where = f"gates[{i}]"
+        kind = field(entry, where, "kind", str)
         if kind not in GATE_KINDS:
-            raise UnknownGateKind(f"gate #{i}: unknown kind {kind!r}")
-        out = resolve(_field(entry, f"gates[{i}]", "output"))
-        ins = tuple(resolve(n) for n in _list(
-            _field(entry, f"gates[{i}]", "inputs"), f"gates[{i}].inputs"))
-        params_doc = entry.get("params") or {}
-        params = tuple(sorted(params_doc.items()))
-        gate = Gate(i, kind, tuple(w.uid for w in ins), out.uid, params)
-        _check_gate_shape(gate, ins, out, params_doc, memory_ids, ports_used)
+            raise UnknownGateKind(f"{where}.kind: unknown kind {kind!r}")
+        out = wire_field(entry, where, "output")
+        ins = resolve_all(field(entry, where, "inputs", list), f"{where}.inputs")
+        # a null parameter reads as an absent one
+        params = {k: v for k, v in
+                  field(entry, where, "params", dict, default={}).items()
+                  if v is not None}
+        gate = Gate(i, kind, tuple(w.uid for w in ins), out.uid,
+                    tuple(sorted(params.items())))
+        _check_gate_shape(gate, where, ins, out, params, memory_ids, ports_used)
         gates.append(gate)
 
     registers: list[Register] = []
-    for i, entry in enumerate(doc["registers"]):
+    for i, entry in enumerate(field(doc, "", "registers", list)):
         where = f"registers[{i}]"
-        win, wout = (resolve(_field(entry, where, k)) for k in ("input", "output"))
+        win, wout = (wire_field(entry, where, k) for k in ("input", "output"))
         if win.width != wout.width:
-            raise WidthMismatch(f"register #{i} ({wout.name})", win.width, wout.width)
-        init = parse_bits(_field(entry, where, "init"), wout.width)
+            raise WidthMismatch(f"{where} ({wout.name})", win.width, wout.width)
+        init = literal(field(entry, where, "init", str), f"{where}.init",
+                       wout.width)
         registers.append(Register(i, win.uid, wout.uid, init))
 
     splits: list[SplitGroup] = []
-    for i, entry in enumerate(_list(doc.get("splits") or [], "splits")):
+    for i, entry in enumerate(field(doc, "", "splits", list, default=[])):
         where = f"splits[{i}]"
-        parent = _field(entry, where, "parent")
-        width = int(_field(entry, where, "width"))
+        parent = field(entry, where, "parent", str)
+        width = field(entry, where, "width", int, 1)
         members = []
         seen_idx = set()
-        for j, m in enumerate(_list(_field(entry, where, "bits"),
-                                    f"{where}.bits")):
-            w = resolve(_field(m, f"{where}.bits[{j}]", "wire"))
-            idx = int(_field(m, f"{where}.bits[{j}]", "index"))
+        for j, m in enumerate(field(entry, where, "bits", list)):
+            at = f"{where}.bits[{j}]"
+            w = wire_field(m, at, "wire")
+            idx = field(m, at, "index", int, 0)
             if w.width != 1:
-                raise WidthMismatch(f"split member {w.name!r}", 1, w.width)
-            if idx in seen_idx or not 0 <= idx < width:
+                raise WidthMismatch(f"{at}.wire ({w.name})", 1, w.width)
+            if idx in seen_idx or idx >= width:
                 raise MalformedDocument(
-                    f"split {parent!r}: bad or duplicate bit index {idx}")
+                    f"{at}.index: bad or duplicate bit index {idx} of "
+                    f"split {parent!r}")
             seen_idx.add(idx)
             members.append((w.uid, idx))
         if len(seen_idx) != width:
-            raise MalformedDocument(f"split {parent!r}: bit indices must cover 0..{width - 1}")
+            raise MalformedDocument(
+                f"{where}.bits: bit indices must cover 0..{width - 1}")
         splits.append(SplitGroup(parent, width, tuple(members)))
 
     return Circuit(wires, gates, registers, inputs, outputs, splits, memories)
 
 
-def _check_gate_shape(gate: Gate, ins: Sequence[Wire], out: Wire,
-                      params: Mapping, memory_ids: set[str],
+def _check_gate_shape(gate: Gate, where: str, ins: Sequence[Wire], out: Wire,
+                      params: dict, memory_ids: set[str],
                       ports_used: dict) -> None:
     kind = gate.kind
-    where = f"{kind} gate -> {out.name}"
+    at = f"{where} ({kind} -> {out.name})"
+    p = f"{where}.params"
     arity = GATE_KINDS[kind]
     if kind in SHIFT_KINDS:
-        has_amount = "amount" in params
-        want = 1 if has_amount else 2
-        if len(ins) != want:
-            raise MalformedDocument(f"{where}: expected {want} inputs, got {len(ins)}")
-        if has_amount and int(params["amount"]) < 0:
-            raise MalformedDocument(f"{where}: negative shift amount")
-    elif len(ins) != arity:
-        raise MalformedDocument(f"{where}: expected {arity} inputs, got {len(ins)}")
+        amount = field(params, p, "amount", int, 0, default=None)
+        arity = 2 if amount is None else 1
+    if len(ins) != arity:
+        raise MalformedDocument(f"{at}: expected {arity} inputs, got {len(ins)}")
 
     def want(cond: bool, expected, actual):
         if not cond:
-            raise WidthMismatch(where, expected, actual)
+            raise WidthMismatch(at, expected, actual)
 
     if kind in ("bit_and", "bit_or", "bit_xor", "add", "sub", "mul"):
         want(ins[0].width == ins[1].width == out.width, ins[0].width, out.width)
@@ -334,32 +323,28 @@ def _check_gate_shape(gate: Gate, ins: Sequence[Wire], out: Wire,
     elif kind in SHIFT_KINDS:
         want(ins[0].width == out.width, ins[0].width, out.width)
     elif kind == "trunc":
-        lo = int(params.get("lo", 0))
-        want(lo >= 0 and lo + out.width <= ins[0].width, ins[0].width,
-             lo + out.width)
+        lo = field(params, p, "lo", int, 0, default=0)
+        want(lo + out.width <= ins[0].width, ins[0].width, lo + out.width)
     elif kind in ("zext", "sext"):
         want(out.width >= ins[0].width, f">={ins[0].width}", out.width)
     elif kind == "blit":
-        lo = int(params.get("lo", 0))
+        lo = field(params, p, "lo", int, 0, default=0)
         want(out.width == ins[0].width, ins[0].width, out.width)
-        want(lo >= 0 and lo + ins[1].width <= ins[0].width, ins[0].width,
-             lo + ins[1].width)
+        want(lo + ins[1].width <= ins[0].width, ins[0].width, lo + ins[1].width)
     elif kind == "repeat":
-        count = int(params.get("count", 0))
-        if count < 1:
-            raise MalformedDocument(f"{where}: repeat needs params.count >= 1")
+        count = field(params, p, "count", int, 1)
         want(out.width == count * ins[0].width, count * ins[0].width, out.width)
     elif kind == "mux":
         want(ins[0].width == 1, 1, ins[0].width)
         want(ins[1].width == ins[2].width == out.width, out.width, ins[1].width)
     elif kind in ("mem_read", "mem_write"):
-        mem_id = params.get("memory")
+        mem_id = field(params, p, "memory", str)
         if mem_id not in memory_ids:
-            raise DanglingReference(str(mem_id))
+            raise DanglingReference(mem_id, f"{p}.memory")
         port = (mem_id, kind)
         if port in ports_used:
             raise MalformedDocument(
-                f"{where}: memory {mem_id!r} already has a {kind} port")
+                f"{at}: memory {mem_id!r} already has a {kind} port")
         ports_used[port] = out.name
         if kind == "mem_write":
             want(ins[1].width == out.width, ins[1].width, out.width)
@@ -449,22 +434,37 @@ def _find_cycle(circuit: Circuit, deps, pending) -> list[str]:
     return [circuit.name(gates[uid].output) for uid in cycle]
 
 
-def _consumed_ranks(circuit: Circuit, gate: Gate, input_pos: int) -> bool:
-    """True when the gate reads every rank of the input at ``input_pos``."""
-    kind = gate.kind
-    w_in = circuit.wire(gate.inputs[input_pos]).width
-    w_out = circuit.wire(gate.output).width
+def rank_sources(circuit: Circuit, g: Gate) -> list[tuple] | None:
+    """Per output rank of a rank-remapping gate (trunc, zext, sext, blit,
+    repeat, shift by ``params.amount``): ('in', input pos, input rank) or
+    ('cst', bit value). None for every other kind, each of which reads every
+    rank of every input."""
+    kind = g.kind
+    amount = circuit.gate_param(g, "amount")
+    if kind not in _RANK_REMAP and (kind not in SHIFT_KINDS or amount is None):
+        return None
+    w_out = circuit.wire(g.output).width
+    w = circuit.wire(g.inputs[0]).width
+    lo = circuit.gate_param(g, "lo", 0)
     if kind == "trunc":
-        lo = int(circuit.gate_param(gate, "lo", 0))
-        return lo == 0 and w_out == w_in
-    if kind in SHIFT_KINDS and input_pos == 0:
-        amount = circuit.gate_param(gate, "amount")
-        if amount is None:
-            return True  # dynamic shift: conservatively a full use
-        return int(amount) == 0
-    if kind == "blit" and input_pos == 0:
-        return circuit.wire(gate.inputs[1]).width == 0  # widths >= 1: never full
-    return True
+        return [("in", 0, lo + i) for i in range(w_out)]
+    if kind == "zext":
+        return [("in", 0, i) if i < w else ("cst", 0) for i in range(w_out)]
+    if kind == "sext":
+        return [("in", 0, min(i, w - 1)) for i in range(w_out)]
+    if kind == "blit":
+        ws = circuit.wire(g.inputs[1]).width
+        return [("in", 1, i - lo) if lo <= i < lo + ws else ("in", 0, i)
+                for i in range(w_out)]
+    if kind == "repeat":
+        return [("in", 0, i % w) for i in range(w_out)]
+    if kind == "shl":
+        return [("in", 0, i - amount) if i >= amount else ("cst", 0)
+                for i in range(w_out)]
+    if kind == "shr":
+        return [("in", 0, i + amount) if i + amount < w else ("cst", 0)
+                for i in range(w_out)]
+    return [("in", 0, min(i + amount, w - 1)) for i in range(w_out)]  # sshr
 
 
 def structural_index(circuit: Circuit) -> StructuralIndex:
@@ -472,8 +472,10 @@ def structural_index(circuit: Circuit) -> StructuralIndex:
     mux_roles: dict[int, tuple[int, int, int]] = {}
     mem_write_inputs: set[int] = set()
     for g in circuit.gates:
-        for pos, wu in enumerate(g.inputs):
-            if not _consumed_ranks(circuit, g, pos):
+        sources = rank_sources(circuit, g)
+        for pos, wu in enumerate(g.inputs if sources is not None else ()):
+            ranks = {src[2] for src in sources if src[:2] == ("in", pos)}
+            if len(ranks) < circuit.wire(wu).width:
                 partially_used.add(wu)
         if g.kind == "mux":
             mux_roles[g.uid] = (g.inputs[0], g.inputs[1], g.inputs[2])

@@ -14,12 +14,14 @@ always unstable. A symbolic input carries a singleton LeakSet per bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from . import expr as ex
 from .expr import Expr, bit, bits, cst, mask
-from .netlist import Circuit, Gate, Schedule, SHIFT_KINDS
+from .inputs import InputError, expect, field, literal, load
+from .netlist import Circuit, Gate, Schedule, SHIFT_KINDS, rank_sources
 
 
 class SimError(Exception):
@@ -132,18 +134,18 @@ class SimState:
     cycle: int
     current: dict[int, Valuation]
     previous: dict[int, Valuation]
-    reg_out: dict[int, Valuation]
     mem_conc: dict[str, list[int]]
     mem_symb: dict[str, list[Expr]]
     mem_width: dict[str, int]
-    warnings: list[tuple[int, str, str]] = field(default_factory=list)
+    warnings: list[tuple[int, str, str]] = dataclasses.field(
+        default_factory=list)
 
 
 def initial_state(circuit: Circuit) -> SimState:
     mem_conc = {m.mid: list(m.init) for m in circuit.memories}
     mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
     mem_width = {m.mid: m.width for m in circuit.memories}
-    return SimState(circuit, 0, {}, {}, {}, mem_conc, mem_symb, mem_width)
+    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width)
 
 
 def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
@@ -177,11 +179,8 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
             lset = tuple(norm_set((b,)) for b in bits(e))
             vals[uid] = Valuation(conc, e, lset, 0)
 
-    new_reg_out: dict[int, Valuation] = {}
     for r in circuit.registers:
-        val = register_step(circuit, r, state, opts)
-        vals[r.output] = val
-        new_reg_out[r.uid] = val
+        vals[r.output] = register_step(circuit, r, state, opts)
 
     mem_conc = state.mem_conc
     mem_symb = state.mem_symb
@@ -207,18 +206,13 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
             mem_conc[mid][idx] = conc_v
             mem_symb[mid][idx] = symb_v
 
-    return SimState(circuit, t + 1, vals, state.current, new_reg_out,
-                    mem_conc, mem_symb, state.mem_width, warnings)
+    return SimState(circuit, t + 1, vals, state.current, mem_conc, mem_symb,
+                    state.mem_width, warnings)
 
 
 # ---------------------------------------------------------------------------
 # Per-gate evaluation
 # ---------------------------------------------------------------------------
-
-_WIDTH_MIXING = frozenset({"add", "sub", "neg", "mul", "ucmp", "scmp", "equal",
-                           "not_equal", "is_zero", "is_neg"})
-_RANK_REMAP = frozenset({"trunc", "zext", "sext", "blit", "repeat"})
-
 
 def register_step(circuit: Circuit, register, state: SimState,
                   opts: SimOptions = SimOptions()) -> Valuation:
@@ -234,7 +228,7 @@ def register_step(circuit: Circuit, register, state: SimState,
         stable = opts.use_stability and not opts.reset_unstable
         return _const_valuation(register.init, out_w, stable)
     cur = state.current[register.input]
-    prev = state.reg_out[register.uid]
+    prev = state.current[register.output]
     stab = 0
     lset = []
     cur_bits, prev_bits = bits(cur.symb), bits(prev.symb)
@@ -272,9 +266,8 @@ def eval_combinational(circuit: Circuit, g: Gate, ins: list[Valuation],
 
     if kind in ("bit_and", "bit_or", "bit_xor", "bit_not"):
         stab, lset = _bitwise_domains(kind, ins, symb, w_out)
-    elif kind in _RANK_REMAP or (kind in SHIFT_KINDS
-                                 and circuit.gate_param(g, "amount") is not None):
-        stab, lset = _remap_domains(circuit, g, ins, symb, w_out)
+    elif (sources := rank_sources(circuit, g)) is not None:
+        stab, lset = _remap_domains(sources, ins, symb, w_out)
     else:
         # Width-mixing: every output bit depends on every input bit.
         all_stable = all(v.stab == mask(v.symb.width) for v in ins)
@@ -320,49 +313,8 @@ def _bitwise_domains(kind: str, ins: list[Valuation], symb: Expr,
                               lambda i: a.lset[i] | b.lset[i])
 
 
-def _rank_sources(circuit: Circuit, g: Gate, widths: list[int],
-                  w_out: int) -> list[tuple]:
-    """Per output rank: ('in', input pos, input rank) or ('cst', bit value)."""
-    kind = g.kind
-    out: list[tuple] = []
-    if kind == "trunc":
-        lo = int(circuit.gate_param(g, "lo", 0))
-        out = [("in", 0, lo + i) for i in range(w_out)]
-    elif kind == "zext":
-        w = widths[0]
-        out = [("in", 0, i) if i < w else ("cst", 0) for i in range(w_out)]
-    elif kind == "sext":
-        w = widths[0]
-        out = [("in", 0, min(i, w - 1)) for i in range(w_out)]
-    elif kind == "blit":
-        lo = int(circuit.gate_param(g, "lo", 0))
-        ws = widths[1]
-        for i in range(w_out):
-            if lo <= i < lo + ws:
-                out.append(("in", 1, i - lo))
-            else:
-                out.append(("in", 0, i))
-    elif kind == "repeat":
-        w = widths[0]
-        out = [("in", 0, i % w) for i in range(w_out)]
-    elif kind in SHIFT_KINDS:
-        k = int(circuit.gate_param(g, "amount"))
-        w = widths[0]
-        for i in range(w_out):
-            if kind == "shl":
-                out.append(("in", 0, i - k) if i >= k else ("cst", 0))
-            elif kind == "shr":
-                out.append(("in", 0, i + k) if i + k < w else ("cst", 0))
-            else:  # sshr
-                out.append(("in", 0, min(i + k, w - 1)))
-    else:
-        raise AssertionError(kind)
-    return out
-
-
-def _remap_domains(circuit: Circuit, g: Gate, ins: list[Valuation], symb: Expr,
+def _remap_domains(sources: list[tuple], ins: list[Valuation], symb: Expr,
                    w_out: int) -> tuple[int, LeakSet]:
-    sources = _rank_sources(circuit, g, [v.symb.width for v in ins], w_out)
     stab = 0
     for i, src in enumerate(sources):
         if src[0] == "cst" or ins[src[1]].stable(src[2]):
@@ -596,46 +548,63 @@ def consistency_check(state: SimState, witness: Mapping[str, int]) -> None:
 
 
 def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
-    """Parse JSONL stimuli: a witness header then one frame per cycle."""
+    """Parse JSONL stimuli: a witness header then one frame per cycle.
+
+    A malformed line, or a symbol that a frame drives without a witness
+    value, raises :class:`~probewise.inputs.InputError` naming its path."""
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
+    driven: set[str] = set()
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
+        where = f"stimuli line {line_no}"
+        doc = load(line, where)
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SimError(f"stimuli line {line_no}: {exc}") from None
-        if not isinstance(doc, dict):
-            raise SimError(f"stimuli line {line_no}: expected a JSON object")
-        if "witness" in doc:
-            for name, lit in doc["witness"].items():
-                witness[name] = ex.parse_bits(lit)
-            continue
-        for key in ("cycle", "inputs"):
-            if key not in doc:
-                raise SimError(f"stimuli line {line_no}: frame has no {key!r}")
-        inputs: dict[str, tuple[str, object]] = {}
-        for name, drive in doc["inputs"].items():
-            if "const" in drive:
-                lit = drive["const"]
-                inputs[name] = ("const", (ex.parse_bits(lit), len(lit) - 2))
-            elif "symbol" in drive:
-                sym_name = drive["symbol"]
-                if sym_name not in widths:
-                    raise SimError(f"stimuli line {line_no}: undeclared symbol "
-                                   f"{sym_name!r}")
-                inputs[name] = ("expr", ex.sym(sym_name, widths[sym_name]))
-            elif "expr" in drive:
-                inputs[name] = ("expr", ex.parse_expr(drive["expr"], widths))
-            else:
-                raise SimError(f"stimuli line {line_no}: bad drive for {name!r}")
-        frames.append((int(doc["cycle"]), StimulusFrame(inputs)))
+            if "witness" in doc:
+                for name, lit in field(doc, "", "witness", dict).items():
+                    witness[name] = literal(lit, f"witness.{name}",
+                                            widths.get(name))
+                continue
+            for key in ("cycle", "inputs"):
+                if key not in doc:
+                    raise InputError(f"frame has no {key!r}")
+            cycle = field(doc, "", "cycle", int, 0)
+            inputs = {name: _read_drive(drive, f"inputs.{name}", widths)
+                      for name, drive in field(doc, "", "inputs", dict).items()}
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+        for kind, payload in inputs.values():
+            if kind == "expr":
+                driven |= ex.symbols_of(payload)
+        frames.append((cycle, StimulusFrame(inputs)))
+    missing = sorted(driven - witness.keys())
+    if missing:
+        raise InputError(f"stimuli: witness.{missing[0]}: missing")
     frames.sort(key=lambda p: p[0])
     if [c for c, _ in frames] != list(range(len(frames))):
-        raise SimError("stimuli cycles must be 0..n-1 without gaps")
+        raise InputError("stimuli: cycles must be 0..n-1 without gaps")
     return Stimuli(witness, [f for _, f in frames])
+
+
+def _read_drive(drive, where: str,
+                widths: Mapping[str, int]) -> tuple[str, object]:
+    if "const" in expect(drive, where, dict):
+        lit = drive["const"]
+        return "const", (literal(lit, f"{where}.const"), len(lit) - 2)
+    if "symbol" in drive:
+        name = field(drive, where, "symbol", str)
+        if name not in widths:
+            raise InputError(f"{where}.symbol: undeclared symbol {name!r}")
+        return "expr", ex.sym(name, widths[name])
+    if "expr" in drive:
+        text = field(drive, where, "expr", str)
+        try:
+            return "expr", ex.parse_expr(text, widths)
+        except (ValueError, TypeError, IndexError, RecursionError) as exc:
+            raise InputError(f"{where}.expr: {exc}") from None
+    raise InputError(f"{where}: expected a const, symbol or expr drive")
 
 
 def dump_stimuli(stimuli: Stimuli, widths: Mapping[str, int]) -> str:

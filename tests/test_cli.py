@@ -1,10 +1,16 @@
 """Command-line interface: flag handling, exit codes, report files."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from probewise import gadgets
 from probewise.cli import main
+from probewise.netlist import serialize_netlist
+from probewise.sim import dump_stimuli
 
 
 @pytest.fixture(scope="module")
@@ -117,66 +123,69 @@ def test_stimuli_with_expressions_round_trip(fixture_dir):
     assert '"expr"' in text   # fig5 drives i1 with XOR(k, m)
 
 
-def _drop_gate_output(fixture_dir, tmp_path):
-    doc = json.loads((fixture_dir / "fig5.netlist.json").read_text())
-    del doc["gates"][0]["output"]
-    path = tmp_path / "bad.netlist.json"
-    path.write_text(json.dumps(doc))
-    return ["--netlist", str(path)]
+_SUFFIX = {"netlist": "netlist.json", "labels": "labels.json",
+           "stimuli": "stim.jsonl"}
 
 
-def _drop_label_width(fixture_dir, tmp_path):
-    doc = json.loads((fixture_dir / "fig5.labels.json").read_text())
-    del doc["symbols"][0]["width"]
-    path = tmp_path / "bad.labels.json"
-    path.write_text(json.dumps(doc))
-    return ["--labels", str(path)]
+def _read(path, kind):
+    """A fixture document; stimuli are the list of their JSONL line docs."""
+    text = path.read_text()
+    if kind == "stimuli":
+        return [json.loads(line) for line in text.splitlines()]
+    return json.loads(text)
 
 
-def _second_stimuli_line(fixture_dir, tmp_path, edit):
-    lines = (fixture_dir / "fig5.stim.jsonl").read_text().splitlines()
-    lines[1] = edit(lines[1])
-    path = tmp_path / "bad.stim.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    return ["--stimuli", str(path)]
-
-
-def _drop_frame_inputs(fixture_dir, tmp_path):
-    def edit(line):
-        frame = json.loads(line)
-        del frame["inputs"]
-        return json.dumps(frame)
-    return _second_stimuli_line(fixture_dir, tmp_path, edit)
-
-
-def _frame_not_object(fixture_dir, tmp_path):
-    return _second_stimuli_line(fixture_dir, tmp_path, lambda line: "[]")
-
-
-def _edit_netlist(edit):
-    def mutate(fixture_dir, tmp_path):
-        doc = json.loads((fixture_dir / "fig5.netlist.json").read_text())
-        edit(doc)
-        path = tmp_path / "bad.netlist.json"
+def _write(path, kind, doc):
+    if kind == "stimuli":
+        path.write_text("".join(json.dumps(line) + "\n" for line in doc))
+    else:
         path.write_text(json.dumps(doc))
-        return ["--netlist", str(path)]
-    return mutate
 
 
-def _edit_labels(edit):
+def _edit(kind, edit, fixture="fig5"):
+    """Verify arguments for ``fixture`` with its ``kind`` document passed
+    through ``edit``, which changes the document in place or returns a new
+    one."""
     def mutate(fixture_dir, tmp_path):
-        doc = json.loads((fixture_dir / "fig5.labels.json").read_text())
-        path = tmp_path / "bad.labels.json"
-        path.write_text(json.dumps(edit(doc)))
-        return ["--labels", str(path)]
+        doc = _read(fixture_dir / f"{fixture}.{_SUFFIX[kind]}", kind)
+        new = edit(doc)
+        path = tmp_path / f"bad.{_SUFFIX[kind]}"
+        _write(path, kind, doc if new is None else new)
+        return [*_fig_args(fixture_dir, fixture), f"--{kind}", str(path)]
     return mutate
 
 
-def _set_label_width(width):
-    def edit(doc):
-        doc["symbols"][0]["width"] = width
-        return doc
-    return _edit_labels(edit)
+_DROP = object()
+
+
+def _change(doc, path, value):
+    """Set the value at a JSON path (adding a missing key), or delete it when
+    ``value`` is ``_DROP``."""
+    for step in path[:-1]:
+        doc = doc[step]
+    if value is _DROP:
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+    return lambda doc: _change(doc, path, value)
+
+
+def _with_memory(edit):
+    """Fig5's netlist plus one memory, passed through ``edit``."""
+    def add(doc):
+        doc["memories"] = [{"id": "t", "depth": 2, "width": 1}]
+        edit(doc)
+    return _edit("netlist", add)
+
+
+def _share_a0(**changes):
+    """dom_and_d1's labels with share a0 (symbols[1]) changed."""
+    return _edit("labels", lambda doc: doc["symbols"][1].update(changes),
+                 "dom_and_d1")
 
 
 def _over_tuple_cap(fixture_dir, tmp_path):
@@ -186,27 +195,82 @@ def _over_tuple_cap(fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_drop_gate_output, "gates[0].output: missing"),
-    (_drop_label_width, "symbols[0].width: missing"),
-    (_drop_frame_inputs, "stimuli line 2: frame has no 'inputs'"),
-    (_frame_not_object, "stimuli line 2: expected a JSON object"),
+    (_edit("netlist", _set("gates", 0, "output", _DROP)),
+     "gates[0].output: missing"),
+    (_edit("labels", _set("symbols", 0, "width", _DROP)),
+     "symbols[0].width: missing"),
+    (_edit("stimuli", _set(1, "inputs", _DROP)),
+     "stimuli line 2: frame has no 'inputs'"),
+    (_edit("stimuli", _set(1, [])), "stimuli line 2: expected a JSON object"),
     (lambda *_: ["--model", "2,x"], "--model must be"),
     (lambda *_: ["--model", "2,0"], "--model must be"),
-    (_edit_netlist(lambda doc: doc["gates"][0].update(inputs=5)),
+    (_edit("netlist", _set("gates", 0, "inputs", 5)),
      "gates[0].inputs: expected a list"),
-    (_set_label_width(None), "symbols[0].width: expected a positive integer"),
-    (_set_label_width(-3), "symbols[0].width: expected a positive integer"),
-    (_edit_labels(lambda doc: doc["symbols"]), "labels: expected a JSON object"),
-    (_edit_labels(lambda doc: {"symbols": ["k"]}),
+    (_edit("labels", _set("symbols", 0, "width", None)),
+     "symbols[0].width: expected a positive integer"),
+    (_edit("labels", _set("symbols", 0, "width", -3)),
+     "symbols[0].width: expected a positive integer"),
+    (_edit("labels", lambda doc: doc["symbols"]),
+     "labels: expected a JSON object"),
+    (_edit("labels", lambda doc: {"symbols": ["k"]}),
      "symbols[0]: expected an object"),
-    (_edit_labels(lambda doc: {"symbols": [{"name": 5, "width": 1,
-                                            "kind": "secret"}]}),
+    (_edit("labels", lambda doc: {"symbols": [{"name": 5, "width": 1,
+                                               "kind": "secret"}]}),
      "symbols[0].name: expected a string"),
     (_over_tuple_cap, "1947792 tuples exceed the cap of 1000000"),
+    (_edit("netlist", _set("wires", 0, "src", 5)),
+     "wires[0].src: expected an object"),
+    (_edit("netlist", _set("wires", 0, "src", {"line": 1})),
+     "wires[0].src.file: missing"),
+    (_edit("netlist", _set("wires", 0, "name", [1])),
+     "wires[0].name: expected a string"),
+    (_edit("netlist", _set("splits", 0, "width", None), "fig6"),
+     "splits[0].width: expected a positive integer, got None"),
+    (_edit("netlist", _set("splits", 0, "parent", [1]), "fig6"),
+     "splits[0].parent: expected a string"),
+    (_edit("netlist", _set("splits", 0, "bits", 0, "index", None), "fig6"),
+     "splits[0].bits[0].index: expected a non-negative integer, got None"),
+    (_with_memory(_set("memories", 0, "depth", None)),
+     "memories[0].depth: expected a positive integer, got None"),
+    (_with_memory(_set("memories", 0, "init", 5)),
+     "memories[0].init: expected a list"),
+    (_with_memory(_set("memories", 0, "id", [1])),
+     "memories[0].id: expected a string"),
+    (_edit("netlist", _set("gates", 0, "params", [1])),
+     "gates[0].params: expected an object"),
+    (_edit("stimuli", _set(1, "inputs", 5)),
+     "stimuli line 2: inputs: expected an object"),
+    (_edit("stimuli", _set(1, "inputs", "i1", 5)),
+     "stimuli line 2: inputs.i1: expected an object"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"symbol": [1]})),
+     "stimuli line 2: inputs.i1.symbol: expected a string"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"expr": 5})),
+     "stimuli line 2: inputs.i1.expr: expected a string"),
+    (_edit("stimuli", _set(1, "cycle", None)),
+     "stimuli line 2: cycle: expected a non-negative integer, got None"),
+    (_edit("stimuli", _set(0, "witness", 5)),
+     "stimuli line 1: witness: expected an object"),
+    (_edit("stimuli", _set(0, "witness", "m", _DROP)),
+     "stimuli: witness.m: missing"),
+    (_share_a0(secret=[1]), "symbols[1].secret: expected a string"),
+    (_share_a0(index="0"),
+     "symbols[1].index: expected a non-negative integer, got '0'"),
+    (_share_a0(secret="q"), "symbols[1].secret: 'q' is not a declared secret"),
+    (_share_a0(secret="z01"),
+     "symbols[1].secret: 'z01' is not a declared secret"),
+    (_share_a0(width=2),
+     "symbols[1].width: 2 differs from the width of secret 'a'"),
 ], ids=["gate-output", "label-width", "frame-inputs", "frame-not-object",
         "model-2x", "model-20", "gate-inputs-int", "label-width-null",
         "label-width-negative", "labels-list", "label-not-object",
-        "label-name-int", "tuple-cap"])
+        "label-name-int", "tuple-cap", "wire-src-int", "wire-src-no-file",
+        "wire-name-list", "split-width-null", "split-parent-list",
+        "split-index-null", "memory-depth-null", "memory-init-int",
+        "memory-id-list", "gate-params-list", "frame-inputs-int",
+        "drive-int", "drive-symbol-list", "drive-expr-int", "frame-cycle-null",
+        "witness-int", "witness-missing", "share-secret-list",
+        "share-index-string", "share-secret-undeclared", "share-of-mask",
+        "share-width"])
 def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
                                                mutate, message):
     # later flags override the valid fig5 paths
@@ -217,6 +281,54 @@ def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def mutation_sites(fixture_dir):
+    """(fixture, document kind, JSON path) for every value of the fig5-7,
+    dom_and_d1 and rng3 documents."""
+    fx = gadgets.gen_random_circuit(3)
+    (fixture_dir / "rng3.netlist.json").write_text(
+        serialize_netlist(fx.circuit))
+    (fixture_dir / "rng3.labels.json").write_text(json.dumps(fx.labels.to_json()))
+    (fixture_dir / "rng3.stim.jsonl").write_text(
+        dump_stimuli(fx.stimuli, fx.labels.widths()))
+
+    def paths(value, prefix=()):
+        if isinstance(value, (dict, list)):
+            keys = value if isinstance(value, dict) else range(len(value))
+            for key in keys:
+                yield prefix + (key,)
+                yield from paths(value[key], prefix + (key,))
+
+    return [(name, kind, path)
+            for name in ("fig5", "fig6", "fig7", "dom_and_d1", "rng3")
+            for kind in _SUFFIX
+            for path in paths(_read(fixture_dir / f"{name}.{_SUFFIX[kind]}",
+                                    kind))]
+
+
+# Every drawn integer stays small: a huge wire width or memory depth passes
+# the type checks and makes the simulator allocate that many bits or cells.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(),
+       value=st.sampled_from([_DROP, None, True, -3, 0, 7, "x", [], {}, [1]]))
+def test_mutated_fixture_exit_codes(fixture_dir, tmp_path_factory,
+                                    mutation_sites, data, value):
+    name, kind, path = data.draw(st.sampled_from(mutation_sites))
+    doc = _read(fixture_dir / f"{name}.{_SUFFIX[kind]}", kind)
+    _change(doc, path, value)
+    bad = tmp_path_factory.mktemp("mutated") / f"bad.{_SUFFIX[kind]}"
+    _write(bad, kind, doc)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["verify", *_fig_args(fixture_dir, name),
+                     f"--{kind}", str(bad)])
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
 
 
 @pytest.mark.parametrize("command", ["ni", "sni"])

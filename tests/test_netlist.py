@@ -137,6 +137,49 @@ def test_non_list_field_is_named(path, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("wires", 0, "src"), 5, "wires[0].src: expected an object"),
+    (("wires", 0, "src"), {"line": 1}, "wires[0].src.file: missing"),
+    (("wires", 0, "name"), [1], "wires[0].name: expected a string"),
+    (("wires", 0, "width"), "1",
+     "wires[0].width: expected a positive integer, got '1'"),
+    (("wires", 0, "width"), True,
+     "wires[0].width: expected a positive integer, got True"),
+    (("splits", 0, "width"), None,
+     "splits[0].width: expected a positive integer, got None"),
+    (("splits", 0, "parent"), [1], "splits[0].parent: expected a string"),
+    (("splits", 0, "bits", 0, "index"), None,
+     "splits[0].bits[0].index: expected a non-negative integer, got None"),
+    (("memories", 0, "depth"), None,
+     "memories[0].depth: expected a positive integer, got None"),
+    (("memories", 0, "init"), 5, "memories[0].init: expected a list"),
+    (("memories", 0, "id"), [1], "memories[0].id: expected a string"),
+    (("gates", 0, "params"), [1], "gates[0].params: expected an object"),
+])
+def test_wrong_type_is_named(path, value, message):
+    doc = _doc_all_sections()
+    owner = doc
+    for step in path[:-1]:
+        owner = owner[step]
+    owner[path[-1]] = value
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
+def test_duplicate_names_are_named():
+    doc = _doc_all_sections()
+    doc["memories"].append({"id": "t", "depth": 1, "width": 1})
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == "memories[1].id: duplicate memory id 't'"
+    doc = doc_and()
+    doc["wires"].append({"name": "a", "width": 1})
+    with pytest.raises(MalformedDocument) as info:
+        parse(doc)
+    assert str(info.value) == "wires[3].name: duplicate wire name 'a'"
+
+
 def test_fig6_split_round_trip():
     fx = gadgets.gen_counterexamples()["fig6"]
     text = serialize_netlist(fx.circuit)
@@ -287,16 +330,29 @@ def test_index_split_members():
         {fx.circuit.by_name["b0"].uid, fx.circuit.by_name["b1"].uid}
 
 
-def test_index_partial_use():
+@pytest.mark.parametrize("kind, in_widths, out_width, params, partial", [
+    ("trunc", (4,), 2, {"lo": 1}, (True,)),
+    ("zext", (4,), 4, {}, (False,)),
+    ("shl", (4,), 4, {"amount": 0}, (False,)),
+    ("shl", (4,), 4, {"amount": 2}, (True,)),
+    ("shr", (4, 2), 4, {}, (False, False)),
+    ("sshr", (1,), 1, {"amount": 1}, (False,)),
+    ("blit", (4, 2), 4, {"lo": 1}, (True, False)),
+    ("sext", (2,), 4, {}, (False,)),
+    ("repeat", (2,), 4, {"count": 2}, (False,)),
+], ids=["trunc-lo-1", "zext", "shift-0", "shift-2", "shift-dynamic",
+        "sshr-1-bit", "blit", "sext", "repeat"])
+def test_index_partial_use(kind, in_widths, out_width, params, partial):
+    names = [f"i{k}" for k in range(len(in_widths))]
     doc = {
-        "wires": [{"name": "a", "width": 4}, {"name": "t", "width": 2},
-                  {"name": "z", "width": 4}],
-        "inputs": ["a"], "outputs": ["t", "z"],
-        "gates": [{"kind": "trunc", "output": "t", "inputs": ["a"],
-                   "params": {"lo": 1}},
-                  {"kind": "zext", "output": "z", "inputs": ["a"]}],
+        "wires": [{"name": n, "width": w} for n, w in zip(names, in_widths)]
+        + [{"name": "o", "width": out_width}],
+        "inputs": names, "outputs": ["o"],
+        "gates": [{"kind": kind, "output": "o", "inputs": names,
+                   "params": params}],
         "registers": [],
     }
     c = parse(doc)
     idx = structural_index(c)
-    assert idx.partially_used_wires == {c.by_name["a"].uid}
+    assert idx.partially_used_wires == \
+        {c.by_name[n].uid for n, p in zip(names, partial) if p}
