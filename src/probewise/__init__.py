@@ -9,7 +9,7 @@ from .netlist import (Circuit, CombinatorialLoop, Gate, Register, Schedule,
 from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
                   Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
                   consistency_check, eval_combinational, initial_state,
-                  parse_stimuli, register_step, step_cycle)
+                  parse_stimuli, register_step, simulate, step_cycle)
 from .verify import (ExprSet, GadgetSpec, LeakWitness, TooLarge,
                      TupleResult, Verdict, check, check_enumeration, check_ni,
                      check_sni, check_substitution, make_expr_set)

@@ -140,19 +140,18 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    options = mg.RunOptions(
+        enum_limit=args.enum_limit,
+        stop_on_first_leak=args.stop_on_first_leak,
+        use_cache=not args.no_cache,
+        reset_unstable=args.reset_unstable,
+        keep_going=args.keep_going,
+        check_consistency=args.check_consistency,
+        jobs=args.jobs,
+    )
     try:
         if model.order > 1:
-            return _higher_order(args, circuit, stimuli, labels, model)
-        options = mg.RunOptions(
-            enum_limit=args.enum_limit,
-            stop_on_first_leak=args.stop_on_first_leak,
-            use_cache=not args.no_cache,
-            check_consistency=args.check_consistency,
-            sim_options=sm.SimOptions(use_stability=model.use_stability,
-                                      reset_unstable=args.reset_unstable,
-                                      keep_going=args.keep_going),
-            jobs=args.jobs,
-        )
+            return _higher_order(args, circuit, stimuli, labels, model, options)
         report = mg.run(circuit, stimuli, labels, model, options)
     except CombinatorialLoop as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -183,10 +182,9 @@ def _cmd_verify(args) -> int:
     return EXIT_LEAKS if flagged else EXIT_OK
 
 
-def _higher_order(args, circuit, stimuli, labels, model) -> int:
+def _higher_order(args, circuit, stimuli, labels, model, options) -> int:
     result = mg.verify_higher_order(circuit, stimuli, labels, model,
-                                    mode=args.ho_mode,
-                                    enum_limit=args.enum_limit)
+                                    args.ho_mode, options)
     print(f"d-uplets: {result.tuple_count} total, {result.tuples_checked} checked")
     print(f"verdict:  {result.verdict.status}")
     if result.leaking_tuple is not None:

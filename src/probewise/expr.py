@@ -519,12 +519,16 @@ def render(e: Expr) -> str:
     return e._render
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.$']*|0b[01]+|\d+|[(),])")
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_.$']*|0b[01]+|\d+|[(),])|(\S))")
 
 
 class _Parser:
     def __init__(self, text: str, widths: Mapping[str, int]):
-        self.tokens = _TOKEN.findall(text)
+        self.tokens = []
+        for tok, bad in _TOKEN.findall(text):
+            if bad:
+                raise ValueError(f"unexpected character {bad!r}")
+            self.tokens.append(tok)
         self.pos = 0
         self.widths = widths
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import expr as ex
 from . import sim as sm
@@ -124,9 +124,6 @@ class LeakReport:
     def leaking_cycles(self) -> list[int]:
         return sorted({e.cycle for e in self.entries if not e.verdict.is_secure})
 
-    def entries_for(self, cycle: int) -> list[ReportEntry]:
-        return [e for e in self.entries if e.cycle == cycle]
-
     def flagged(self) -> list[ReportEntry]:
         return [e for e in self.entries if not e.verdict.is_secure]
 
@@ -141,18 +138,6 @@ class LeakReport:
 # ---------------------------------------------------------------------------
 # Expression sets per model (Table "expressions to verify")
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VerifyUnit:
-    """One verification request: a wire (or recombined parent, or single bit)."""
-    wire: str
-    rank: int | None          # bit index at bit granularity, None for sw
-    eset: ExprSet
-
-    @property
-    def label(self) -> str:
-        return self.wire if self.rank is None else f"{self.wire}[{self.rank}]"
-
 
 def _flatten(lset) -> list[Expr]:
     return [m for s in lset for m in s]
@@ -282,35 +267,42 @@ def wires_to_verify(circuit: Circuit, index: StructuralIndex,
 
 @dataclass
 class RunOptions:
+    """How a run simulates and dispatches; what it models, stability
+    included, is the :class:`LeakageModel`."""
     enum_limit: int = vf.DEFAULT_ENUM_LIMIT
     stop_on_first_leak: bool = False
     use_cache: bool = True
     verify_all_wires: bool = False          # bypass wire selection
     past_stability_rule: bool = True        # Table-8 "stable at t-1" extension
+    reset_unstable: bool = False            # registers unstable at cycle 0
+    keep_going: bool = False                # consistency violations warn
     check_consistency: bool = False
-    sim_options: SimOptions = field(default_factory=SimOptions)
     memory_hook: sm.MemoryHook | None = None
     jobs: int = 1
+
+
+def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
+              options: RunOptions) -> Iterator[SimState]:
+    opts = SimOptions(model.use_stability, options.reset_unstable,
+                      options.keep_going, options.check_consistency)
+    return sm.simulate(circuit, validate_and_schedule(circuit), stimuli, opts,
+                       options.memory_hook)
 
 
 def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         model: LeakageModel, options: RunOptions | None = None) -> LeakReport:
     """Simulate every frame and verify the selected wires each cycle."""
     options = options or RunOptions()
-    schedule = validate_and_schedule(circuit)
+    states = _simulate(circuit, stimuli, model, options)
     index = structural_index(circuit)
     report = LeakReport()
     cache: dict[tuple[Expr, ...], Verdict] = {}
     baseline_seen: set[tuple[Expr, ...]] = set()
-    state = sm.initial_state(circuit)
     stopped = False
 
-    for t, frame in enumerate(stimuli.frames):
-        state = sm.step_cycle(circuit, schedule, state, frame, stimuli.witness,
-                              options.sim_options, options.memory_hook)
-        if options.check_consistency:
-            sm.consistency_check(state, stimuli.witness)
+    for t, state in enumerate(states):
         report.summary.cycles = t + 1
+        report.warnings = state.warnings
 
         units = _cycle_units(circuit, index, model, state, options)
         requests: list[tuple[str, tuple[str, int] | None, ExprSet]] = []
@@ -342,7 +334,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     if not model.overapprox:
         # without the over-approximation both counters mean the same thing
         report.summary.expr_to_verify = report.summary.verified_expr
-    report.warnings = list(dict.fromkeys(state.warnings))
+    report.warnings = list(dict.fromkeys(report.warnings))
     report.entries.sort(key=lambda e: (e.cycle, e.wire))
     return report
 
@@ -447,20 +439,19 @@ MIXED = "mixed"
 
 def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                         model: LeakageModel, mode: str = SPATIAL,
-                        enum_limit: int = vf.DEFAULT_ENUM_LIMIT,
+                        options: RunOptions | None = None,
                         cap: int = 10 ** 6) -> TupleResult:
     """Check every d-uplet of probe positions under the given model.
 
     spatial: wire d-uplets, each combination checked at every cycle;
     temporal: cycle d-uplets, checked per wire; mixed: (wire, cycle) pairs.
+    Of ``options`` it reads the simulation settings and ``enum_limit``.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
-    schedule = validate_and_schedule(circuit)
-    state = sm.initial_state(circuit)
+    options = options or RunOptions()
     per_cycle: list[dict[str, ExprSet]] = []
-    for frame in stimuli.frames:
-        state = sm.step_cycle(circuit, schedule, state, frame, stimuli.witness)
+    for state in _simulate(circuit, stimuli, model, options):
         sets: dict[str, ExprSet] = {}
         for uid in sorted(state.current):
             val = state.current[uid]
@@ -492,4 +483,4 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
     return vf.check_tuples(
         positions, (model.order,), observe,
-        lambda exprs: vf.check(ExprSet(exprs), labels, enum_limit), cap)
+        lambda exprs: vf.check(ExprSet(exprs), labels, options.enum_limit), cap)

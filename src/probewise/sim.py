@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import expr as ex
 from .expr import Expr, bit, bits, cst, mask
@@ -126,6 +126,7 @@ class SimOptions:
     use_stability: bool = True
     reset_unstable: bool = False   # registers unstable at cycle 0
     keep_going: bool = False       # downgrade consistency violations to warnings
+    check_consistency: bool = False   # check every state against the witness
 
 
 @dataclass
@@ -146,6 +147,20 @@ def initial_state(circuit: Circuit) -> SimState:
     mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
     mem_width = {m.mid: m.width for m in circuit.memories}
     return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width)
+
+
+def simulate(circuit: Circuit, schedule: Schedule, stimuli: Stimuli,
+             opts: SimOptions = SimOptions(),
+             hook: MemoryHook | None = None) -> Iterator[SimState]:
+    """Yield the state after each stimulus frame, each checked against the
+    witness first when ``opts.check_consistency`` is set."""
+    state = initial_state(circuit)
+    for frame in stimuli.frames:
+        state = step_cycle(circuit, schedule, state, frame, stimuli.witness,
+                           opts, hook)
+        if opts.check_consistency:
+            consistency_check(state, stimuli.witness)
+        yield state
 
 
 def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,

@@ -48,10 +48,10 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import expr as ex
+from . import netlist as nl
 from . import sim as sm
 from .expr import Expr, SymbolTable, mask, render, symbols_of
-from .netlist import Circuit
-from .sim import SimOptions, Stimuli
+from .sim import Stimuli
 
 DEFAULT_ENUM_LIMIT = 20
 
@@ -620,7 +620,7 @@ def check_tuples(positions: Sequence[object], sizes: Iterable[int],
 
 @dataclass
 class GadgetSpec:
-    circuit: Circuit
+    circuit: nl.Circuit
     labels: SymbolTable
     stimuli: Stimuli
     secrets: dict[str, list[str]]       # secret name -> ordered share symbols
@@ -651,22 +651,17 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
     """One probe candidate per (wire, cycle); glitch probes expose the
     flattened LeakSet, plain probes the symbolic value. Constant-only and
     duplicate observations are dropped."""
-    from .netlist import validate_and_schedule
-    schedule = validate_and_schedule(gadget.circuit)
-    state = sm.initial_state(gadget.circuit)
+    states = sm.simulate(gadget.circuit,
+                         nl.validate_and_schedule(gadget.circuit),
+                         gadget.stimuli)
     last = len(gadget.stimuli.frames) - 1
     probes: list[Probe] = []
     taken: set[tuple[bool, tuple[Expr, ...]]] = set()
-    for t, frame in enumerate(gadget.stimuli.frames):
-        state = sm.step_cycle(gadget.circuit, schedule, state, frame,
-                              gadget.stimuli.witness, SimOptions())
+    for t, state in enumerate(states):
         for uid in sorted(state.current):
             val = state.current[uid]
-            if glitches:
-                obs = tuple(sorted({m for s in val.lset for m in s if not m.is_cst},
-                                   key=render))
-            else:
-                obs = () if val.symb.is_cst else (val.symb,)
+            members = [m for s in val.lset for m in s] if glitches else [val.symb]
+            obs = make_expr_set(members).exprs
             if not obs:
                 continue
             name = gadget.circuit.name(uid)

@@ -512,12 +512,10 @@ def glitch_coverage_violations(fixture, sim_module, netlist_module,
     """
     ex = expr_module
     sched = netlist_module.validate_and_schedule(fixture.circuit)
-    state = sim_module.initial_state(fixture.circuit)
+    states = sim_module.simulate(fixture.circuit, sched, fixture.stimuli)
     oracle = ConcreteSim(fixture.doc)
     checked = violations = 0
-    for frame in fixture.stimuli.frames:
-        state = sim_module.step_cycle(fixture.circuit, sched, state, frame,
-                                      fixture.stimuli.witness)
+    for frame, state in zip(fixture.stimuli.frames, states):
         toggled: dict[str, int] = {}
         base_inputs: dict[str, int] = {}
         for name, (kind, payload) in frame.inputs.items():

@@ -27,13 +27,14 @@ def _passed(n, text):
     print(f"PASS criterion {n}: {text}")
 
 
-def _table(fixture, opts=sim.SimOptions()):
-    sched = netlist.validate_and_schedule(fixture.circuit)
-    state = sim.initial_state(fixture.circuit)
+def _states(circuit, stimuli, opts=sim.SimOptions()):
+    sched = netlist.validate_and_schedule(circuit)
+    return list(sim.simulate(circuit, sched, stimuli, opts))
+
+
+def _table(fixture):
     rows = []
-    for frame in fixture.stimuli.frames:
-        state = sim.step_cycle(fixture.circuit, sched, state, frame,
-                               fixture.stimuli.witness, opts)
+    for state in _states(fixture.circuit, fixture.stimuli):
         row = {}
         for w in fixture.circuit.wires:
             v = state.current[w.uid]
@@ -85,12 +86,7 @@ def test_criterion_2_fig6_reproduction():
 
 
 def _last_state(fixture):
-    sched = netlist.validate_and_schedule(fixture.circuit)
-    state = sim.initial_state(fixture.circuit)
-    for frame in fixture.stimuli.frames:
-        state = sim.step_cycle(fixture.circuit, sched, state, frame,
-                               fixture.stimuli.witness)
-    return state
+    return _states(fixture.circuit, fixture.stimuli)[-1]
 
 
 def test_criterion_3_fig7_reproduction():
@@ -226,24 +222,14 @@ def test_criterion_8_glitch_overapproximation_soundness():
 def test_criterion_9_domain_coherence():
     start = time.time()
     for fx in gadgets.gen_counterexamples().values():
-        state = _last_state(fx)
-        sim.consistency_check(state, fx.stimuli.witness)
+        sim.consistency_check(_last_state(fx), fx.stimuli.witness)
+    every_state = sim.SimOptions(check_consistency=True)
     for gen in (gadgets.gen_dom_and, gadgets.gen_isw_and):
         circuit, _, stimuli, _ = gen(2)
-        sched = netlist.validate_and_schedule(circuit)
-        state = sim.initial_state(circuit)
-        for frame in stimuli.frames:
-            state = sim.step_cycle(circuit, sched, state, frame,
-                                   stimuli.witness)
-            sim.consistency_check(state, stimuli.witness)
+        _states(circuit, stimuli, every_state)
     for seed in range(200):
         fx = gadgets.gen_random_circuit(seed + 9000, n_gates=20, cycles=3)
-        sched = netlist.validate_and_schedule(fx.circuit)
-        state = sim.initial_state(fx.circuit)
-        for frame in fx.stimuli.frames:
-            state = sim.step_cycle(fx.circuit, sched, state, frame,
-                                   fx.stimuli.witness)
-            sim.consistency_check(state, fx.stimuli.witness)
+        _states(fx.circuit, fx.stimuli, every_state)
     elapsed = time.time() - start
     _passed(9, f"conc == eval_concrete(symb, witness) on every wire of every "
                f"fixture and 200 random circuits ({elapsed:.1f}s)")

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from probewise import gadgets
 from probewise.cli import main
+from probewise.manager import BIT, LeakageModel, run
 from probewise.netlist import serialize_netlist
 from probewise.sim import dump_stimuli
 
@@ -81,6 +82,19 @@ def test_report_file_is_deterministic(fixture_dir, tmp_path, capsys):
     assert any(e.get("verdict") == "leaks" and e.get("wire") == "w"
                for e in lines)
     assert "leaking_cycles" in lines[-1]
+
+
+def test_library_run_matches_cli_without_stability(fixture_dir, tmp_path,
+                                                   capsys):
+    # the model's stability switch alone decides, in the library and the CLI
+    fx = gadgets.gen_counterexamples()["fig7"]
+    model = LeakageModel(glitches=True, granularity=BIT, use_stability=False)
+    report = run(fx.circuit, fx.stimuli, fx.labels, model)
+    main(["verify", *_fig_args(fixture_dir, "fig7"), "--glitches", "true",
+          "--transitions", "false", "--granularity", "bit",
+          "--stability", "false", "--report", str(tmp_path / "r.jsonl")])
+    capsys.readouterr()
+    assert (tmp_path / "r.jsonl").read_text() == report.to_jsonl()
 
 
 def test_rr1sw_preset(fixture_dir, capsys):
@@ -246,6 +260,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "stimuli line 2: inputs.i1.symbol: expected a string"),
     (_edit("stimuli", _set(1, "inputs", "i1", {"expr": 5})),
      "stimuli line 2: inputs.i1.expr: expected a string"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "XOR(k, m) !!"})),
+     "stimuli line 2: inputs.i1.expr: unexpected character '!'"),
     (_edit("stimuli", _set(1, "cycle", None)),
      "stimuli line 2: cycle: expected a non-negative integer, got None"),
     (_edit("stimuli", _set(0, "witness", 5)),
@@ -267,7 +283,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "wire-name-list", "split-width-null", "split-parent-list",
         "split-index-null", "memory-depth-null", "memory-init-int",
         "memory-id-list", "gate-params-list", "frame-inputs-int",
-        "drive-int", "drive-symbol-list", "drive-expr-int", "frame-cycle-null",
+        "drive-int", "drive-symbol-list", "drive-expr-int", "drive-expr-junk",
+        "frame-cycle-null",
         "witness-int", "witness-missing", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
         "share-width"])

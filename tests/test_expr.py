@@ -248,6 +248,12 @@ def test_parse_shorthand():
         ex.parse_expr("XOR(k, unknown)", {"k": 1})
 
 
+@pytest.mark.parametrize("text", ["XOR(k, m) !!", "XOR(k, @m)"])
+def test_parse_rejects_unmatched_characters(text):
+    with pytest.raises(ValueError, match="unexpected character"):
+        ex.parse_expr(text, {"k": 1, "m": 1})
+
+
 # ---------------------------------------------------------------------------
 # Symbol table
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ from probewise.netlist import parse_netlist, serialize_netlist, \
     validate_and_schedule
 
 
-def _output_exprs(circuit, stimuli, output_wires):
+def _states(circuit, stimuli, opts=sim.SimOptions()):
     sched = validate_and_schedule(circuit)
-    state = sim.initial_state(circuit)
-    for frame in stimuli.frames:
-        state = sim.step_cycle(circuit, sched, state, frame, stimuli.witness)
+    return list(sim.simulate(circuit, sched, stimuli, opts))
+
+
+def _output_exprs(circuit, stimuli, output_wires):
+    state = _states(circuit, stimuli)[-1]
     sim.consistency_check(state, stimuli.witness)
     return [state.current[circuit.by_name[w].uid].symb for w in output_wires]
 
@@ -89,11 +91,7 @@ def test_fig6_bit_wires_verify_secure_individually():
 
 def test_fig7_t_minus_1_row():
     fx = gadgets.gen_counterexamples()["fig7"]
-    sched = validate_and_schedule(fx.circuit)
-    state = sim.initial_state(fx.circuit)
-    for frame in fx.stimuli.frames[:2]:
-        state = sim.step_cycle(fx.circuit, sched, state, frame,
-                               fx.stimuli.witness)
+    state = _states(fx.circuit, fx.stimuli)[1]
     o0 = state.current[fx.circuit.by_name["o0"].uid]
     assert o0.lset == (frozenset(),) and o0.stab == 1
 
@@ -110,12 +108,7 @@ def test_random_circuit_deterministic_per_seed():
 def test_random_circuits_schedule_and_simulate():
     for seed in range(30):
         fx = gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)
-        sched = validate_and_schedule(fx.circuit)
-        state = sim.initial_state(fx.circuit)
-        for frame in fx.stimuli.frames:
-            state = sim.step_cycle(fx.circuit, sched, state, frame,
-                                   fx.stimuli.witness)
-            sim.consistency_check(state, fx.stimuli.witness)
+        _states(fx.circuit, fx.stimuli, sim.SimOptions(check_consistency=True))
 
 
 def test_glitch_model_separates_dom_from_isw_at_order_1():

@@ -15,15 +15,9 @@ from probewise.manager import (BIT, SUPPORT_WISE, LeakageModel, RunOptions,
 from probewise.verify import make_expr_set
 
 
-def _states(fixture, opts=sim.SimOptions()):
+def _states(fixture):
     sched = netlist.validate_and_schedule(fixture.circuit)
-    state = sim.initial_state(fixture.circuit)
-    out = []
-    for frame in fixture.stimuli.frames:
-        state = sim.step_cycle(fixture.circuit, sched, state, frame,
-                               fixture.stimuli.witness, opts)
-        out.append(state)
-    return out
+    return list(sim.simulate(fixture.circuit, sched, fixture.stimuli))
 
 
 def _set_strs(eset):
@@ -114,9 +108,7 @@ def test_glitch_model_reduces_wires():
     import json
     circuit = netlist.parse_netlist(json.dumps(doc))
     sched = netlist.validate_and_schedule(circuit)
-    state = sim.initial_state(circuit)
-    state = sim.step_cycle(circuit, sched, state, fx.stimuli.frames[0],
-                           fx.stimuli.witness)
+    state = next(sim.simulate(circuit, sched, fx.stimuli))
     index = netlist.structural_index(circuit)
     units = wires_to_verify(circuit, index, LeakageModel(glitches=True), state)
     names = {circuit.name(u) for u in units}
@@ -173,8 +165,7 @@ def test_recombine_random_splits_concretely():
         frame = sim.StimulusFrame({f"b{i}": ("expr", ex.sym(f"x{i}", 1))
                                    for i in range(width)})
         witness = {f"x{i}": rng.getrandbits(1) for i in range(width)}
-        state = sim.step_cycle(circuit, sched, sim.initial_state(circuit),
-                               frame, witness)
+        (state,) = sim.simulate(circuit, sched, sim.Stimuli(witness, [frame]))
         parent = recombine_split_wires(circuit, state.current, "p")
         assert ex.eval_concrete(parent.symb, witness) == parent.conc
         packed = 0
@@ -451,10 +442,8 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
     assert res.tuples_checked == res.tuple_count
 
     sched = netlist.validate_and_schedule(circuit)
-    state = sim.initial_state(circuit)
     sets = {}
-    for t, frame in enumerate(stimuli.frames):
-        state = sim.step_cycle(circuit, sched, state, frame, stimuli.witness)
+    for t, state in enumerate(sim.simulate(circuit, sched, stimuli)):
         for uid in state.current:
             prev = state.previous[uid] if state.previous else state.current[uid]
             ((_, eset),) = expr_sets_for(state.current[uid], prev, model)
@@ -474,6 +463,16 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
     unions.discard(())
     assert len(checked) == len(set(checked)) == len(unions)
     assert set(checked) == unions
+
+
+def test_higher_order_honours_the_model_stability_switch():
+    fx = gadgets.gen_random_circuit(20, n_gates=12, cycles=3)
+    model = LeakageModel(glitches=True, granularity=BIT, use_stability=False,
+                         order=2)
+    res = mg.verify_higher_order(fx.circuit, fx.stimuli, fx.labels, model,
+                                 mode=mg.MIXED)
+    assert res.tuples_checked == 10
+    assert res.leaking_tuple == (("w0[0]", 0), ("w13[0]", 0))
 
 
 def test_higher_order_temporal_and_mixed_modes():
@@ -528,8 +527,8 @@ def test_recombine_single_member_split_is_identity():
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
     frame = sim.StimulusFrame({"b": ("expr", ex.sym("m", 1))})
-    state = sim.step_cycle(circuit, netlist.validate_and_schedule(circuit),
-                           sim.initial_state(circuit), frame, {"m": 1})
+    (state,) = sim.simulate(circuit, netlist.validate_and_schedule(circuit),
+                            sim.Stimuli({"m": 1}, [frame]))
     member = state.current[circuit.by_name["b"].uid]
     parent = recombine_split_wires(circuit, state.current, "p")
     assert parent == member

@@ -6,19 +6,18 @@ import pytest
 
 from probewise import expr as ex, gadgets, netlist, sim
 from probewise.sim import (ConsistencyViolation, MaskedTableHook, SimOptions,
-                           StimulusFrame, SymbolicIndexUnhandled,
+                           Stimuli, StimulusFrame, SymbolicIndexUnhandled,
                            consistency_check, initial_state, parse_stimuli,
                            step_cycle)
 
-def simulate(fixture, opts=SimOptions(), hook=None):
-    sched = netlist.validate_and_schedule(fixture.circuit)
-    state = initial_state(fixture.circuit)
-    states = []
-    for frame in fixture.stimuli.frames:
-        state = step_cycle(fixture.circuit, sched, state, frame,
-                           fixture.stimuli.witness, opts, hook)
-        states.append(state)
-    return states
+
+def _states(circuit, stimuli, opts=SimOptions()):
+    sched = netlist.validate_and_schedule(circuit)
+    return list(sim.simulate(circuit, sched, stimuli, opts))
+
+
+def simulate(fixture, opts=SimOptions()):
+    return _states(fixture.circuit, fixture.stimuli, opts)
 
 
 def valuation(state, name):
@@ -71,11 +70,8 @@ def test_constant_circuit_has_empty_leaksets():
         "registers": [{"input": "o", "output": "q", "init": "0b00"}],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    sched = netlist.validate_and_schedule(circuit)
-    state = initial_state(circuit)
     frame = StimulusFrame({"a": ("const", (2, 2)), "b": ("const", (3, 2))})
-    for _ in range(3):
-        state = step_cycle(circuit, sched, state, frame, {})
+    for state in _states(circuit, Stimuli({}, [frame] * 3)):
         for uid, val in state.current.items():
             assert all(s == frozenset() for s in val.lset)
 
@@ -96,22 +92,12 @@ def _reg_and_circuit():
     return netlist.parse_netlist(json.dumps(doc))
 
 
-def _run(circuit, frames, witness):
-    sched = netlist.validate_and_schedule(circuit)
-    state = initial_state(circuit)
-    out = []
-    for frame in frames:
-        state = step_cycle(circuit, sched, state, frame, witness)
-        out.append(state)
-    return out
-
-
 def test_and_stabilised_by_constant_zero_input():
     circuit = _reg_and_circuit()
     labels = {"m": 1}
     frames = [StimulusFrame({"c": ("const", (0, 1)),
                              "x": ("expr", ex.sym("m", 1))})] * 2
-    s0, s1 = _run(circuit, frames, {"m": 1})
+    s0, s1 = _states(circuit, Stimuli({"m": 1}, frames))
     o0 = s1.current[circuit.by_name["o"].uid]
     # r is stable CST(0) at cycle 1, so the unstable m input cannot glitch o.
     assert o0.stab == 1
@@ -129,7 +115,7 @@ def test_or_stabilised_by_constant_one_input():
     circuit = netlist.parse_netlist(json.dumps(doc))
     frames = [StimulusFrame({"c": ("const", (1, 1)),
                              "x": ("expr", ex.sym("m", 1))})] * 2
-    _, s1 = _run(circuit, frames, {"m": 0})
+    _, s1 = _states(circuit, Stimuli({"m": 0}, frames))
     o = s1.current[circuit.by_name["o"].uid]
     assert o.stab == 1 and o.symb is ex.cst(1, 1)
     assert o.lset == (frozenset(),)
@@ -142,7 +128,7 @@ def test_xor_requires_both_stable():
     circuit = netlist.parse_netlist(json.dumps(doc))
     frames = [StimulusFrame({"c": ("const", (0, 1)),
                              "x": ("expr", ex.sym("m", 1))})] * 2
-    _, s1 = _run(circuit, frames, {"m": 1})
+    _, s1 = _states(circuit, Stimuli({"m": 1}, frames))
     assert s1.current[circuit.by_name["o"].uid].stab == 0
 
 
@@ -172,7 +158,7 @@ def test_register_transition_leakset():
     doc["outputs"] = ["o0", "q"]
     circuit = netlist.parse_netlist(json.dumps(doc))
     frames = fx.stimuli.frames + [fx.stimuli.frames[1]]
-    states = _run(circuit, frames, fx.stimuli.witness)
+    states = _states(circuit, Stimuli(fx.stimuli.witness, frames))
     q = states[2].current[circuit.by_name["q"].uid]
     # holds m now, held k^m before: both leak, unstable
     assert q.stab == 0
@@ -293,7 +279,7 @@ def test_mux_constant_selector_folds():
     frames = [StimulusFrame({"s": ("const", (1, 1)),
                              "a": ("expr", ex.sym("m", 1)),
                              "b": ("expr", ex.sym("mp", 1))})]
-    (s0,) = _run(circuit, frames, {"m": 0, "mp": 1})
+    (s0,) = _states(circuit, Stimuli({"m": 0, "mp": 1}, frames))
     o = s0.current[circuit.by_name["o"].uid]
     assert o.symb is ex.sym("mp", 1)    # selector 1 picks in1
     # unstable selector: selector and both data sets union
@@ -305,7 +291,7 @@ def test_mux_stable_constant_selector_drops_unselected():
     frames = [StimulusFrame({"s": ("const", (1, 1)),
                              "a": ("expr", ex.sym("m", 1)),
                              "b": ("expr", ex.sym("mp", 1))})] * 3
-    states = _run(circuit, frames, {"m": 0, "mp": 1})
+    states = _states(circuit, Stimuli({"m": 0, "mp": 1}, frames))
     o = states[2].current[circuit.by_name["o"].uid]
     sel = states[2].current[circuit.by_name["sel"].uid]
     assert sel.stab == 1 and sel.symb is ex.cst(1, 1)
@@ -332,7 +318,7 @@ def _memory_doc():
 def test_mem_read_constant_index():
     circuit = netlist.parse_netlist(json.dumps(_memory_doc()))
     frames = [StimulusFrame({"idx": ("const", (3, 2))})]
-    (s,) = _run(circuit, frames, {})
+    (s,) = _states(circuit, Stimuli({}, frames))
     out = s.current[circuit.by_name["out"].uid]
     assert out.conc == 0b10 and out.symb is ex.cst(0b10, 2)
 
@@ -341,7 +327,7 @@ def test_mem_read_symbolic_index_unhandled():
     circuit = netlist.parse_netlist(json.dumps(_memory_doc()))
     frames = [StimulusFrame({"idx": ("expr", ex.sym("p", 2))})]
     with pytest.raises(SymbolicIndexUnhandled):
-        _run(circuit, frames, {"p": 1})
+        _states(circuit, Stimuli({"p": 1}, frames))
 
 
 def test_masked_table_hook():
@@ -389,7 +375,7 @@ def test_mem_write_visible_next_cycle():
     circuit = netlist.parse_netlist(json.dumps(doc))
     frames = [StimulusFrame({"idx": ("const", (1, 1)),
                              "v": ("expr", ex.sym("m", 2))})] * 2
-    states = _run(circuit, frames, {"m": 3})
+    states = _states(circuit, Stimuli({"m": 3}, frames))
     out0 = states[0].current[circuit.by_name["out"].uid]
     assert out0.symb is ex.cst(0, 2)         # write lands after the cycle
     out1 = states[1].current[circuit.by_name["out"].uid]
@@ -419,7 +405,7 @@ def test_dynamic_shift_is_width_mixing():
     frames = [StimulusFrame({"v": ("expr", ex.sym("m", 4)),
                              "n": ("expr", ex.sym("s", 2))})]
     witness = {"m": 0b1010, "s": 1}
-    (st,) = _run(circuit, frames, witness)
+    (st,) = _states(circuit, Stimuli(witness, frames))
     o = st.current[circuit.by_name["o"].uid]
     assert o.conc == 0b0101
     assert o.symb.op == "LSR"
@@ -460,6 +446,9 @@ def test_symbolic_constant_mismatch_detected(monkeypatch):
     # keep_going downgrades the stop to a warning entry
     states = simulate(fx, SimOptions(keep_going=True))
     assert (0, "o0", "consistency violation") in states[-1].warnings
+    # the per-state check still stops it
+    with pytest.raises(ConsistencyViolation):
+        simulate(fx, SimOptions(keep_going=True, check_consistency=True))
 
 
 def test_trivial_set_invariant_on_random_circuits():
