@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .inputs import InputError, expect, field
 
@@ -634,6 +634,7 @@ class SymbolTable:
 
     def __init__(self) -> None:
         self._info: dict[str, tuple[int, str, str | None, int | None]] = {}
+        self._shares: dict[str, tuple[str, ...]] = {}   # by share index
 
     def declare(self, name: str, width: int, kind: str,
                 secret: str | None = None, index: int | None = None) -> None:
@@ -644,14 +645,18 @@ class SymbolTable:
         if kind == SHARE:
             if secret is None or index is None:
                 raise ValueError(f"share {name!r} needs a secret name and index")
-            for other, info in self._info.items():
-                if info[1] == SHARE and info[2] == secret and info[3] == index:
+            for other in self._shares.get(secret, ()):
+                if self._info[other][3] == index:
                     raise ValueError(
                         f"share index {index} of {secret!r} declared twice "
                         f"({other!r} and {name!r})")
         if name in self._info and self._info[name] != (width, kind, secret, index):
             raise ValueError(f"conflicting redeclaration of {name!r}")
         self._info[name] = (width, kind, secret, index)
+        if kind == SHARE:
+            self._shares[secret] = tuple(sorted(
+                self._shares.get(secret, ()) + (name,),
+                key=lambda n: self._info[n][3]))
 
     def __contains__(self, name: str) -> bool:
         return name in self._info
@@ -673,9 +678,11 @@ class SymbolTable:
 
     def shares_of(self, secret: str) -> list[str]:
         """Share names of one secret, ordered by share index."""
-        found = [(info[3], name) for name, info in self._info.items()
-                 if info[1] == SHARE and info[2] == secret]
-        return [name for _, name in sorted(found)]
+        return list(self._shares.get(secret, ()))
+
+    def sharings(self) -> Iterable[tuple[str, ...]]:
+        """Each secret's share names, ordered by share index."""
+        return self._shares.values()
 
     def widths(self) -> dict[str, int]:
         return {name: info[0] for name, info in self._info.items()}

@@ -21,6 +21,7 @@ Wire selection mirrors the model:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -446,20 +447,36 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     spatial: wire d-uplets, each combination checked at every cycle;
     temporal: cycle d-uplets, checked per wire; mixed: (wire, cycle) pairs.
     Of ``options`` it reads the simulation settings and ``enum_limit``.
+    A view's ARRAY reads are evaluated over the memory contents that its
+    cycles read, before their writes; a view whose cycles read different
+    contents is Inconclusive.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or RunOptions()
-    per_cycle: list[dict[str, ExprSet]] = []
+    # per cycle and position: the set's members, and the (memory, contents)
+    # pairs its ARRAY reads see at that cycle
+    per_cycle: list[dict[str, tuple[tuple[Expr, ...], frozenset]]] = []
+    read_memo: dict[Expr, frozenset[str]] = {}
+    no_reads = frozenset()   # shared: each frozenset() call is a new object
+    # a state's mem_conc already holds its cycle's writes; the cycle's reads
+    # saw the contents the previous state left
+    before = {m.mid: list(m.init) for m in circuit.memories}
     for state in _simulate(circuit, stimuli, model, options):
-        sets: dict[str, ExprSet] = {}
+        sets: dict[str, tuple[tuple[Expr, ...], frozenset]] = {}
         for uid in sorted(state.current):
             val = state.current[uid]
             prev = _previous_valuation(state, uid)
             for rank, eset in expr_sets_for(val, prev, model):
                 name = circuit.name(uid)
-                sets[name if rank is None else f"{name}[{rank}]"] = eset
+                reads = frozenset(
+                    (mem, tuple(before[mem])) for e in eset.exprs
+                    for mem in _memories_read(e, read_memo)
+                    if mem in before) or no_reads
+                sets[name if rank is None else f"{name}[{rank}]"] = \
+                    (eset.exprs, reads)
         per_cycle.append(sets)
+        before = state.mem_conc
 
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = range(len(per_cycle))
@@ -477,10 +494,33 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     def observe(combo: tuple):
         for view in views(combo):
             union = make_expr_set(e for w, t in view
-                                  for e in per_cycle[t][w].exprs)
-            if union:
-                yield union.exprs
+                                  for e in per_cycle[t][w][0])
+            if not union:
+                continue
+            reads = frozenset().union(
+                *(per_cycle[t][w][1] for w, t in view)) or no_reads
+            yield union.exprs, reads
 
-    return vf.check_tuples(
-        positions, (model.order,), observe,
-        lambda exprs: vf.check(ExprSet(exprs), labels, options.enum_limit), cap)
+    def decide(key: tuple) -> Verdict:
+        exprs, reads = key
+        changed = sorted(mem for mem, n in Counter(m for m, _ in reads).items()
+                         if n > 1)
+        if changed:
+            return Verdict.inconclusive(
+                "memory contents differ across the cycles of the view: "
+                + ", ".join(changed))
+        return vf.check(ExprSet(exprs), labels, options.enum_limit,
+                        dict(reads))
+
+    return vf.check_tuples(positions, (model.order,), observe, decide, cap)
+
+
+def _memories_read(e: Expr, memo: dict[Expr, frozenset[str]]) -> frozenset[str]:
+    """Ids of the memories that ARRAY nodes in ``e`` read."""
+    got = memo.get(e)
+    if got is None:
+        got = frozenset(e.params[:1]) if e.op == "ARRAY" else frozenset()
+        for c in e.children:
+            got |= _memories_read(c, memo)
+        memo[e] = got
+    return got

@@ -5,8 +5,9 @@ Two engines back the verdicts:
 * :func:`check_substitution` — the classic bijective-mask rule. A mask whose
   single use sits under an XOR node (reachable from a member root through
   XOR/CONCAT/extraction context only) makes that XOR subterm uniform, so it
-  is replaced by a fresh mask. If the fixpoint contains no secret or share
-  symbols the set is independent of every secret. Sound, never complete.
+  is replaced by a fresh mask. The set is independent of every secret if
+  its symbols, or else those left at the fixpoint, include no secret and, of
+  each secret, only a proper subset of its shares. Sound, never complete.
 
 * :func:`check_enumeration` — exact and witness-producing. All base symbols
   are enumerated; shares are tied to their parent secret by Boolean
@@ -34,8 +35,11 @@ NI/SNI predicates for gadget circuits use the same kernel, with probe tuples
 drawn from symbolic values (or flattened LeakSets when glitches are
 modelled), the selected shares as the fixed part of the group key and the
 other shares as the vary key, over every share-index selection. A tuple past
-the bit budget makes the verdict Inconclusive. NI/SNI and the higher-order
-d-uplet checks share one probe-tuple engine, :func:`check_tuples`.
+the bit budget makes the verdict Inconclusive. A tuple is simulatable
+without enumeration when it holds at most the budget of each secret's
+shares, before or after the substitution fixpoint. NI/SNI and the
+higher-order d-uplet checks share one probe-tuple engine,
+:func:`check_tuples`.
 """
 
 from __future__ import annotations
@@ -198,20 +202,21 @@ def _substitute(e: Expr, name: str, rng: tuple[int, int],
     return None
 
 
-def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
-    """Prove independence by iterated bijective-mask replacement."""
-    for e in eset.exprs:
-        for name in symbols_of(e):
-            if name not in labels:
-                raise KeyError(f"symbol {name!r} is not labeled")
-    masks = frozenset(n for e in eset.exprs for n in symbols_of(e)
-                      if n in labels and labels.kind(n) == ex.MASK)
-    members = list(eset.exprs)
+def _substitution_fixpoint(exprs: Sequence[Expr],
+                           labels: SymbolTable) -> set[str]:
+    """Labeled symbols left in ``exprs`` (all labeled) once no bijective
+    mask is left to replace. Each replacement keeps the members' joint
+    distribution for every assignment of the other symbols, so the members
+    depend on these only."""
+    masks = frozenset(n for e in exprs for n in symbols_of(e)
+                      if labels.kind(n) == ex.MASK)
+    members = list(exprs)
     fresh_n = 0
+    # a term's ranges stay valid: a fresh mask only enters the new terms
+    memo: dict = {}
     progress = True
     while progress:
         progress = False
-        memo: dict = {}
         occ: dict[str, list[tuple[int, int]]] = {}
         for m in members:
             for name, ranges in _occurrence_ranges(m, masks, memo).items():
@@ -237,10 +242,43 @@ def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
                     break
             if progress:
                 break
-    leftover = {n for m in members for n in symbols_of(m)}
-    sensitive = sorted(n for n in leftover if n in labels and labels.is_sensitive(n))
-    if not sensitive:
+    # fresh masks are named ``$subN``, which no label can be
+    return {n for m in members for n in symbols_of(m) if n in labels}
+
+
+def _shares_within(symbols: set[str],
+                   sharings: Iterable[Sequence[str]],
+                   budget: int | None = None) -> bool:
+    """``symbols`` hold at most ``budget`` shares of each sharing or, with no
+    budget, a proper subset of each, which is uniform and independent of
+    its secret."""
+    return all(sum(s in symbols for s in shares)
+               <= (len(shares) - 1 if budget is None else budget)
+               for shares in sharings)
+
+
+def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
+    """Prove independence by a share count on the members' symbols or, that
+    failing, on those left after iterated bijective-mask replacement."""
+    symbols: set[str] = set()
+    for e in eset.exprs:
+        symbols |= symbols_of(e)
+    for name in symbols:
+        if name not in labels:
+            raise KeyError(f"symbol {name!r} is not labeled")
+
+    def independent(names: set[str]) -> bool:
+        return all(labels.kind(n) != ex.SECRET for n in names) \
+            and _shares_within(names, labels.sharings())
+
+    # the fixpoint leaves a subset of the symbols: the first count is a
+    # fast path that skips the fixpoint for most sets
+    if independent(symbols):
         return Verdict.secure()
+    left = _substitution_fixpoint(eset.exprs, labels)
+    if independent(left):
+        return Verdict.secure()
+    sensitive = sorted(n for n in left if labels.is_sensitive(n))
     return Verdict.inconclusive(
         "substitution left sensitive symbols: " + ", ".join(sensitive))
 
@@ -681,12 +719,18 @@ def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
     symbols = set()
     for e in exprs:
         symbols |= symbols_of(e)
-    space, derived, _, _ = _space_for(symbols, gadget.labels, limit,
-                                      shares_free=True)
+    # with shares free, every symbol is a base variable of the space
+    bits = sum(gadget.labels.width(n) for n in symbols)
+    if bits > limit:
+        raise TooLarge(bits, limit)
+    if _shares_within(symbols, gadget.secrets.values(), budget) or \
+            _shares_within(_substitution_fixpoint(exprs, gadget.labels),
+                           gadget.secrets.values(), budget):
+        return Verdict.secure()
     present = {secret: [s for s in shares if s in symbols]
                for secret, shares in gadget.secrets.items()}
-    if all(len(p) <= budget for p in present.values()):
-        return Verdict.secure()
+    space, derived, _, _ = _space_for(symbols, gadget.labels, limit,
+                                      shares_free=True)
     space.materialise(derived)
     memo: dict = {}
     members, n_members = _pack(_member_parts(exprs, space, None, memo))

@@ -456,7 +456,7 @@ def joint_value_counts(exprs, labels, pinned, shares_free=False,
 
 
 def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
-                           budget: int) -> bool:
+                           budget: int, memories=None) -> bool:
     """Dict-counting reimplementation of NI probe-tuple simulatability.
 
     Tries every selection of at most ``budget`` shares per secret; the tuple
@@ -478,7 +478,7 @@ def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
         assignments.append(dict(zip(symbols, combo)))
     values = []
     for a in assignments:
-        values.append(tuple(ex.eval_concrete(e, a) for e in exprs))
+        values.append(tuple(ex.eval_concrete(e, a, memories) for e in exprs))
     for selection in itertools.product(*selections):
         sel = sorted(n for c in selection for n in c)
         non_sel = sorted(n for p in present.values() for n in p

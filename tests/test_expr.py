@@ -267,6 +267,18 @@ def test_symbol_table_share_bookkeeping():
     assert t.is_sensitive("s0") and t.is_sensitive("k")
     with pytest.raises(ValueError):
         t.declare("s1b", 1, ex.SHARE, secret="k", index=1)
+    with pytest.raises(ValueError):
+        t.declare("s1", 1, ex.SHARE, secret="k", index=3)
+    assert t.shares_of("k") == ["s0", "s1"]
+    # out of index order, and after a shares_of call
+    t.declare("j", 1, ex.SECRET)
+    t.declare("j2", 1, ex.SHARE, secret="j", index=2)
+    t.declare("j0", 1, ex.SHARE, secret="j", index=0)
+    assert t.shares_of("j") == ["j0", "j2"]
+    t.declare("j1", 1, ex.SHARE, secret="j", index=1)
+    assert t.shares_of("j") == ["j0", "j1", "j2"]
+    assert t.shares_of("k") == ["s0", "s1"] and t.shares_of("m") == []
+    assert sorted(t.sharings()) == [("j0", "j1", "j2"), ("s0", "s1")]
 
 
 def test_symbol_table_json_round_trip():

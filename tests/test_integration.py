@@ -101,10 +101,11 @@ def test_masked_and_then_unmask_pipeline():
     assert flagged == {(0, "s"), (1, "s"), (1, "clear")}
 
 
-def test_masked_table_lookup_run():
-    # A table remasked as masked[i ^ m] = base[i] ^ mp, indexed by the
-    # masked secret k ^ m. The looked-up value stays blinded by mp, but a
-    # glitchy address bus exposes the raw index share k.
+def _masked_table(wires=(), gates=(), drives=({},)):
+    """A table remasked as masked[i ^ m] = base[i] ^ mp, indexed by the
+    masked secret k ^ m, plus extra wires and gates, over one frame per
+    entry of ``drives`` (extra input -> constant); returns the circuit,
+    labels, stimuli and options with the table hook."""
     base = [3, 1, 0, 2]
     m_val, mp_val = 1, 2
     masked = [0] * 4
@@ -112,11 +113,12 @@ def test_masked_table_lookup_run():
         masked[i ^ m_val] = base[i] ^ mp_val
     doc = {
         "wires": [{"name": "kw", "width": 2}, {"name": "mw", "width": 2},
-                  {"name": "idx", "width": 2}, {"name": "out", "width": 2}],
-        "inputs": ["kw", "mw"], "outputs": ["out"],
+                  {"name": "idx", "width": 2}, {"name": "out", "width": 2},
+                  *({"name": w, "width": 2} for w in wires)],
+        "inputs": ["kw", "mw", *drives[0]], "outputs": ["out"],
         "gates": [{"kind": "bit_xor", "output": "idx", "inputs": ["kw", "mw"]},
                   {"kind": "mem_read", "output": "out", "inputs": ["idx"],
-                   "params": {"memory": "sbox_m"}}],
+                   "params": {"memory": "sbox_m"}}, *gates],
         "registers": [],
         "memories": [
             {"id": "sbox_m", "depth": 4, "width": 2,
@@ -131,11 +133,20 @@ def test_masked_table_lookup_run():
     labels.declare("m", 2, ex.MASK)
     labels.declare("mp", 2, ex.MASK)
     frames = [sim.StimulusFrame({"kw": ("expr", ex.sym("k", 2)),
-                                 "mw": ("expr", ex.sym("m", 2))})]
+                                 "mw": ("expr", ex.sym("m", 2)),
+                                 **{w: ("const", (v, 2))
+                                    for w, v in drive.items()}})
+              for drive in drives]
     stimuli = sim.Stimuli({"k": 3, "m": m_val, "mp": mp_val}, frames)
     hook = sim.MaskedTableHook("sbox_m", "sbox", "m", "mp")
-    opts = RunOptions(memory_hook=hook, check_consistency=True)
+    return circuit, labels, stimuli, RunOptions(memory_hook=hook,
+                                                check_consistency=True)
 
+
+def test_masked_table_lookup_run():
+    # The looked-up value stays blinded by mp, but a glitchy address bus
+    # exposes the raw index share k.
+    circuit, labels, stimuli, opts = _masked_table()
     value = run(circuit, stimuli, labels, LeakageModel(), opts)
     # the raw secret input is flagged no matter what; the masked address and
     # the remasked lookup value stay blinded (by m and mp respectively)
@@ -147,6 +158,77 @@ def test_masked_table_lookup_run():
     assert leaks
     assert all(e.verdict.witness is not None for e in leaks
                if e.verdict.status == "leaks")
+
+
+def test_higher_order_reads_the_memory_contents():
+    # a2 = out & idx needs enumeration, and out reads ARRAY(sbox, k): the
+    # view's memory contents must reach the checker, as they do in run
+    circuit, labels, stimuli, opts = _masked_table(
+        ["a2"], [{"kind": "bit_and", "output": "a2", "inputs": ["out", "idx"]}])
+    assert {e.wire: e.verdict.status for e in run(
+        circuit, stimuli, labels, LeakageModel(), opts).entries}["a2"] == \
+        "secure"
+    for mode, leak in ((mg.SPATIAL, ("a2", "kw")),
+                       (mg.MIXED, (("a2", 0), ("kw", 0)))):
+        res = mg.verify_higher_order(circuit, stimuli, labels,
+                                     LeakageModel(order=2), mode, opts)
+        # (a2, idx) is decided secure, then the raw secret on kw leaks
+        assert (res.tuples_checked, res.leaking_tuple) == (2, leak), mode
+        assert res.verdict.status == "leaks"
+
+
+def test_higher_order_view_over_changed_memory_is_inconclusive():
+    # sbox[0] is written 1 at cycle 0, so cycles 0 and 1 read different
+    # tables and none evaluates ARRAY(sbox, k) in the temporal view of
+    # a1 = out ^ mw
+    circuit, labels, stimuli, opts = _masked_table(
+        ["a1", "wi", "wv", "ww"],
+        [{"kind": "bit_xor", "output": "a1", "inputs": ["out", "mw"]},
+         {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
+          "params": {"memory": "sbox"}}],
+        drives=[{"wi": 0, "wv": 1}, {"wi": 0, "wv": 2}])
+    res = mg.verify_higher_order(circuit, stimuli, labels,
+                                 LeakageModel(order=2), mg.TEMPORAL, opts)
+    assert res.verdict.status == "inconclusive"
+    assert res.verdict.reason == \
+        "memory contents differ across the cycles of the view: sbox"
+    assert (res.tuples_checked, res.leaking_tuple) == (1, (0, 1))
+
+
+def _written_table_circuit():
+    """Input a reads ARRAY(t, k) from the 1-bit table t = [0, 1], and
+    t[0] = 1 is written at cycle 0."""
+    doc = {
+        "wires": [{"name": n, "width": 1} for n in ("a", "mw", "wi", "wv", "ww")],
+        "inputs": ["a", "mw", "wi", "wv"], "outputs": ["ww"],
+        "gates": [{"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
+                   "params": {"memory": "t"}}],
+        "registers": [],
+        "memories": [{"id": "t", "depth": 2, "width": 1,
+                      "init": ["0b0", "0b1"]}],
+    }
+    circuit = netlist.parse_netlist(json.dumps(doc))
+    labels = ex.SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 1, ex.MASK)
+    frame = sim.StimulusFrame({"a": ("expr", ex.array_lookup("t", ex.sym("k", 1), 1)),
+                               "mw": ("expr", ex.sym("m", 1)),
+                               "wi": ("const", (0, 1)), "wv": ("const", (1, 1))})
+    return circuit, labels, sim.Stimuli({"k": 0, "m": 1}, [frame])
+
+
+def test_higher_order_reads_the_contents_before_the_cycles_writes():
+    # cycle 0 reads t = [0, 1], so a = k; over the written table [1, 1] it
+    # would be the constant 1 and every set would be Secure
+    circuit, labels, stimuli = _written_table_circuit()
+    (state,) = mg._simulate(circuit, stimuli, LeakageModel(), RunOptions())
+    assert state.current[circuit.by_name["a"].uid].conc == 0
+    for mode, leak in ((mg.SPATIAL, ("a", "mw")),
+                       (mg.MIXED, (("a", 0), ("mw", 0)))):
+        res = mg.verify_higher_order(circuit, stimuli, labels,
+                                     LeakageModel(order=2), mode)
+        assert res.verdict.status == "leaks", mode
+        assert res.leaking_tuple == leak
 
 
 def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():

@@ -1,18 +1,21 @@
 """Independence checking: substitution, enumeration, combined, NI/SNI."""
 
+import itertools
 import json
 import math
 import re
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from probewise import expr as ex, gadgets, netlist, verify as vf
+from probewise import expr as ex, gadgets, manager as mg, netlist, verify as vf
 from probewise.expr import SymbolTable
 from probewise.sim import Stimuli, StimulusFrame
-from probewise.verify import (GadgetSpec, TooLarge, check, check_enumeration,
-                              check_ni, check_sni, check_substitution,
-                              make_expr_set)
+from probewise.verify import (ExprSet, GadgetSpec, TooLarge, check,
+                              check_enumeration, check_ni, check_sni,
+                              check_substitution, make_expr_set)
 
 import oracles
 
@@ -463,3 +466,149 @@ def test_kernel_array_reads():
     flat = {"t": [0, 0, 0, 1]}
     assert _agrees_with_oracle([ex.array_lookup("t", k, 2)], labels,
                                flat).status == vf.LEAKS
+
+
+# ---------------------------------------------------------------------------
+# Share counts after the substitution fixpoint
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def three_shares():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    for i in range(3):
+        labels.declare(f"s{i}", 1, ex.SHARE, secret="k", index=i)
+    labels.declare("m", 1, ex.MASK)
+    return labels
+
+
+def test_share_count_pinned_cases(three_shares):
+    def sub(*names):
+        return check_substitution(make_expr_set(s(n) for n in names),
+                                  three_shares)
+
+    assert sub("s0", "s1").is_secure
+    for names in (("s0", "s1", "s2"), ("k", "s0")):
+        verdict = sub(*names)
+        assert verdict.status == vf.INCONCLUSIVE
+        assert verdict.reason == \
+            "substitution left sensitive symbols: " + ", ".join(names)
+    # the mask hides s2, leaving a proper subset of the sharing
+    assert check_substitution(make_expr_set([xor(s("s2"), s("m")), s("s0"),
+                                             s("s1")]), three_shares).is_secure
+
+
+def _shared_set(pick):
+    """Members over secrets of 2-4 shares, two masks and a public, some read
+    through a 1-bit table or widened to 40 bits; ``pick(options)`` makes
+    every choice. Returns members, labels, secrets and memories."""
+    labels = SymbolTable()
+    secrets = {}
+    for name, counts in (("a", (2, 3, 4)), ("b", (2, 3)))[:pick((1, 2))]:
+        labels.declare(name, 1, ex.SECRET)
+        secrets[name] = [f"{name}{i}" for i in range(pick(counts))]
+        for i, share in enumerate(secrets[name]):
+            labels.declare(share, 1, ex.SHARE, secret=name, index=i)
+    labels.declare("m0", 1, ex.MASK)
+    labels.declare("m1", 1, ex.MASK)
+    labels.declare("p", 1, ex.PUBLIC)
+    atoms = [n for shares in secrets.values() for n in shares] + \
+        ["a", "m0", "m1", "p"]
+    exprs = []
+    for _ in range(pick((1, 2, 3))):
+        leaves = [s(pick(atoms)) for _ in range(pick((1, 2, 3)))]
+        e = leaves[0] if len(leaves) == 1 else \
+            ex.build(pick(("XOR", "XOR", "AND")), leaves)
+        if pick((False, True)):
+            e = xor(e, s(pick(("m0", "m1"))))
+        wrap = pick((None, None, "array", "wide"))
+        if wrap == "array":
+            e = ex.array_lookup("t", e, 1)
+        elif wrap == "wide":
+            e = ex.zext(e, 40)
+        exprs.append(e)
+    memories = {"t": [pick((0, 1)), pick((0, 1))]}
+    return make_expr_set(exprs).exprs, labels, secrets, memories
+
+
+def _assert_share_counts_sound(exprs, labels, secrets, memories, budget):
+    """Each Secure of substitution, and of simulatability short of
+    enumerating an ARRAY read, is confirmed by brute force; returns whether
+    only the share count after the fixpoint proved independence."""
+    proved = check_substitution(ExprSet(exprs), labels).is_secure
+    if proved:
+        assert oracles.independence_bruteforce(exprs, labels, memories), \
+            [ex.render(e) for e in exprs]
+    gadget = SimpleNamespace(labels=labels, secrets=secrets)
+    try:
+        secure = vf._simulatable(exprs, gadget, budget, limit=20).is_secure
+    except ex.UnboundSymbol:
+        secure = False   # enumeration reached a table: no count decided it
+    if secure:
+        assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget,
+                                              memories), \
+            (budget, [ex.render(e) for e in exprs])
+    return proved and any(labels.is_sensitive(n) for n in
+                          vf._substitution_fixpoint(exprs, labels))
+
+
+def test_share_count_agrees_with_bruteforce_on_random_sets():
+    rng = random.Random(7)
+    count_only = 0
+    for _ in range(400):
+        exprs, labels, secrets, memories = _shared_set(rng.choice)
+        if exprs:
+            count_only += _assert_share_counts_sound(
+                exprs, labels, secrets, memories, rng.choice((1, 2, 3)))
+    assert count_only > 30   # sets that only the share count proves
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_share_count_agrees_with_bruteforce_hypothesis(data, budget):
+    exprs, labels, secrets, memories = _shared_set(
+        lambda options: data.draw(st.sampled_from(options)))
+    if exprs:
+        _assert_share_counts_sound(exprs, labels, secrets, memories, budget)
+
+
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
+def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
+    # every NI/SNI key (glitches on and off) and every spatial order-2 union
+    # that a share count proves is Secure under enumeration
+    circuit, labels, stimuli, spec = gen(2)
+    proven = set()
+    for glitches in (False, True):
+        probes = vf.collect_probes(spec, glitches)
+        for combo in itertools.chain(*(itertools.combinations(probes, q)
+                                       for q in (1, 2))):
+            exprs = make_expr_set(e for p in combo for e in p.obs).exprs
+            symbols = {n for e in exprs for n in ex.symbols_of(e)}
+            for budget in {len(combo),
+                           sum(1 for p in combo if not p.is_output)}:
+                if any(sum(n in symbols for n in shares) > budget
+                       for shares in spec.secrets.values()) and \
+                        vf._simulatable(exprs, spec, budget, 20).is_secure:
+                    proven.add((exprs, budget))
+    sets = []
+    check = vf.check
+
+    def proving_check(eset, *args):
+        if check_substitution(eset, labels).is_secure:
+            sets.append(eset)
+        return check(eset, *args)
+
+    monkeypatch.setattr(vf, "check", proving_check)
+    mg.verify_higher_order(circuit, stimuli, labels, mg.LeakageModel(order=2))
+    assert any(labels.is_sensitive(n) for eset in sets
+               for n in vf._substitution_fixpoint(eset.exprs, labels))
+    for eset in sets:
+        assert check_enumeration(eset, labels).is_secure
+
+    # keys past the raw count; with no substitution, enumeration decides
+    monkeypatch.setattr(vf, "_substitution_fixpoint",
+                        lambda exprs, _: {n for e in exprs
+                                          for n in ex.symbols_of(e)})
+    assert len(proven) > 100
+    for exprs, budget in proven:
+        assert vf._simulatable(exprs, spec, budget, 20).is_secure
