@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import expr as ex
@@ -93,34 +94,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _leakage_model(args) -> mg.LeakageModel:
-    glitches = transitions = False
-    stability = True
-    granularity = mg.SUPPORT_WISE
-    overapprox = False
+    model = mg.LeakageModel()
     if args.model is not None:
         preset = args.model.strip().lower()
         if preset == "rr1sw":
-            glitches = transitions = True
-            overapprox = True
+            model = mg.LeakageModel.rr1sw()
         else:
             flags = [f.strip() for f in preset.split(",")]
             if len(flags) != 2 or not set(flags) <= {"0", "1"}:
                 raise ValueError(f"--model must be 0,0, 0,1, 1,0, 1,1 or "
                                  f"rr1sw, got {args.model!r}")
-            glitches, transitions = (f == "1" for f in flags)
-    if args.glitches is not None:
-        glitches = args.glitches
-    if args.transitions is not None:
-        transitions = args.transitions
-    if args.stability is not None:
-        stability = args.stability
-    if args.granularity is not None:
-        granularity = args.granularity
-    if args.overapprox is not None:
-        overapprox = args.overapprox
-    return mg.LeakageModel(glitches=glitches, transitions=transitions,
-                           use_stability=stability, granularity=granularity,
-                           order=args.order, overapprox=overapprox)
+            model = mg.LeakageModel(glitches=flags[0] == "1",
+                                    transitions=flags[1] == "1")
+    overrides = {"glitches": args.glitches, "transitions": args.transitions,
+                 "use_stability": args.stability,
+                 "granularity": args.granularity,
+                 "overapprox": args.overapprox}
+    return replace(model, order=args.order,
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_verify(args) -> int:

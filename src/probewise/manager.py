@@ -5,6 +5,8 @@ model, builds the model's expression set for each (value / transition /
 glitch / both, at bit or support-wise granularity), skips trivial sets,
 deduplicates through a verdict cache and dispatches the rest to the checker.
 Split wires are recombined into their parent signal for support-wise runs.
+A set is keyed by its members and the memory contents its ARRAY nodes read
+at its cycle; order-1 runs and d-uplet checks build and decide keys alike.
 
 Wire selection mirrors the model:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, Mapping
 
 from . import expr as ex
@@ -144,12 +147,10 @@ def _flatten(lset) -> list[Expr]:
     return [m for s in lset for m in s]
 
 
-def _previous_valuation(state: SimState, uid: int) -> Valuation:
-    # At cycle 0 the wire's own cycle-0 valuation doubles as "previous":
+def _previous(state: SimState) -> Mapping[int, Valuation]:
+    # At cycle 0 the wires' own cycle-0 valuations double as "previous":
     # transitions are only meaningful from cycle 1 onward.
-    if state.previous:
-        return state.previous[uid]
-    return state.current[uid]
+    return state.previous or state.current
 
 
 def expr_sets_for(val: Valuation, prev: Valuation, model: LeakageModel) -> \
@@ -213,8 +214,8 @@ def recombine_split_wires(circuit: Circuit, vals: Mapping[int, Valuation],
 # Wire selection per model (Table "wires to verify")
 # ---------------------------------------------------------------------------
 
-def _stable_gate_inputs(circuit: Circuit, vals: Mapping[int, Valuation],
-                        index: StructuralIndex) -> set[int]:
+def _stable_gate_inputs(circuit: Circuit,
+                        vals: Mapping[int, Valuation]) -> set[int]:
     picked: set[int] = set()
     for g in circuit.gates:
         out_val = vals[g.output]
@@ -254,12 +255,79 @@ def wires_to_verify(circuit: Circuit, index: StructuralIndex,
     base |= index.split_member_wires
     base |= index.partially_used_wires
     base |= index.mem_write_input_wires
-    base |= _stable_gate_inputs(circuit, state.current, index)
+    base |= _stable_gate_inputs(circuit, state.current)
     base |= _mux_exposed_inputs(circuit, state.current, index)
     if model.overapprox and state.previous:
-        base |= _stable_gate_inputs(circuit, state.previous, index)
+        base |= _stable_gate_inputs(circuit, state.previous)
         base |= _mux_exposed_inputs(circuit, state.previous, index)
     return sorted(base) + parents
+
+
+# ---------------------------------------------------------------------------
+# One cycle's keyed sets, and their verdicts
+# ---------------------------------------------------------------------------
+
+# A set's key: its members, and the (memory, contents) pairs its ARRAY nodes
+# read. Every key that reads no memory shares one empty frozenset, since
+# each frozenset() call makes a new object.
+Key = tuple[tuple[Expr, ...], frozenset]
+_NO_READS: frozenset = frozenset()
+
+
+def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
+               units: list[object], memo: dict[Expr, frozenset[str]]) -> \
+        list[tuple[str, tuple[str, int] | None, Key]]:
+    """Each unit's expression sets at this state's cycle, with their label,
+    source line and key; ARRAY nodes read the contents the cycle read."""
+    previous = _previous(state)
+    walk = bool(circuit.memories)
+    out: list[tuple[str, tuple[str, int] | None, Key]] = []
+    for unit in units:
+        if isinstance(unit, str):
+            val = recombine_split_wires(circuit, state.current, unit)
+            prev = recombine_split_wires(circuit, previous, unit)
+            src = None
+            name = unit
+        else:
+            val = state.current[unit]
+            prev = previous[unit]
+            wire = circuit.wire(unit)
+            src = (wire.src.file, wire.src.line) if wire.src else None
+            name = wire.name
+        for rank, eset in expr_sets_for(val, prev, model):
+            reads = _NO_READS
+            if walk:
+                reads = frozenset(
+                    (mem, tuple(state.mem_read[mem])) for e in eset.exprs
+                    for mem in _memories_read(e, memo)
+                    if mem in state.mem_read) or _NO_READS
+            out.append((name if rank is None else f"{name}[{rank}]", src,
+                        (eset.exprs, reads)))
+    return out
+
+
+def _memories_read(e: Expr, memo: dict[Expr, frozenset[str]]) -> frozenset[str]:
+    """Ids of the memories that ARRAY nodes in ``e`` read."""
+    got = memo.get(e)
+    if got is None:
+        got = frozenset(e.params[:1]) if e.op == "ARRAY" else frozenset()
+        for c in e.children:
+            got |= _memories_read(c, memo)
+        memo[e] = got
+    return got
+
+
+def decide(labels: SymbolTable, enum_limit: int, key: Key) -> Verdict:
+    """Verdict on a keyed set: Inconclusive if it reads one memory with two
+    different contents, else the checker's over the contents it read."""
+    exprs, reads = key
+    changed = sorted(mem for mem, n in Counter(m for m, _ in reads).items()
+                     if n > 1)
+    if changed:
+        return Verdict.inconclusive(
+            "memory contents differ across the cycles of the view: "
+            + ", ".join(changed))
+    return vf.check(ExprSet(exprs), labels, enum_limit, dict(reads))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +341,6 @@ class RunOptions:
     enum_limit: int = vf.DEFAULT_ENUM_LIMIT
     stop_on_first_leak: bool = False
     use_cache: bool = True
-    verify_all_wires: bool = False          # bypass wire selection
-    past_stability_rule: bool = True        # Table-8 "stable at t-1" extension
     reset_unstable: bool = False            # registers unstable at cycle 0
     keep_going: bool = False                # consistency violations warn
     check_consistency: bool = False
@@ -297,31 +363,33 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     states = _simulate(circuit, stimuli, model, options)
     index = structural_index(circuit)
     report = LeakReport()
-    cache: dict[tuple[Expr, ...], Verdict] = {}
-    baseline_seen: set[tuple[Expr, ...]] = set()
+    cache: dict[Key, Verdict] = {}
+    baseline_seen: set[Key] = set()
+    read_memo: dict[Expr, frozenset[str]] = {}
     stopped = False
 
     for t, state in enumerate(states):
         report.summary.cycles = t + 1
         report.warnings = state.warnings
 
-        units = _cycle_units(circuit, index, model, state, options)
-        requests: list[tuple[str, tuple[str, int] | None, ExprSet]] = []
-        for label, src, eset in units:
-            if not eset:
+        units = wires_to_verify(circuit, index, model, state)
+        requests: list[tuple[str, tuple[str, int] | None, Key]] = []
+        for label, src, key in _unit_sets(circuit, model, state, units,
+                                          read_memo):
+            if not key[0]:
                 report.summary.trivial_skipped += 1
                 continue
-            requests.append((label, src, eset))
+            requests.append((label, src, key))
 
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
-                circuit, index, model, state, options, baseline_seen)
-        verdicts = _dispatch(requests, cache, labels, state, options, report)
+                circuit, index, model, state, baseline_seen, read_memo)
+        verdicts = _dispatch(requests, cache, labels, options, report)
         cycle_flagged = False
-        for (label, src, eset), verdict in zip(requests, verdicts):
+        for (label, src, (exprs, _)), verdict in zip(requests, verdicts):
             report.entries.append(ReportEntry(
                 t, label, src, model.facet, verdict,
-                tuple(render(e) for e in eset.exprs)))
+                tuple(render(e) for e in exprs)))
             if not verdict.is_secure:
                 cycle_flagged = True
                 if options.stop_on_first_leak:
@@ -340,91 +408,40 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     return report
 
 
-def _dispatch(requests, cache: dict[tuple[Expr, ...], Verdict],
-              labels: SymbolTable, state: SimState, options: RunOptions,
-              report: LeakReport) -> list[Verdict]:
-    """Resolve every request's verdict; each distinct new member tuple is
-    checked once, in parallel when requested."""
+def _dispatch(requests, cache: dict[Key, Verdict], labels: SymbolTable,
+              options: RunOptions, report: LeakReport) -> list[Verdict]:
+    """Resolve every request's verdict; each distinct new key is decided
+    once, in parallel when requested."""
+    keys = [key for _, _, key in requests]
     if options.use_cache:
-        fresh = list(dict.fromkeys(eset.exprs for _, _, eset in requests
-                                   if eset.exprs not in cache))
+        fresh = list(dict.fromkeys(key for key in keys if key not in cache))
     else:
-        fresh = [eset.exprs for _, _, eset in requests]
-
-    def solve(exprs: tuple[Expr, ...]) -> Verdict:
-        return vf.check(ExprSet(exprs), labels, options.enum_limit,
-                        state.mem_conc)
-
+        fresh = keys
+    solve = partial(decide, labels, options.enum_limit)
     if options.jobs > 1 and len(fresh) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=options.jobs) as pool:
             solved = list(pool.map(solve, fresh))
     else:
-        solved = [solve(exprs) for exprs in fresh]
+        solved = [solve(key) for key in fresh]
     report.summary.verified_expr += len(fresh)
     if not options.use_cache:
         return solved
     cache.update(zip(fresh, solved))
     report.summary.cache_hits += len(requests) - len(fresh)
-    return [cache[eset.exprs] for _, _, eset in requests]
-
-
-def _cycle_units(circuit: Circuit, index: StructuralIndex, model: LeakageModel,
-                 state: SimState, options: RunOptions) -> \
-        list[tuple[str, tuple[str, int] | None, ExprSet]]:
-    if options.verify_all_wires:
-        selected: list[object] = [w.uid for w in circuit.wires]
-        if model.granularity == SUPPORT_WISE:
-            selected += [s.parent_name for s in circuit.splits]
-    elif model.overapprox and not options.past_stability_rule:
-        # negative-control mode: over-approximated sets, selection rules
-        # evaluated at cycle t only
-        selected = _select_without_past(circuit, index, model, state)
-    else:
-        selected = wires_to_verify(circuit, index, model, state)
-
-    out: list[tuple[str, tuple[str, int] | None, ExprSet]] = []
-    for unit in selected:
-        if isinstance(unit, str):
-            val = recombine_split_wires(circuit, state.current, unit)
-            prev = recombine_split_wires(circuit, state.previous, unit) \
-                if state.previous else val
-            src = None
-            wire_label = unit
-        else:
-            val = state.current[unit]
-            prev = _previous_valuation(state, unit)
-            wire = circuit.wire(unit)
-            src = (wire.src.file, wire.src.line) if wire.src else None
-            wire_label = wire.name
-        for rank, eset in expr_sets_for(val, prev, model):
-            label = wire_label if rank is None else f"{wire_label}[{rank}]"
-            out.append((label, src, eset))
-    return out
-
-
-def _select_without_past(circuit: Circuit, index: StructuralIndex,
-                         model: LeakageModel, state: SimState) -> list[object]:
-    narrowed = LeakageModel(glitches=True, transitions=False,
-                            use_stability=model.use_stability,
-                            granularity=model.granularity)
-    return wires_to_verify(circuit, index, narrowed, state)
+    return [cache[key] for key in keys]
 
 
 def _baseline_count(circuit: Circuit, index: StructuralIndex,
-                    model: LeakageModel, state: SimState, options: RunOptions,
-                    seen: set[tuple[Expr, ...]]) -> int:
-    """Sets the standard (non-over-approximated) run would have dispatched.
-
-    Without the over-approximation the transition+glitch model selects every
-    wire plus the split parents, and the past-stability rule does not apply,
-    so ``_cycle_units`` gives the standard run's units whatever the options.
-    """
+                    model: LeakageModel, state: SimState, seen: set[Key],
+                    memo: dict[Expr, frozenset[str]]) -> int:
+    """Sets the standard (non-over-approximated) run would have dispatched."""
     std = replace(model, overapprox=False)
+    units = wires_to_verify(circuit, index, std, state)
     count = 0
-    for _, _, eset in _cycle_units(circuit, index, std, state, options):
-        if eset and eset.exprs not in seen:
-            seen.add(eset.exprs)
+    for _, _, key in _unit_sets(circuit, std, state, units, memo):
+        if key[0] and key not in seen:
+            seen.add(key)
             count += 1
     return count
 
@@ -447,36 +464,17 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     spatial: wire d-uplets, each combination checked at every cycle;
     temporal: cycle d-uplets, checked per wire; mixed: (wire, cycle) pairs.
     Of ``options`` it reads the simulation settings and ``enum_limit``.
-    A view's ARRAY reads are evaluated over the memory contents that its
-    cycles read, before their writes; a view whose cycles read different
-    contents is Inconclusive.
+    A view's key joins its (wire, cycle) sets' keys, so a view whose cycles
+    read different contents of a memory is Inconclusive.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or RunOptions()
-    # per cycle and position: the set's members, and the (memory, contents)
-    # pairs its ARRAY reads see at that cycle
-    per_cycle: list[dict[str, tuple[tuple[Expr, ...], frozenset]]] = []
+    units: list[object] = [w.uid for w in circuit.wires]
     read_memo: dict[Expr, frozenset[str]] = {}
-    no_reads = frozenset()   # shared: each frozenset() call is a new object
-    # a state's mem_conc already holds its cycle's writes; the cycle's reads
-    # saw the contents the previous state left
-    before = {m.mid: list(m.init) for m in circuit.memories}
-    for state in _simulate(circuit, stimuli, model, options):
-        sets: dict[str, tuple[tuple[Expr, ...], frozenset]] = {}
-        for uid in sorted(state.current):
-            val = state.current[uid]
-            prev = _previous_valuation(state, uid)
-            for rank, eset in expr_sets_for(val, prev, model):
-                name = circuit.name(uid)
-                reads = frozenset(
-                    (mem, tuple(before[mem])) for e in eset.exprs
-                    for mem in _memories_read(e, read_memo)
-                    if mem in before) or no_reads
-                sets[name if rank is None else f"{name}[{rank}]"] = \
-                    (eset.exprs, reads)
-        per_cycle.append(sets)
-        before = state.mem_conc
+    per_cycle = [{label: key for label, _, key in
+                  _unit_sets(circuit, model, state, units, read_memo)}
+                 for state in _simulate(circuit, stimuli, model, options)]
 
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = range(len(per_cycle))
@@ -498,29 +496,8 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             if not union:
                 continue
             reads = frozenset().union(
-                *(per_cycle[t][w][1] for w, t in view)) or no_reads
+                *(per_cycle[t][w][1] for w, t in view)) or _NO_READS
             yield union.exprs, reads
 
-    def decide(key: tuple) -> Verdict:
-        exprs, reads = key
-        changed = sorted(mem for mem, n in Counter(m for m, _ in reads).items()
-                         if n > 1)
-        if changed:
-            return Verdict.inconclusive(
-                "memory contents differ across the cycles of the view: "
-                + ", ".join(changed))
-        return vf.check(ExprSet(exprs), labels, options.enum_limit,
-                        dict(reads))
-
-    return vf.check_tuples(positions, (model.order,), observe, decide, cap)
-
-
-def _memories_read(e: Expr, memo: dict[Expr, frozenset[str]]) -> frozenset[str]:
-    """Ids of the memories that ARRAY nodes in ``e`` read."""
-    got = memo.get(e)
-    if got is None:
-        got = frozenset(e.params[:1]) if e.op == "ARRAY" else frozenset()
-        for c in e.children:
-            got |= _memories_read(c, memo)
-        memo[e] = got
-    return got
+    return vf.check_tuples(positions, (model.order,), observe,
+                           partial(decide, labels, options.enum_limit), cap)

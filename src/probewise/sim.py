@@ -135,9 +135,10 @@ class SimState:
     cycle: int
     current: dict[int, Valuation]
     previous: dict[int, Valuation]
-    mem_conc: dict[str, list[int]]
+    mem_conc: dict[str, list[int]]     # after the cycle's writes
     mem_symb: dict[str, list[Expr]]
     mem_width: dict[str, int]
+    mem_read: dict[str, list[int]]     # what the cycle's reads saw
     warnings: list[tuple[int, str, str]] = dataclasses.field(
         default_factory=list)
 
@@ -146,7 +147,7 @@ def initial_state(circuit: Circuit) -> SimState:
     mem_conc = {m.mid: list(m.init) for m in circuit.memories}
     mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
     mem_width = {m.mid: m.width for m in circuit.memories}
-    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width)
+    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width, mem_conc)
 
 
 def simulate(circuit: Circuit, schedule: Schedule, stimuli: Stimuli,
@@ -222,7 +223,7 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
             mem_symb[mid][idx] = symb_v
 
     return SimState(circuit, t + 1, vals, state.current, mem_conc, mem_symb,
-                    state.mem_width, warnings)
+                    state.mem_width, state.mem_conc, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +554,12 @@ def _ucmp(a: Expr, b: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def consistency_check(state: SimState, witness: Mapping[str, int]) -> None:
-    """Assert conc == eval_concrete(symb, witness) on every simulated wire."""
+    """Assert conc == eval_concrete(symb, witness) on every simulated wire,
+    with ARRAY nodes evaluated over the contents the cycle's reads saw."""
     memo: dict = {}
     for uid in sorted(state.current):
         val = state.current[uid]
-        got = ex.eval_concrete(val.symb, witness, state.mem_conc, memo)
+        got = ex.eval_concrete(val.symb, witness, state.mem_read, memo)
         if got != val.conc:
             raise ConsistencyViolation(state.circuit.name(uid), val.conc, got)
 

@@ -4,11 +4,13 @@ Everything here re-derives expected behaviour from first principles, without
 going through the code paths under test: a direct big-integer evaluator for
 operator trees, a plain DFS cycle finder, and a brute-force concrete
 simulator used to cross-check stability and LeakSet claims by toggling the
-symbolic input bits of a cycle.
+symbolic input bits of a cycle. It also holds the wire selections that tests
+substitute for ``manager.wires_to_verify``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -567,3 +569,28 @@ def glitch_coverage_violations(fixture, sim_module, netlist_module,
                     violations += 1
         oracle.commit(base_vals)
     return checked, violations
+
+
+# ---------------------------------------------------------------------------
+# Wire selections to substitute for manager.wires_to_verify
+# ---------------------------------------------------------------------------
+
+def every_unit(circuit, index, model, state) -> list:
+    """Every wire, plus the split parents at support-wise granularity: the
+    selection that the reduced wire sets are checked against."""
+    units = [w.uid for w in circuit.wires]
+    if model.granularity == "sw":
+        units += [s.parent_name for s in circuit.splits]
+    return units
+
+
+def glitch_rule_at_t(select):
+    """``select`` (the real ``wires_to_verify``) with the glitch-only rule
+    for the over-approximated model: its selection rules evaluated at cycle
+    t only, without the stability-at-t-1 extension."""
+    def at_t(circuit, index, model, state):
+        if model.overapprox:
+            model = dataclasses.replace(model, transitions=False,
+                                        overapprox=False)
+        return select(circuit, index, model, state)
+    return at_t

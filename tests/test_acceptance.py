@@ -89,7 +89,7 @@ def _last_state(fixture):
     return _states(fixture.circuit, fixture.stimuli)[-1]
 
 
-def test_criterion_3_fig7_reproduction():
+def test_criterion_3_fig7_reproduction(monkeypatch):
     start = time.time()
     fx = gadgets.gen_counterexamples()["fig7"]
     rows = _table(fx)
@@ -101,7 +101,9 @@ def test_criterion_3_fig7_reproduction():
     model = LeakageModel(glitches=True, transitions=True, overapprox=True)
     report = _report(fx, model)
     assert [(e.cycle, e.wire) for e in report.flagged()] == [(2, "i1")]
-    control = _report(fx, model, RunOptions(past_stability_rule=False))
+    monkeypatch.setattr(mg, "wires_to_verify",
+                        oracles.glitch_rule_at_t(mg.wires_to_verify))
+    control = _report(fx, model)
     assert not control.flagged()
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -179,7 +181,7 @@ def test_criterion_6_substitution_soundness():
                f"({elapsed:.1f}s)")
 
 
-def test_criterion_7_wire_reduction_equivalence():
+def test_criterion_7_wire_reduction_equivalence(monkeypatch):
     start = time.time()
     mismatches = 0
     for seed in range(200):
@@ -190,8 +192,9 @@ def test_criterion_7_wire_reduction_equivalence():
         assert len(fx.circuit.gates) <= 30
         model = LeakageModel(glitches=True, granularity=gran)
         reduced = run(fx.circuit, fx.stimuli, fx.labels, model)
-        full = run(fx.circuit, fx.stimuli, fx.labels, model,
-                   RunOptions(verify_all_wires=True))
+        with monkeypatch.context() as patch:
+            patch.setattr(mg, "wires_to_verify", oracles.every_unit)
+            full = run(fx.circuit, fx.stimuli, fx.labels, model)
         if {e.cycle for e in reduced.flagged()} != \
                 {e.cycle for e in full.flagged()}:
             mismatches += 1

@@ -195,9 +195,9 @@ def test_higher_order_view_over_changed_memory_is_inconclusive():
     assert (res.tuples_checked, res.leaking_tuple) == (1, (0, 1))
 
 
-def _written_table_circuit():
+def _written_table_circuit(cycles=1):
     """Input a reads ARRAY(t, k) from the 1-bit table t = [0, 1], and
-    t[0] = 1 is written at cycle 0."""
+    t[0] = 1 is written at cycle 0 (and again at every later cycle)."""
     doc = {
         "wires": [{"name": n, "width": 1} for n in ("a", "mw", "wi", "wv", "ww")],
         "inputs": ["a", "mw", "wi", "wv"], "outputs": ["ww"],
@@ -214,7 +214,7 @@ def _written_table_circuit():
     frame = sim.StimulusFrame({"a": ("expr", ex.array_lookup("t", ex.sym("k", 1), 1)),
                                "mw": ("expr", ex.sym("m", 1)),
                                "wi": ("const", (0, 1)), "wv": ("const", (1, 1))})
-    return circuit, labels, sim.Stimuli({"k": 0, "m": 1}, [frame])
+    return circuit, labels, sim.Stimuli({"k": 0, "m": 1}, [frame] * cycles)
 
 
 def test_higher_order_reads_the_contents_before_the_cycles_writes():
@@ -229,6 +229,19 @@ def test_higher_order_reads_the_contents_before_the_cycles_writes():
                                      LeakageModel(order=2), mode)
         assert res.verdict.status == "leaks", mode
         assert res.leaking_tuple == leak
+
+
+def test_run_reads_the_contents_before_the_cycles_writes():
+    # cycle 0 reads t = [0, 1], so a = k leaks; cycle 1 reads the written
+    # table [1, 1], so a is the constant 1: with and without the memo, and
+    # the consistency check evaluates a over the same contents
+    circuit, labels, stimuli = _written_table_circuit(cycles=2)
+    for opts in (RunOptions(), RunOptions(use_cache=False),
+                 RunOptions(check_consistency=True)):
+        report = run(circuit, stimuli, labels, LeakageModel(), opts)
+        verdicts = {(e.cycle, e.wire): e.verdict.status
+                    for e in report.entries if e.wire == "a"}
+        assert verdicts == {(0, "a"): "leaks", (1, "a"): "secure"}, opts
 
 
 def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():

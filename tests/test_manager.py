@@ -14,6 +14,8 @@ from probewise.manager import (BIT, SUPPORT_WISE, LeakageModel, RunOptions,
                                wires_to_verify)
 from probewise.verify import make_expr_set
 
+import oracles
+
 
 def _states(fixture):
     sched = netlist.validate_and_schedule(fixture.circuit)
@@ -259,30 +261,29 @@ def test_overapprox_counters():
         assert report.summary.verified_expr <= report.summary.expr_to_verify
 
 
-def test_bit_flags_imply_support_wise_flags():
+def test_bit_flags_imply_support_wise_flags(monkeypatch):
+    monkeypatch.setattr(mg, "wires_to_verify", oracles.every_unit)
     for seed in (2, 5, 8, 13):
         fx = gadgets.gen_random_circuit(seed + 300, n_gates=18, cycles=3)
-        opts = RunOptions(verify_all_wires=True)
         bit_rep = run(fx.circuit, fx.stimuli, fx.labels,
-                      LeakageModel(glitches=True, granularity=BIT), opts)
+                      LeakageModel(glitches=True, granularity=BIT))
         sw_rep = run(fx.circuit, fx.stimuli, fx.labels,
-                     LeakageModel(glitches=True, granularity=SUPPORT_WISE),
-                     opts)
+                     LeakageModel(glitches=True, granularity=SUPPORT_WISE))
         sw_flagged = {(e.cycle, e.wire) for e in sw_rep.flagged()}
         for e in bit_rep.flagged():
             wire = e.wire.rsplit("[", 1)[0]
             assert (e.cycle, wire) in sw_flagged
 
 
-def test_model_inclusion_on_random_circuits():
+def test_model_inclusion_on_random_circuits(monkeypatch):
+    monkeypatch.setattr(mg, "wires_to_verify", oracles.every_unit)
     for seed in (1, 4, 7):
         fx = gadgets.gen_random_circuit(seed + 400, n_gates=16, cycles=3,
                                         max_symbol_bits_per_cycle=6)
-        opts = RunOptions(verify_all_wires=True)
         flags = {}
         for g, t in ((1, 1), (0, 0), (0, 1), (1, 0)):
             model = LeakageModel(glitches=bool(g), transitions=bool(t))
-            rep = run(fx.circuit, fx.stimuli, fx.labels, model, opts)
+            rep = run(fx.circuit, fx.stimuli, fx.labels, model)
             flags[(g, t)] = {(e.cycle, e.wire) for e in rep.flagged()}
         for weaker in ((0, 0), (0, 1), (1, 0)):
             assert flags[weaker] <= flags[(1, 1)]
@@ -312,7 +313,7 @@ def test_warning_on_symbolic_mux_selector():
 # Expression-set identity and d-uplets
 # ---------------------------------------------------------------------------
 
-def test_reduction_covers_stable_mux_selector_drop():
+def test_reduction_covers_stable_mux_selector_drop(monkeypatch):
     # A register-held selector becomes stable, which drops the non-selected
     # input's LeakSet from the mux output; the reduced wire set must still
     # flag the secret carried by that input, like the all-wires run does.
@@ -336,8 +337,8 @@ def test_reduction_covers_stable_mux_selector_drop():
     stimuli = sim.Stimuli({"k": 1, "m": 0}, frames)
     model = LeakageModel(glitches=True)
     reduced = run(circuit, stimuli, labels, model)
-    full = run(circuit, stimuli, labels, model,
-               RunOptions(verify_all_wires=True))
+    monkeypatch.setattr(mg, "wires_to_verify", oracles.every_unit)
+    full = run(circuit, stimuli, labels, model)
     assert {e.cycle for e in reduced.flagged()} == \
         {e.cycle for e in full.flagged()}
     # the dropped input is the secret-carrying one and it is flagged directly
@@ -377,7 +378,6 @@ def test_expr_set_tuples_identify_member_sets():
     # The verdict memo is keyed by ``exprs``: the same members in any order
     # must give the same tuple, and distinct member sets distinct tuples.
     rng = random.Random(3)
-    import oracles
     symbols = {"a": 1, "b": 2, "c": 3}
     sets = {}
     for _ in range(10_000):
@@ -490,7 +490,7 @@ def test_higher_order_temporal_and_mixed_modes():
     assert mixed.verdict.status == "leaks"   # (a0, a1) across any cycles
 
 
-def test_overapprox_never_misses_standard_leaks():
+def test_overapprox_never_misses_standard_leaks(monkeypatch):
     # Per-cycle flags of the over-approximated reduced run must cover the
     # flags of the standard (1,1) verification over all wires.
     for seed in range(40):
@@ -499,9 +499,10 @@ def test_overapprox_never_misses_standard_leaks():
         over = run(fx.circuit, fx.stimuli, fx.labels,
                    LeakageModel(glitches=True, transitions=True,
                                 overapprox=True))
-        std = run(fx.circuit, fx.stimuli, fx.labels,
-                  LeakageModel(glitches=True, transitions=True),
-                  RunOptions(verify_all_wires=True))
+        with monkeypatch.context() as patch:
+            patch.setattr(mg, "wires_to_verify", oracles.every_unit)
+            std = run(fx.circuit, fx.stimuli, fx.labels,
+                      LeakageModel(glitches=True, transitions=True))
         over_cycles = {e.cycle for e in over.flagged()}
         assert {e.cycle for e in std.flagged()} <= over_cycles
 
