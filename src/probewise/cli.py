@@ -72,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--reset-unstable", action="store_true",
                    help="treat registers as unstable at cycle 0")
     v.add_argument("--check-consistency", action="store_true")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--report", default=None, help="write the JSONL report here")
 
     for name in ("ni", "sni"):
@@ -114,7 +113,16 @@ def _leakage_model(args) -> mg.LeakageModel:
                    **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _below(flag: str, value: int, least: int) -> bool:
+    """Print the usage error of an integer flag below ``least``."""
+    if value < least:
+        print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+    return value < least
+
+
 def _cmd_verify(args) -> int:
+    if _below("--enum-limit", args.enum_limit, 0):
+        return EXIT_USAGE
     try:
         netlist_text = Path(args.netlist).read_text()
         labels_text = Path(args.labels).read_text()
@@ -138,7 +146,6 @@ def _cmd_verify(args) -> int:
         reset_unstable=args.reset_unstable,
         keep_going=args.keep_going,
         check_consistency=args.check_consistency,
-        jobs=args.jobs,
     )
     try:
         if model.order > 1:
@@ -195,10 +202,11 @@ def _higher_order(args, circuit, stimuli, labels, model, options) -> int:
 
 def _cmd_ni(args, strong: bool) -> int:
     d = args.verif_order if args.verif_order is not None else args.order
-    for flag, value in (("--order", args.order), ("--verif-order", d),
-                        ("--cycles", args.cycles)):
-        if value < 1:
-            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+    for flag, value, least in (("--order", args.order, 1),
+                               ("--verif-order", d, 1),
+                               ("--cycles", args.cycles, 1),
+                               ("--enum-limit", args.enum_limit, 0)):
+        if _below(flag, value, least):
             return EXIT_USAGE
     gen = gadgets.gen_dom_and if args.gadget == "dom_and" else gadgets.gen_isw_and
     _, _, _, spec = gen(args.order, cycles=args.cycles)

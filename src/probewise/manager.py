@@ -345,7 +345,6 @@ class RunOptions:
     keep_going: bool = False                # consistency violations warn
     check_consistency: bool = False
     memory_hook: sm.MemoryHook | None = None
-    jobs: int = 1
 
 
 def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
@@ -411,19 +410,13 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 def _dispatch(requests, cache: dict[Key, Verdict], labels: SymbolTable,
               options: RunOptions, report: LeakReport) -> list[Verdict]:
     """Resolve every request's verdict; each distinct new key is decided
-    once, in parallel when requested."""
+    once."""
     keys = [key for _, _, key in requests]
     if options.use_cache:
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
     else:
         fresh = keys
-    solve = partial(decide, labels, options.enum_limit)
-    if options.jobs > 1 and len(fresh) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            solved = list(pool.map(solve, fresh))
-    else:
-        solved = [solve(key) for key in fresh]
+    solved = [decide(labels, options.enum_limit, key) for key in fresh]
     report.summary.verified_expr += len(fresh)
     if not options.use_cache:
         return solved

@@ -27,6 +27,16 @@ Two engines back the verdicts:
   histogram is constant. The witness is read from the first uneven group
   only on failure.
 
+  Public values are enumerated in key order, one range at a time, and the
+  check stops at the first range with an uneven group. The publics hold
+  the top bits of the row index, so each public value is one contiguous
+  run of rows, and every group lies inside one public value. The first bad
+  group of the first leaking range is therefore the first bad group of the
+  whole space, with the same counts, and the verdict and witness are those
+  of a single pass; only the rows past it are never built. A range holds
+  at least 2^14 rows, doubling up to 2^20 but never less than one public
+  value, so a leak usually costs a small prefix of the space.
+
 :func:`check` runs substitution first and falls back to enumeration within
 a configurable bit budget; past the budget the verdict is Inconclusive and
 must be treated as a potential false positive.
@@ -289,19 +299,27 @@ def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
 
 @dataclass
 class _Space:
-    """Cartesian assignment space over base variables, with derived shares."""
+    """Cartesian assignment space over base variables, with derived shares;
+    ``cols`` hold the ``rows`` rows last materialised."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
     total_bits: int
     cols: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: int = 0
 
     @property
     def size(self) -> int:
         return 1 << self.total_bits
 
-    def materialise(self, derived: Mapping[str, tuple[str, list[str]]]) -> None:
-        idx = np.arange(self.size, dtype=np.int64)
+    def materialise(self, derived: Mapping[str, tuple[str, list[str]]],
+                    start: int = 0, stop: int | None = None) -> None:
+        """Columns of the rows ``[start, stop)``, by default all of them; they
+        replace those of the range materialised before."""
+        stop = self.size if stop is None else stop
+        idx = np.arange(start, stop, dtype=np.int64)
+        self.rows = stop - start
+        self.cols = {}
         for name in self.order:
             self.cols[name] = (idx >> self.offsets[name]) & mask(self.widths[name])
         for share, (secret, others) in derived.items():
@@ -317,7 +335,9 @@ class _Space:
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                shares_free: bool) -> tuple[_Space, dict, list[str], list[str]]:
     """Enumeration space (not yet materialised), derived-share map, secret
-    vars, public vars; raises TooLarge past ``limit`` bits."""
+    vars, public vars; raises TooLarge past ``limit`` bits. The publics take
+    the top bits of the row index, the first in key order most significant,
+    so a public value is a contiguous run of rows."""
     base: list[tuple[str, int]] = []
     derived: dict[str, tuple[str, list[str]]] = {}
     secrets: list[str] = []
@@ -362,6 +382,9 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                 add(o, labels.width(o))
             derived[name] = (parent, others)
 
+    # publics were added in name order: reversed, the first ends on top
+    base = [b for b in base if b[0] not in publics] \
+        + [(n, labels.width(n)) for n in reversed(publics)]
     offsets: dict[str, int] = {}
     off = 0
     for name, width in base:
@@ -370,7 +393,7 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
     if off > limit:
         raise TooLarge(off, limit)
     space = _Space([n for n, _ in base], offsets, {n: w for n, w in base}, off)
-    return space, derived, sorted(set(secrets)), sorted(set(publics))
+    return space, derived, sorted(set(secrets)), publics
 
 
 _INT64_WIDTH = 31   # int64 holds products and sums of values this wide
@@ -481,7 +504,7 @@ def _base_parts(names: Sequence[str], space: _Space) -> list[tuple[np.ndarray, i
 
 def _member_parts(exprs: Sequence[Expr], space: _Space, mems,
                   memo: dict) -> list[tuple[np.ndarray, int | None]]:
-    return [(_eval_column(e, space.cols, space.size, mems, memo),
+    return [(_eval_column(e, space.cols, space.rows, mems, memo),
              (1 << e.width) if e.width <= _INT64_WIDTH else None)
             for e in exprs]
 
@@ -562,10 +585,27 @@ def _format_tuple(exprs: Sequence[Expr], memo: dict, row: int) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
+_FIRST_RANGE_ROWS = 1 << 14   # rows of the first range of public values
+_MAX_RANGE_ROWS = 1 << 20     # later ranges double up to this many rows
+
+
+def _public_ranges(size: int, block: int) -> Iterator[tuple[int, int]]:
+    """Row ranges ``[start, stop)`` that cover ``size`` rows in ascending
+    order, each a whole number of ``block``-row public values: at least
+    ``_FIRST_RANGE_ROWS`` rows, then twice as many each time up to
+    ``_MAX_RANGE_ROWS``, and never less than one block."""
+    start, rows = 0, _FIRST_RANGE_ROWS
+    while start < size:
+        stop = min(size, start + -(-rows // block) * block)
+        yield start, stop
+        start, rows = stop, min(2 * rows, _MAX_RANGE_ROWS)
+
+
 def check_enumeration(eset: ExprSet, labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT,
                       memories: Mapping[str, Sequence[int]] | None = None) -> Verdict:
-    """Exact independence check by exhausting all symbol assignments."""
+    """Exact independence check by exhausting all symbol assignments, one
+    range of public values at a time; the first range that leaks decides."""
     symbols = set()
     for e in eset.exprs:
         symbols |= symbols_of(e)
@@ -573,16 +613,23 @@ def check_enumeration(eset: ExprSet, labels: SymbolTable,
                                                   shares_free=False)
     if not secrets:
         return Verdict.secure()
-    space.materialise(derived)
+    low = space.total_bits - sum(space.widths[p] for p in publics)
     memo: dict = {}
-    groups, n_groups = _pack(_base_parts(publics, space)
-                             + _member_parts(eset.exprs, space, memories, memo))
-    vary, n_vary = _pack(_base_parts(secrets, space))
-    bad = _first_bad_group(groups, n_groups, vary, n_vary)
-    if bad is None:
-        return Verdict.secure()
-    return Verdict.leaks(_witness(*bad, space, eset.exprs, memo, secrets,
-                                  publics))
+    for start, stop in _public_ranges(space.size, 1 << low):
+        memo.clear()
+        space.materialise(derived, start, stop)
+        parts = _member_parts(eset.exprs, space, memories, memo)
+        if stop - start > 1 << low:
+            # the publics packed in key order are the row index's top bits
+            value = np.arange(start, stop, dtype=np.int64) >> low
+            parts.insert(0, (value - (start >> low), (stop - start) >> low))
+        groups, n_groups = _pack(parts)
+        vary, n_vary = _pack(_base_parts(secrets, space))
+        bad = _first_bad_group(groups, n_groups, vary, n_vary)
+        if bad is not None:
+            return Verdict.leaks(_witness(*bad, space, eset.exprs, memo,
+                                          secrets, publics))
+    return Verdict.secure()
 
 
 def check(eset: ExprSet, labels: SymbolTable,

@@ -420,28 +420,32 @@ def _assignments(base, derived):
         yield a
 
 
-def independence_bruteforce(exprs, labels, memories=None) -> bool:
-    """Dict-counting twin of the enumeration verdict.
-
-    The set is independent iff, for every public assignment, the joint
-    histogram of the expression tuple is the same for every secret
-    assignment (see ``_basis`` for the variables enumerated).
-    """
+def leaking_publics(exprs, labels, memories=None) -> list[dict[str, int]]:
+    """Every public assignment under which the joint histogram of the
+    expression tuple differs between secret assignments, in key order
+    (public names sorted, the first most significant); see ``_basis`` for
+    the variables enumerated."""
     base, derived, secrets, publics = _basis(exprs, labels)
     if not secrets:
-        return True
+        return []
+    names = sorted(publics)
     hists: dict[tuple, dict[tuple, dict]] = {}
     for a in _assignments(base, derived):
-        pk = tuple(a[n] for n in sorted(publics))
+        pk = tuple(a[n] for n in names)
         sk = tuple(a[n] for n in sorted(secrets))
         value = tuple(ex.eval_concrete(e, a, memories) for e in exprs)
         hist = hists.setdefault(pk, {}).setdefault(sk, {})
         hist[value] = hist.get(value, 0) + 1
-    for by_secret in hists.values():
-        per_secret = list(by_secret.values())
-        if any(h != per_secret[0] for h in per_secret[1:]):
-            return False
-    return True
+    return [dict(zip(names, pk)) for pk, by_secret in sorted(hists.items())
+            if any(h != next(iter(by_secret.values()))
+                   for h in by_secret.values())]
+
+
+def independence_bruteforce(exprs, labels, memories=None) -> bool:
+    """Dict-counting twin of the enumeration verdict: the set is independent
+    iff, for every public assignment, the joint histogram of the expression
+    tuple is the same for every secret assignment."""
+    return not leaking_publics(exprs, labels, memories)
 
 
 def joint_value_counts(exprs, labels, pinned, shares_free=False,

@@ -276,6 +276,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "symbols[1].secret: 'z01' is not a declared secret"),
     (_share_a0(width=2),
      "symbols[1].width: 2 differs from the width of secret 'a'"),
+    (lambda fixture_dir, tmp_path: ["--enum-limit", "-1"],
+     "--enum-limit must be >= 0, got -1"),
 ], ids=["gate-output", "label-width", "frame-inputs", "frame-not-object",
         "model-2x", "model-20", "gate-inputs-int", "label-width-null",
         "label-width-negative", "labels-list", "label-not-object",
@@ -287,7 +289,7 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "frame-cycle-null",
         "witness-int", "witness-missing", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
-        "share-width"])
+        "share-width", "enum-limit-negative"])
 def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
                                                mutate, message):
     # later flags override the valid fig5 paths
@@ -353,7 +355,9 @@ def test_mutated_fixture_exit_codes(fixture_dir, tmp_path_factory,
     (["--order", "0"], "--order must be >= 1, got 0"),
     (["--order", "1", "--verif-order", "0"], "--verif-order must be >= 1, got 0"),
     (["--order", "1", "--cycles", "0"], "--cycles must be >= 1, got 0"),
-], ids=["order-0", "verif-order-0", "cycles-0"])
+    (["--order", "1", "--enum-limit", "-1"],
+     "--enum-limit must be >= 0, got -1"),
+], ids=["order-0", "verif-order-0", "cycles-0", "enum-limit-negative"])
 def test_ni_sni_reject_arguments_below_1(capsys, command, args, message):
     code = main([command, "--gadget", "dom_and", *args])
     captured = capsys.readouterr()

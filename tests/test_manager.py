@@ -234,17 +234,6 @@ def test_stop_on_first_leak():
     assert report.summary.cycles == flagged[0].cycle + 1   # run terminates
 
 
-def test_parallel_jobs_match_sequential():
-    fx = gadgets.gen_random_circuit(31, n_gates=22, cycles=3)
-    model = LeakageModel(glitches=True, transitions=True)
-    for stop in (False, True):
-        seq = run(fx.circuit, fx.stimuli, fx.labels, model,
-                  RunOptions(stop_on_first_leak=stop))
-        par = run(fx.circuit, fx.stimuli, fx.labels, model,
-                  RunOptions(jobs=4, stop_on_first_leak=stop))
-        assert seq.to_jsonl() == par.to_jsonl()
-
-
 def test_overapprox_counters():
     # rr1sw's expr_to_verify counts what the same model without the
     # over-approximation dispatches.

@@ -371,11 +371,14 @@ def test_ni_sni_witness_counts_match_bruteforce(checker, gen, order, glitches):
 
 
 def _agrees_with_oracle(exprs, labels, memories=None):
+    """The verdict is the brute-force one, and a leak's witness is fixed at
+    the smallest leaking public assignment in key order, with true counts."""
     eset = make_expr_set(exprs)
     v = check_enumeration(eset, labels, memories=memories)
-    assert v.is_secure == oracles.independence_bruteforce(
-        eset.exprs, labels, memories), [ex.render(e) for e in eset.exprs]
+    leaking = oracles.leaking_publics(eset.exprs, labels, memories)
+    assert v.is_secure == (not leaking), [ex.render(e) for e in eset.exprs]
     if v.status == vf.LEAKS:
+        assert v.witness.fixed == leaking[0]
         _assert_witness_counts(eset.exprs, labels, v.witness,
                                memories=memories)
     return v
@@ -466,6 +469,158 @@ def test_kernel_array_reads():
     flat = {"t": [0, 0, 0, 1]}
     assert _agrees_with_oracle([ex.array_lookup("t", k, 2)], labels,
                                flat).status == vf.LEAKS
+
+
+# ---------------------------------------------------------------------------
+# Range-wise enumeration of public values
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """The row ranges ``[start, stop)`` materialised, in call order."""
+    seen = []
+    materialise = vf._Space.materialise
+
+    def spy(space, derived, start=0, stop=None):
+        seen.append((start, space.size if stop is None else stop))
+        materialise(space, derived, start, stop)
+
+    monkeypatch.setattr(vf._Space, "materialise", spy)
+    return seen
+
+
+@pytest.fixture
+def small_ranges(monkeypatch, ranges):
+    """Ranges of 4 rows first, doubling up to 16: small sets span many."""
+    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", 4)
+    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", 16)
+    return ranges
+
+
+def _at_least(e, t):
+    """1 exactly when the unsigned value of ``e`` is at least ``t`` >= 1."""
+    w = e.width
+    return ex.bit(ex.build("ADD", [ex.zext(e, w + 1),
+                                   ex.cst((1 << w) - t, w + 1)]), w)
+
+
+@pytest.fixture
+def two_publics():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    labels.declare("pa", 7, ex.PUBLIC)
+    labels.declare("pb", 4, ex.PUBLIC)
+    # (pa, pb) read as one 11-bit number, pa most significant: key order
+    return labels, ex.concat([s("pa", 7), s("pb", 4)])
+
+
+def test_range_first_leak_past_the_first_range(ranges, two_publics):
+    labels, pub = two_publics
+    k, m = s("k"), s("m", 3)
+    # 16 rows per public value: the first range holds values 0-1023
+    leak = [ex.build("AND", [k, _at_least(pub, 1500)]), xor(k, ex.bit(m, 0))]
+    v = _agrees_with_oracle(leak, labels)
+    assert v.witness.fixed == {"pa": 1500 >> 4, "pb": 1500 & 15}
+    assert ranges == [(0, 1 << 14), (1 << 14, 1 << 15)]
+
+
+def test_range_secure_set_spans_every_range(ranges, two_publics):
+    labels, pub = two_publics
+    k, m = s("k"), s("m", 3)
+    secure = [xor(k, ex.bit(m, 0), ex.bit(pub, 0)),
+              ex.build("AND", [_at_least(pub, 1500), ex.bit(m, 1)]),
+              ex.extract(pub, 3, 10)]
+    assert _agrees_with_oracle(secure, labels).is_secure
+    assert ranges == [(0, 1 << 14), (1 << 14, 1 << 15)]
+
+
+def test_range_without_publics_is_one_pass(ranges):
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 19, ex.MASK)
+    k, top = s("k"), ex.bit(s("m", 19), 18)
+    # secure, though m's top bit is 0 on every row of the first 2^14: the
+    # space is not cut where no public value ends
+    assert check_enumeration(make_expr_set([xor(k, top)]), labels).is_secure
+    v = check_enumeration(make_expr_set([ex.build("AND", [k, top])]), labels)
+    assert v.witness.fixed == {}
+    assert v.witness.evidence.endswith("occurs 524288 vs 262144 times")
+    assert ranges == [(0, 1 << 20)] * 2
+
+
+def test_range_without_publics_past_the_cap(small_ranges):
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 5, ex.MASK)
+    k, top = s("k"), ex.bit(s("m", 5), 4)
+    assert _agrees_with_oracle([xor(k, top)], labels).is_secure
+    assert _agrees_with_oracle([ex.build("AND", [k, top])],
+                              labels).status == vf.LEAKS
+    assert small_ranges == [(0, 64)] * 2
+
+
+def test_range_wide_member(small_ranges):
+    labels = SymbolTable()
+    labels.declare("k", 2, ex.SECRET)
+    labels.declare("m", 2, ex.MASK)
+    labels.declare("p", 3, ex.PUBLIC)
+    k, m, p = s("k", 2), s("m", 2), s("p", 3)
+    flag = _at_least(p, 5)
+    secure = ex.concat([ex.cst(0, 36), xor(k, m), flag])
+    assert _agrees_with_oracle([secure], labels).is_secure
+    leak = ex.concat([ex.cst(0, 36), xor(k, m),
+                      ex.build("AND", [flag, ex.bit(k, 0)])])
+    assert _agrees_with_oracle([leak], labels).witness.fixed == {"p": 5}
+    # 16 rows per public value: one value per range, the leak in the sixth
+    assert small_ranges[-1] == (80, 96)
+
+
+def test_range_array_read(small_ranges):
+    labels = SymbolTable()
+    labels.declare("k", 2, ex.SECRET)
+    labels.declare("m", 2, ex.MASK)
+    labels.declare("p", 3, ex.PUBLIC)
+    k, m, p = s("k", 2), s("m", 2), s("p", 3)
+    mems = {"s": [3, 1, 0, 2], "t": [0, 0, 0, 1, 0, 1, 1, 1]}
+    sbox = ex.array_lookup("s", xor(k, m), 2)
+    exposed = ex.build("AND", [ex.bit(m, 0), ex.array_lookup("t", p, 1)])
+    assert _agrees_with_oracle([sbox, ex.array_lookup("t", p, 1)], labels,
+                              mems).is_secure
+    v = _agrees_with_oracle([sbox, exposed], labels, mems)
+    assert v.witness.fixed == {"p": 3}
+
+
+def test_range_secret_through_its_top_share_only(small_ranges):
+    labels = SymbolTable()
+    labels.declare("a", 1, ex.SECRET)
+    for i in range(3):
+        labels.declare(f"a{i}", 1, ex.SHARE, secret="a", index=i)
+    labels.declare("p", 3, ex.PUBLIC)
+    flag = _at_least(s("p", 3), 5)
+    members = [s("a2"), ex.build("AND", [flag, s("a0")])]
+    assert _agrees_with_oracle(members, labels).is_secure
+    members.append(ex.build("AND", [flag, s("a1")]))
+    small_ranges.clear()
+    v = _agrees_with_oracle(members, labels)
+    assert v.witness.fixed == {"p": 5} and set(v.witness.vary_a) == {"a"}
+    # 8 rows per public value; the fourth range holds values 4 and 5
+    assert small_ranges == [(0, 8), (8, 16), (16, 32), (32, 48)]
+
+
+@pytest.mark.parametrize("first, cap", [(1, 2), (4, 16)])
+def test_range_wise_random_sets(monkeypatch, first, cap):
+    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", first)
+    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", cap)
+    rng = random.Random(first)
+    leaks = 0
+    for _ in range(150):
+        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        symbols = {n for e in exprs for n in ex.symbols_of(e)}
+        if sum(labels.width(n) for n in symbols) > 12:
+            continue
+        leaks += _agrees_with_oracle(exprs, labels).status == vf.LEAKS
+    assert leaks > 10
 
 
 # ---------------------------------------------------------------------------
