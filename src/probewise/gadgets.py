@@ -149,10 +149,7 @@ def _masked_and(d: int, cycles: int, registered: bool):
     stimuli = Stimuli(_masked_and_witness(d),
                       _frames_from_symbols(names, cycles, labels.widths()))
     spec = GadgetSpec(circuit, labels, stimuli,
-                      secrets={"a": [f"a{i}" for i in range(n)],
-                               "b": [f"b{i}" for i in range(n)]},
-                      output_wires=tuple(outputs),
-                      randomness=tuple(masks), order=d)
+                      output_wires=tuple(outputs), order=d)
     return circuit, labels, stimuli, spec
 
 

@@ -125,9 +125,6 @@ class LeakReport:
     warnings: list[tuple[int, str, str]] = field(default_factory=list)
     summary: Summary = field(default_factory=Summary)
 
-    def leaking_cycles(self) -> list[int]:
-        return sorted({e.cycle for e in self.entries if not e.verdict.is_secure})
-
     def flagged(self) -> list[ReportEntry]:
         return [e for e in self.entries if not e.verdict.is_secure]
 
@@ -358,6 +355,9 @@ def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
 def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         model: LeakageModel, options: RunOptions | None = None) -> LeakReport:
     """Simulate every frame and verify the selected wires each cycle."""
+    if model.order != 1:
+        raise ValueError(f"run checks order 1, not {model.order}: use "
+                         f"verify_higher_order")
     options = options or RunOptions()
     states = _simulate(circuit, stimuli, model, options)
     index = structural_index(circuit)
@@ -446,12 +446,12 @@ def _baseline_count(circuit: Circuit, index: StructuralIndex,
 SPATIAL = "spatial"
 TEMPORAL = "temporal"
 MIXED = "mixed"
+_TUPLE_CAP = 10 ** 6   # d-uplets of one run; more raise TooMany before any walk
 
 
 def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                         model: LeakageModel, mode: str = SPATIAL,
-                        options: RunOptions | None = None,
-                        cap: int = 10 ** 6) -> TupleResult:
+                        options: RunOptions | None = None) -> TupleResult:
     """Check every d-uplet of probe positions under the given model.
 
     spatial: wire d-uplets, each combination checked at every cycle;
@@ -493,4 +493,5 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             yield union.exprs, reads
 
     return vf.check_tuples(positions, (model.order,), observe,
-                           partial(decide, labels, options.enum_limit), cap)
+                           partial(decide, labels, options.enum_limit),
+                           _TUPLE_CAP)

@@ -1,54 +1,39 @@
 """Statistical-independence checking of expression sets against labeled secrets.
 
-Two engines back the verdicts:
+A set (is it independent of the secrets?) and a probe tuple (can a
+simulator with a budget of each secret's shares reproduce it?) climb one
+ladder; the first step that decides wins:
 
-* :func:`check_substitution` — the classic bijective-mask rule. A mask whose
-  single use sits under an XOR node (reachable from a member root through
-  XOR/CONCAT/extraction context only) makes that XOR subterm uniform, so it
-  is replaced by a fresh mask. The set is independent of every secret if
-  its symbols, or else those left at the fixpoint, include no secret and, of
-  each secret, only a proper subset of its shares. Sound, never complete.
+1. :func:`_share_count_proves` on the members' symbols: with no budget, no
+   secret and a proper subset of each sharing; else at most the budget of
+   each sharing.
+2. The same count on the symbols :func:`_substitution_fixpoint` leaves. A
+   mask whose single use sits under an XOR node (reachable from a member
+   root through XOR/CONCAT/extraction context only) makes that XOR subterm
+   uniform, so it is replaced by a fresh mask. Sound, never complete.
+3. :func:`_enumerate`, exact and witness-producing, over the space
+   :func:`_space_for` builds; past the bit budget it raises TooLarge. Shares
+   are tied to their parent secret by Boolean resharing (the top-index
+   share equals the secret XOR the others), or free for simulatability.
 
-* :func:`check_enumeration` — exact and witness-producing. All base symbols
-  are enumerated; shares are tied to their parent secret by Boolean
-  resharing (the top-index share equals the secret XOR the others). The set
-  is secure iff, for every public assignment, the joint distribution of the
-  member tuple over masks and free shares is the same for every secret
-  assignment.
+Enumeration takes (fixed, vary) selections: secure iff for some selection,
+within each public value, the joint distribution of the members and the
+fixed symbols is the same for every vary value. :func:`check_enumeration`
+varies the secrets; a probe tuple fixes each selection of its budget of
+shares, varies the other shares and marginalises the publics.
 
-  The test is a counting kernel (:func:`_first_bad_group`). Publics and
-  members are packed into one order-preserving int64 group key, publics
-  most significant; secrets into a vary key. Keys of base variables are
-  bit fields in which every combination occurs, so they are dense and
-  sorted as packed. The one sort left per call densifies the group key when
-  its bound exceeds the row count (wide members and int64 overflow while
-  packing also densify). ``np.bincount`` then counts rows per group and per
-  (group, vary value); the set is secure iff every group's row of that
-  histogram is constant. The witness is read from the first uneven group
-  only on failure.
+The test is a counting kernel (:func:`_first_bad_group`) over int64 keys
+packed in order by :func:`_pack`: the publics or the fixed symbols (never
+both), then the members, form the group key, the vary symbols the vary
+key. A selection is invariant iff each group's rows are spread alike over
+the vary values. Public values are walked in key order, one range at a
+time, and the first range that leaks decides.
 
-  Public values are enumerated in key order, one range at a time, and the
-  check stops at the first range with an uneven group. The publics hold
-  the top bits of the row index, so each public value is one contiguous
-  run of rows, and every group lies inside one public value. The first bad
-  group of the first leaking range is therefore the first bad group of the
-  whole space, with the same counts, and the verdict and witness are those
-  of a single pass; only the rows past it are never built. A range holds
-  at least 2^14 rows, doubling up to 2^20 but never less than one public
-  value, so a leak usually costs a small prefix of the space.
-
-:func:`check` runs substitution first and falls back to enumeration within
-a configurable bit budget; past the budget the verdict is Inconclusive and
-must be treated as a potential false positive.
-
-NI/SNI predicates for gadget circuits use the same kernel, with probe tuples
-drawn from symbolic values (or flattened LeakSets when glitches are
-modelled), the selected shares as the fixed part of the group key and the
-other shares as the vary key, over every share-index selection. A tuple past
-the bit budget makes the verdict Inconclusive. A tuple is simulatable
-without enumeration when it holds at most the budget of each secret's
-shares, before or after the substitution fixpoint. NI/SNI and the
-higher-order d-uplet checks share one probe-tuple engine,
+:func:`check` runs steps 1 and 2 (:func:`check_substitution`), then 3; a
+set past the bit budget is Inconclusive, a potential false positive, and
+so is a probe tuple that neither count proves. Tuples are drawn from
+symbolic values (or flattened LeakSets when glitches are modelled); NI/SNI
+and the higher-order d-uplet checks share one probe-tuple engine,
 :func:`check_tuples`.
 """
 
@@ -256,37 +241,38 @@ def _substitution_fixpoint(exprs: Sequence[Expr],
     return {n for m in members for n in symbols_of(m) if n in labels}
 
 
-def _shares_within(symbols: set[str],
-                   sharings: Iterable[Sequence[str]],
-                   budget: int | None = None) -> bool:
+def _symbols(exprs: Iterable[Expr], labels: SymbolTable) -> set[str]:
+    """The symbols of ``exprs``; KeyError if one is not labeled."""
+    symbols: set[str] = set()
+    for e in exprs:
+        symbols |= symbols_of(e)
+    unlabeled = [n for n in symbols if n not in labels]
+    if unlabeled:
+        raise KeyError(f"symbol {min(unlabeled)!r} is not labeled")
+    return symbols
+
+
+def _share_count_proves(symbols: set[str], labels: SymbolTable,
+                        budget: int | None = None) -> bool:
     """``symbols`` hold at most ``budget`` shares of each sharing or, with no
-    budget, a proper subset of each, which is uniform and independent of
-    its secret."""
+    budget, no secret and a proper subset of each sharing, which is uniform
+    and independent of its secret."""
+    if budget is None and any(labels.kind(n) == ex.SECRET for n in symbols):
+        return False
     return all(sum(s in symbols for s in shares)
                <= (len(shares) - 1 if budget is None else budget)
-               for shares in sharings)
+               for shares in labels.sharings())
 
 
 def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
     """Prove independence by a share count on the members' symbols or, that
     failing, on those left after iterated bijective-mask replacement."""
-    symbols: set[str] = set()
-    for e in eset.exprs:
-        symbols |= symbols_of(e)
-    for name in symbols:
-        if name not in labels:
-            raise KeyError(f"symbol {name!r} is not labeled")
-
-    def independent(names: set[str]) -> bool:
-        return all(labels.kind(n) != ex.SECRET for n in names) \
-            and _shares_within(names, labels.sharings())
-
     # the fixpoint leaves a subset of the symbols: the first count is a
     # fast path that skips the fixpoint for most sets
-    if independent(symbols):
+    if _share_count_proves(_symbols(eset.exprs, labels), labels):
         return Verdict.secure()
     left = _substitution_fixpoint(eset.exprs, labels)
-    if independent(left):
+    if _share_count_proves(left, labels):
         return Verdict.secure()
     sensitive = sorted(n for n in left if labels.is_sensitive(n))
     return Verdict.inconclusive(
@@ -334,8 +320,9 @@ class _Space:
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                shares_free: bool) -> tuple[_Space, dict, list[str], list[str]]:
-    """Enumeration space (not yet materialised), derived-share map, secret
-    vars, public vars; raises TooLarge past ``limit`` bits. The publics take
+    """Enumeration space (not yet materialised) of labeled ``symbols``,
+    derived-share map, secret vars, public vars; raises TooLarge past
+    ``limit`` bits, the one bit count of the module. The publics take
     the top bits of the row index, the first in key order most significant,
     so a public value is a contiguous run of rows."""
     base: list[tuple[str, int]] = []
@@ -350,37 +337,31 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
             base.append((name, width))
 
     for name in sorted(symbols):
-        if name not in labels:
-            raise KeyError(f"symbol {name!r} is not labeled")
         kind = labels.kind(name)
-        width = labels.width(name)
-        if kind == ex.MASK:
-            add(name, width)
-        elif kind == ex.PUBLIC:
-            add(name, width)
-            publics.append(name)
-        elif kind == ex.SECRET:
-            add(name, width)
-            secrets.append(name)
-        elif kind == ex.SHARE and shares_free:
-            add(name, width)
-        else:  # share, tied to its parent secret
-            parent, index = labels.share_parent(name)
-            siblings = labels.shares_of(parent)
-            top = siblings[-1]
-            if name != top:
-                add(name, width)
-                continue
-            if parent not in labels:
-                raise KeyError(f"share {name!r} references undeclared secret "
-                               f"{parent!r}")
-            if parent not in seen:
-                add(parent, labels.width(parent))
-                secrets.append(parent)
-            others = [s for s in siblings if s != top]
-            for o in others:
-                add(o, labels.width(o))
-            derived[name] = (parent, others)
+        if kind != ex.SHARE or shares_free:   # a base variable
+            add(name, labels.width(name))
+            if kind == ex.PUBLIC:
+                publics.append(name)
+            elif kind == ex.SECRET:
+                secrets.append(name)
+            continue
+        # a share tied to its parent secret: the top one is derived
+        parent, _ = labels.share_parent(name)
+        siblings = labels.shares_of(parent)
+        top = siblings[-1]
+        if name != top:
+            add(name, labels.width(name))
+            continue
+        if parent not in labels:
+            raise KeyError(f"share {name!r} references undeclared secret "
+                           f"{parent!r}")
+        if parent not in seen:
+            add(parent, labels.width(parent))
+            secrets.append(parent)
+        others = [s for s in siblings if s != top]
+        for o in others:
+            add(o, labels.width(o))
+        derived[name] = (parent, others)
 
     # publics were added in name order: reversed, the first ends on top
     base = [b for b in base if b[0] not in publics] \
@@ -499,6 +480,7 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
 
 
 def _base_parts(names: Sequence[str], space: _Space) -> list[tuple[np.ndarray, int]]:
+    """Bit fields in which every combination occurs: dense, sorted as packed."""
     return [(space.cols[name], 1 << space.widths[name]) for name in names]
 
 
@@ -601,35 +583,71 @@ def _public_ranges(size: int, block: int) -> Iterator[tuple[int, int]]:
         start, rows = stop, min(2 * rows, _MAX_RANGE_ROWS)
 
 
+def _enumerate(exprs: Sequence[Expr], space: _Space,
+               derived: Mapping[str, tuple[str, list[str]]],
+               publics: Sequence[str],
+               selections: Sequence[tuple[list[str], list[str]]],
+               memories: Mapping[str, Sequence[int]] | None) -> Verdict:
+    """Secure iff some ``(fixed, vary)`` selection is invariant in every
+    range of public values; a leak carries the first selection's witness.
+
+    Ranges are walked in key order, and the walk stops at the first in which
+    no selection is invariant. The publics hold the top bits of the row
+    index, so each public value is one contiguous run of rows, and every
+    group lies inside one public value. The first bad group of the first
+    leaking range is therefore the whole space's, with the same counts, and
+    a leak usually costs a small prefix of the space. This needs the
+    publics to lead the group key: no selection may fix symbols when
+    ``publics`` are given."""
+    low = space.total_bits - sum(space.widths[p] for p in publics)
+    memo: dict = {}
+    alive = selections
+    witness: LeakWitness | None = None
+    for start, stop in _public_ranges(space.size, 1 << low):
+        memo.clear()
+        space.materialise(derived, start, stop)
+        parts = _member_parts(exprs, space, memories, memo)
+        if stop - start > 1 << low:
+            # the publics packed in key order are the row index's top bits
+            value = np.arange(start, stop, dtype=np.int64) >> low
+            parts.insert(0, (value - (start >> low), (stop - start) >> low))
+        members, n_members = _pack(parts)
+        dense = None
+        invariant = []
+        for sel in alive:
+            fixed, vary = sel
+            groups, n_groups = members, n_members
+            if fixed:
+                if dense is None:   # densify once, not once per selection
+                    dense = _dense(members) if n_members > space.rows \
+                        else (members, n_members)
+                groups, n_groups = _pack(_base_parts(fixed, space) + [dense])
+            bad = _first_bad_group(groups, n_groups,
+                                   *_pack(_base_parts(vary, space)))
+            if bad is None:
+                invariant.append(sel)
+                if stop == space.size:
+                    break   # invariant in every range: nothing else to see
+            elif sel is selections[0]:
+                witness = _witness(*bad, space, exprs, memo, vary,
+                                   [*publics, *fixed])
+        if not invariant:
+            return Verdict.leaks(witness)
+        alive = invariant
+    return Verdict.secure()
+
+
 def check_enumeration(eset: ExprSet, labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT,
                       memories: Mapping[str, Sequence[int]] | None = None) -> Verdict:
     """Exact independence check by exhausting all symbol assignments, one
     range of public values at a time; the first range that leaks decides."""
-    symbols = set()
-    for e in eset.exprs:
-        symbols |= symbols_of(e)
-    space, derived, secrets, publics = _space_for(symbols, labels, limit,
-                                                  shares_free=False)
+    space, derived, secrets, publics = _space_for(
+        _symbols(eset.exprs, labels), labels, limit, shares_free=False)
     if not secrets:
         return Verdict.secure()
-    low = space.total_bits - sum(space.widths[p] for p in publics)
-    memo: dict = {}
-    for start, stop in _public_ranges(space.size, 1 << low):
-        memo.clear()
-        space.materialise(derived, start, stop)
-        parts = _member_parts(eset.exprs, space, memories, memo)
-        if stop - start > 1 << low:
-            # the publics packed in key order are the row index's top bits
-            value = np.arange(start, stop, dtype=np.int64) >> low
-            parts.insert(0, (value - (start >> low), (stop - start) >> low))
-        groups, n_groups = _pack(parts)
-        vary, n_vary = _pack(_base_parts(secrets, space))
-        bad = _first_bad_group(groups, n_groups, vary, n_vary)
-        if bad is not None:
-            return Verdict.leaks(_witness(*bad, space, eset.exprs, memo,
-                                          secrets, publics))
-    return Verdict.secure()
+    return _enumerate(eset.exprs, space, derived, publics, [([], secrets)],
+                      memories)
 
 
 def check(eset: ExprSet, labels: SymbolTable,
@@ -708,14 +726,13 @@ class GadgetSpec:
     circuit: nl.Circuit
     labels: SymbolTable
     stimuli: Stimuli
-    secrets: dict[str, list[str]]       # secret name -> ordered share symbols
     output_wires: tuple[str, ...]
-    randomness: tuple[str, ...]
     order: int
 
     def __post_init__(self):
-        for secret, shares in self.secrets.items():
+        for shares in self.labels.sharings():
             if len(shares) != self.order + 1:
+                secret, _ = self.labels.share_parent(shares[0])
                 raise ValueError(f"secret {secret!r} declares {len(shares)} "
                                  f"shares for order {self.order}")
 
@@ -759,49 +776,30 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
     return probes
 
 
-def _simulatable(exprs: tuple[Expr, ...], gadget: GadgetSpec, budget: int,
+def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                  limit: int) -> Verdict:
     """Can a simulator with ``budget`` shares of each input reproduce the
-    joint distribution of ``exprs``? A leak carries the first witness."""
-    symbols = set()
-    for e in exprs:
-        symbols |= symbols_of(e)
-    # with shares free, every symbol is a base variable of the space
-    bits = sum(gadget.labels.width(n) for n in symbols)
-    if bits > limit:
-        raise TooLarge(bits, limit)
-    if _shares_within(symbols, gadget.secrets.values(), budget) or \
-            _shares_within(_substitution_fixpoint(exprs, gadget.labels),
-                           gadget.secrets.values(), budget):
+    joint distribution of ``exprs``? A leak carries the first selection's
+    witness."""
+    symbols = _symbols(exprs, labels)
+    if _share_count_proves(symbols, labels, budget) or \
+            _share_count_proves(_substitution_fixpoint(exprs, labels),
+                                labels, budget):
         return Verdict.secure()
-    present = {secret: [s for s in shares if s in symbols]
-               for secret, shares in gadget.secrets.items()}
-    space, derived, _, _ = _space_for(symbols, gadget.labels, limit,
-                                      shares_free=True)
-    space.materialise(derived)
-    memo: dict = {}
-    members, n_members = _pack(_member_parts(exprs, space, None, memo))
-    if n_members > space.size:   # densify once, not once per selection
-        members, n_members = _dense(members)
-    choices = []
-    for secret in sorted(present):
-        shares = present[secret]
-        k = min(budget, len(shares))
-        choices.append(list(itertools.combinations(shares, k)))
-    first_witness: LeakWitness | None = None
+    space, derived, _, _ = _space_for(symbols, labels, limit, shares_free=True)
+    by_secret = sorted(labels.sharings(),
+                       key=lambda shares: labels.share_parent(shares[0]))
+    present = [[s for s in shares if s in symbols] for shares in by_secret]
+    choices = [itertools.combinations(shares, min(budget, len(shares)))
+               for shares in present]
+    selections = []
     for selection in itertools.product(*choices):
         sel = sorted(n for combo in selection for n in combo)
-        non_sel = sorted(n for ps in present.values() for n in ps
+        non_sel = sorted(n for shares in present for n in shares
                          if n not in sel)
-        groups, n_groups = _pack(_base_parts(sel, space)
-                                 + [(members, n_members)])
-        vary, n_vary = _pack(_base_parts(non_sel, space))
-        bad = _first_bad_group(groups, n_groups, vary, n_vary)
-        if bad is None:
-            return Verdict.secure()
-        if first_witness is None:
-            first_witness = _witness(*bad, space, exprs, memo, non_sel, sel)
-    return Verdict.leaks(first_witness)
+        selections.append((sel, non_sel))
+    # the simulator draws the publics too: they are not conditioned on
+    return _enumerate(exprs, space, derived, [], selections, None)
 
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
@@ -814,7 +812,7 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
     def decide(key: tuple) -> Verdict:
         exprs, budget = key
         try:
-            return _simulatable(exprs, gadget, budget, limit)
+            return _simulatable(exprs, gadget.labels, budget, limit)
         except TooLarge as exc:
             return Verdict.inconclusive(str(exc))
 

@@ -116,7 +116,7 @@ def test_ni_sni_subcommands(capsys):
 
 def test_ni_over_enum_limit_is_inconclusive(capsys):
     code = main(["ni", "--gadget", "isw_and", "--order", "2",
-                 "--enum-limit", "4"])
+                 "--glitches", "true", "--enum-limit", "4"])
     out = capsys.readouterr().out
     assert code == 1
     assert "inconclusive" in out

@@ -184,9 +184,16 @@ def test_run_fig5_flags_exactly_i1():
     fx = gadgets.gen_counterexamples()["fig5"]
     report = run(fx.circuit, fx.stimuli, fx.labels,
                  LeakageModel(transitions=True))
-    assert report.leaking_cycles() == [1]
+    assert sorted({e.cycle for e in report.flagged()}) == [1]
     assert [(e.cycle, e.wire) for e in report.flagged()] == [(1, "i1")]
     assert report.summary.leaking_cycles == 1
+
+
+def test_run_rejects_a_higher_order_model():
+    fx = gadgets.gen_counterexamples()["fig5"]
+    with pytest.raises(ValueError, match="verify_higher_order"):
+        run(fx.circuit, fx.stimuli, fx.labels,
+            LeakageModel(transitions=True, order=2))
 
 
 def test_run_fig6_support_wise_vs_bit():

@@ -5,7 +5,6 @@ import json
 import math
 import re
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,8 +231,7 @@ def _refresh_gadget():
     labels.declare("z", 1, ex.MASK)
     frame = StimulusFrame({n: ("expr", ex.sym(n, 1)) for n in ("a0", "a1", "z")})
     stimuli = Stimuli({"a0": 0, "a1": 1, "z": 1}, [frame])
-    return GadgetSpec(circuit, labels, stimuli, {"a": ["a0", "a1"]},
-                      ("c0", "c1"), ("z",), order=1)
+    return GadgetSpec(circuit, labels, stimuli, ("c0", "c1"), order=1)
 
 
 def test_refresh_gadget_is_1_ni():
@@ -272,9 +270,10 @@ def test_secure_ni_sni_walks_every_tuple(checker, gen, glitches):
 
 def test_gadget_spec_validates_share_count():
     gadget = _refresh_gadget()
-    with pytest.raises(ValueError):
-        GadgetSpec(gadget.circuit, gadget.labels, gadget.stimuli,
-                   {"a": ["a0"]}, ("c0",), ("z",), order=1)
+    with pytest.raises(ValueError, match="secret 'a' declares 2 shares for "
+                                         "order 2"):
+        GadgetSpec(gadget.circuit, gadget.labels, gadget.stimuli, ("c0",),
+                   order=2)
 
 
 def test_ni_leak_carries_witness():
@@ -282,6 +281,19 @@ def test_ni_leak_carries_witness():
     res = check_ni(spec, 2, glitches=True)
     assert res.verdict.status == vf.LEAKS
     assert res.verdict.witness is not None and res.leaking_tuple
+
+
+def test_ni_tuple_a_count_proves_is_secure_past_the_limit():
+    # v01@0 needs 5 bits, but its mask z01 hides the cross products: the
+    # count after substitution proves it without enumeration
+    _, _, _, spec = gadgets.gen_isw_and(2)
+    assert check_ni(spec, 2, glitches=False, limit=4).verdict.is_secure
+
+
+def _secrets(labels):
+    """Each declared secret's shares, by share index."""
+    return {n: labels.shares_of(n) for n in labels
+            if labels.kind(n) == ex.SECRET}
 
 
 @pytest.mark.parametrize("gen, glitches", [
@@ -298,9 +310,10 @@ def test_simulatability_matches_bruteforce_oracle(gen, glitches):
         for combo in it.combinations(probes, q):
             union = tuple(sorted({e for p in combo for e in p.obs},
                                  key=ex.render))
-            fast = vf._simulatable(union, spec, budget, limit=20).is_secure
+            fast = vf._simulatable(union, spec.labels, budget,
+                                   limit=20).is_secure
             slow = oracles.simulatable_bruteforce(union, spec.labels,
-                                                  spec.secrets, budget)
+                                                  _secrets(spec.labels), budget)
             assert fast == slow, (q, budget, [p.describe() for p in combo])
 
 
@@ -694,9 +707,8 @@ def _assert_share_counts_sound(exprs, labels, secrets, memories, budget):
     if proved:
         assert oracles.independence_bruteforce(exprs, labels, memories), \
             [ex.render(e) for e in exprs]
-    gadget = SimpleNamespace(labels=labels, secrets=secrets)
     try:
-        secure = vf._simulatable(exprs, gadget, budget, limit=20).is_secure
+        secure = vf._simulatable(exprs, labels, budget, limit=20).is_secure
     except ex.UnboundSymbol:
         secure = False   # enumeration reached a table: no count decided it
     if secure:
@@ -742,8 +754,8 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
             for budget in {len(combo),
                            sum(1 for p in combo if not p.is_output)}:
                 if any(sum(n in symbols for n in shares) > budget
-                       for shares in spec.secrets.values()) and \
-                        vf._simulatable(exprs, spec, budget, 20).is_secure:
+                       for shares in labels.sharings()) and \
+                        vf._simulatable(exprs, labels, budget, 20).is_secure:
                     proven.add((exprs, budget))
     sets = []
     check = vf.check
@@ -766,4 +778,4 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
                                           for n in ex.symbols_of(e)})
     assert len(proven) > 100
     for exprs, budget in proven:
-        assert vf._simulatable(exprs, spec, budget, 20).is_secure
+        assert vf._simulatable(exprs, labels, budget, 20).is_secure
