@@ -20,7 +20,6 @@ opaque otherwise.
 from __future__ import annotations
 
 import re
-import threading
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .inputs import InputError, expect, field
@@ -90,7 +89,6 @@ class Expr:
         return (_KIND_RANK[self.kind], self.uid)
 
 
-_intern_lock = threading.Lock()
 _intern: dict[tuple, Expr] = {}
 _next_uid = 0
 
@@ -107,26 +105,22 @@ def _make(kind: str, width: int, *, op: str | None = None, value: int | None = N
     node = _intern.get(key)
     if node is not None:
         return node
-    with _intern_lock:
-        node = _intern.get(key)
-        if node is not None:
-            return node
-        global _next_uid
-        node = object.__new__(Expr)
-        node.uid = _next_uid
-        _next_uid += 1
-        node.kind = kind
-        node.width = width
-        node.op = op
-        node.value = value
-        node.name = name
-        node.children = children
-        node.params = params
-        node._symbols = None
-        node._bits = None
-        node._render = None
-        _intern[key] = node
-        return node
+    global _next_uid
+    node = object.__new__(Expr)
+    node.uid = _next_uid
+    _next_uid += 1
+    node.kind = kind
+    node.width = width
+    node.op = op
+    node.value = value
+    node.name = name
+    node.children = children
+    node.params = params
+    node._symbols = None
+    node._bits = None
+    node._render = None
+    _intern[key] = node
+    return node
 
 
 def cst(value: int, width: int) -> Expr:
@@ -177,7 +171,7 @@ def build(op: str, children: Sequence[Expr], params: tuple = ()) -> Expr:
     if op == "ARRAY":
         _expect_arity(op, cs, 1)
         (mem_id, width) = params
-        return _make("op", width, op="ARRAY", children=(cs[0],), params=(mem_id,))
+        return array_lookup(mem_id, cs[0], width)
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -406,9 +400,40 @@ def bits(e: Expr) -> tuple[Expr, ...]:
     return e._bits
 
 
-def array_lookup(mem_id: str, index: Expr, width: int) -> Expr:
-    """Opaque symbolic table read; untouched by simplification."""
-    return _make("op", width, op="ARRAY", children=(index,), params=(mem_id,))
+def array_lookup(mem_id: str, index: Expr, width: int,
+                 table: Sequence[int] | None = None, version: int = 0) -> Expr:
+    """Opaque symbolic read of ``mem_id``; untouched by simplification.
+
+    Its params are ``(mem_id, version, table)``: the contents it read, after
+    ``version`` changes of the memory, or no table until :func:`bind_tables`
+    binds it. Reads of different contents are different terms.
+    """
+    params = (mem_id, version, None if table is None else tuple(table))
+    return _make("op", width, op="ARRAY", children=(index,), params=params)
+
+
+def bind_tables(e: Expr, contents: Mapping[str, Sequence[int]],
+                versions: Mapping[str, int],
+                _memo: dict | None = None) -> Expr:
+    """``e`` with each unbound ARRAY node of a memory in ``contents`` bound
+    to that memory's contents and version there."""
+    if e.kind != "op" or not contents:
+        return e
+    memo = {} if _memo is None else _memo
+    got = memo.get(e)
+    if got is None:
+        kids = [bind_tables(c, contents, versions, memo) for c in e.children]
+        if e.op == "ARRAY":
+            mem_id, version, table = e.params
+            if table is None and mem_id in contents:
+                version, table = versions[mem_id], contents[mem_id]
+            got = array_lookup(mem_id, kids[0], e.width, table, version)
+        elif all(k is c for k, c in zip(kids, e.children)):
+            got = e
+        else:
+            got = build(e.op, kids, e.params)
+        memo[e] = got
+    return got
 
 
 def symbols_of(e: Expr) -> frozenset[str]:
@@ -429,19 +454,19 @@ Assignment = Mapping[str, int]
 
 
 def eval_concrete(e: Expr, assignment: Assignment,
-                  memories: Mapping[str, Sequence[int]] | None = None,
                   _memo: dict | None = None) -> int:
-    """Two's-complement bit-vector value of ``e`` under ``assignment``."""
+    """Two's-complement bit-vector value of ``e`` under ``assignment``; an
+    ARRAY node reads its own table."""
     memo = {} if _memo is None else _memo
     got = memo.get(e)
     if got is not None:
         return got
-    v = _eval(e, assignment, memories, memo)
+    v = _eval(e, assignment, memo)
     memo[e] = v
     return v
 
 
-def _eval(e: Expr, a: Assignment, mems, memo) -> int:
+def _eval(e: Expr, a: Assignment, memo) -> int:
     if e.kind == "cst":
         return e.value
     if e.kind == "sym":
@@ -452,33 +477,32 @@ def _eval(e: Expr, a: Assignment, mems, memo) -> int:
     op = e.op
     w = e.width
     if op in ("XOR", "AND", "OR"):
-        vals = [eval_concrete(c, a, mems, memo) for c in e.children]
+        vals = [eval_concrete(c, a, memo) for c in e.children]
         acc = vals[0]
         for v in vals[1:]:
             acc = acc ^ v if op == "XOR" else acc & v if op == "AND" else acc | v
         return acc
     if op in ("ADD", "SUB", "MUL", "POW"):
-        x = eval_concrete(e.children[0], a, mems, memo)
-        y = eval_concrete(e.children[1], a, mems, memo)
+        x = eval_concrete(e.children[0], a, memo)
+        y = eval_concrete(e.children[1], a, memo)
         return _arith_value(op, x, y, w)
     if op in ("LSL", "LSR", "ASR"):
-        x = eval_concrete(e.children[0], a, mems, memo)
-        s = eval_concrete(e.children[1], a, mems, memo)
+        x = eval_concrete(e.children[0], a, memo)
+        s = eval_concrete(e.children[1], a, memo)
         return shift_value(op, x, s, w)
     if op == "CONCAT":
         acc = 0
         for c in e.children:
-            acc = (acc << c.width) | eval_concrete(c, a, mems, memo)
+            acc = (acc << c.width) | eval_concrete(c, a, memo)
         return acc
     if op == "EXTRACT":
         lo, hi = e.params
-        return (eval_concrete(e.children[0], a, mems, memo) >> lo) & mask(hi - lo + 1)
+        return (eval_concrete(e.children[0], a, memo) >> lo) & mask(hi - lo + 1)
     if op == "ARRAY":
-        mem_id = e.params[0]
-        if mems is None or mem_id not in mems:
+        mem_id, _, table = e.params
+        if table is None:
             raise UnboundSymbol(f"memory {mem_id}")
-        table = mems[mem_id]
-        idx = eval_concrete(e.children[0], a, mems, memo) % len(table)
+        idx = eval_concrete(e.children[0], a, memo) % len(table)
         return table[idx] & mask(w)
     raise AssertionError(f"unreachable operator {op}")
 
@@ -512,7 +536,9 @@ def render(e: Expr) -> str:
             lo, hi = e.params
             e._render = f"OP_EXTRACT({render(e.children[0])}, {lo}, {hi})"
         elif e.op == "ARRAY":
-            e._render = f"ARRAY({e.params[0]}, {render(e.children[0])})"
+            mem_id, version, _ = e.params
+            at = f"@{version}" if version else ""
+            e._render = f"ARRAY({mem_id}{at}, {render(e.children[0])})"
         else:
             inner = ", ".join(render(c) for c in e.children)
             e._render = f"OP_{e.op}({inner})"

@@ -5,8 +5,9 @@ model, builds the model's expression set for each (value / transition /
 glitch / both, at bit or support-wise granularity), skips trivial sets,
 deduplicates through a verdict cache and dispatches the rest to the checker.
 Split wires are recombined into their parent signal for support-wise runs.
-A set is keyed by its members and the memory contents its ARRAY nodes read
-at its cycle; order-1 runs and d-uplet checks build and decide keys alike.
+A set is keyed by its members alone, since an ARRAY node carries the memory
+contents it read; order-1 runs and d-uplet checks build and decide keys
+alike.
 
 Wire selection mirrors the model:
 
@@ -23,9 +24,7 @@ Wire selection mirrors the model:
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Iterator, Mapping
 
 from . import expr as ex
@@ -261,24 +260,16 @@ def wires_to_verify(circuit: Circuit, index: StructuralIndex,
 
 
 # ---------------------------------------------------------------------------
-# One cycle's keyed sets, and their verdicts
+# One cycle's keyed sets
 # ---------------------------------------------------------------------------
 
-# A set's key: its members, and the (memory, contents) pairs its ARRAY nodes
-# read. Every key that reads no memory shares one empty frozenset, since
-# each frozenset() call makes a new object.
-Key = tuple[tuple[Expr, ...], frozenset]
-_NO_READS: frozenset = frozenset()
-
-
 def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
-               units: list[object], memo: dict[Expr, frozenset[str]]) -> \
-        list[tuple[str, tuple[str, int] | None, Key]]:
+               units: list[object]) -> \
+        list[tuple[str, tuple[str, int] | None, tuple[Expr, ...]]]:
     """Each unit's expression sets at this state's cycle, with their label,
-    source line and key; ARRAY nodes read the contents the cycle read."""
+    source line and members; a set's members are its key."""
     previous = _previous(state)
-    walk = bool(circuit.memories)
-    out: list[tuple[str, tuple[str, int] | None, Key]] = []
+    out: list[tuple[str, tuple[str, int] | None, tuple[Expr, ...]]] = []
     for unit in units:
         if isinstance(unit, str):
             val = recombine_split_wires(circuit, state.current, unit)
@@ -292,39 +283,9 @@ def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
             src = (wire.src.file, wire.src.line) if wire.src else None
             name = wire.name
         for rank, eset in expr_sets_for(val, prev, model):
-            reads = _NO_READS
-            if walk:
-                reads = frozenset(
-                    (mem, tuple(state.mem_read[mem])) for e in eset.exprs
-                    for mem in _memories_read(e, memo)
-                    if mem in state.mem_read) or _NO_READS
             out.append((name if rank is None else f"{name}[{rank}]", src,
-                        (eset.exprs, reads)))
+                        eset.exprs))
     return out
-
-
-def _memories_read(e: Expr, memo: dict[Expr, frozenset[str]]) -> frozenset[str]:
-    """Ids of the memories that ARRAY nodes in ``e`` read."""
-    got = memo.get(e)
-    if got is None:
-        got = frozenset(e.params[:1]) if e.op == "ARRAY" else frozenset()
-        for c in e.children:
-            got |= _memories_read(c, memo)
-        memo[e] = got
-    return got
-
-
-def decide(labels: SymbolTable, enum_limit: int, key: Key) -> Verdict:
-    """Verdict on a keyed set: Inconclusive if it reads one memory with two
-    different contents, else the checker's over the contents it read."""
-    exprs, reads = key
-    changed = sorted(mem for mem, n in Counter(m for m, _ in reads).items()
-                     if n > 1)
-    if changed:
-        return Verdict.inconclusive(
-            "memory contents differ across the cycles of the view: "
-            + ", ".join(changed))
-    return vf.check(ExprSet(exprs), labels, enum_limit, dict(reads))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +323,8 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     states = _simulate(circuit, stimuli, model, options)
     index = structural_index(circuit)
     report = LeakReport()
-    cache: dict[Key, Verdict] = {}
-    baseline_seen: set[Key] = set()
-    read_memo: dict[Expr, frozenset[str]] = {}
+    cache: dict[tuple, Verdict] = {}
+    baseline_seen: set[tuple] = set()
     stopped = False
 
     for t, state in enumerate(states):
@@ -372,20 +332,19 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         report.warnings = state.warnings
 
         units = wires_to_verify(circuit, index, model, state)
-        requests: list[tuple[str, tuple[str, int] | None, Key]] = []
-        for label, src, key in _unit_sets(circuit, model, state, units,
-                                          read_memo):
-            if not key[0]:
+        requests: list[tuple] = []
+        for label, src, key in _unit_sets(circuit, model, state, units):
+            if not key:
                 report.summary.trivial_skipped += 1
                 continue
             requests.append((label, src, key))
 
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
-                circuit, index, model, state, baseline_seen, read_memo)
+                circuit, index, model, state, baseline_seen)
         verdicts = _dispatch(requests, cache, labels, options, report)
         cycle_flagged = False
-        for (label, src, (exprs, _)), verdict in zip(requests, verdicts):
+        for (label, src, exprs), verdict in zip(requests, verdicts):
             report.entries.append(ReportEntry(
                 t, label, src, model.facet, verdict,
                 tuple(render(e) for e in exprs)))
@@ -407,7 +366,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     return report
 
 
-def _dispatch(requests, cache: dict[Key, Verdict], labels: SymbolTable,
+def _dispatch(requests, cache: dict[tuple, Verdict], labels: SymbolTable,
               options: RunOptions, report: LeakReport) -> list[Verdict]:
     """Resolve every request's verdict; each distinct new key is decided
     once."""
@@ -416,7 +375,8 @@ def _dispatch(requests, cache: dict[Key, Verdict], labels: SymbolTable,
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
     else:
         fresh = keys
-    solved = [decide(labels, options.enum_limit, key) for key in fresh]
+    solved = [vf.check(ExprSet(key), labels, options.enum_limit)
+              for key in fresh]
     report.summary.verified_expr += len(fresh)
     if not options.use_cache:
         return solved
@@ -426,14 +386,14 @@ def _dispatch(requests, cache: dict[Key, Verdict], labels: SymbolTable,
 
 
 def _baseline_count(circuit: Circuit, index: StructuralIndex,
-                    model: LeakageModel, state: SimState, seen: set[Key],
-                    memo: dict[Expr, frozenset[str]]) -> int:
+                    model: LeakageModel, state: SimState,
+                    seen: set[tuple]) -> int:
     """Sets the standard (non-over-approximated) run would have dispatched."""
     std = replace(model, overapprox=False)
     units = wires_to_verify(circuit, index, std, state)
     count = 0
-    for _, _, key in _unit_sets(circuit, std, state, units, memo):
-        if key[0] and key not in seen:
+    for _, _, key in _unit_sets(circuit, std, state, units):
+        if key and key not in seen:
             seen.add(key)
             count += 1
     return count
@@ -446,7 +406,6 @@ def _baseline_count(circuit: Circuit, index: StructuralIndex,
 SPATIAL = "spatial"
 TEMPORAL = "temporal"
 MIXED = "mixed"
-_TUPLE_CAP = 10 ** 6   # d-uplets of one run; more raise TooMany before any walk
 
 
 def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
@@ -457,16 +416,16 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     spatial: wire d-uplets, each combination checked at every cycle;
     temporal: cycle d-uplets, checked per wire; mixed: (wire, cycle) pairs.
     Of ``options`` it reads the simulation settings and ``enum_limit``.
-    A view's key joins its (wire, cycle) sets' keys, so a view whose cycles
-    read different contents of a memory is Inconclusive.
+    A view is the union of its (wire, cycle) sets; each ARRAY node in it
+    reads the contents its own cycle read, so a view over cycles that read
+    different contents of a memory is decided like any other.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or RunOptions()
     units: list[object] = [w.uid for w in circuit.wires]
-    read_memo: dict[Expr, frozenset[str]] = {}
     per_cycle = [{label: key for label, _, key in
-                  _unit_sets(circuit, model, state, units, read_memo)}
+                  _unit_sets(circuit, model, state, units)}
                  for state in _simulate(circuit, stimuli, model, options)]
 
     wires = sorted(per_cycle[0]) if per_cycle else []
@@ -484,14 +443,11 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
     def observe(combo: tuple):
         for view in views(combo):
-            union = make_expr_set(e for w, t in view
-                                  for e in per_cycle[t][w][0])
-            if not union:
-                continue
-            reads = frozenset().union(
-                *(per_cycle[t][w][1] for w, t in view)) or _NO_READS
-            yield union.exprs, reads
+            union = make_expr_set(e for w, t in view for e in per_cycle[t][w])
+            if union:
+                yield union.exprs
 
     return vf.check_tuples(positions, (model.order,), observe,
-                           partial(decide, labels, options.enum_limit),
-                           _TUPLE_CAP)
+                           lambda exprs: vf.check(ExprSet(exprs), labels,
+                                                  options.enum_limit),
+                           vf.TUPLE_CAP)

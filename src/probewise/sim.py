@@ -135,19 +135,21 @@ class SimState:
     cycle: int
     current: dict[int, Valuation]
     previous: dict[int, Valuation]
-    mem_conc: dict[str, list[int]]     # after the cycle's writes
+    mem_conc: dict[str, tuple[int, ...]]   # after the cycle's writes
     mem_symb: dict[str, list[Expr]]
     mem_width: dict[str, int]
-    mem_read: dict[str, list[int]]     # what the cycle's reads saw
+    mem_version: dict[str, int]            # content changes so far
     warnings: list[tuple[int, str, str]] = dataclasses.field(
         default_factory=list)
 
 
 def initial_state(circuit: Circuit) -> SimState:
-    mem_conc = {m.mid: list(m.init) for m in circuit.memories}
+    mem_conc = {m.mid: tuple(m.init) for m in circuit.memories}
     mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
     mem_width = {m.mid: m.width for m in circuit.memories}
-    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width, mem_conc)
+    mem_version = {m.mid: 0 for m in circuit.memories}
+    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width,
+                    mem_version)
 
 
 def simulate(circuit: Circuit, schedule: Schedule, stimuli: Stimuli,
@@ -168,7 +170,10 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
                frame: StimulusFrame, witness: Mapping[str, int],
                opts: SimOptions = SimOptions(),
                hook: MemoryHook | None = None) -> SimState:
-    """Advance the simulation by one cycle, computing all four domains."""
+    """Advance the simulation by one cycle, computing all four domains.
+
+    Its table reads, in drives and memory hook results alike, see the
+    contents before its own writes and carry them in their ARRAY nodes."""
     t = state.cycle
     vals: dict[int, Valuation] = {}
     warnings = list(state.warnings)
@@ -191,7 +196,8 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
             if e.width != wire.width:
                 raise SimError(f"stimulus for {wire.name!r} has width {e.width}, "
                                f"wire is {wire.width}")
-            conc = ex.eval_concrete(e, witness, state.mem_conc)
+            e = ex.bind_tables(e, state.mem_conc, state.mem_version)
+            conc = ex.eval_concrete(e, witness)
             lset = tuple(norm_set((b,)) for b in bits(e))
             vals[uid] = Valuation(conc, e, lset, 0)
 
@@ -200,6 +206,7 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
 
     mem_conc = state.mem_conc
     mem_symb = state.mem_symb
+    mem_version = state.mem_version
     pending_writes: list[tuple[str, int, int, Expr]] = []
     gates = {g.uid: g for g in circuit.gates}
     for uid in schedule.order:
@@ -216,14 +223,17 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
         vals[g.output] = val
 
     if pending_writes:
-        mem_conc = {k: list(v) for k, v in state.mem_conc.items()}
+        written = {k: list(v) for k, v in state.mem_conc.items()}
         mem_symb = {k: list(v) for k, v in state.mem_symb.items()}
         for mid, idx, conc_v, symb_v in pending_writes:
-            mem_conc[mid][idx] = conc_v
+            written[mid][idx] = conc_v
             mem_symb[mid][idx] = symb_v
+        mem_conc = {k: tuple(v) for k, v in written.items()}
+        mem_version = {k: n + (mem_conc[k] != state.mem_conc[k])
+                       for k, n in state.mem_version.items()}
 
     return SimState(circuit, t + 1, vals, state.current, mem_conc, mem_symb,
-                    state.mem_width, state.mem_conc, warnings)
+                    state.mem_width, mem_version, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +394,16 @@ def _eval_mem_read(circuit: Circuit, state: SimState, g: Gate,
     w_out = circuit.wire(g.output).width
     conc = state.mem_conc[mid][index.conc % depth]
 
-    symb: Expr | None = None
-    if hook is not None:
-        symb = hook(mid, index.symb, state)
-    if symb is None:
-        if index.symb.is_cst:
-            symb = state.mem_symb[mid][index.symb.value % depth]
-        else:
-            raise SymbolicIndexUnhandled(circuit.name(g.output))
-    elif not index.symb.is_cst:
-        warnings.append((t, circuit.name(g.inputs[0]), "memory index is symbolic"))
+    symb = None if hook is None else hook(mid, index.symb, state)
+    if symb is not None:
+        symb = ex.bind_tables(symb, state.mem_conc, state.mem_version)
+        if not index.symb.is_cst:
+            warnings.append((t, circuit.name(g.inputs[0]),
+                             "memory index is symbolic"))
+    elif index.symb.is_cst:
+        symb = state.mem_symb[mid][index.symb.value % depth]
+    else:
+        raise SymbolicIndexUnhandled(circuit.name(g.output))
 
     index_stable = index.stab == mask(index.symb.width)
     stab = mask(w_out) if (index_stable and opts.use_stability) else 0
@@ -554,12 +564,11 @@ def _ucmp(a: Expr, b: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def consistency_check(state: SimState, witness: Mapping[str, int]) -> None:
-    """Assert conc == eval_concrete(symb, witness) on every simulated wire,
-    with ARRAY nodes evaluated over the contents the cycle's reads saw."""
+    """Assert conc == eval_concrete(symb, witness) on every simulated wire."""
     memo: dict = {}
     for uid in sorted(state.current):
         val = state.current[uid]
-        got = ex.eval_concrete(val.symb, witness, state.mem_read, memo)
+        got = ex.eval_concrete(val.symb, witness, memo)
         if got != val.conc:
             raise ConsistencyViolation(state.circuit.name(uid), val.conc, got)
 

@@ -381,7 +381,6 @@ _INT64_WIDTH = 31   # int64 holds products and sums of values this wide
 
 
 def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
-                 mems: Mapping[str, Sequence[int]] | None,
                  memo: dict) -> np.ndarray:
     got = memo.get(e)
     if got is not None:
@@ -392,7 +391,7 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
     elif e.kind == "sym":
         out = cols[e.name]
     else:
-        kids = [_eval_column(c, cols, n, mems, memo) for c in e.children]
+        kids = [_eval_column(c, cols, n, memo) for c in e.children]
         # spill to Python-int arithmetic as soon as int64 could overflow
         if e.width > _INT64_WIDTH or any(c.width > _INT64_WIDTH
                                          for c in e.children):
@@ -431,10 +430,9 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
             lo, hi = e.params
             out = (kids[0] >> lo) & mask(hi - lo + 1)
         elif op == "ARRAY":
-            mem_id = e.params[0]
-            if mems is None or mem_id not in mems:
+            mem_id, _, table = e.params
+            if table is None:
                 raise ex.UnboundSymbol(f"memory {mem_id}")
-            table = list(mems[mem_id])
             depth = len(table)
             out = np.frompyfunc(lambda i: table[int(i) % depth] & mask(w), 1, 1)(kids[0])
         else:
@@ -484,9 +482,9 @@ def _base_parts(names: Sequence[str], space: _Space) -> list[tuple[np.ndarray, i
     return [(space.cols[name], 1 << space.widths[name]) for name in names]
 
 
-def _member_parts(exprs: Sequence[Expr], space: _Space, mems,
+def _member_parts(exprs: Sequence[Expr], space: _Space,
                   memo: dict) -> list[tuple[np.ndarray, int | None]]:
-    return [(_eval_column(e, space.cols, space.rows, mems, memo),
+    return [(_eval_column(e, space.cols, space.rows, memo),
              (1 << e.width) if e.width <= _INT64_WIDTH else None)
             for e in exprs]
 
@@ -586,8 +584,7 @@ def _public_ranges(size: int, block: int) -> Iterator[tuple[int, int]]:
 def _enumerate(exprs: Sequence[Expr], space: _Space,
                derived: Mapping[str, tuple[str, list[str]]],
                publics: Sequence[str],
-               selections: Sequence[tuple[list[str], list[str]]],
-               memories: Mapping[str, Sequence[int]] | None) -> Verdict:
+               selections: Sequence[tuple[list[str], list[str]]]) -> Verdict:
     """Secure iff some ``(fixed, vary)`` selection is invariant in every
     range of public values; a leak carries the first selection's witness.
 
@@ -606,7 +603,7 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
     for start, stop in _public_ranges(space.size, 1 << low):
         memo.clear()
         space.materialise(derived, start, stop)
-        parts = _member_parts(exprs, space, memories, memo)
+        parts = _member_parts(exprs, space, memo)
         if stop - start > 1 << low:
             # the publics packed in key order are the row index's top bits
             value = np.arange(start, stop, dtype=np.int64) >> low
@@ -638,21 +635,18 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
 
 
 def check_enumeration(eset: ExprSet, labels: SymbolTable,
-                      limit: int = DEFAULT_ENUM_LIMIT,
-                      memories: Mapping[str, Sequence[int]] | None = None) -> Verdict:
+                      limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Exact independence check by exhausting all symbol assignments, one
     range of public values at a time; the first range that leaks decides."""
     space, derived, secrets, publics = _space_for(
         _symbols(eset.exprs, labels), labels, limit, shares_free=False)
     if not secrets:
         return Verdict.secure()
-    return _enumerate(eset.exprs, space, derived, publics, [([], secrets)],
-                      memories)
+    return _enumerate(eset.exprs, space, derived, publics, [([], secrets)])
 
 
 def check(eset: ExprSet, labels: SymbolTable,
-          limit: int = DEFAULT_ENUM_LIMIT,
-          memories: Mapping[str, Sequence[int]] | None = None) -> Verdict:
+          limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Substitution first; exact enumeration as the fallback within budget."""
     if not eset:
         return Verdict.secure()
@@ -660,7 +654,7 @@ def check(eset: ExprSet, labels: SymbolTable,
     if verdict.is_secure:
         return verdict
     try:
-        return check_enumeration(eset, labels, limit, memories)
+        return check_enumeration(eset, labels, limit)
     except TooLarge as exc:
         return Verdict.inconclusive(
             f"{verdict.reason}; enumeration over limit ({exc.bits} > {exc.limit} "
@@ -682,8 +676,11 @@ class TupleResult:
     leaking_tuple: tuple | None = None
 
 
+TUPLE_CAP = 10 ** 6   # d-uplets of one run; more raise TooMany before any walk
+
+
 def enumerate_duplets(positions: Sequence[object], d: int,
-                      cap: int | None = 10 ** 6) -> Iterator[tuple]:
+                      cap: int | None = TUPLE_CAP) -> Iterator[tuple]:
     """All C(p, d) combinations of probe positions; TooMany past ``cap``."""
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -799,7 +796,7 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                          if n not in sel)
         selections.append((sel, non_sel))
     # the simulator draws the publics too: they are not conditioned on
-    return _enumerate(exprs, space, derived, [], selections, None)
+    return _enumerate(exprs, space, derived, [], selections)
 
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,

@@ -420,7 +420,7 @@ def _assignments(base, derived):
         yield a
 
 
-def leaking_publics(exprs, labels, memories=None) -> list[dict[str, int]]:
+def leaking_publics(exprs, labels) -> list[dict[str, int]]:
     """Every public assignment under which the joint histogram of the
     expression tuple differs between secret assignments, in key order
     (public names sorted, the first most significant); see ``_basis`` for
@@ -433,7 +433,7 @@ def leaking_publics(exprs, labels, memories=None) -> list[dict[str, int]]:
     for a in _assignments(base, derived):
         pk = tuple(a[n] for n in names)
         sk = tuple(a[n] for n in sorted(secrets))
-        value = tuple(ex.eval_concrete(e, a, memories) for e in exprs)
+        value = tuple(ex.eval_concrete(e, a) for e in exprs)
         hist = hists.setdefault(pk, {}).setdefault(sk, {})
         hist[value] = hist.get(value, 0) + 1
     return [dict(zip(names, pk)) for pk, by_secret in sorted(hists.items())
@@ -441,28 +441,28 @@ def leaking_publics(exprs, labels, memories=None) -> list[dict[str, int]]:
                    for h in by_secret.values())]
 
 
-def independence_bruteforce(exprs, labels, memories=None) -> bool:
+def independence_bruteforce(exprs, labels) -> bool:
     """Dict-counting twin of the enumeration verdict: the set is independent
     iff, for every public assignment, the joint histogram of the expression
     tuple is the same for every secret assignment."""
-    return not leaking_publics(exprs, labels, memories)
+    return not leaking_publics(exprs, labels)
 
 
-def joint_value_counts(exprs, labels, pinned, shares_free=False,
-                       memories=None) -> dict[tuple, int]:
+def joint_value_counts(exprs, labels, pinned,
+                       shares_free=False) -> dict[tuple, int]:
     """How often each value tuple of ``exprs`` occurs over the enumerated
     assignments that agree with ``pinned`` (name -> value)."""
     base, derived, _, _ = _basis(exprs, labels, shares_free)
     counts: dict[tuple, int] = {}
     for a in _assignments(base, derived):
         if all(a[n] == v for n, v in pinned.items()):
-            value = tuple(ex.eval_concrete(e, a, memories) for e in exprs)
+            value = tuple(ex.eval_concrete(e, a) for e in exprs)
             counts[value] = counts.get(value, 0) + 1
     return counts
 
 
 def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
-                           budget: int, memories=None) -> bool:
+                           budget: int) -> bool:
     """Dict-counting reimplementation of NI probe-tuple simulatability.
 
     Tries every selection of at most ``budget`` shares per secret; the tuple
@@ -484,7 +484,7 @@ def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
         assignments.append(dict(zip(symbols, combo)))
     values = []
     for a in assignments:
-        values.append(tuple(ex.eval_concrete(e, a, memories) for e in exprs))
+        values.append(tuple(ex.eval_concrete(e, a) for e in exprs))
     for selection in itertools.product(*selections):
         sel = sorted(n for c in selection for n in c)
         non_sel = sorted(n for p in present.values() for n in p
@@ -548,8 +548,7 @@ def glitch_coverage_violations(fixture, sim_module, netlist_module,
                     else ex.eval_concrete(payload, assignment)
             values = oracle.eval_cycle(inputs)
             memo: dict = {}
-            member_vals = {m.uid: ex.eval_concrete(m, assignment,
-                                                   state.mem_conc, memo)
+            member_vals = {m.uid: ex.eval_concrete(m, assignment, memo)
                            for m in members}
             rows.append((values, member_vals))
         base_vals = oracle.eval_cycle(base_inputs)

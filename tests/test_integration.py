@@ -2,6 +2,8 @@
 
 import json
 
+import oracles
+
 from probewise import expr as ex, manager as mg, netlist, sim
 from probewise.manager import BIT, LeakageModel, RunOptions, run
 
@@ -177,33 +179,47 @@ def test_higher_order_reads_the_memory_contents():
         assert res.verdict.status == "leaks"
 
 
-def test_higher_order_view_over_changed_memory_is_inconclusive():
-    # sbox[0] is written 1 at cycle 0, so cycles 0 and 1 read different
-    # tables and none evaluates ARRAY(sbox, k) in the temporal view of
-    # a1 = out ^ mw
+def test_higher_order_view_over_changed_memory_is_decided():
+    # sbox[0] is written 1 at cycle 0, so the temporal view of a1 = out ^ mw
+    # holds two versions of sbox, each read over the contents its own cycle
+    # saw; the view leaks, as brute force over its members confirms
     circuit, labels, stimuli, opts = _masked_table(
         ["a1", "wi", "wv", "ww"],
         [{"kind": "bit_xor", "output": "a1", "inputs": ["out", "mw"]},
          {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
           "params": {"memory": "sbox"}}],
         drives=[{"wi": 0, "wv": 1}, {"wi": 0, "wv": 2}])
-    res = mg.verify_higher_order(circuit, stimuli, labels,
-                                 LeakageModel(order=2), mg.TEMPORAL, opts)
-    assert res.verdict.status == "inconclusive"
-    assert res.verdict.reason == \
-        "memory contents differ across the cycles of the view: sbox"
+    model = LeakageModel(order=2)
+    res = mg.verify_higher_order(circuit, stimuli, labels, model,
+                                 mg.TEMPORAL, opts)
     assert (res.tuples_checked, res.leaking_tuple) == (1, (0, 1))
+    a1 = circuit.by_name["a1"].uid
+    view = mg.make_expr_set(state.current[a1].symb for state in
+                            mg._simulate(circuit, stimuli, model, opts)).exprs
+    assert [ex.render(e) for e in view] == [
+        "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox, SYMB(k)))",
+        "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox@1, SYMB(k)))"]
+    assert not oracles.independence_bruteforce(view, labels)
+    assert res.verdict.status == "leaks"
+    witness = res.verdict.witness
+    assert witness.fixed == {}
+    assert witness.evidence.endswith("=0b00) occurs 4 vs 0 times")
+    # a true counterexample: (0b00, 0b00) occurs 4 vs 0 times by brute force
+    assert [oracles.joint_value_counts(view, labels, vary).get((0, 0), 0)
+            for vary in (witness.vary_a, witness.vary_b)] == [4, 0]
 
 
 def _written_table_circuit(cycles=1):
     """Input a reads ARRAY(t, k) from the 1-bit table t = [0, 1], and
-    t[0] = 1 is written at cycle 0 (and again at every later cycle)."""
+    t[0] = 1 is written at cycle 0 (and again at every later cycle); the
+    register q holds the previous cycle's a."""
     doc = {
-        "wires": [{"name": n, "width": 1} for n in ("a", "mw", "wi", "wv", "ww")],
-        "inputs": ["a", "mw", "wi", "wv"], "outputs": ["ww"],
+        "wires": [{"name": n, "width": 1}
+                  for n in ("a", "mw", "wi", "wv", "ww", "q")],
+        "inputs": ["a", "mw", "wi", "wv"], "outputs": ["ww", "q"],
         "gates": [{"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
                    "params": {"memory": "t"}}],
-        "registers": [],
+        "registers": [{"input": "a", "output": "q", "init": "0b0"}],
         "memories": [{"id": "t", "depth": 2, "width": 1,
                       "init": ["0b0", "0b1"]}],
     }
@@ -242,6 +258,20 @@ def test_run_reads_the_contents_before_the_cycles_writes():
         verdicts = {(e.cycle, e.wire): e.verdict.status
                     for e in report.entries if e.wire == "a"}
         assert verdicts == {(0, "a"): "leaks", (1, "a"): "secure"}, opts
+
+
+def test_register_carries_the_contents_its_value_read():
+    # q at cycle 1 holds cycle 0's a = ARRAY(t, k) over t = [0, 1], which is
+    # k; t[0] = 1 is written at cycle 0, and cycle 1's own read of t sees
+    # the written table, a version later
+    circuit, labels, stimuli = _written_table_circuit(cycles=2)
+    for opts in (RunOptions(), RunOptions(use_cache=False),
+                 RunOptions(check_consistency=True)):
+        report = run(circuit, stimuli, labels, LeakageModel(), opts)
+        entries = {(e.cycle, e.wire): (e.verdict.status, e.exprs)
+                   for e in report.entries if e.cycle == 1}
+        assert entries[1, "q"] == ("leaks", ("ARRAY(t, SYMB(k))",)), opts
+        assert entries[1, "a"] == ("secure", ("ARRAY(t@1, SYMB(k))",)), opts
 
 
 def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():

@@ -329,8 +329,7 @@ def _format_values(exprs, values):
                            for e, v in zip(exprs, values)) + ")"
 
 
-def _assert_witness_counts(exprs, labels, witness, shares_free=False,
-                           memories=None):
+def _assert_witness_counts(exprs, labels, witness, shares_free=False):
     """The evidence tuple occurs, under ``fixed``, exactly as often as the
     witness claims for each of its two assignments; returns those counts."""
     joint, count_a, count_b = _EVIDENCE.fullmatch(witness.evidence).groups()
@@ -339,7 +338,7 @@ def _assert_witness_counts(exprs, labels, witness, shares_free=False,
     for vary in (witness.vary_a, witness.vary_b):
         counts = oracles.joint_value_counts(exprs, labels,
                                             {**witness.fixed, **vary},
-                                            shares_free, memories)
+                                            shares_free)
         seen.append(sum(n for values, n in counts.items()
                         if _format_values(exprs, values) == joint))
     assert seen == [int(count_a), int(count_b)], witness.evidence
@@ -383,17 +382,16 @@ def test_ni_sni_witness_counts_match_bruteforce(checker, gen, order, glitches):
                            shares_free=True)
 
 
-def _agrees_with_oracle(exprs, labels, memories=None):
+def _agrees_with_oracle(exprs, labels):
     """The verdict is the brute-force one, and a leak's witness is fixed at
     the smallest leaking public assignment in key order, with true counts."""
     eset = make_expr_set(exprs)
-    v = check_enumeration(eset, labels, memories=memories)
-    leaking = oracles.leaking_publics(eset.exprs, labels, memories)
+    v = check_enumeration(eset, labels)
+    leaking = oracles.leaking_publics(eset.exprs, labels)
     assert v.is_secure == (not leaking), [ex.render(e) for e in eset.exprs]
     if v.status == vf.LEAKS:
         assert v.witness.fixed == leaking[0]
-        _assert_witness_counts(eset.exprs, labels, v.witness,
-                               memories=memories)
+        _assert_witness_counts(eset.exprs, labels, v.witness)
     return v
 
 
@@ -475,13 +473,21 @@ def test_kernel_array_reads():
     labels.declare("k", 2, ex.SECRET)
     labels.declare("m", 2, ex.MASK)
     k, m = s("k", 2), s("m", 2)
-    mems = {"t": [3, 1, 0, 2]}   # a permutation of 2-bit values
-    lookup = ex.array_lookup("t", xor(k, m), 2)
-    assert _agrees_with_oracle([lookup], labels, mems).is_secure
-    assert _agrees_with_oracle([lookup, m], labels, mems).status == vf.LEAKS
-    flat = {"t": [0, 0, 0, 1]}
-    assert _agrees_with_oracle([ex.array_lookup("t", k, 2)], labels,
-                               flat).status == vf.LEAKS
+    perm = (3, 1, 0, 2)   # a permutation of 2-bit values
+    lookup = ex.array_lookup("t", xor(k, m), 2, perm)
+    assert _agrees_with_oracle([lookup], labels).is_secure
+    assert _agrees_with_oracle([lookup, m], labels).status == vf.LEAKS
+    flat = (0, 0, 0, 1)
+    assert _agrees_with_oracle([ex.array_lookup("t", k, 2, flat)],
+                               labels).status == vf.LEAKS
+    # two versions of one table in one set: each reads its own contents
+    later = ex.array_lookup("t", xor(k, m), 2, flat, version=1)
+    assert _agrees_with_oracle([lookup, later], labels).is_secure
+    assert _agrees_with_oracle(
+        [lookup, ex.array_lookup("t", m, 2, perm[::-1], version=1)],
+        labels).status == vf.LEAKS
+    assert _agrees_with_oracle(
+        [ex.array_lookup("t", k, 2, perm), later], labels).status == vf.LEAKS
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +601,11 @@ def test_range_array_read(small_ranges):
     labels.declare("m", 2, ex.MASK)
     labels.declare("p", 3, ex.PUBLIC)
     k, m, p = s("k", 2), s("m", 2), s("p", 3)
-    mems = {"s": [3, 1, 0, 2], "t": [0, 0, 0, 1, 0, 1, 1, 1]}
-    sbox = ex.array_lookup("s", xor(k, m), 2)
-    exposed = ex.build("AND", [ex.bit(m, 0), ex.array_lookup("t", p, 1)])
-    assert _agrees_with_oracle([sbox, ex.array_lookup("t", p, 1)], labels,
-                              mems).is_secure
-    v = _agrees_with_oracle([sbox, exposed], labels, mems)
+    table = ex.array_lookup("t", p, 1, (0, 0, 0, 1, 0, 1, 1, 1))
+    sbox = ex.array_lookup("s", xor(k, m), 2, (3, 1, 0, 2))
+    exposed = ex.build("AND", [ex.bit(m, 0), table])
+    assert _agrees_with_oracle([sbox, table], labels).is_secure
+    v = _agrees_with_oracle([sbox, exposed], labels)
     assert v.witness.fixed == {"p": 3}
 
 
@@ -668,8 +673,9 @@ def test_share_count_pinned_cases(three_shares):
 
 def _shared_set(pick):
     """Members over secrets of 2-4 shares, two masks and a public, some read
-    through a 1-bit table or widened to 40 bits; ``pick(options)`` makes
-    every choice. Returns members, labels, secrets and memories."""
+    through either of two versions of a 1-bit table or widened to 40 bits;
+    ``pick(options)`` makes every choice. Returns members, labels and
+    secrets."""
     labels = SymbolTable()
     secrets = {}
     for name, counts in (("a", (2, 3, 4)), ("b", (2, 3)))[:pick((1, 2))]:
@@ -682,6 +688,7 @@ def _shared_set(pick):
     labels.declare("p", 1, ex.PUBLIC)
     atoms = [n for shares in secrets.values() for n in shares] + \
         ["a", "m0", "m1", "p"]
+    tables = [(pick((0, 1)), pick((0, 1))) for _ in range(2)]
     exprs = []
     for _ in range(pick((1, 2, 3))):
         leaves = [s(pick(atoms)) for _ in range(pick((1, 2, 3)))]
@@ -691,29 +698,24 @@ def _shared_set(pick):
             e = xor(e, s(pick(("m0", "m1"))))
         wrap = pick((None, None, "array", "wide"))
         if wrap == "array":
-            e = ex.array_lookup("t", e, 1)
+            version = pick((0, 1))
+            e = ex.array_lookup("t", e, 1, tables[version], version)
         elif wrap == "wide":
             e = ex.zext(e, 40)
         exprs.append(e)
-    memories = {"t": [pick((0, 1)), pick((0, 1))]}
-    return make_expr_set(exprs).exprs, labels, secrets, memories
+    return make_expr_set(exprs).exprs, labels, secrets
 
 
-def _assert_share_counts_sound(exprs, labels, secrets, memories, budget):
-    """Each Secure of substitution, and of simulatability short of
-    enumerating an ARRAY read, is confirmed by brute force; returns whether
-    only the share count after the fixpoint proved independence."""
+def _assert_share_counts_sound(exprs, labels, secrets, budget):
+    """Each Secure of substitution, and of simulatability, is confirmed by
+    brute force; returns whether only the share count after the fixpoint
+    proved independence."""
     proved = check_substitution(ExprSet(exprs), labels).is_secure
     if proved:
-        assert oracles.independence_bruteforce(exprs, labels, memories), \
+        assert oracles.independence_bruteforce(exprs, labels), \
             [ex.render(e) for e in exprs]
-    try:
-        secure = vf._simulatable(exprs, labels, budget, limit=20).is_secure
-    except ex.UnboundSymbol:
-        secure = False   # enumeration reached a table: no count decided it
-    if secure:
-        assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget,
-                                              memories), \
+    if vf._simulatable(exprs, labels, budget, limit=20).is_secure:
+        assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
             (budget, [ex.render(e) for e in exprs])
     return proved and any(labels.is_sensitive(n) for n in
                           vf._substitution_fixpoint(exprs, labels))
@@ -723,20 +725,20 @@ def test_share_count_agrees_with_bruteforce_on_random_sets():
     rng = random.Random(7)
     count_only = 0
     for _ in range(400):
-        exprs, labels, secrets, memories = _shared_set(rng.choice)
+        exprs, labels, secrets = _shared_set(rng.choice)
         if exprs:
             count_only += _assert_share_counts_sound(
-                exprs, labels, secrets, memories, rng.choice((1, 2, 3)))
+                exprs, labels, secrets, rng.choice((1, 2, 3)))
     assert count_only > 30   # sets that only the share count proves
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 3))
 def test_share_count_agrees_with_bruteforce_hypothesis(data, budget):
-    exprs, labels, secrets, memories = _shared_set(
+    exprs, labels, secrets = _shared_set(
         lambda options: data.draw(st.sampled_from(options)))
     if exprs:
-        _assert_share_counts_sound(exprs, labels, secrets, memories, budget)
+        _assert_share_counts_sound(exprs, labels, secrets, budget)
 
 
 @pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
