@@ -3,14 +3,14 @@ models, with bit- or support-wise probe granularity."""
 
 from .expr import (Expr, SymbolTable, build, cst, sym, bit, bits, concat,
                    extract, eval_concrete, parse_expr, render, symbols_of)
-from .netlist import (Circuit, CombinatorialLoop, Gate, Register, Schedule,
+from .netlist import (Circuit, CombinatorialLoop, Gate, Register,
                       StructuralIndex, parse_netlist, serialize_netlist,
                       structural_index, validate_and_schedule)
 from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
                   Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
                   consistency_check, eval_combinational, initial_state,
                   parse_stimuli, register_step, simulate, step_cycle)
-from .verify import (ExprSet, GadgetSpec, LeakWitness, TooLarge,
+from .verify import (GadgetSpec, LeakWitness, TooLarge,
                      TupleResult, Verdict, check, check_enumeration, check_ni,
                      check_sni, check_substitution, make_expr_set)
 from .manager import (BIT, SUPPORT_WISE, LeakReport, LeakageModel,

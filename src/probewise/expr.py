@@ -168,10 +168,6 @@ def build(op: str, children: Sequence[Expr], params: tuple = ()) -> Expr:
         _expect_arity(op, cs, 1)
         lo, hi = params
         return extract(cs[0], lo, hi)
-    if op == "ARRAY":
-        _expect_arity(op, cs, 1)
-        (mem_id, width) = params
-        return array_lookup(mem_id, cs[0], width)
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -591,6 +587,8 @@ class _Parser:
             self.take(")")
             return self.symbol(name)
         op = tok[3:] if tok.startswith("OP_") else tok
+        if op == "ARRAY":
+            raise ValueError("table reads (ARRAY) cannot be parsed")
         if op in CANONICAL_OPS or op in REWRITTEN_OPS:
             return self.op_node(op)
         # Bare name: symbol shorthand.
@@ -636,7 +634,9 @@ def parse_expr(text: str, widths: Mapping[str, int]) -> Expr:
     """Parse the rendered prefix form back into an interned term.
 
     Accepts ``OP_``-prefixed or bare operator names and bare symbol names
-    whose widths are taken from ``widths``.
+    whose widths are taken from ``widths``. Table reads cannot be parsed:
+    an ``ARRAY`` node names no memory contents, so ``ARRAY`` raises
+    ValueError; :func:`array_lookup` is its only constructor.
     """
     return _Parser(text, widths).parse()
 

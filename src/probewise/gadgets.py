@@ -37,7 +37,7 @@ def _circuit(doc: dict) -> Circuit:
 
 def _frames_from_symbols(names: list[str], cycles: int,
                          widths: Mapping[str, int]) -> list[StimulusFrame]:
-    frame = StimulusFrame({n: ("expr", ex.sym(n, widths[n])) for n in names})
+    frame = StimulusFrame({n: ex.sym(n, widths[n]) for n in names})
     return [frame] * cycles
 
 
@@ -177,8 +177,9 @@ def gen_counterexamples() -> dict[str, Fixture]:
     out: dict[str, Fixture] = {}
     labels = _km_labels()
     widths = labels.widths()
-    xor_km = ("expr", ex.parse_expr("XOR(k, m)", widths))
-    just_m = ("expr", ex.sym("m", 1))
+    xor_km = ex.parse_expr("XOR(k, m)", widths)
+    just_m = ex.sym("m", 1)
+    zero, one = ex.cst(0, 1), ex.cst(1, 1)
 
     doc5 = {
         "wires": [{"name": "i0", "width": 1}, {"name": "i1", "width": 1},
@@ -188,8 +189,8 @@ def gen_counterexamples() -> dict[str, Fixture]:
         "gates": [{"kind": "bit_and", "output": "o0", "inputs": ["i0", "i1"]}],
         "registers": [],
     }
-    frames5 = [StimulusFrame({"i0": ("const", (0, 1)), "i1": xor_km}),
-               StimulusFrame({"i0": ("const", (1, 1)), "i1": just_m})]
+    frames5 = [StimulusFrame({"i0": zero, "i1": xor_km}),
+               StimulusFrame({"i0": one, "i1": just_m})]
     out["fig5"] = Fixture("fig5", _circuit(doc5), labels,
                           Stimuli({"k": 1, "m": 1}, frames5), doc5)
 
@@ -217,9 +218,9 @@ def gen_counterexamples() -> dict[str, Fixture]:
         "gates": [{"kind": "bit_and", "output": "o0", "inputs": ["i0", "i1"]}],
         "registers": [{"input": "c_in", "output": "i0", "init": "0b0"}],
     }
-    frames7 = [StimulusFrame({"c_in": ("const", (0, 1)), "i1": xor_km}),
-               StimulusFrame({"c_in": ("const", (1, 1)), "i1": xor_km}),
-               StimulusFrame({"c_in": ("const", (1, 1)), "i1": just_m})]
+    frames7 = [StimulusFrame({"c_in": zero, "i1": xor_km}),
+               StimulusFrame({"c_in": one, "i1": xor_km}),
+               StimulusFrame({"c_in": one, "i1": just_m})]
     out["fig7"] = Fixture("fig7", _circuit(doc7), labels,
                           Stimuli({"k": 1, "m": 1}, frames7), doc7)
     return out
@@ -355,7 +356,7 @@ def gen_random_circuit(seed: int, n_gates: int = 20, n_inputs: int = 4,
     width_of = {w["name"]: w["width"] for w in wires}
     for t in range(cycles):
         budget = max_symbol_bits_per_cycle
-        drive: dict[str, tuple[str, object]] = {}
+        drive: dict[str, ex.Expr] = {}
         for name in inputs:
             w = width_of[name]
             if w <= budget and rng.random() < 0.7:
@@ -363,9 +364,9 @@ def gen_random_circuit(seed: int, n_gates: int = 20, n_inputs: int = 4,
                 kind = rng.choice((ex.SECRET, ex.MASK, ex.MASK, ex.PUBLIC))
                 labels.declare(sym_name, w, kind)
                 witness[sym_name] = rng.getrandbits(w)
-                drive[name] = ("expr", ex.sym(sym_name, w))
+                drive[name] = ex.sym(sym_name, w)
                 budget -= w
             else:
-                drive[name] = ("const", (rng.getrandbits(w), w))
+                drive[name] = ex.cst(rng.getrandbits(w), w)
         frames.append(StimulusFrame(drive))
     return Fixture(f"rng{seed}", circuit, labels, Stimuli(witness, frames), doc)

@@ -34,8 +34,8 @@ from .expr import Expr, SymbolTable, bits, render
 from .netlist import Circuit, StructuralIndex, structural_index, \
     validate_and_schedule
 from .sim import SimOptions, SimState, Stimuli, Valuation
-from .verify import ExprSet, TooMany, TupleResult, Verdict, \
-    enumerate_duplets, make_expr_set  # noqa: F401 (re-exported)
+from .verify import TooMany, TupleResult, Verdict, enumerate_duplets, \
+    make_expr_set  # noqa: F401 (re-exported)
 
 BIT = "bit"
 SUPPORT_WISE = "sw"
@@ -150,9 +150,10 @@ def _previous(state: SimState) -> Mapping[int, Valuation]:
 
 
 def expr_sets_for(val: Valuation, prev: Valuation, model: LeakageModel) -> \
-        list[tuple[int | None, ExprSet]]:
-    """Expression sets for one wire at the current cycle, per granularity."""
-    out: list[tuple[int | None, ExprSet]] = []
+        list[tuple[int | None, tuple[Expr, ...]]]:
+    """Expression sets for one wire at the current cycle, per granularity:
+    each rank (None for the whole wire) with the set's canonical members."""
+    out: list[tuple[int | None, tuple[Expr, ...]]] = []
     if model.granularity == SUPPORT_WISE:
         out.append((None, _one_set(val, prev, model, None)))
     else:
@@ -162,7 +163,7 @@ def expr_sets_for(val: Valuation, prev: Valuation, model: LeakageModel) -> \
 
 
 def _one_set(val: Valuation, prev: Valuation, model: LeakageModel,
-             rank: int | None) -> ExprSet:
+             rank: int | None) -> tuple[Expr, ...]:
     if rank is None:
         cur_symb, prev_symb = [val.symb], [prev.symb]
         cur_lset = _flatten(val.lset)
@@ -282,9 +283,9 @@ def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
             wire = circuit.wire(unit)
             src = (wire.src.file, wire.src.line) if wire.src else None
             name = wire.name
-        for rank, eset in expr_sets_for(val, prev, model):
+        for rank, members in expr_sets_for(val, prev, model):
             out.append((name if rank is None else f"{name}[{rank}]", src,
-                        eset.exprs))
+                        members))
     return out
 
 
@@ -375,8 +376,7 @@ def _dispatch(requests, cache: dict[tuple, Verdict], labels: SymbolTable,
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
     else:
         fresh = keys
-    solved = [vf.check(ExprSet(key), labels, options.enum_limit)
-              for key in fresh]
+    solved = [vf.check(key, labels, options.enum_limit) for key in fresh]
     report.summary.verified_expr += len(fresh)
     if not options.use_cache:
         return solved
@@ -445,9 +445,9 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         for view in views(combo):
             union = make_expr_set(e for w, t in view for e in per_cycle[t][w])
             if union:
-                yield union.exprs
+                yield union
 
     return vf.check_tuples(positions, (model.order,), observe,
-                           lambda exprs: vf.check(ExprSet(exprs), labels,
+                           lambda exprs: vf.check(exprs, labels,
                                                   options.enum_limit),
                            vf.TUPLE_CAP)

@@ -4,8 +4,8 @@ The netlist format is a single JSON document (see ``docs in README``):
 wires with widths, primary inputs/outputs, combinatorial gates, registers
 with reset values, optional split-wire groups and memories. Parsing resolves
 all names, checks arity/width rules per gate kind, enforces single drivers,
-and :func:`validate_and_schedule` produces a topological evaluation order
-(registers break all cycles).
+and :func:`validate_and_schedule` puts the gates in a topological evaluation
+order (registers break all cycles).
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ class Circuit:
             if k == key:
                 return v
         return default
-
-
-@dataclass(frozen=True)
-class Schedule:
-    order: tuple[int, ...]   # gate uids, topologically sorted
 
 
 @dataclass
@@ -392,11 +387,12 @@ def serialize_netlist(circuit: Circuit) -> str:
 # Scheduling and structural index
 # ---------------------------------------------------------------------------
 
-def validate_and_schedule(circuit: Circuit) -> Schedule:
-    """Topological order of the combinatorial gates (Kahn, deterministic)."""
+def validate_and_schedule(circuit: Circuit) -> tuple[Gate, ...]:
+    """The combinatorial gates in topological order (Kahn, deterministic)."""
+    gates = {g.uid: g for g in circuit.gates}
     gate_of_output = {g.output: g for g in circuit.gates}
-    deps: dict[int, list[int]] = {g.uid: [] for g in circuit.gates}
-    rdeps: dict[int, list[int]] = {g.uid: [] for g in circuit.gates}
+    deps: dict[int, list[int]] = {uid: [] for uid in gates}
+    rdeps: dict[int, list[int]] = {uid: [] for uid in gates}
     for g in circuit.gates:
         for wu in g.inputs:
             drv = gate_of_output.get(wu)
@@ -404,20 +400,15 @@ def validate_and_schedule(circuit: Circuit) -> Schedule:
                 deps[g.uid].append(drv.uid)
                 rdeps[drv.uid].append(g.uid)
     pending = {uid: len(ds) for uid, ds in deps.items()}
-    ready = sorted(uid for uid, n in pending.items() if n == 0)
-    order: list[int] = []
-    qi = 0
-    while qi < len(ready):
-        uid = ready[qi]
-        qi += 1
-        order.append(uid)
+    order = sorted(uid for uid, n in pending.items() if n == 0)
+    for uid in order:   # the gates a gate readies join the end of the walk
         for nxt in sorted(rdeps[uid]):
             pending[nxt] -= 1
             if pending[nxt] == 0:
-                ready.append(nxt)
+                order.append(nxt)
     if len(order) != len(circuit.gates):
         raise CombinatorialLoop(_find_cycle(circuit, deps, pending))
-    return Schedule(tuple(order))
+    return tuple(gates[uid] for uid in order)
 
 
 def _find_cycle(circuit: Circuit, deps, pending) -> list[str]:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import expr as ex
 from .expr import Expr, bit, bits, cst, mask
 from .inputs import InputError, expect, field, literal, load
-from .netlist import Circuit, Gate, Schedule, SHIFT_KINDS, rank_sources
+from .netlist import Circuit, Gate, SHIFT_KINDS, rank_sources
 
 
 class SimError(Exception):
@@ -76,8 +76,9 @@ def _const_valuation(value: int, width: int, stable: bool) -> Valuation:
 
 @dataclass(frozen=True)
 class StimulusFrame:
-    """Input drive for one cycle: wire name -> ('const', int) | ('expr', Expr)."""
-    inputs: Mapping[str, tuple[str, object]]
+    """Input drive for one cycle: input wire name -> the expression that
+    drives it, a CST node for a constant drive."""
+    inputs: Mapping[str, Expr]
 
 
 @dataclass
@@ -152,7 +153,7 @@ def initial_state(circuit: Circuit) -> SimState:
                     mem_version)
 
 
-def simulate(circuit: Circuit, schedule: Schedule, stimuli: Stimuli,
+def simulate(circuit: Circuit, schedule: Sequence[Gate], stimuli: Stimuli,
              opts: SimOptions = SimOptions(),
              hook: MemoryHook | None = None) -> Iterator[SimState]:
     """Yield the state after each stimulus frame, each checked against the
@@ -166,11 +167,12 @@ def simulate(circuit: Circuit, schedule: Schedule, stimuli: Stimuli,
         yield state
 
 
-def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
+def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
                frame: StimulusFrame, witness: Mapping[str, int],
                opts: SimOptions = SimOptions(),
                hook: MemoryHook | None = None) -> SimState:
-    """Advance the simulation by one cycle, computing all four domains.
+    """Advance the simulation by one cycle, computing all four domains;
+    ``schedule`` is the gates in evaluation order.
 
     Its table reads, in drives and memory hook results alike, see the
     contents before its own writes and carry them in their ARRAY nodes."""
@@ -180,26 +182,16 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
 
     for uid in sorted(circuit.inputs):
         wire = circuit.wire(uid)
-        drive = frame.inputs.get(wire.name)
-        if drive is None:
+        e = frame.inputs.get(wire.name)
+        if e is None:
             raise SimError(f"cycle {t}: no stimulus for input {wire.name!r}")
-        kind, payload = drive
-        if kind == "const":
-            v, w = payload
-            if w != wire.width:
-                raise SimError(f"stimulus for {wire.name!r} has width {w}, "
-                               f"wire is {wire.width}")
-            vals[uid] = Valuation(v & mask(w), cst(v, w),
-                                  tuple(_EMPTY for _ in range(w)), 0)
-        else:
-            e: Expr = payload
-            if e.width != wire.width:
-                raise SimError(f"stimulus for {wire.name!r} has width {e.width}, "
-                               f"wire is {wire.width}")
-            e = ex.bind_tables(e, state.mem_conc, state.mem_version)
-            conc = ex.eval_concrete(e, witness)
-            lset = tuple(norm_set((b,)) for b in bits(e))
-            vals[uid] = Valuation(conc, e, lset, 0)
+        if e.width != wire.width:
+            raise SimError(f"stimulus for {wire.name!r} has width {e.width}, "
+                           f"wire is {wire.width}")
+        e = ex.bind_tables(e, state.mem_conc, state.mem_version)
+        conc = ex.eval_concrete(e, witness)
+        lset = tuple(norm_set((b,)) for b in bits(e))
+        vals[uid] = Valuation(conc, e, lset, 0)
 
     for r in circuit.registers:
         vals[r.output] = register_step(circuit, r, state, opts)
@@ -208,9 +200,7 @@ def step_cycle(circuit: Circuit, schedule: Schedule, state: SimState,
     mem_symb = state.mem_symb
     mem_version = state.mem_version
     pending_writes: list[tuple[str, int, int, Expr]] = []
-    gates = {g.uid: g for g in circuit.gates}
-    for uid in schedule.order:
-        g = gates[uid]
+    for g in schedule:
         ins = [vals[w] for w in g.inputs]
         out_wire = circuit.wire(g.output)
         val = _eval_gate(circuit, state, g, ins, opts, hook,
@@ -601,9 +591,8 @@ def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
                       for name, drive in field(doc, "", "inputs", dict).items()}
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from None
-        for kind, payload in inputs.values():
-            if kind == "expr":
-                driven |= ex.symbols_of(payload)
+        for e in inputs.values():
+            driven |= ex.symbols_of(e)
         frames.append((cycle, StimulusFrame(inputs)))
     missing = sorted(driven - witness.keys())
     if missing:
@@ -614,20 +603,19 @@ def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
     return Stimuli(witness, [f for _, f in frames])
 
 
-def _read_drive(drive, where: str,
-                widths: Mapping[str, int]) -> tuple[str, object]:
+def _read_drive(drive, where: str, widths: Mapping[str, int]) -> Expr:
     if "const" in expect(drive, where, dict):
         lit = drive["const"]
-        return "const", (literal(lit, f"{where}.const"), len(lit) - 2)
+        return cst(literal(lit, f"{where}.const"), len(lit) - 2)
     if "symbol" in drive:
         name = field(drive, where, "symbol", str)
         if name not in widths:
             raise InputError(f"{where}.symbol: undeclared symbol {name!r}")
-        return "expr", ex.sym(name, widths[name])
+        return ex.sym(name, widths[name])
     if "expr" in drive:
         text = field(drive, where, "expr", str)
         try:
-            return "expr", ex.parse_expr(text, widths)
+            return ex.parse_expr(text, widths)
         except (ValueError, TypeError, IndexError, RecursionError) as exc:
             raise InputError(f"{where}.expr: {exc}") from None
     raise InputError(f"{where}: expected a const, symbol or expr drive")
@@ -640,15 +628,12 @@ def dump_stimuli(stimuli: Stimuli, widths: Mapping[str, int]) -> str:
     for cycle, frame in enumerate(stimuli.frames):
         doc: dict = {"cycle": cycle, "inputs": {}}
         for name in sorted(frame.inputs):
-            kind, payload = frame.inputs[name]
-            if kind == "const":
-                value, width = payload
-                doc["inputs"][name] = {"const": ex.format_bits(value, width)}
+            e = frame.inputs[name]
+            if e.kind == "cst":
+                doc["inputs"][name] = {"const": ex.format_bits(e.value, e.width)}
+            elif e.kind == "sym":
+                doc["inputs"][name] = {"symbol": e.name}
             else:
-                e: Expr = payload
-                if e.kind == "sym":
-                    doc["inputs"][name] = {"symbol": e.name}
-                else:
-                    doc["inputs"][name] = {"expr": ex.render(e)}
+                doc["inputs"][name] = {"expr": ex.render(e)}
         lines.append(json.dumps(doc, sort_keys=True))
     return "\n".join(lines) + "\n"

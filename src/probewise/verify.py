@@ -6,7 +6,7 @@ ladder; the first step that decides wins:
 
 1. :func:`_share_count_proves` on the members' symbols: with no budget, no
    secret and a proper subset of each sharing; else at most the budget of
-   each sharing.
+   each sharing, a secret counting as all of its shares.
 2. The same count on the symbols :func:`_substitution_fixpoint` leaves. A
    mask whose single use sits under an XOR node (reachable from a member
    root through XOR/CONCAT/extraction context only) makes that XOR subterm
@@ -14,7 +14,8 @@ ladder; the first step that decides wins:
 3. :func:`_enumerate`, exact and witness-producing, over the space
    :func:`_space_for` builds; past the bit budget it raises TooLarge. Shares
    are tied to their parent secret by Boolean resharing (the top-index
-   share equals the secret XOR the others), or free for simulatability.
+   share equals the secret XOR the others), or free for simulatability,
+   where a secret is the XOR of all of its shares.
 
 Enumeration takes (fixed, vary) selections: secure iff for some selection,
 within each public value, the joint distribution of the members and the
@@ -67,18 +68,11 @@ class TooMany(Exception):
         self.count, self.limit = count, limit
 
 
-@dataclass(frozen=True)
-class ExprSet:
-    """Canonical order-independent set of expressions, constants removed."""
-    exprs: tuple[Expr, ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.exprs)
-
-
-def make_expr_set(exprs: Iterable[Expr]) -> ExprSet:
+def make_expr_set(exprs: Iterable[Expr]) -> tuple[Expr, ...]:
+    """The canonical order-independent members of ``exprs``: distinct,
+    constants removed, sorted by rendering."""
     keep = {e for e in exprs if not e.is_cst}
-    return ExprSet(tuple(sorted(keep, key=render)))
+    return tuple(sorted(keep, key=render))
 
 
 @dataclass(frozen=True)
@@ -254,24 +248,29 @@ def _symbols(exprs: Iterable[Expr], labels: SymbolTable) -> set[str]:
 
 def _share_count_proves(symbols: set[str], labels: SymbolTable,
                         budget: int | None = None) -> bool:
-    """``symbols`` hold at most ``budget`` shares of each sharing or, with no
-    budget, no secret and a proper subset of each sharing, which is uniform
-    and independent of its secret."""
-    if budget is None and any(labels.kind(n) == ex.SECRET for n in symbols):
-        return False
+    """``symbols`` hold at most ``budget`` shares of each sharing, a secret
+    counting as all of its shares, or, with no budget, no secret and a
+    proper subset of each sharing, which is uniform and independent of its
+    secret."""
+    secrets = [n for n in symbols if labels.kind(n) == ex.SECRET]
+    if secrets:
+        if budget is None:
+            return False
+        symbols = symbols.union(*map(labels.shares_of, secrets))
     return all(sum(s in symbols for s in shares)
                <= (len(shares) - 1 if budget is None else budget)
                for shares in labels.sharings())
 
 
-def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
+def check_substitution(exprs: tuple[Expr, ...],
+                       labels: SymbolTable) -> Verdict:
     """Prove independence by a share count on the members' symbols or, that
     failing, on those left after iterated bijective-mask replacement."""
     # the fixpoint leaves a subset of the symbols: the first count is a
     # fast path that skips the fixpoint for most sets
-    if _share_count_proves(_symbols(eset.exprs, labels), labels):
+    if _share_count_proves(_symbols(exprs, labels), labels):
         return Verdict.secure()
-    left = _substitution_fixpoint(eset.exprs, labels)
+    left = _substitution_fixpoint(exprs, labels)
     if _share_count_proves(left, labels):
         return Verdict.secure()
     sensitive = sorted(n for n in left if labels.is_sensitive(n))
@@ -285,8 +284,9 @@ def check_substitution(eset: ExprSet, labels: SymbolTable) -> Verdict:
 
 @dataclass
 class _Space:
-    """Cartesian assignment space over base variables, with derived shares;
-    ``cols`` hold the ``rows`` rows last materialised."""
+    """Cartesian assignment space over base variables, with derived symbols,
+    each the XOR of its parts; ``cols`` hold the ``rows`` rows last
+    materialised."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
@@ -298,7 +298,7 @@ class _Space:
     def size(self) -> int:
         return 1 << self.total_bits
 
-    def materialise(self, derived: Mapping[str, tuple[str, list[str]]],
+    def materialise(self, derived: Mapping[str, list[str]],
                     start: int = 0, stop: int | None = None) -> None:
         """Columns of the rows ``[start, stop)``, by default all of them; they
         replace those of the range materialised before."""
@@ -308,11 +308,11 @@ class _Space:
         self.cols = {}
         for name in self.order:
             self.cols[name] = (idx >> self.offsets[name]) & mask(self.widths[name])
-        for share, (secret, others) in derived.items():
-            col = self.cols[secret].copy()
-            for o in others:
-                col = col ^ self.cols[o]
-            self.cols[share] = col
+        for name, (first, *rest) in derived.items():
+            col = self.cols[first]
+            for part in rest:
+                col = col ^ self.cols[part]
+            self.cols[name] = col
 
     def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
         return {n: int(self.cols[n][row]) for n in names}
@@ -321,12 +321,16 @@ class _Space:
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                shares_free: bool) -> tuple[_Space, dict, list[str], list[str]]:
     """Enumeration space (not yet materialised) of labeled ``symbols``,
-    derived-share map, secret vars, public vars; raises TooLarge past
-    ``limit`` bits, the one bit count of the module. The publics take
-    the top bits of the row index, the first in key order most significant,
-    so a public value is a contiguous run of rows."""
+    derived map (name -> XOR parts), secret vars, public vars; raises
+    TooLarge past ``limit`` bits, the one bit count of the module. The
+    publics take the top bits of the row index, the first in key order most
+    significant, so a public value is a contiguous run of rows.
+
+    Tied shares: the top share is derived from its secret and siblings.
+    Free shares: every share is a base variable, and a secret is derived as
+    the XOR of all of its shares."""
     base: list[tuple[str, int]] = []
-    derived: dict[str, tuple[str, list[str]]] = {}
+    derived: dict[str, list[str]] = {}
     secrets: list[str] = []
     publics: list[str] = []
     seen: set[str] = set()
@@ -338,6 +342,11 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
 
     for name in sorted(symbols):
         kind = labels.kind(name)
+        if kind == ex.SECRET and shares_free:
+            derived[name] = labels.shares_of(name)
+            for share in derived[name]:
+                add(share, labels.width(share))
+            continue
         if kind != ex.SHARE or shares_free:   # a base variable
             add(name, labels.width(name))
             if kind == ex.PUBLIC:
@@ -361,7 +370,7 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
         others = [s for s in siblings if s != top]
         for o in others:
             add(o, labels.width(o))
-        derived[name] = (parent, others)
+        derived[name] = [parent, *others]
 
     # publics were added in name order: reversed, the first ends on top
     base = [b for b in base if b[0] not in publics] \
@@ -582,7 +591,7 @@ def _public_ranges(size: int, block: int) -> Iterator[tuple[int, int]]:
 
 
 def _enumerate(exprs: Sequence[Expr], space: _Space,
-               derived: Mapping[str, tuple[str, list[str]]],
+               derived: Mapping[str, list[str]],
                publics: Sequence[str],
                selections: Sequence[tuple[list[str], list[str]]]) -> Verdict:
     """Secure iff some ``(fixed, vary)`` selection is invariant in every
@@ -634,27 +643,28 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
     return Verdict.secure()
 
 
-def check_enumeration(eset: ExprSet, labels: SymbolTable,
+def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Exact independence check by exhausting all symbol assignments, one
     range of public values at a time; the first range that leaks decides."""
     space, derived, secrets, publics = _space_for(
-        _symbols(eset.exprs, labels), labels, limit, shares_free=False)
+        _symbols(exprs, labels), labels, limit, shares_free=False)
     if not secrets:
         return Verdict.secure()
-    return _enumerate(eset.exprs, space, derived, publics, [([], secrets)])
+    return _enumerate(exprs, space, derived, publics, [([], secrets)])
 
 
-def check(eset: ExprSet, labels: SymbolTable,
+def check(exprs: tuple[Expr, ...], labels: SymbolTable,
           limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
-    """Substitution first; exact enumeration as the fallback within budget."""
-    if not eset:
+    """Substitution first; exact enumeration as the fallback within budget.
+    ``exprs`` is a set's canonical members, as :func:`make_expr_set` gives."""
+    if not exprs:
         return Verdict.secure()
-    verdict = check_substitution(eset, labels)
+    verdict = check_substitution(exprs, labels)
     if verdict.is_secure:
         return verdict
     try:
-        return check_enumeration(eset, labels, limit)
+        return check_enumeration(exprs, labels, limit)
     except TooLarge as exc:
         return Verdict.inconclusive(
             f"{verdict.reason}; enumeration over limit ({exc.bits} > {exc.limit} "
@@ -727,11 +737,12 @@ class GadgetSpec:
     order: int
 
     def __post_init__(self):
-        for shares in self.labels.sharings():
-            if len(shares) != self.order + 1:
-                secret, _ = self.labels.share_parent(shares[0])
-                raise ValueError(f"secret {secret!r} declares {len(shares)} "
-                                 f"shares for order {self.order}")
+        # a secret without shares could be probed but never simulated
+        for secret in self.labels:
+            count = len(self.labels.shares_of(secret))
+            if self.labels.kind(secret) == ex.SECRET and count != self.order + 1:
+                raise ValueError(f"secret {secret!r} declares {count} shares "
+                                 f"for order {self.order}")
 
 
 @dataclass(frozen=True)
@@ -760,7 +771,7 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
         for uid in sorted(state.current):
             val = state.current[uid]
             members = [m for s in val.lset for m in s] if glitches else [val.symb]
-            obs = make_expr_set(members).exprs
+            obs = make_expr_set(members)
             if not obs:
                 continue
             name = gadget.circuit.name(uid)
@@ -776,8 +787,8 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
 def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                  limit: int) -> Verdict:
     """Can a simulator with ``budget`` shares of each input reproduce the
-    joint distribution of ``exprs``? A leak carries the first selection's
-    witness."""
+    joint distribution of ``exprs``? Observing a secret observes all of its
+    shares. A leak carries the first selection's witness."""
     symbols = _symbols(exprs, labels)
     if _share_count_proves(symbols, labels, budget) or \
             _share_count_proves(_substitution_fixpoint(exprs, labels),
@@ -786,7 +797,8 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     space, derived, _, _ = _space_for(symbols, labels, limit, shares_free=True)
     by_secret = sorted(labels.sharings(),
                        key=lambda shares: labels.share_parent(shares[0]))
-    present = [[s for s in shares if s in symbols] for shares in by_secret]
+    # the space holds the shares observed and all shares of each secret
+    present = [[s for s in shares if s in space.widths] for shares in by_secret]
     choices = [itertools.combinations(shares, min(budget, len(shares)))
                for shares in present]
     selections = []
@@ -804,7 +816,7 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
     def observe(combo: tuple[Probe, ...]) -> Iterator[tuple]:
         budget = sum(1 for p in combo if not p.is_output) if strong \
             else len(combo)
-        yield make_expr_set(e for p in combo for e in p.obs).exprs, budget
+        yield make_expr_set(e for p in combo for e in p.obs), budget
 
     def decide(key: tuple) -> Verdict:
         exprs, budget = key

@@ -372,20 +372,25 @@ def toggle_assignments(base: dict[str, int], toggled: dict[str, int],
 
 
 def _basis(exprs, labels, shares_free=False):
-    """Base variable widths, derived shares, secrets and publics of a set.
+    """Base variable widths, derived symbols (name -> the names whose XOR
+    it is), secrets and publics of a set.
 
     Base variables are masks, publics, declared secrets and all shares but
     the top-index one (which equals its secret XOR the rest). With
-    ``shares_free`` every symbol is a base variable, as in NI/SNI.
+    ``shares_free``, as in NI/SNI, every share is a base variable and a
+    secret is the XOR of all of its shares.
     """
     symbols = sorted({n for e in exprs for n in ex.symbols_of(e)})
     base: dict[str, int] = {}
-    derived: dict[str, tuple[str, list[str]]] = {}
+    derived: dict[str, list[str]] = {}
     secrets: set[str] = set()
     publics: set[str] = set()
     for name in symbols:
         kind = labels.kind(name)
-        if kind == "share" and shares_free:
+        if kind == "secret" and shares_free:
+            derived[name] = labels.shares_of(name)
+            base.update((s, labels.width(s)) for s in derived[name])
+        elif kind == "share" and shares_free:
             base[name] = labels.width(name)
         elif kind == "share":
             parent, _ = labels.share_parent(name)
@@ -395,7 +400,7 @@ def _basis(exprs, labels, shares_free=False):
                 secrets.add(parent)
                 for o in siblings[:-1]:
                     base[o] = labels.width(o)
-                derived[name] = (parent, siblings[:-1])
+                derived[name] = [parent, *siblings[:-1]]
             else:
                 base[name] = labels.width(name)
         else:
@@ -412,11 +417,10 @@ def _assignments(base, derived):
     names = sorted(base)
     for combo in itertools.product(*[range(1 << base[n]) for n in names]):
         a = dict(zip(names, combo))
-        for share, (parent, others) in derived.items():
-            v = a[parent]
-            for o in others:
-                v ^= a[o]
-            a[share] = v
+        for name, parts in derived.items():
+            a[name] = 0
+            for part in parts:
+                a[name] ^= a[part]
         yield a
 
 
@@ -467,11 +471,12 @@ def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
 
     Tries every selection of at most ``budget`` shares per secret; the tuple
     is simulatable when, for the fixed selected shares, its joint
-    distribution does not depend on the other shares.
+    distribution does not depend on the other shares. Shares are free and
+    a secret is the XOR of all of its shares, so observing a secret
+    observes every one of them.
     """
-    symbols = sorted({n for e in exprs for n in ex.symbols_of(e)})
-    widths = {n: labels.width(n) for n in symbols}
-    present = {s: [n for n in shares if n in symbols]
+    base, derived, _, _ = _basis(exprs, labels, shares_free=True)
+    present = {s: [n for n in shares if n in base]
                for s, shares in secrets.items()}
     if all(len(p) <= budget for p in present.values()):
         return True
@@ -479,9 +484,7 @@ def simulatable_bruteforce(exprs, labels, secrets: dict[str, list[str]],
     for s in sorted(present):
         k = min(budget, len(present[s]))
         selections.append(list(itertools.combinations(present[s], k)))
-    assignments = []
-    for combo in itertools.product(*[range(1 << widths[n]) for n in symbols]):
-        assignments.append(dict(zip(symbols, combo)))
+    assignments = list(_assignments(base, derived))
     values = []
     for a in assignments:
         values.append(tuple(ex.eval_concrete(e, a) for e in exprs))
@@ -524,14 +527,10 @@ def glitch_coverage_violations(fixture, sim_module, netlist_module,
     for frame, state in zip(fixture.stimuli.frames, states):
         toggled: dict[str, int] = {}
         base_inputs: dict[str, int] = {}
-        for name, (kind, payload) in frame.inputs.items():
-            if kind == "const":
-                base_inputs[name] = payload[0]
-            else:
-                base_inputs[name] = ex.eval_concrete(payload,
-                                                     fixture.stimuli.witness)
-                for sname in ex.symbols_of(payload):
-                    toggled[sname] = fixture.labels.width(sname)
+        for name, drive in frame.inputs.items():
+            base_inputs[name] = ex.eval_concrete(drive, fixture.stimuli.witness)
+            for sname in ex.symbols_of(drive):
+                toggled[sname] = fixture.labels.width(sname)
         members: list = []
         seen = set()
         for w in fixture.circuit.wires:
@@ -543,9 +542,8 @@ def glitch_coverage_violations(fixture, sim_module, netlist_module,
         rows = []
         for assignment in toggle_assignments(fixture.stimuli.witness, toggled):
             inputs = {}
-            for name, (kind, payload) in frame.inputs.items():
-                inputs[name] = payload[0] if kind == "const" \
-                    else ex.eval_concrete(payload, assignment)
+            for name, drive in frame.inputs.items():
+                inputs[name] = ex.eval_concrete(drive, assignment)
             values = oracle.eval_cycle(inputs)
             memo: dict = {}
             member_vals = {m.uid: ex.eval_concrete(m, assignment, memo)

@@ -172,7 +172,7 @@ def test_criterion_6_substitution_soundness():
             secure_count += 1
             if not check_enumeration(eset, labels, limit=16).is_secure:
                 violations += 1
-                print("VIOLATION:", [ex.render(e) for e in eset.exprs])
+                print("VIOLATION:", [ex.render(e) for e in eset])
     assert violations == 0
     assert secure_count >= 100
     elapsed = time.time() - start

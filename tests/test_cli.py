@@ -11,7 +11,8 @@ from probewise import gadgets
 from probewise.cli import main
 from probewise.manager import BIT, LeakageModel, run
 from probewise.netlist import serialize_netlist
-from probewise.sim import dump_stimuli
+from probewise.expr import SymbolTable
+from probewise.sim import dump_stimuli, parse_stimuli
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,30 @@ def test_higher_order_mode(fixture_dir, capsys):
 def test_stimuli_with_expressions_round_trip(fixture_dir):
     text = (fixture_dir / "fig5.stim.jsonl").read_text()
     assert '"expr"' in text   # fig5 drives i1 with XOR(k, m)
+
+
+def test_constant_expr_drive_is_a_const_drive(fixture_dir, tmp_path, capsys):
+    # fig5's i0 at cycle 0 written as {"expr": "CST(0b0)"}: the same report
+    # bytes, and the drive is written back as a const
+    const = fixture_dir / "fig5.stim.jsonl"
+    lines = _read(const, "stimuli")
+    assert lines[1]["inputs"]["i0"] == {"const": "0b0"}
+    lines[1]["inputs"]["i0"] = {"expr": "CST(0b0)"}
+    expr = tmp_path / "expr.stim.jsonl"
+    _write(expr, "stimuli", lines)
+    for model in ("0,1", "rr1sw"):
+        reports = []
+        for stimuli in (const, expr):
+            report = tmp_path / f"{stimuli.stem}.{model}.jsonl"
+            main(["verify", *_fig_args(fixture_dir, "fig5"), "--stimuli",
+                  str(stimuli), "--model", model, "--report", str(report)])
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1], model
+    capsys.readouterr()
+    widths = SymbolTable.from_json(
+        _read(fixture_dir / "fig5.labels.json", "labels")).widths()
+    assert dump_stimuli(parse_stimuli(expr.read_text(), widths), widths) == \
+        const.read_text()
 
 
 _SUFFIX = {"netlist": "netlist.json", "labels": "labels.json",
@@ -262,6 +287,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "stimuli line 2: inputs.i1.expr: expected a string"),
     (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "XOR(k, m) !!"})),
      "stimuli line 2: inputs.i1.expr: unexpected character '!'"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "ARRAY(k)"})),
+     "stimuli line 2: inputs.i1.expr: table reads (ARRAY) cannot be parsed"),
     (_edit("stimuli", _set(1, "cycle", None)),
      "stimuli line 2: cycle: expected a non-negative integer, got None"),
     (_edit("stimuli", _set(0, "witness", 5)),
@@ -286,7 +313,7 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "split-index-null", "memory-depth-null", "memory-init-int",
         "memory-id-list", "gate-params-list", "frame-inputs-int",
         "drive-int", "drive-symbol-list", "drive-expr-int", "drive-expr-junk",
-        "frame-cycle-null",
+        "drive-expr-array", "frame-cycle-null",
         "witness-int", "witness-missing", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
         "share-width", "enum-limit-negative"])

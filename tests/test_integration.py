@@ -30,10 +30,10 @@ def test_share_swap_through_one_register_leaks_in_transition():
     circuit = netlist.parse_netlist(json.dumps(doc))
     labels = _labels_shares()
     frames = [
-        sim.StimulusFrame({"bus": ("expr", ex.sym("a0", 1))}),
-        sim.StimulusFrame({"bus": ("expr", ex.sym("a0", 1))}),
-        sim.StimulusFrame({"bus": ("expr", ex.sym("a1", 1))}),  # swap
-        sim.StimulusFrame({"bus": ("const", (0, 1))}),
+        sim.StimulusFrame({"bus": ex.sym("a0", 1)}),
+        sim.StimulusFrame({"bus": ex.sym("a0", 1)}),
+        sim.StimulusFrame({"bus": ex.sym("a1", 1)}),  # swap
+        sim.StimulusFrame({"bus": ex.cst(0, 1)}),
     ]
     stimuli = sim.Stimuli({"a0": 1, "a1": 0}, frames)
 
@@ -64,9 +64,9 @@ def test_register_file_read_port_glitch_recombines_shares():
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
     labels = _labels_shares()
-    frames = [sim.StimulusFrame({"d0": ("expr", ex.sym("a0", 1)),
-                                 "d1": ("expr", ex.sym("a1", 1)),
-                                 "addr": ("const", (0, 1))})] * 3
+    frames = [sim.StimulusFrame({"d0": ex.sym("a0", 1),
+                                 "d1": ex.sym("a1", 1),
+                                 "addr": ex.cst(0, 1)})] * 3
     stimuli = sim.Stimuli({"a0": 1, "a1": 0}, frames)
 
     glitch = run(circuit, stimuli, labels, LeakageModel(glitches=True))
@@ -94,8 +94,8 @@ def test_masked_and_then_unmask_pipeline():
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("z", 1, ex.MASK)
-    frames = [sim.StimulusFrame({"s": ("expr", ex.sym("k", 1)),
-                                 "z": ("expr", ex.sym("z", 1))})] * 2
+    frames = [sim.StimulusFrame({"s": ex.sym("k", 1),
+                                 "z": ex.sym("z", 1)})] * 2
     stimuli = sim.Stimuli({"k": 1, "z": 1}, frames)
     report = run(circuit, stimuli, labels, LeakageModel())
     flagged = {(e.cycle, e.wire) for e in report.flagged()}
@@ -134,9 +134,9 @@ def _masked_table(wires=(), gates=(), drives=({},)):
     labels.declare("k", 2, ex.SECRET)
     labels.declare("m", 2, ex.MASK)
     labels.declare("mp", 2, ex.MASK)
-    frames = [sim.StimulusFrame({"kw": ("expr", ex.sym("k", 2)),
-                                 "mw": ("expr", ex.sym("m", 2)),
-                                 **{w: ("const", (v, 2))
+    frames = [sim.StimulusFrame({"kw": ex.sym("k", 2),
+                                 "mw": ex.sym("m", 2),
+                                 **{w: ex.cst(v, 2)
                                     for w, v in drive.items()}})
               for drive in drives]
     stimuli = sim.Stimuli({"k": 3, "m": m_val, "mp": mp_val}, frames)
@@ -195,7 +195,7 @@ def test_higher_order_view_over_changed_memory_is_decided():
     assert (res.tuples_checked, res.leaking_tuple) == (1, (0, 1))
     a1 = circuit.by_name["a1"].uid
     view = mg.make_expr_set(state.current[a1].symb for state in
-                            mg._simulate(circuit, stimuli, model, opts)).exprs
+                            mg._simulate(circuit, stimuli, model, opts))
     assert [ex.render(e) for e in view] == [
         "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox, SYMB(k)))",
         "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox@1, SYMB(k)))"]
@@ -227,9 +227,9 @@ def _written_table_circuit(cycles=1):
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 1, ex.MASK)
-    frame = sim.StimulusFrame({"a": ("expr", ex.array_lookup("t", ex.sym("k", 1), 1)),
-                               "mw": ("expr", ex.sym("m", 1)),
-                               "wi": ("const", (0, 1)), "wv": ("const", (1, 1))})
+    frame = sim.StimulusFrame({"a": ex.array_lookup("t", ex.sym("k", 1), 1),
+                               "mw": ex.sym("m", 1),
+                               "wi": ex.cst(0, 1), "wv": ex.cst(1, 1)})
     return circuit, labels, sim.Stimuli({"k": 0, "m": 1}, [frame] * cycles)
 
 
@@ -289,8 +289,8 @@ def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("z", 1, ex.MASK)
-    frames = [sim.StimulusFrame({"s": ("expr", ex.sym("k", 1)),
-                                 "z": ("expr", ex.sym("z", 1))})] * 2
+    frames = [sim.StimulusFrame({"s": ex.sym("k", 1),
+                                 "z": ex.sym("z", 1)})] * 2
     stimuli = sim.Stimuli({"k": 1, "z": 1}, frames)
     value = run(circuit, stimuli, labels, LeakageModel())
     rr = run(circuit, stimuli, labels, LeakageModel.rr1sw())

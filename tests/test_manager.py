@@ -23,7 +23,7 @@ def _states(fixture):
 
 
 def _set_strs(eset):
-    return {ex.render(e) for e in eset.exprs}
+    return {ex.render(e) for e in eset}
 
 
 KM = "OP_XOR(SYMB(k), SYMB(m))"
@@ -164,7 +164,7 @@ def test_recombine_random_splits_concretely():
         circuit = netlist.parse_netlist(json.dumps(doc))
         sched = netlist.validate_and_schedule(circuit)
         labels = {f"x{i}": 1 for i in range(width)}
-        frame = sim.StimulusFrame({f"b{i}": ("expr", ex.sym(f"x{i}", 1))
+        frame = sim.StimulusFrame({f"b{i}": ex.sym(f"x{i}", 1)
                                    for i in range(width)})
         witness = {f"x{i}": rng.getrandbits(1) for i in range(width)}
         (state,) = sim.simulate(circuit, sched, sim.Stimuli(witness, [frame]))
@@ -297,9 +297,9 @@ def test_warning_on_symbolic_mux_selector():
     circuit = netlist.parse_netlist(json.dumps(doc))
     labels = ex.SymbolTable()
     labels.declare("m", 1, ex.MASK)
-    frames = [sim.StimulusFrame({"s": ("expr", ex.sym("m", 1)),
-                                 "a": ("const", (0, 1)),
-                                 "b": ("const", (1, 1))})]
+    frames = [sim.StimulusFrame({"s": ex.sym("m", 1),
+                                 "a": ex.cst(0, 1),
+                                 "b": ex.cst(1, 1)})]
     report = run(circuit, sim.Stimuli({"m": 1}, frames), labels,
                  LeakageModel())
     assert any("mux selector" in w[2] for w in report.warnings)
@@ -327,9 +327,9 @@ def test_reduction_covers_stable_mux_selector_drop(monkeypatch):
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 1, ex.MASK)
-    frames = [sim.StimulusFrame({"c": ("const", (1, 1)),
-                                 "a": ("expr", ex.sym("k", 1)),
-                                 "b": ("expr", ex.sym("m", 1))})] * 3
+    frames = [sim.StimulusFrame({"c": ex.cst(1, 1),
+                                 "a": ex.sym("k", 1),
+                                 "b": ex.sym("m", 1)})] * 3
     stimuli = sim.Stimuli({"k": 1, "m": 0}, frames)
     model = LeakageModel(glitches=True)
     reduced = run(circuit, stimuli, labels, model)
@@ -366,8 +366,8 @@ def test_expr_set_canonicalisation():
     k, m, mp = ex.sym("k", 1), ex.sym("m", 1), ex.sym("mp", 1)
     a = make_expr_set([ex.build("XOR", [k, m]), mp, m])
     b = make_expr_set([m, ex.build("XOR", [m, k]), mp, ex.cst(1, 1)])
-    assert a.exprs == b.exprs
-    assert make_expr_set([m]).exprs != make_expr_set([mp]).exprs
+    assert a == b
+    assert make_expr_set([m]) != make_expr_set([mp])
 
 
 def test_expr_set_tuples_identify_member_sets():
@@ -383,9 +383,9 @@ def test_expr_set_tuples_identify_member_sets():
             for _ in range(rng.randrange(1, 4))]
         eset = make_expr_set(exprs)
         rng.shuffle(exprs)
-        assert make_expr_set(exprs).exprs == eset.exprs
-        ident = frozenset(e.uid for e in eset.exprs)
-        sets.setdefault(eset.exprs, set()).add(ident)
+        assert make_expr_set(exprs) == eset
+        ident = frozenset(e.uid for e in eset)
+        sets.setdefault(eset, set()).add(ident)
     for key, idents in sets.items():
         assert len(idents) == 1, [ex.render(e) for e in key]
 
@@ -429,7 +429,7 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
     check = vf.check
 
     def counting_check(eset, *args):
-        checked.append(eset.exprs)
+        checked.append(eset)
         return check(eset, *args)
 
     monkeypatch.setattr(vf, "check", counting_check)
@@ -454,7 +454,7 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
                  itertools.combinations(cycles, 2) for w in wires]
     else:
         views = itertools.combinations(sorted(sets, key=lambda p: p[::-1]), 2)
-    unions = {make_expr_set(e for p in view for e in sets[p].exprs).exprs
+    unions = {make_expr_set(e for p in view for e in sets[p])
               for view in views}
     unions.discard(())
     assert len(checked) == len(set(checked)) == len(unions)
@@ -523,7 +523,7 @@ def test_recombine_single_member_split_is_identity():
                     "bits": [{"wire": "b", "index": 0}]}],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frame = sim.StimulusFrame({"b": ("expr", ex.sym("m", 1))})
+    frame = sim.StimulusFrame({"b": ex.sym("m", 1)})
     (state,) = sim.simulate(circuit, netlist.validate_and_schedule(circuit),
                             sim.Stimuli({"m": 1}, [frame]))
     member = state.current[circuit.by_name["b"].uid]

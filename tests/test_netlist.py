@@ -215,9 +215,7 @@ def test_schedule_linear_chain():
         "registers": [],
     }
     c = parse(doc)
-    sched = validate_and_schedule(c)
-    gates = {g.uid: g for g in c.gates}
-    assert [c.name(gates[u].output) for u in sched.order] == ["x", "y"]
+    assert [c.name(g.output) for g in validate_and_schedule(c)] == ["x", "y"]
 
 
 def test_schedule_self_loop():
@@ -243,20 +241,18 @@ def test_register_breaks_cycle():
         "registers": [{"input": "x", "output": "q", "init": "0b0"}],
     }
     c = parse(doc)
-    sched = validate_and_schedule(c)
-    assert len(sched.order) == 2
+    assert len(validate_and_schedule(c)) == 2
 
 
 def test_schedule_respects_dependencies_on_random_circuits():
     for seed in range(25):
         fx = gadgets.gen_random_circuit(seed, n_gates=25)
         sched = validate_and_schedule(fx.circuit)
-        assert sorted(sched.order) == sorted(g.uid for g in fx.circuit.gates)
+        assert sorted(g.uid for g in sched) == \
+            sorted(g.uid for g in fx.circuit.gates)
         ready = set(fx.circuit.inputs) | \
             {r.output for r in fx.circuit.registers}
-        gates = {g.uid: g for g in fx.circuit.gates}
-        for uid in sched.order:
-            g = gates[uid]
+        for g in sched:
             assert all(w in ready for w in g.inputs)
             assert g.output not in ready   # each wire computed exactly once
             ready.add(g.output)

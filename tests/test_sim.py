@@ -70,7 +70,7 @@ def test_constant_circuit_has_empty_leaksets():
         "registers": [{"input": "o", "output": "q", "init": "0b00"}],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frame = StimulusFrame({"a": ("const", (2, 2)), "b": ("const", (3, 2))})
+    frame = StimulusFrame({"a": ex.cst(2, 2), "b": ex.cst(3, 2)})
     for state in _states(circuit, Stimuli({}, [frame] * 3)):
         for uid, val in state.current.items():
             assert all(s == frozenset() for s in val.lset)
@@ -95,8 +95,8 @@ def _reg_and_circuit():
 def test_and_stabilised_by_constant_zero_input():
     circuit = _reg_and_circuit()
     labels = {"m": 1}
-    frames = [StimulusFrame({"c": ("const", (0, 1)),
-                             "x": ("expr", ex.sym("m", 1))})] * 2
+    frames = [StimulusFrame({"c": ex.cst(0, 1),
+                             "x": ex.sym("m", 1)})] * 2
     s0, s1 = _states(circuit, Stimuli({"m": 1}, frames))
     o0 = s1.current[circuit.by_name["o"].uid]
     # r is stable CST(0) at cycle 1, so the unstable m input cannot glitch o.
@@ -113,8 +113,8 @@ def test_or_stabilised_by_constant_one_input():
         "registers": [{"input": "c", "output": "r", "init": "0b1"}],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frames = [StimulusFrame({"c": ("const", (1, 1)),
-                             "x": ("expr", ex.sym("m", 1))})] * 2
+    frames = [StimulusFrame({"c": ex.cst(1, 1),
+                             "x": ex.sym("m", 1)})] * 2
     _, s1 = _states(circuit, Stimuli({"m": 0}, frames))
     o = s1.current[circuit.by_name["o"].uid]
     assert o.stab == 1 and o.symb is ex.cst(1, 1)
@@ -126,8 +126,8 @@ def test_xor_requires_both_stable():
     doc = json.loads(netlist.serialize_netlist(circuit))
     doc["gates"] = [{"kind": "bit_xor", "output": "o", "inputs": ["r", "x"]}]
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frames = [StimulusFrame({"c": ("const", (0, 1)),
-                             "x": ("expr", ex.sym("m", 1))})] * 2
+    frames = [StimulusFrame({"c": ex.cst(0, 1),
+                             "x": ex.sym("m", 1)})] * 2
     _, s1 = _states(circuit, Stimuli({"m": 1}, frames))
     assert s1.current[circuit.by_name["o"].uid].stab == 0
 
@@ -276,9 +276,9 @@ def _mux_doc(sel_from_reg: bool):
 
 def test_mux_constant_selector_folds():
     circuit = _mux_doc(sel_from_reg=False)
-    frames = [StimulusFrame({"s": ("const", (1, 1)),
-                             "a": ("expr", ex.sym("m", 1)),
-                             "b": ("expr", ex.sym("mp", 1))})]
+    frames = [StimulusFrame({"s": ex.cst(1, 1),
+                             "a": ex.sym("m", 1),
+                             "b": ex.sym("mp", 1)})]
     (s0,) = _states(circuit, Stimuli({"m": 0, "mp": 1}, frames))
     o = s0.current[circuit.by_name["o"].uid]
     assert o.symb is ex.sym("mp", 1)    # selector 1 picks in1
@@ -288,9 +288,9 @@ def test_mux_constant_selector_folds():
 
 def test_mux_stable_constant_selector_drops_unselected():
     circuit = _mux_doc(sel_from_reg=True)
-    frames = [StimulusFrame({"s": ("const", (1, 1)),
-                             "a": ("expr", ex.sym("m", 1)),
-                             "b": ("expr", ex.sym("mp", 1))})] * 3
+    frames = [StimulusFrame({"s": ex.cst(1, 1),
+                             "a": ex.sym("m", 1),
+                             "b": ex.sym("mp", 1)})] * 3
     states = _states(circuit, Stimuli({"m": 0, "mp": 1}, frames))
     o = states[2].current[circuit.by_name["o"].uid]
     sel = states[2].current[circuit.by_name["sel"].uid]
@@ -317,7 +317,7 @@ def _memory_doc():
 
 def test_mem_read_constant_index():
     circuit = netlist.parse_netlist(json.dumps(_memory_doc()))
-    frames = [StimulusFrame({"idx": ("const", (3, 2))})]
+    frames = [StimulusFrame({"idx": ex.cst(3, 2)})]
     (s,) = _states(circuit, Stimuli({}, frames))
     out = s.current[circuit.by_name["out"].uid]
     assert out.conc == 0b10 and out.symb is ex.cst(0b10, 2)
@@ -325,7 +325,7 @@ def test_mem_read_constant_index():
 
 def test_mem_read_symbolic_index_unhandled():
     circuit = netlist.parse_netlist(json.dumps(_memory_doc()))
-    frames = [StimulusFrame({"idx": ("expr", ex.sym("p", 2))})]
+    frames = [StimulusFrame({"idx": ex.sym("p", 2)})]
     with pytest.raises(SymbolicIndexUnhandled):
         _states(circuit, Stimuli({"p": 1}, frames))
 
@@ -347,7 +347,7 @@ def test_masked_table_hook():
     circuit = netlist.parse_netlist(json.dumps(doc))
     hook = MaskedTableHook("tp", "t", "m", "mp")
     widths = {"p": 2, "m": 2, "mp": 2}
-    frames = [StimulusFrame({"idx": ("expr", ex.parse_expr("XOR(p, m)", widths))})]
+    frames = [StimulusFrame({"idx": ex.parse_expr("XOR(p, m)", widths)})]
     sched = netlist.validate_and_schedule(circuit)
     state = initial_state(circuit)
     witness = {"p": 2, "m": m_val, "mp": mp_val}
@@ -373,8 +373,8 @@ def test_mem_write_visible_next_cycle():
         "memories": [{"id": "t", "depth": 2, "width": 2}],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frames = [StimulusFrame({"idx": ("const", (1, 1)),
-                             "v": ("expr", ex.sym("m", 2))})] * 2
+    frames = [StimulusFrame({"idx": ex.cst(1, 1),
+                             "v": ex.sym("m", 2)})] * 2
     states = _states(circuit, Stimuli({"m": 3}, frames))
     out0 = states[0].current[circuit.by_name["out"].uid]
     assert out0.symb is ex.cst(0, 2)         # write lands after the cycle
@@ -402,8 +402,8 @@ def test_dynamic_shift_is_width_mixing():
         "registers": [],
     }
     circuit = netlist.parse_netlist(json.dumps(doc))
-    frames = [StimulusFrame({"v": ("expr", ex.sym("m", 4)),
-                             "n": ("expr", ex.sym("s", 2))})]
+    frames = [StimulusFrame({"v": ex.sym("m", 4),
+                             "n": ex.sym("s", 2)})]
     witness = {"m": 0b1010, "s": 1}
     (st,) = _states(circuit, Stimuli(witness, frames))
     o = st.current[circuit.by_name["o"].uid]
@@ -497,9 +497,8 @@ def test_parse_stimuli_round_trip():
     ])
     stim = parse_stimuli(text, widths)
     assert stim.witness == {"k": 1, "m": 0}
-    assert stim.frames[0].inputs["a"] == ("const", (2, 2))
-    kind, e = stim.frames[1].inputs["b"]
-    assert kind == "expr" and ex.render(e) == "OP_XOR(SYMB(k), SYMB(m))"
+    assert stim.frames[0].inputs["a"] == ex.cst(2, 2)
+    assert ex.render(stim.frames[1].inputs["b"]) == "OP_XOR(SYMB(k), SYMB(m))"
     again = parse_stimuli(sim.dump_stimuli(stim, widths), widths)
     assert again == stim
 
@@ -509,5 +508,5 @@ def test_missing_stimulus_is_an_error():
     sched = netlist.validate_and_schedule(fx.circuit)
     with pytest.raises(sim.SimError):
         step_cycle(fx.circuit, sched, initial_state(fx.circuit),
-                   StimulusFrame({"i0": ("const", (0, 1))}),
+                   StimulusFrame({"i0": ex.cst(0, 1)}),
                    fx.stimuli.witness)

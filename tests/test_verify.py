@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from probewise import expr as ex, gadgets, manager as mg, netlist, verify as vf
 from probewise.expr import SymbolTable
 from probewise.sim import Stimuli, StimulusFrame
-from probewise.verify import (ExprSet, GadgetSpec, TooLarge, check,
+from probewise.verify import (GadgetSpec, TooLarge, check,
                               check_enumeration, check_ni, check_sni,
                               check_substitution, make_expr_set)
 
@@ -183,7 +183,7 @@ def test_enumeration_matches_bruteforce_oracle():
     while compared < 250:
         exprs, labels = oracles.random_expr_set(rng, max_bits=10)
         eset = make_expr_set(exprs)
-        symbols = {n for e in eset.exprs for n in ex.symbols_of(e)}
+        symbols = {n for e in eset for n in ex.symbols_of(e)}
         if sum(labels.width(n) for n in symbols) > 10:
             continue
         try:
@@ -191,8 +191,8 @@ def test_enumeration_matches_bruteforce_oracle():
         except TooLarge:
             continue   # share expansion pushed the basis over the cap
         compared += 1
-        slow = oracles.independence_bruteforce(eset.exprs, labels)
-        assert fast == slow, [ex.render(e) for e in eset.exprs]
+        slow = oracles.independence_bruteforce(eset, labels)
+        assert fast == slow, [ex.render(e) for e in eset]
 
 
 def test_substitution_secure_implies_enumeration_secure():
@@ -204,7 +204,7 @@ def test_substitution_secure_implies_enumeration_secure():
         if check_substitution(eset, labels).is_secure:
             checked += 1
             assert check_enumeration(eset, labels, limit=18).is_secure, \
-                [ex.render(e) for e in eset.exprs]
+                [ex.render(e) for e in eset]
     assert checked > 30   # the generator must produce provable sets
 
 
@@ -229,7 +229,7 @@ def _refresh_gadget():
     labels.declare("a0", 1, ex.SHARE, secret="a", index=0)
     labels.declare("a1", 1, ex.SHARE, secret="a", index=1)
     labels.declare("z", 1, ex.MASK)
-    frame = StimulusFrame({n: ("expr", ex.sym(n, 1)) for n in ("a0", "a1", "z")})
+    frame = StimulusFrame({n: ex.sym(n, 1) for n in ("a0", "a1", "z")})
     stimuli = Stimuli({"a0": 0, "a1": 1, "z": 1}, [frame])
     return GadgetSpec(circuit, labels, stimuli, ("c0", "c1"), order=1)
 
@@ -274,6 +274,32 @@ def test_gadget_spec_validates_share_count():
                                          "order 2"):
         GadgetSpec(gadget.circuit, gadget.labels, gadget.stimuli, ("c0",),
                    order=2)
+
+
+def test_gadget_spec_rejects_a_secret_without_shares():
+    gadget = _refresh_gadget()
+    gadget.labels.declare("k", 1, ex.SECRET)
+    with pytest.raises(ValueError, match="secret 'k' declares 0 shares for "
+                                         "order 1"):
+        GadgetSpec(gadget.circuit, gadget.labels, gadget.stimuli, ("c0",),
+                   order=1)
+
+
+def test_a_probed_secret_costs_all_of_its_shares():
+    # observing a is observing a0 ^ a1: one share cannot simulate it
+    _, labels, _, _ = gadgets.gen_dom_and(1)
+    a = labels.sym("a")
+    v = vf._simulatable((a,), labels, 1, 20)
+    assert v.status == vf.LEAKS
+    _assert_witness_counts((a,), labels, v.witness, shares_free=True)
+    assert vf._simulatable((xor(labels.sym("a0"), labels.sym("a1")),),
+                           labels, 1, 20).status == vf.LEAKS
+    assert not oracles.simulatable_bruteforce((a,), labels, _secrets(labels), 1)
+    assert not vf._share_count_proves({"a"}, labels, 1)
+    # with both shares in the budget, and with the secret cancelled
+    assert vf._share_count_proves({"a"}, labels, 2)
+    assert vf._simulatable((a,), labels, 2, 20).is_secure
+    assert vf._simulatable((xor(a, labels.sym("a0")),), labels, 1, 20).is_secure
 
 
 def test_ni_leak_carries_witness():
@@ -351,7 +377,7 @@ def test_enumeration_witness_counts_match_bruteforce():
     for _ in range(400):
         exprs, labels = oracles.random_expr_set(rng, max_bits=10)
         eset = make_expr_set(exprs)
-        symbols = {n for e in eset.exprs for n in ex.symbols_of(e)}
+        symbols = {n for e in eset for n in ex.symbols_of(e)}
         if sum(labels.width(n) for n in symbols) > 10:
             continue
         try:
@@ -360,7 +386,7 @@ def test_enumeration_witness_counts_match_bruteforce():
             continue
         if v.status != vf.LEAKS:
             continue
-        _, count_b = _assert_witness_counts(eset.exprs, labels, v.witness)
+        _, count_b = _assert_witness_counts(eset, labels, v.witness)
         if count_b == 0:
             missing_value += 1
         else:
@@ -387,11 +413,11 @@ def _agrees_with_oracle(exprs, labels):
     the smallest leaking public assignment in key order, with true counts."""
     eset = make_expr_set(exprs)
     v = check_enumeration(eset, labels)
-    leaking = oracles.leaking_publics(eset.exprs, labels)
-    assert v.is_secure == (not leaking), [ex.render(e) for e in eset.exprs]
+    leaking = oracles.leaking_publics(eset, labels)
+    assert v.is_secure == (not leaking), [ex.render(e) for e in eset]
     if v.status == vf.LEAKS:
         assert v.witness.fixed == leaking[0]
-        _assert_witness_counts(eset.exprs, labels, v.witness)
+        _assert_witness_counts(eset, labels, v.witness)
     return v
 
 
@@ -703,20 +729,20 @@ def _shared_set(pick):
         elif wrap == "wide":
             e = ex.zext(e, 40)
         exprs.append(e)
-    return make_expr_set(exprs).exprs, labels, secrets
+    return make_expr_set(exprs), labels, secrets
 
 
 def _assert_share_counts_sound(exprs, labels, secrets, budget):
-    """Each Secure of substitution, and of simulatability, is confirmed by
-    brute force; returns whether only the share count after the fixpoint
-    proved independence."""
-    proved = check_substitution(ExprSet(exprs), labels).is_secure
+    """Each Secure of substitution is confirmed by brute force, and the
+    simulatability verdict is the brute-force one; returns whether only the
+    share count after the fixpoint proved independence."""
+    proved = check_substitution(exprs, labels).is_secure
     if proved:
         assert oracles.independence_bruteforce(exprs, labels), \
             [ex.render(e) for e in exprs]
-    if vf._simulatable(exprs, labels, budget, limit=20).is_secure:
-        assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
-            (budget, [ex.render(e) for e in exprs])
+    assert vf._simulatable(exprs, labels, budget, limit=20).is_secure == \
+        oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
+        (budget, [ex.render(e) for e in exprs])
     return proved and any(labels.is_sensitive(n) for n in
                           vf._substitution_fixpoint(exprs, labels))
 
@@ -751,7 +777,7 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
         probes = vf.collect_probes(spec, glitches)
         for combo in itertools.chain(*(itertools.combinations(probes, q)
                                        for q in (1, 2))):
-            exprs = make_expr_set(e for p in combo for e in p.obs).exprs
+            exprs = make_expr_set(e for p in combo for e in p.obs)
             symbols = {n for e in exprs for n in ex.symbols_of(e)}
             for budget in {len(combo),
                            sum(1 for p in combo if not p.is_output)}:
@@ -770,7 +796,7 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
     monkeypatch.setattr(vf, "check", proving_check)
     mg.verify_higher_order(circuit, stimuli, labels, mg.LeakageModel(order=2))
     assert any(labels.is_sensitive(n) for eset in sets
-               for n in vf._substitution_fixpoint(eset.exprs, labels))
+               for n in vf._substitution_fixpoint(eset, labels))
     for eset in sets:
         assert check_enumeration(eset, labels).is_secure
 
