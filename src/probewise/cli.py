@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
     try:
         circuit = parse_netlist(netlist_text)
         labels = ex.SymbolTable.from_json(load(labels_text, "labels"))
-        stimuli = sm.parse_stimuli(stimuli_text, labels.widths())
+        stimuli = sm.parse_stimuli(stimuli_text, labels.widths(), circuit)
         model = _leakage_model(args)
     except (NetlistError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

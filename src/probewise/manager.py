@@ -128,10 +128,11 @@ class LeakReport:
         return [e for e in self.entries if not e.verdict.is_secure]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(e.to_json(), sort_keys=True) for e in self.entries]
-        lines += [json.dumps({"cycle": c, "wire": w, "warning": msg},
-                             sort_keys=True) for c, w, msg in self.warnings]
-        lines.append(json.dumps(self.summary.to_json(), sort_keys=True))
+        encode = json.JSONEncoder(sort_keys=True).encode
+        lines = [encode(e.to_json()) for e in self.entries]
+        lines += [encode({"cycle": c, "wire": w, "warning": msg})
+                  for c, w, msg in self.warnings]
+        lines.append(encode(self.summary.to_json()))
         return "\n".join(lines) + "\n"
 
 
@@ -264,28 +265,41 @@ def wires_to_verify(circuit: Circuit, index: StructuralIndex,
 # One cycle's keyed sets
 # ---------------------------------------------------------------------------
 
+UnitSet = tuple[str, tuple[str, int] | None, tuple[Expr, ...]]
+
+
 def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
-               units: list[object]) -> \
-        list[tuple[str, tuple[str, int] | None, tuple[Expr, ...]]]:
+               units: list[object], memo: dict) -> list[UnitSet]:
     """Each unit's expression sets at this state's cycle, with their label,
-    source line and members; a set's members are its key."""
+    source line and members; a set's members are its key.
+
+    ``memo`` belongs to one model and one simulation: it maps each unit of
+    the last call to its ``(val, prev, sets)``, whose sets stand while the
+    unit's two valuations are the same objects."""
     previous = _previous(state)
-    out: list[tuple[str, tuple[str, int] | None, tuple[Expr, ...]]] = []
+    last_call = memo.copy()
+    memo.clear()
+    out: list[UnitSet] = []
     for unit in units:
         if isinstance(unit, str):
             val = recombine_split_wires(circuit, state.current, unit)
             prev = recombine_split_wires(circuit, previous, unit)
-            src = None
-            name = unit
         else:
             val = state.current[unit]
             prev = previous[unit]
-            wire = circuit.wire(unit)
-            src = (wire.src.file, wire.src.line) if wire.src else None
-            name = wire.name
-        for rank, members in expr_sets_for(val, prev, model):
-            out.append((name if rank is None else f"{name}[{rank}]", src,
-                        members))
+        last = last_call.get(unit)
+        if last is None or last[0] is not val or last[1] is not prev:
+            if isinstance(unit, str):
+                name, src = unit, None
+            else:
+                wire = circuit.wire(unit)
+                name = wire.name
+                src = (wire.src.file, wire.src.line) if wire.src else None
+            last = (val, prev, [
+                (name if rank is None else f"{name}[{rank}]", src, members)
+                for rank, members in expr_sets_for(val, prev, model)])
+        memo[unit] = last
+        out += last[2]
     return out
 
 
@@ -325,6 +339,8 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     index = structural_index(circuit)
     report = LeakReport()
     cache: dict[tuple, Verdict] = {}
+    memo: dict = {}
+    baseline_memo: dict = {}
     baseline_seen: set[tuple] = set()
     stopped = False
 
@@ -334,7 +350,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
         units = wires_to_verify(circuit, index, model, state)
         requests: list[tuple] = []
-        for label, src, key in _unit_sets(circuit, model, state, units):
+        for label, src, key in _unit_sets(circuit, model, state, units, memo):
             if not key:
                 report.summary.trivial_skipped += 1
                 continue
@@ -342,7 +358,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
-                circuit, index, model, state, baseline_seen)
+                circuit, index, model, state, baseline_memo, baseline_seen)
         verdicts = _dispatch(requests, cache, labels, options, report)
         cycle_flagged = False
         for (label, src, exprs), verdict in zip(requests, verdicts):
@@ -386,13 +402,14 @@ def _dispatch(requests, cache: dict[tuple, Verdict], labels: SymbolTable,
 
 
 def _baseline_count(circuit: Circuit, index: StructuralIndex,
-                    model: LeakageModel, state: SimState,
+                    model: LeakageModel, state: SimState, memo: dict,
                     seen: set[tuple]) -> int:
-    """Sets the standard (non-over-approximated) run would have dispatched."""
+    """Sets the standard (non-over-approximated) run would have dispatched;
+    ``memo`` is that run's :func:`_unit_sets` memo."""
     std = replace(model, overapprox=False)
     units = wires_to_verify(circuit, index, std, state)
     count = 0
-    for _, _, key in _unit_sets(circuit, std, state, units):
+    for _, _, key in _unit_sets(circuit, std, state, units, memo):
         if key and key not in seen:
             seen.add(key)
             count += 1
@@ -424,8 +441,9 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         raise ValueError(f"unknown mode {mode!r}")
     options = options or RunOptions()
     units: list[object] = [w.uid for w in circuit.wires]
+    memo: dict = {}
     per_cycle = [{label: key for label, _, key in
-                  _unit_sets(circuit, model, state, units)}
+                  _unit_sets(circuit, model, state, units, memo)}
                  for state in _simulate(circuit, stimuli, model, options)]
 
     wires = sorted(per_cycle[0]) if per_cycle else []

@@ -175,10 +175,16 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
     ``schedule`` is the gates in evaluation order.
 
     Its table reads, in drives and memory hook results alike, see the
-    contents before its own writes and carry them in their ARRAY nodes."""
+    contents before its own writes and carry them in their ARRAY nodes.
+
+    ``state`` must come from the same circuit and ``opts``, as in
+    :func:`simulate`: a wire whose valuation equals the last cycle's keeps
+    that object, and a non-memory gate whose inputs all kept theirs keeps
+    its own without being evaluated again."""
     t = state.cycle
     vals: dict[int, Valuation] = {}
     warnings = list(state.warnings)
+    last = state.current
 
     for uid in sorted(circuit.inputs):
         wire = circuit.wire(uid)
@@ -190,11 +196,17 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
                            f"wire is {wire.width}")
         e = ex.bind_tables(e, state.mem_conc, state.mem_version)
         conc = ex.eval_concrete(e, witness)
-        lset = tuple(norm_set((b,)) for b in bits(e))
-        vals[uid] = Valuation(conc, e, lset, 0)
+        was = last.get(uid)
+        if was is not None and was.symb is e and was.conc == conc:
+            vals[uid] = was
+        else:
+            lset = tuple(norm_set((b,)) for b in bits(e))
+            vals[uid] = Valuation(conc, e, lset, 0)
 
     for r in circuit.registers:
-        vals[r.output] = register_step(circuit, r, state, opts)
+        val = register_step(circuit, r, state, opts)
+        was = last.get(r.output)
+        vals[r.output] = was if val == was else val
 
     mem_conc = state.mem_conc
     mem_symb = state.mem_symb
@@ -266,6 +278,15 @@ def _eval_gate(circuit: Circuit, state: SimState, g: Gate, ins: list[Valuation],
     if g.kind == "mux" and not ins[0].symb.is_cst:
         warnings.append((t, circuit.name(g.inputs[0]),
                          "mux selector is symbolic"))
+    # a gate whose inputs all kept last cycle's objects keeps its own
+    last = state.current
+    was = last.get(g.output)
+    if was is not None:
+        for v, w in zip(ins, g.inputs):
+            if v is not last[w]:
+                break
+        else:
+            return was
     return eval_combinational(circuit, g, ins, opts)
 
 
@@ -563,11 +584,16 @@ def consistency_check(state: SimState, witness: Mapping[str, int]) -> None:
             raise ConsistencyViolation(state.circuit.name(uid), val.conc, got)
 
 
-def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
-    """Parse JSONL stimuli: a witness header then one frame per cycle.
+def parse_stimuli(text: str, widths: Mapping[str, int],
+                  circuit: Circuit) -> Stimuli:
+    """Parse JSONL stimuli for ``circuit``: a witness header then one frame
+    per cycle.
 
-    A malformed line, or a symbol that a frame drives without a witness
-    value, raises :class:`~probewise.inputs.InputError` naming its path."""
+    A malformed line, a frame that leaves an input of ``circuit`` undriven
+    or drives it at another width, or a symbol that a frame drives without a
+    witness value, raises :class:`~probewise.inputs.InputError` naming its
+    path."""
+    ports = [circuit.wire(uid) for uid in sorted(circuit.inputs)]
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
     driven: set[str] = set()
@@ -589,6 +615,13 @@ def parse_stimuli(text: str, widths: Mapping[str, int]) -> Stimuli:
             cycle = field(doc, "", "cycle", int, 0)
             inputs = {name: _read_drive(drive, f"inputs.{name}", widths)
                       for name, drive in field(doc, "", "inputs", dict).items()}
+            for wire in ports:
+                e = inputs.get(wire.name)
+                if e is None:
+                    raise InputError(f"inputs.{wire.name}: missing")
+                if e.width != wire.width:
+                    raise InputError(f"inputs.{wire.name}: width {e.width}, "
+                                     f"wire is {wire.width}")
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from None
         for e in inputs.values():

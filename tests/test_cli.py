@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from probewise import gadgets
 from probewise.cli import main
 from probewise.manager import BIT, LeakageModel, run
-from probewise.netlist import serialize_netlist
+from probewise.netlist import parse_netlist, serialize_netlist
 from probewise.expr import SymbolTable
 from probewise.sim import dump_stimuli, parse_stimuli
 
@@ -158,8 +158,9 @@ def test_constant_expr_drive_is_a_const_drive(fixture_dir, tmp_path, capsys):
     capsys.readouterr()
     widths = SymbolTable.from_json(
         _read(fixture_dir / "fig5.labels.json", "labels")).widths()
-    assert dump_stimuli(parse_stimuli(expr.read_text(), widths), widths) == \
-        const.read_text()
+    circuit = parse_netlist((fixture_dir / "fig5.netlist.json").read_text())
+    assert dump_stimuli(parse_stimuli(expr.read_text(), widths, circuit),
+                        widths) == const.read_text()
 
 
 _SUFFIX = {"netlist": "netlist.json", "labels": "labels.json",
@@ -291,6 +292,10 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "stimuli line 2: inputs.i1.expr: table reads (ARRAY) cannot be parsed"),
     (_edit("stimuli", _set(1, "cycle", None)),
      "stimuli line 2: cycle: expected a non-negative integer, got None"),
+    (_edit("stimuli", _set(1, "inputs", "i0", {"const": "0b00"})),
+     "stimuli line 2: inputs.i0: width 2, wire is 1"),
+    (_edit("stimuli", _set(1, "inputs", "i1", _DROP)),
+     "stimuli line 2: inputs.i1: missing"),
     (_edit("stimuli", _set(0, "witness", 5)),
      "stimuli line 1: witness: expected an object"),
     (_edit("stimuli", _set(0, "witness", "m", _DROP)),
@@ -313,7 +318,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "split-index-null", "memory-depth-null", "memory-init-int",
         "memory-id-list", "gate-params-list", "frame-inputs-int",
         "drive-int", "drive-symbol-list", "drive-expr-int", "drive-expr-junk",
-        "drive-expr-array", "frame-cycle-null",
+        "drive-expr-array", "frame-cycle-null", "drive-width",
+        "drive-missing",
         "witness-int", "witness-missing", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
         "share-width", "enum-limit-negative"])

@@ -1,10 +1,13 @@
 """End-to-end scenarios modelled on classic micro-architectural leaks."""
 
 import json
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
 
 import oracles
 
-from probewise import expr as ex, manager as mg, netlist, sim
+from probewise import expr as ex, gadgets, manager as mg, netlist, sim
 from probewise.manager import BIT, LeakageModel, RunOptions, run
 
 
@@ -300,3 +303,73 @@ def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():
         {e.cycle for e in rr.flagged()}
     assert rr.to_jsonl() == run(circuit, stimuli, labels,
                                 LeakageModel.rr1sw()).to_jsonl()
+
+
+# ---------------------------------------------------------------------------
+# A settled pipeline is carried forward, not evaluated again
+# ---------------------------------------------------------------------------
+
+def _repeating_frames(source, seed, picks):
+    """A circuit, stimuli and memory hook whose frame t is drive
+    ``picks[t]`` of the source's, so frames repeat and wires settle."""
+    if source == "table":
+        circuit, _, stimuli, opts = _masked_table(
+            ["a1", "wi", "wv", "ww"],
+            [{"kind": "bit_xor", "output": "a1", "inputs": ["out", "mw"]},
+             {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
+              "params": {"memory": "sbox"}}],
+            drives=[{"wi": 0, "wv": p} for p in picks])
+        return circuit, stimuli, opts.memory_hook
+    if source == "random":
+        fx = gadgets.gen_random_circuit(seed, n_gates=20, cycles=4)
+        circuit, stimuli = fx.circuit, fx.stimuli
+    else:
+        gen = gadgets.gen_dom_and if source == "dom" else gadgets.gen_isw_and
+        circuit, _, stimuli, _ = gen(seed % 3 + 1, cycles=4)
+    frames = [stimuli.frames[p] for p in picks]
+    return circuit, sim.Stimuli(stimuli.witness, frames), None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(source=st.sampled_from(["random", "dom", "isw", "table"]),
+       seed=st.integers(0, 99),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       stability=st.booleans())
+def test_carried_state_equals_fresh_evaluation(source, seed, picks, stability):
+    circuit, stimuli, hook = _repeating_frames(source, seed, picks)
+    opts = sim.SimOptions(use_stability=stability)
+    schedule = netlist.validate_and_schedule(circuit)
+    before = sim.initial_state(circuit)
+    for state in sim.simulate(circuit, schedule, stimuli, opts, hook):
+        for g in schedule:
+            if g.kind not in ("mem_read", "mem_write"):
+                ins = [state.current[w] for w in g.inputs]
+                assert state.current[g.output] == \
+                    sim.eval_combinational(circuit, g, ins, opts), g
+        for r in circuit.registers:
+            assert state.current[r.output] == \
+                sim.register_step(circuit, r, before, opts), r
+        before = state
+
+
+def test_settled_pipeline_is_not_evaluated_again(monkeypatch):
+    # DOM settles within a few cycles, so 40 more cycles evaluate no gate
+    # and build no expression set
+    calls = Counter()
+    for module, name in ((sim, "eval_combinational"), (mg, "expr_sets_for")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    models = [LeakageModel(glitches=g, transitions=t, granularity=BIT)
+              for g in (False, True) for t in (False, True)]
+    models.append(LeakageModel.rr1sw())
+    counts = []
+    for cycles in (20, 60):
+        circuit, labels, stimuli, _ = gadgets.gen_dom_and(2, cycles=cycles)
+        calls.clear()
+        for model in models:
+            run(circuit, stimuli, labels, model)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"eval_combinational", "expr_sets_for"}

@@ -451,6 +451,37 @@ def test_symbolic_constant_mismatch_detected(monkeypatch):
         simulate(fx, SimOptions(keep_going=True, check_consistency=True))
 
 
+def _steady_gate(kind, inputs, opts=SimOptions()):
+    """Three cycles of one gate ``o`` of ``kind`` over inputs driven alike
+    every cycle (s by k, a by CST(0), b by CST(1)); cycle 2 carries o."""
+    doc = {"wires": [{"name": n, "width": 1} for n in ("s", "a", "b", "o")],
+           "inputs": ["s", "a", "b"], "outputs": ["o"],
+           "gates": [{"kind": kind, "output": "o", "inputs": inputs}],
+           "registers": []}
+    circuit = netlist.parse_netlist(json.dumps(doc))
+    frame = StimulusFrame({"s": ex.sym("k", 1), "a": ex.cst(0, 1),
+                           "b": ex.cst(1, 1)})
+    states = _states(circuit, Stimuli({"k": 1}, [frame] * 3), opts)
+    o = circuit.by_name["o"].uid
+    assert states[2].current[o] is states[1].current[o]
+    return states
+
+
+def test_carried_symbolic_mux_warns_every_cycle():
+    states = _steady_gate("mux", ["s", "a", "b"])
+    assert states[-1].warnings == [(t, "s", "mux selector is symbolic")
+                                   for t in range(3)]
+
+
+def test_carried_consistency_violation_warns_every_cycle(monkeypatch):
+    real = sim._conc_gate
+    monkeypatch.setattr(sim, "_conc_gate",
+                        lambda circuit, g, vs, w: real(circuit, g, vs, w) ^ 1)
+    states = _steady_gate("bit_and", ["a", "s"], SimOptions(keep_going=True))
+    assert states[-1].warnings == [(t, "o", "consistency violation")
+                                   for t in range(3)]
+
+
 def test_trivial_set_invariant_on_random_circuits():
     for seed in range(20):
         fx = gadgets.gen_random_circuit(seed + 50, n_gates=18, cycles=3)
@@ -488,6 +519,10 @@ def test_determinism_across_runs():
 
 def test_parse_stimuli_round_trip():
     widths = {"k": 1, "m": 1}
+    circuit = netlist.parse_netlist(json.dumps({
+        "wires": [{"name": "a", "width": 2}, {"name": "b", "width": 1}],
+        "inputs": ["a", "b"], "outputs": ["a", "b"], "gates": [],
+        "registers": []}))
     text = "\n".join([
         json.dumps({"witness": {"k": "0b1", "m": "0b0"}}),
         json.dumps({"cycle": 0, "inputs": {"a": {"const": "0b10"},
@@ -495,12 +530,24 @@ def test_parse_stimuli_round_trip():
         json.dumps({"cycle": 1, "inputs": {"a": {"const": "0b01"},
                                            "b": {"expr": "XOR(k, m)"}}}),
     ])
-    stim = parse_stimuli(text, widths)
+    stim = parse_stimuli(text, widths, circuit)
     assert stim.witness == {"k": 1, "m": 0}
     assert stim.frames[0].inputs["a"] == ex.cst(2, 2)
     assert ex.render(stim.frames[1].inputs["b"]) == "OP_XOR(SYMB(k), SYMB(m))"
-    again = parse_stimuli(sim.dump_stimuli(stim, widths), widths)
+    again = parse_stimuli(sim.dump_stimuli(stim, widths), widths, circuit)
     assert again == stim
+
+
+def test_step_cycle_under_another_witness_recomputes():
+    # the same drives under another witness change concrete values only
+    fx = gadgets.gen_counterexamples()["fig5"]
+    sched = netlist.validate_and_schedule(fx.circuit)
+    frame = fx.stimuli.frames[0]
+    state = step_cycle(fx.circuit, sched, initial_state(fx.circuit), frame,
+                       fx.stimuli.witness)
+    flipped = {**fx.stimuli.witness, "k": fx.stimuli.witness["k"] ^ 1}
+    state = step_cycle(fx.circuit, sched, state, frame, flipped)
+    consistency_check(state, flipped)
 
 
 def test_missing_stimulus_is_an_error():
