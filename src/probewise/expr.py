@@ -58,7 +58,8 @@ class Expr:
     """
 
     __slots__ = ("uid", "kind", "width", "op", "value", "name", "children",
-                 "params", "_symbols", "_bits", "_render", "__weakref__")
+                 "params", "_symbols", "_bits", "_render", "_occ",
+                 "__weakref__")
 
     uid: int
     kind: str            # 'cst' | 'sym' | 'op'
@@ -119,6 +120,7 @@ def _make(kind: str, width: int, *, op: str | None = None, value: int | None = N
     node._symbols = None
     node._bits = None
     node._render = None
+    node._occ = None
     _intern[key] = node
     return node
 
@@ -661,6 +663,7 @@ class SymbolTable:
     def __init__(self) -> None:
         self._info: dict[str, tuple[int, str, str | None, int | None]] = {}
         self._shares: dict[str, tuple[str, ...]] = {}   # by share index
+        self._footprints = None   # built by _share_footprints
 
     def declare(self, name: str, width: int, kind: str,
                 secret: str | None = None, index: int | None = None) -> None:
@@ -679,6 +682,7 @@ class SymbolTable:
         if name in self._info and self._info[name] != (width, kind, secret, index):
             raise ValueError(f"conflicting redeclaration of {name!r}")
         self._info[name] = (width, kind, secret, index)
+        self._footprints = None
         if kind == SHARE:
             self._shares[secret] = tuple(sorted(
                 self._shares.get(secret, ()) + (name,),
@@ -709,6 +713,28 @@ class SymbolTable:
     def sharings(self) -> Iterable[tuple[str, ...]]:
         """Each secret's share names, ordered by share index."""
         return self._shares.values()
+
+    def _share_footprints(self) -> tuple[dict[str, int], tuple[int, ...], int]:
+        """Each symbol's share footprint, each sharing's bits and the
+        "secret seen" bit, cached until the next declaration. Every share
+        has a bit of its own; a share sets its bit, a secret the secret bit
+        and all of its shares' bits, a mask or a public no bit."""
+        if self._footprints is None:
+            seen = 1
+            bits: dict[str, int] = {}
+            sharings = []
+            for shares in self._shares.values():
+                for share in shares:
+                    bits[share] = 1 << (len(bits) + 1)
+                sharings.append(sum(bits[s] for s in shares))
+            for name, (_, kind, _, _) in self._info.items():
+                if kind == SECRET:
+                    bits[name] = seen | sum(
+                        bits[s] for s in self._shares.get(name, ()))
+                elif kind != SHARE:
+                    bits[name] = 0
+            self._footprints = bits, tuple(sharings), seen
+        return self._footprints
 
     def widths(self) -> dict[str, int]:
         return {name: info[0] for name, info in self._info.items()}

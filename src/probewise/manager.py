@@ -24,6 +24,7 @@ Wire selection mirrors the model:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping
 
@@ -31,8 +32,8 @@ from . import expr as ex
 from . import sim as sm
 from . import verify as vf
 from .expr import Expr, SymbolTable, bits, render
-from .netlist import Circuit, StructuralIndex, structural_index, \
-    validate_and_schedule
+from .netlist import Circuit, SplitGroup, StructuralIndex, \
+    structural_index, validate_and_schedule
 from .sim import SimOptions, SimState, Stimuli, Valuation
 from .verify import TooMany, TupleResult, Verdict, enumerate_duplets, \
     make_expr_set  # noqa: F401 (re-exported)
@@ -187,10 +188,14 @@ def _one_set(val: Valuation, prev: Valuation, model: LeakageModel,
     return make_expr_set(members)
 
 
+def _split(circuit: Circuit, parent_name: str) -> SplitGroup:
+    return next(s for s in circuit.splits if s.parent_name == parent_name)
+
+
 def recombine_split_wires(circuit: Circuit, vals: Mapping[int, Valuation],
                           parent_name: str) -> Valuation:
     """Valuation of a split parent rebuilt from its 1-bit member wires."""
-    group = next(s for s in circuit.splits if s.parent_name == parent_name)
+    group = _split(circuit, parent_name)
     by_index = {idx: vals[uid] for uid, idx in group.members}
     width = group.parent_width
     conc = 0
@@ -274,33 +279,39 @@ def _unit_sets(circuit: Circuit, model: LeakageModel, state: SimState,
     source line and members; a set's members are its key.
 
     ``memo`` belongs to one model and one simulation: it maps each unit of
-    the last call to its ``(val, prev, sets)``, whose sets stand while the
-    unit's two valuations are the same objects."""
+    the last call to its sets and the valuations they came from, which
+    stand while those are the same objects: a wire's current and previous
+    valuations, or those of each member wire of a split parent."""
     previous = _previous(state)
     last_call = memo.copy()
     memo.clear()
     out: list[UnitSet] = []
     for unit in units:
-        if isinstance(unit, str):
-            val = recombine_split_wires(circuit, state.current, unit)
-            prev = recombine_split_wires(circuit, previous, unit)
-        else:
-            val = state.current[unit]
-            prev = previous[unit]
         last = last_call.get(unit)
-        if last is None or last[0] is not val or last[1] is not prev:
-            if isinstance(unit, str):
-                name, src = unit, None
-            else:
+        if isinstance(unit, str):
+            uids = [uid for uid, _ in _split(circuit, unit).members]
+            vals = [state.current[uid] for uid in uids] \
+                + [previous[uid] for uid in uids]
+            if last is None or not all(map(operator.is_, last[1:], vals)):
+                val = recombine_split_wires(circuit, state.current, unit)
+                prev = recombine_split_wires(circuit, previous, unit)
+                last = (_labelled_sets(unit, None, val, prev, model), *vals)
+        else:
+            val, prev = state.current[unit], previous[unit]
+            if last is None or last[1] is not val or last[2] is not prev:
                 wire = circuit.wire(unit)
-                name = wire.name
                 src = (wire.src.file, wire.src.line) if wire.src else None
-            last = (val, prev, [
-                (name if rank is None else f"{name}[{rank}]", src, members)
-                for rank, members in expr_sets_for(val, prev, model)])
+                last = (_labelled_sets(wire.name, src, val, prev, model),
+                        val, prev)
         memo[unit] = last
-        out += last[2]
+        out += last[0]
     return out
+
+
+def _labelled_sets(name: str, src: tuple[str, int] | None, val: Valuation,
+                   prev: Valuation, model: LeakageModel) -> list[UnitSet]:
+    return [(name if rank is None else f"{name}[{rank}]", src, members)
+            for rank, members in expr_sets_for(val, prev, model)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +470,17 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
         views = lambda combo: (combo,)
 
+    footprints = [{w: vf._part_footprint(key, labels)
+                   for w, key in sets.items()} for sets in per_cycle]
+
     def observe(combo: tuple):
+        # a view the count proves, the empty one included, is Secure
+        # without a set of its own
         for view in views(combo):
-            union = make_expr_set(e for w, t in view for e in per_cycle[t][w])
-            if union:
-                yield union
+            if not vf._parts_prove((footprints[t][w] for w, t in view),
+                                   labels):
+                yield make_expr_set(e for w, t in view
+                                    for e in per_cycle[t][w])
 
     return vf.check_tuples(positions, (model.order,), observe,
                            lambda exprs: vf.check(exprs, labels,

@@ -4,9 +4,12 @@ A set (is it independent of the secrets?) and a probe tuple (can a
 simulator with a budget of each secret's shares reproduce it?) climb one
 ladder; the first step that decides wins:
 
-1. :func:`_share_count_proves` on the members' symbols: with no budget, no
-   secret and a proper subset of each sharing; else at most the budget of
-   each sharing, a secret counting as all of its shares.
+1. :func:`_share_count_proves` on the share footprint of the members'
+   symbols: with no budget, no secret and a proper subset of each sharing;
+   else at most the budget of each sharing, a secret counting as all of
+   its shares. A probe tuple is counted on the union of its parts'
+   footprints before its set is built, and a tuple the count proves never
+   becomes a set.
 2. The same count on the symbols :func:`_substitution_fixpoint` leaves. A
    mask whose single use sits under an XOR node (reachable from a member
    root through XOR/CONCAT/extraction context only) makes that XOR subterm
@@ -127,35 +130,32 @@ _SECURE_VERDICT = Verdict(SECURE)
 # ---------------------------------------------------------------------------
 
 _CONTEXT_OPS = frozenset({"XOR", "CONCAT", "EXTRACT"})
-_RANGE_CAP = 6   # per-mask occurrence lists saturate past this
+_RANGE_CAP = 6   # per-symbol occurrence lists saturate past this
 
 
-def _occurrence_ranges(e: Expr, masks: frozenset[str],
-                       memo: dict) -> dict[str, list[tuple[int, int]]]:
-    """Bit ranges at which each mask occurs in the tree expansion of ``e``.
+def _occurrence_ranges(e: Expr) -> dict[str, list[tuple[int, int]]]:
+    """Bit ranges at which each symbol occurs in the tree expansion of ``e``
+    (cached on the term).
 
     An occurrence under a direct EXTRACT uses the extracted range; anything
     else uses the full symbol width. Lists saturate at ``_RANGE_CAP``.
     """
-    got = memo.get(e)
-    if got is not None:
-        return got
-    out: dict[str, list[tuple[int, int]]] = {}
-    if e.kind == "sym":
-        if e.name in masks:
+    if e._occ is None:
+        out: dict[str, list[tuple[int, int]]] = {}
+        if e.kind == "sym":
             out[e.name] = [(0, e.width - 1)]
-    elif e.kind == "op":
-        if e.op == "EXTRACT" and e.children[0].kind == "sym" \
-                and e.children[0].name in masks:
-            out[e.children[0].name] = [e.params]
-        else:
-            for c in e.children:
-                for name, ranges in _occurrence_ranges(c, masks, memo).items():
-                    bucket = out.setdefault(name, [])
-                    if len(bucket) <= _RANGE_CAP:
-                        bucket.extend(ranges[:_RANGE_CAP + 1 - len(bucket)])
-    memo[e] = out
-    return out
+        elif e.kind == "op":
+            if e.op == "EXTRACT" and e.children[0].kind == "sym":
+                out[e.children[0].name] = [e.params]
+            else:
+                for c in e.children:
+                    for name, ranges in _occurrence_ranges(c).items():
+                        bucket = out.setdefault(name, [])
+                        room = _RANGE_CAP + 1 - len(bucket)
+                        if room > 0:
+                            bucket.extend(ranges[:room])
+        e._occ = out
+    return e._occ
 
 
 def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -201,15 +201,14 @@ def _substitution_fixpoint(exprs: Sequence[Expr],
                       if labels.kind(n) == ex.MASK)
     members = list(exprs)
     fresh_n = 0
-    # a term's ranges stay valid: a fresh mask only enters the new terms
-    memo: dict = {}
     progress = True
     while progress:
         progress = False
         occ: dict[str, list[tuple[int, int]]] = {}
         for m in members:
-            for name, ranges in _occurrence_ranges(m, masks, memo).items():
-                occ.setdefault(name, []).extend(ranges)
+            for name, ranges in _occurrence_ranges(m).items():
+                if name in masks:
+                    occ.setdefault(name, []).extend(ranges)
         for name in sorted(occ):
             ranges = occ[name]
             if len(ranges) > _RANGE_CAP:
@@ -246,20 +245,51 @@ def _symbols(exprs: Iterable[Expr], labels: SymbolTable) -> set[str]:
     return symbols
 
 
-def _share_count_proves(symbols: set[str], labels: SymbolTable,
-                        budget: int | None = None) -> bool:
-    """``symbols`` hold at most ``budget`` shares of each sharing, a secret
-    counting as all of its shares, or, with no budget, no secret and a
-    proper subset of each sharing, which is uniform and independent of its
-    secret."""
-    secrets = [n for n in symbols if labels.kind(n) == ex.SECRET]
-    if secrets:
-        if budget is None:
+def _footprint(symbols: Iterable[str], labels: SymbolTable) -> int:
+    """The union of the share footprints of labeled ``symbols``."""
+    bits = labels._share_footprints()[0]
+    fp = 0
+    for name in symbols:
+        fp |= bits[name]
+    return fp
+
+
+def _part_footprint(exprs: Iterable[Expr], labels: SymbolTable) -> int | None:
+    """The footprint of one part of a probe tuple, computed once per run, or
+    None if the part holds an unlabeled symbol: a tuple with such a part
+    takes the set path, whose KeyError names the symbol."""
+    try:
+        return _footprint((n for e in exprs for n in symbols_of(e)), labels)
+    except KeyError:
+        return None
+
+
+def _parts_prove(parts: Iterable[int | None], labels: SymbolTable,
+                 budget: int | None = None) -> bool:
+    """The share count on the union of the parts' footprints; False if a
+    part holds an unlabeled symbol."""
+    fp = 0
+    for part in parts:
+        if part is None:
             return False
-        symbols = symbols.union(*map(labels.shares_of, secrets))
-    return all(sum(s in symbols for s in shares)
-               <= (len(shares) - 1 if budget is None else budget)
-               for shares in labels.sharings())
+        fp |= part
+    return _share_count_proves(fp, labels, budget)
+
+
+def _share_count_proves(fp: int, labels: SymbolTable,
+                        budget: int | None = None) -> bool:
+    """The share count on a footprint: at most ``budget`` shares of each
+    sharing, a secret counting as all of its shares, or, with no budget, no
+    secret and a proper subset of each sharing, which is uniform and
+    independent of its secret."""
+    _, sharings, secret = labels._share_footprints()
+    if budget is None and fp & secret:
+        return False
+    for shares in sharings:
+        if (fp & shares).bit_count() > \
+                (shares.bit_count() - 1 if budget is None else budget):
+            return False
+    return True
 
 
 def check_substitution(exprs: tuple[Expr, ...],
@@ -268,10 +298,11 @@ def check_substitution(exprs: tuple[Expr, ...],
     failing, on those left after iterated bijective-mask replacement."""
     # the fixpoint leaves a subset of the symbols: the first count is a
     # fast path that skips the fixpoint for most sets
-    if _share_count_proves(_symbols(exprs, labels), labels):
+    if _share_count_proves(_footprint(_symbols(exprs, labels), labels),
+                           labels):
         return Verdict.secure()
     left = _substitution_fixpoint(exprs, labels)
-    if _share_count_proves(left, labels):
+    if _share_count_proves(_footprint(left, labels), labels):
         return Verdict.secure()
     sensitive = sorted(n for n in left if labels.is_sensitive(n))
     return Verdict.inconclusive(
@@ -790,9 +821,10 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     joint distribution of ``exprs``? Observing a secret observes all of its
     shares. A leak carries the first selection's witness."""
     symbols = _symbols(exprs, labels)
-    if _share_count_proves(symbols, labels, budget) or \
-            _share_count_proves(_substitution_fixpoint(exprs, labels),
-                                labels, budget):
+    if _share_count_proves(_footprint(symbols, labels), labels, budget):
+        return Verdict.secure()
+    left = _substitution_fixpoint(exprs, labels)
+    if _share_count_proves(_footprint(left, labels), labels, budget):
         return Verdict.secure()
     space, derived, _, _ = _space_for(symbols, labels, limit, shares_free=True)
     by_secret = sorted(labels.sharings(),
@@ -813,10 +845,16 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
                           strong: bool, limit: int) -> TupleResult:
+    probes = collect_probes(gadget, glitches)
+    footprints = {id(p): _part_footprint(p.obs, gadget.labels) for p in probes}
+
     def observe(combo: tuple[Probe, ...]) -> Iterator[tuple]:
         budget = sum(1 for p in combo if not p.is_output) if strong \
             else len(combo)
-        yield make_expr_set(e for p in combo for e in p.obs), budget
+        # a tuple the count proves is Secure without a set of its own
+        if not _parts_prove((footprints[id(p)] for p in combo),
+                            gadget.labels, budget):
+            yield make_expr_set(e for p in combo for e in p.obs), budget
 
     def decide(key: tuple) -> Verdict:
         exprs, budget = key
@@ -825,8 +863,7 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
         except TooLarge as exc:
             return Verdict.inconclusive(str(exc))
 
-    return check_tuples(collect_probes(gadget, glitches), range(1, d + 1),
-                        observe, decide)
+    return check_tuples(probes, range(1, d + 1), observe, decide)
 
 
 def check_ni(gadget: GadgetSpec, d: int, glitches: bool,

@@ -445,6 +445,23 @@ def leaking_publics(exprs, labels) -> list[dict[str, int]]:
                    for h in by_secret.values())]
 
 
+def share_count(symbols, labels, budget=None) -> bool:
+    """The share count as the README states it, on a set of symbol names.
+
+    With no budget: no secret occurs, and of each secret only a proper
+    subset of its shares. With a budget: at most ``budget`` shares of each
+    secret occur, a secret observed directly counting as all of its shares.
+    """
+    secrets = {n for n in symbols if labels.kind(n) == "secret"}
+    if budget is None:
+        return not secrets and all(
+            len(set(shares) & set(symbols)) < len(shares)
+            for shares in labels.sharings())
+    seen = set(symbols).union(*(labels.shares_of(s) for s in secrets))
+    return all(len(set(shares) & seen) <= budget
+               for shares in labels.sharings())
+
+
 def independence_bruteforce(exprs, labels) -> bool:
     """Dict-counting twin of the enumeration verdict: the set is independent
     iff, for every public assignment, the joint histogram of the expression

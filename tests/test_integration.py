@@ -373,3 +373,48 @@ def test_settled_pipeline_is_not_evaluated_again(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert set(counts[0]) == {"eval_combinational", "expr_sets_for"}
+
+
+def test_split_parent_keeps_its_sets_while_its_members_settle(monkeypatch):
+    # fig6's frame repeated, b1's drive changed at cycle 3: the sets of the
+    # split parent w are built again only in the cycles where one of its
+    # member wires changed
+    fx = gadgets.gen_counterexamples()["fig6"]
+    frame = fx.stimuli.frames[0]
+    later = sim.StimulusFrame({**frame.inputs, "b1": fx.labels.sym("k")})
+    stimuli = sim.Stimuli(fx.stimuli.witness, [frame] * 3 + [later] * 7)
+    model = LeakageModel()
+    group, = fx.circuit.splits
+    members = [uid for uid, _ in group.members]
+    states = list(sim.simulate(fx.circuit,
+                               netlist.validate_and_schedule(fx.circuit),
+                               stimuli))
+    changed = [t for t, state in enumerate(states) if t == 0 or any(
+        state.current[u] is not states[t - 1].current[u]
+        or mg._previous(state)[u] is not mg._previous(states[t - 1])[u]
+        for u in members)]
+    assert changed == [0, 3, 4]
+
+    cycle, built = [-1], []
+
+    def select(*args, _real=mg.wires_to_verify):
+        cycle[0] += 1
+        return _real(*args)
+
+    def sets_for(val, prev, model, _real=mg.expr_sets_for):
+        if val.symb.width == group.parent_width:
+            built.append(cycle[0])
+        return _real(val, prev, model)
+
+    def fresh_sets(circuit, model, state, units, memo,
+                   _real=mg._unit_sets):
+        return _real(circuit, model, state, units, {})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mg, "_unit_sets", fresh_sets)
+        fresh = run(fx.circuit, stimuli, fx.labels, model).to_jsonl()
+    monkeypatch.setattr(mg, "wires_to_verify", select)
+    monkeypatch.setattr(mg, "expr_sets_for", sets_for)
+    report = run(fx.circuit, stimuli, fx.labels, model)
+    assert built == changed
+    assert report.to_jsonl() == fresh

@@ -295,9 +295,10 @@ def test_a_probed_secret_costs_all_of_its_shares():
     assert vf._simulatable((xor(labels.sym("a0"), labels.sym("a1")),),
                            labels, 1, 20).status == vf.LEAKS
     assert not oracles.simulatable_bruteforce((a,), labels, _secrets(labels), 1)
-    assert not vf._share_count_proves({"a"}, labels, 1)
+    probed = vf._footprint({"a"}, labels)
+    assert not vf._share_count_proves(probed, labels, 1)
     # with both shares in the budget, and with the secret cancelled
-    assert vf._share_count_proves({"a"}, labels, 2)
+    assert vf._share_count_proves(probed, labels, 2)
     assert vf._simulatable((a,), labels, 2, 20).is_secure
     assert vf._simulatable((xor(a, labels.sym("a0")),), labels, 1, 20).is_secure
 
@@ -807,3 +808,145 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
     assert len(proven) > 100
     for exprs, budget in proven:
         assert vf._simulatable(exprs, labels, budget, 20).is_secure
+
+
+# ---------------------------------------------------------------------------
+# Share footprints and the occurrence cache
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _label_table(draw):
+    """1-3 sharings of 2-4 shares, possibly a secret without shares, masks
+    and publics, and a random subset of the declared names."""
+    labels = SymbolTable()
+    for i in range(draw(st.integers(1, 3))):
+        labels.declare(f"k{i}", 1, ex.SECRET)
+        for j in range(draw(st.integers(2, 4))):
+            labels.declare(f"k{i}s{j}", 1, ex.SHARE, secret=f"k{i}", index=j)
+    if draw(st.booleans()):
+        labels.declare("u", 1, ex.SECRET)
+    for i in range(draw(st.integers(0, 2))):
+        labels.declare(f"m{i}", 1, ex.MASK)
+    for i in range(draw(st.integers(0, 2))):
+        labels.declare(f"p{i}", 1, ex.PUBLIC)
+    symbols = draw(st.sets(st.sampled_from(sorted(labels))))
+    return labels, symbols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_table())
+def test_footprint_count_is_the_stated_rule(table):
+    labels, symbols = table
+    fp = vf._footprint(symbols, labels)
+    for budget in (None, 0, 1, 2):
+        assert vf._share_count_proves(fp, labels, budget) == \
+            oracles.share_count(symbols, labels, budget), budget
+
+
+def test_footprints_follow_later_declarations():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("k0", 1, ex.SHARE, secret="k", index=0)
+    assert not vf._share_count_proves(vf._footprint({"k0"}, labels), labels)
+    labels.declare("k1", 1, ex.SHARE, secret="k", index=1)
+    assert vf._share_count_proves(vf._footprint({"k0"}, labels), labels)
+
+
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
+@pytest.mark.parametrize("glitches", [False, True])
+def test_footprint_proven_probe_tuples_are_simulatable(gen, glitches):
+    # every NI/SNI tuple of the order-1 gadget at d=2 that the footprint
+    # count proves is simulatable under brute force
+    _, labels, _, spec = gen(1)
+    probes = vf.collect_probes(spec, glitches)
+    parts = {id(p): vf._part_footprint(p.obs, labels) for p in probes}
+    proven = set()
+    for combo in itertools.chain(*(itertools.combinations(probes, q)
+                                   for q in (1, 2))):
+        for budget in {len(combo), sum(1 for p in combo if not p.is_output)}:
+            if vf._parts_prove((parts[id(p)] for p in combo), labels, budget):
+                proven.add((make_expr_set(e for p in combo for e in p.obs),
+                            budget))
+    assert len(proven) > 20
+    for exprs, budget in proven:
+        assert oracles.simulatable_bruteforce(exprs, labels, _secrets(labels),
+                                              budget), exprs
+
+
+def _walk_occurrences(e, masks):
+    """The occurrence lists of ``masks`` in ``e``, walked afresh."""
+    out = {}
+    if e.kind == "sym":
+        if e.name in masks:
+            out[e.name] = [(0, e.width - 1)]
+    elif e.kind == "op":
+        if e.op == "EXTRACT" and e.children[0].kind == "sym" \
+                and e.children[0].name in masks:
+            out[e.children[0].name] = [e.params]
+        else:
+            for c in e.children:
+                for name, ranges in _walk_occurrences(c, masks).items():
+                    bucket = out.setdefault(name, [])
+                    if len(bucket) <= vf._RANGE_CAP:
+                        bucket.extend(ranges[:vf._RANGE_CAP + 1 - len(bucket)])
+    return out
+
+
+def _random_term(rng, depth, shared):
+    widths = {"m": 8, "n": 4, "k": 1}
+    if depth == 0 or rng.random() < 0.2:
+        name = rng.choice(sorted(widths))
+        e = s(name, widths[name])
+        if e.width > 1 and rng.random() < 0.7:
+            lo = rng.randrange(e.width)
+            e = ex.extract(e, lo, rng.randrange(lo, e.width))
+        return ex.zext(e, 8)
+    if shared and rng.random() < 0.3:
+        return rng.choice(shared)
+    op = rng.choice(("XOR", "XOR", "AND", "CONCAT", "EXTRACT", "BITS"))
+    if op == "BITS":
+        # every bit of a mask: more occurrences than the lists keep
+        m = s("m", 8)
+        return xor(*(ex.zext(ex.bit(m, i), 8) for i in range(8)),
+                   _random_term(rng, depth - 1, shared))
+    kids = [_random_term(rng, depth - 1, shared) for _ in range(2)]
+    if op == "CONCAT":
+        e = ex.extract(ex.concat(kids), 4, 11)
+    elif op == "EXTRACT":
+        e = ex.zext(ex.extract(kids[0], 1, 6), 8)
+    else:
+        e = ex.build(op, kids)
+    shared.append(e)
+    return e
+
+
+def test_cached_occurrences_equal_a_fresh_walk():
+    rng = random.Random(11)
+    saturated = 0
+    for _ in range(300):
+        e = _random_term(rng, rng.randrange(1, 5), [])
+        for masks in ({"m"}, {"m", "n"}, {"n", "k"}, set()):
+            cached = {name: ranges for name, ranges
+                      in vf._occurrence_ranges(e).items() if name in masks}
+            assert cached == _walk_occurrences(e, masks), ex.render(e)
+        saturated += len(vf._occurrence_ranges(e).get("m", ())) > vf._RANGE_CAP
+    assert saturated > 10
+
+
+def test_one_term_under_two_tables_gets_each_tables_fixpoint():
+    # u is a mask in one table and a share in the other, v the other way
+    # round; the cached occurrence lists serve both
+    tables = []
+    for mask, share in (("u", "v"), ("v", "u")):
+        labels = SymbolTable()
+        labels.declare("k", 1, ex.SECRET)
+        labels.declare(share, 1, ex.SHARE, secret="k", index=0)
+        labels.declare("w", 1, ex.SHARE, secret="k", index=1)
+        labels.declare(mask, 1, ex.MASK)
+        tables.append(labels)
+    exprs = make_expr_set([xor(s("u"), s("v")),
+                           ex.build("AND", [s("u"), s("w")])])
+    for _ in range(2):
+        # u occurs twice, so no mask is replaced; v once, under the XOR
+        assert vf._substitution_fixpoint(exprs, tables[0]) == {"u", "v", "w"}
+        assert vf._substitution_fixpoint(exprs, tables[1]) == {"u", "w"}
