@@ -10,13 +10,13 @@ from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
                   Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
                   consistency_check, eval_combinational, initial_state,
                   parse_stimuli, register_step, simulate, step_cycle)
-from .verify import (GadgetSpec, LeakWitness, TooLarge,
+from .verify import (GadgetSpec, LeakWitness, TooLarge, TooMany,
                      TupleResult, Verdict, check, check_enumeration, check_ni,
                      check_sni, check_substitution, make_expr_set)
 from .manager import (BIT, SUPPORT_WISE, LeakReport, LeakageModel,
-                      ReportEntry, RunOptions, TooMany, enumerate_duplets,
-                      expr_sets_for, recombine_split_wires, run,
-                      verify_higher_order, wires_to_verify)
+                      ReportEntry, RunOptions, expr_sets_for,
+                      recombine_split_wires, run, verify_higher_order,
+                      wires_to_verify)
 from . import gadgets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -151,10 +151,7 @@ def _cmd_verify(args) -> int:
         if model.order > 1:
             return _higher_order(args, circuit, stimuli, labels, model, options)
         report = mg.run(circuit, stimuli, labels, model, options)
-    except CombinatorialLoop as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIM
-    except (sm.SimError, ex.UnboundSymbol) as exc:
+    except (CombinatorialLoop, sm.SimError, ex.UnboundSymbol) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIM
     except vf.TooMany as exc:

@@ -35,8 +35,7 @@ from .expr import Expr, SymbolTable, bits, render
 from .netlist import Circuit, SplitGroup, StructuralIndex, \
     structural_index, validate_and_schedule
 from .sim import SimOptions, SimState, Stimuli, Valuation
-from .verify import TooMany, TupleResult, Verdict, enumerate_duplets, \
-    make_expr_set  # noqa: F401 (re-exported)
+from .verify import TupleResult, Verdict, make_expr_set
 
 BIT = "bit"
 SUPPORT_WISE = "sw"
@@ -446,43 +445,36 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     Of ``options`` it reads the simulation settings and ``enum_limit``.
     A view is the union of its (wire, cycle) sets; each ARRAY node in it
     reads the contents its own cycle read, so a view over cycles that read
-    different contents of a memory is decided like any other.
+    different contents of a memory is decided like any other. KeyError,
+    before any tuple is walked, if a set holds an unlabeled symbol.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
     options = options or RunOptions()
     units: list[object] = [w.uid for w in circuit.wires]
     memo: dict = {}
-    per_cycle = [{label: key for label, _, key in
+    # each cycle's (wire, cycle) parts, by wire label
+    per_cycle = [{label: vf.make_part(key, labels) for label, _, key in
                   _unit_sets(circuit, model, state, units, memo)}
                  for state in _simulate(circuit, stimuli, model, options)]
 
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = range(len(per_cycle))
-    # each mode's positions, and the (wire, cycle) views a combo expands to
+    # each mode's positions, and the views of (wire, cycle) parts a combo
+    # expands to
     if mode == SPATIAL:
         positions: list = wires
-        views = lambda combo: ([(w, t) for w in combo] for t in cycles)
+        views = lambda combo: (([per_cycle[t][w] for w in combo], None)
+                               for t in cycles)
     elif mode == TEMPORAL:
         positions = list(cycles)
-        views = lambda combo: ([(w, t) for t in combo] for w in wires)
+        views = lambda combo: (([per_cycle[t][w] for t in combo], None)
+                               for w in wires)
     else:
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
-        views = lambda combo: (combo,)
+        views = lambda combo: (([per_cycle[t][w] for w, t in combo], None),)
 
-    footprints = [{w: vf._part_footprint(key, labels)
-                   for w, key in sets.items()} for sets in per_cycle]
-
-    def observe(combo: tuple):
-        # a view the count proves, the empty one included, is Secure
-        # without a set of its own
-        for view in views(combo):
-            if not vf._parts_prove((footprints[t][w] for w, t in view),
-                                   labels):
-                yield make_expr_set(e for w, t in view
-                                    for e in per_cycle[t][w])
-
-    return vf.check_tuples(positions, (model.order,), observe,
-                           lambda exprs: vf.check(exprs, labels,
-                                                  options.enum_limit),
-                           vf.TUPLE_CAP)
+    return vf.check_tuples(
+        positions, (model.order,), views,
+        lambda exprs, _: vf.check(exprs, labels, options.enum_limit), labels,
+        vf.TUPLE_CAP)

@@ -589,10 +589,10 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     """Parse JSONL stimuli for ``circuit``: a witness header then one frame
     per cycle.
 
-    A malformed line, a frame that leaves an input of ``circuit`` undriven
-    or drives it at another width, or a symbol that a frame drives without a
-    witness value, raises :class:`~probewise.inputs.InputError` naming its
-    path."""
+    A malformed line, no frame at all, a frame that leaves an input of
+    ``circuit`` undriven or drives it at another width, or a symbol that a
+    frame drives without a witness value, raises
+    :class:`~probewise.inputs.InputError` naming its path."""
     ports = [circuit.wire(uid) for uid in sorted(circuit.inputs)]
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
@@ -627,6 +627,8 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
         for e in inputs.values():
             driven |= ex.symbols_of(e)
         frames.append((cycle, StimulusFrame(inputs)))
+    if not frames:
+        raise InputError("stimuli: no frames")
     missing = sorted(driven - witness.keys())
     if missing:
         raise InputError(f"stimuli: witness.{missing[0]}: missing")

@@ -7,9 +7,9 @@ ladder; the first step that decides wins:
 1. :func:`_share_count_proves` on the share footprint of the members'
    symbols: with no budget, no secret and a proper subset of each sharing;
    else at most the budget of each sharing, a secret counting as all of
-   its shares. A probe tuple is counted on the union of its parts'
-   footprints before its set is built, and a tuple the count proves never
-   becomes a set.
+   its shares. :func:`check_tuples` counts each view of a probe tuple on
+   the union of its parts' footprints, each part's computed once per run,
+   and a view the count proves never becomes a set.
 2. The same count on the symbols :func:`_substitution_fixpoint` leaves. A
    mask whose single use sits under an XOR node (reachable from a member
    root through XOR/CONCAT/extraction context only) makes that XOR subterm
@@ -33,12 +33,14 @@ key. A selection is invariant iff each group's rows are spread alike over
 the vary values. Public values are walked in key order, one range at a
 time, and the first range that leaks decides.
 
-:func:`check` runs steps 1 and 2 (:func:`check_substitution`), then 3; a
-set past the bit budget is Inconclusive, a potential false positive, and
-so is a probe tuple that neither count proves. Tuples are drawn from
-symbolic values (or flattened LeakSets when glitches are modelled); NI/SNI
-and the higher-order d-uplet checks share one probe-tuple engine,
-:func:`check_tuples`.
+:func:`check_substitution` is steps 1 and 2 for both questions.
+:func:`check` runs them, then 3; a set past the bit budget is Inconclusive,
+a potential false positive, and so is a probe tuple that neither count
+proves. Tuples are drawn from symbolic values (or flattened LeakSets when
+glitches are modelled). :func:`check_tuples` is the one probe-tuple engine:
+NI/SNI and the higher-order d-uplet checks name their positions, the views
+of a tuple and how to decide a view's set, and it counts, builds, memoises
+and decides every view.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,28 +256,6 @@ def _footprint(symbols: Iterable[str], labels: SymbolTable) -> int:
     return fp
 
 
-def _part_footprint(exprs: Iterable[Expr], labels: SymbolTable) -> int | None:
-    """The footprint of one part of a probe tuple, computed once per run, or
-    None if the part holds an unlabeled symbol: a tuple with such a part
-    takes the set path, whose KeyError names the symbol."""
-    try:
-        return _footprint((n for e in exprs for n in symbols_of(e)), labels)
-    except KeyError:
-        return None
-
-
-def _parts_prove(parts: Iterable[int | None], labels: SymbolTable,
-                 budget: int | None = None) -> bool:
-    """The share count on the union of the parts' footprints; False if a
-    part holds an unlabeled symbol."""
-    fp = 0
-    for part in parts:
-        if part is None:
-            return False
-        fp |= part
-    return _share_count_proves(fp, labels, budget)
-
-
 def _share_count_proves(fp: int, labels: SymbolTable,
                         budget: int | None = None) -> bool:
     """The share count on a footprint: at most ``budget`` shares of each
@@ -292,17 +272,18 @@ def _share_count_proves(fp: int, labels: SymbolTable,
     return True
 
 
-def check_substitution(exprs: tuple[Expr, ...],
-                       labels: SymbolTable) -> Verdict:
-    """Prove independence by a share count on the members' symbols or, that
-    failing, on those left after iterated bijective-mask replacement."""
+def check_substitution(exprs: tuple[Expr, ...], labels: SymbolTable,
+                       budget: int | None = None) -> Verdict:
+    """Prove independence, or with a ``budget`` simulatability, by a share
+    count on the members' symbols or, that failing, on those left after
+    iterated bijective-mask replacement."""
     # the fixpoint leaves a subset of the symbols: the first count is a
     # fast path that skips the fixpoint for most sets
     if _share_count_proves(_footprint(_symbols(exprs, labels), labels),
-                           labels):
+                           labels, budget):
         return Verdict.secure()
     left = _substitution_fixpoint(exprs, labels)
-    if _share_count_proves(_footprint(left, labels), labels):
+    if _share_count_proves(_footprint(left, labels), labels, budget):
         return Verdict.secure()
     sensitive = sorted(n for n in left if labels.is_sensitive(n))
     return Verdict.inconclusive(
@@ -719,40 +700,55 @@ class TupleResult:
 
 TUPLE_CAP = 10 ** 6   # d-uplets of one run; more raise TooMany before any walk
 
+# One probe position's members and their share footprint, as make_part gives.
+Part = tuple[tuple[Expr, ...], int]
 
-def enumerate_duplets(positions: Sequence[object], d: int,
-                      cap: int | None = TUPLE_CAP) -> Iterator[tuple]:
-    """All C(p, d) combinations of probe positions; TooMany past ``cap``."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    count = math.comb(len(positions), d)
-    if cap is not None and count > cap:
-        raise TooMany(count, cap)
-    return itertools.combinations(positions, d)
+
+def make_part(members: tuple[Expr, ...], labels: SymbolTable) -> Part:
+    """A part of the views :func:`check_tuples` walks, with its footprint;
+    KeyError naming the symbol if a member holds an unlabeled one."""
+    return members, _footprint(_symbols(members, labels), labels)
 
 
 def check_tuples(positions: Sequence[object], sizes: Iterable[int],
-                 observe: Callable[[tuple], Iterable[Hashable]],
-                 decide: Callable[[Hashable], Verdict],
-                 cap: int | None = None) -> TupleResult:
-    """Walk every tuple of ``positions`` of each size and ``decide`` each
-    distinct key that ``observe(tuple)`` yields, once per run; stop at the
-    first verdict that is not Secure. TooMany, before any tuple is walked,
-    if the tuples of one size exceed ``cap``."""
+                 views: Callable[[tuple], Iterable[tuple[Sequence[Part],
+                                                         int | None]]],
+                 decide: Callable[[tuple[Expr, ...], int | None], Verdict],
+                 labels: SymbolTable, cap: int | None = None) -> TupleResult:
+    """Walk every tuple of ``positions`` of each size and stop at the first
+    verdict that is not Secure.
+
+    ``views(tuple)`` yields ``(parts, budget)`` pairs. A view that the share
+    count proves on the union of its parts' footprints is Secure without a
+    set, the empty view included; any other becomes the set of its members,
+    and ``decide(set, budget)`` runs once per distinct pair of the run.
+    TooMany, before any tuple is walked, if the tuples of one size exceed
+    ``cap``."""
     sizes = list(sizes)
-    combos = [enumerate_duplets(positions, q, cap) for q in sizes]
-    count = sum(math.comb(len(positions), q) for q in sizes)
-    memo: dict[Hashable, Verdict] = {}
+    counts = [math.comb(len(positions), q) for q in sizes]
+    for count in counts:
+        if cap is not None and count > cap:
+            raise TooMany(count, cap)
+    total = sum(counts)
+    memo: dict[tuple, Verdict] = {}
     checked = 0
-    for combo in itertools.chain(*combos):
+    for combo in itertools.chain.from_iterable(
+            itertools.combinations(positions, q) for q in sizes):
         checked += 1
-        for key in observe(combo):
+        for parts, budget in views(combo):
+            fp = 0
+            for _, part_fp in parts:
+                fp |= part_fp
+            if _share_count_proves(fp, labels, budget):
+                continue
+            key = (make_expr_set(e for members, _ in parts for e in members),
+                   budget)
             verdict = memo.get(key)
             if verdict is None:
-                verdict = memo[key] = decide(key)
+                verdict = memo[key] = decide(*key)
             if not verdict.is_secure:
-                return TupleResult(verdict, checked, count, combo)
-    return TupleResult(Verdict.secure(), checked, count)
+                return TupleResult(verdict, checked, total, combo)
+    return TupleResult(Verdict.secure(), checked, total)
 
 
 # ---------------------------------------------------------------------------
@@ -819,14 +815,15 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                  limit: int) -> Verdict:
     """Can a simulator with ``budget`` shares of each input reproduce the
     joint distribution of ``exprs``? Observing a secret observes all of its
-    shares. A leak carries the first selection's witness."""
-    symbols = _symbols(exprs, labels)
-    if _share_count_proves(_footprint(symbols, labels), labels, budget):
+    shares. A leak carries the first selection's witness; past ``limit``
+    bits the verdict is Inconclusive."""
+    if check_substitution(exprs, labels, budget).is_secure:
         return Verdict.secure()
-    left = _substitution_fixpoint(exprs, labels)
-    if _share_count_proves(_footprint(left, labels), labels, budget):
-        return Verdict.secure()
-    space, derived, _, _ = _space_for(symbols, labels, limit, shares_free=True)
+    try:
+        space, derived, _, _ = _space_for(_symbols(exprs, labels), labels,
+                                          limit, shares_free=True)
+    except TooLarge as exc:
+        return Verdict.inconclusive(str(exc))
     by_secret = sorted(labels.sharings(),
                        key=lambda shares: labels.share_parent(shares[0]))
     # the space holds the shares observed and all shares of each secret
@@ -845,25 +842,19 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
                           strong: bool, limit: int) -> TupleResult:
+    labels = gadget.labels
     probes = collect_probes(gadget, glitches)
-    footprints = {id(p): _part_footprint(p.obs, gadget.labels) for p in probes}
+    parts = {id(p): make_part(p.obs, labels) for p in probes}
 
-    def observe(combo: tuple[Probe, ...]) -> Iterator[tuple]:
+    def views(combo: tuple[Probe, ...]):
         budget = sum(1 for p in combo if not p.is_output) if strong \
             else len(combo)
-        # a tuple the count proves is Secure without a set of its own
-        if not _parts_prove((footprints[id(p)] for p in combo),
-                            gadget.labels, budget):
-            yield make_expr_set(e for p in combo for e in p.obs), budget
+        return (([parts[id(p)] for p in combo], budget),)
 
-    def decide(key: tuple) -> Verdict:
-        exprs, budget = key
-        try:
-            return _simulatable(exprs, gadget.labels, budget, limit)
-        except TooLarge as exc:
-            return Verdict.inconclusive(str(exc))
-
-    return check_tuples(probes, range(1, d + 1), observe, decide)
+    return check_tuples(
+        probes, range(1, d + 1), views,
+        lambda exprs, budget: _simulatable(exprs, labels, budget, limit),
+        labels)
 
 
 def check_ni(gadget: GadgetSpec, d: int, glitches: bool,

@@ -151,7 +151,8 @@ def test_criterion_5_higher_order_verdicts():
             assert res.verdict.status == vf.LEAKS
             assert res.verdict.witness is not None
         outcomes.append(res.verdict.status)
-    assert len(list(mg.enumerate_duplets(list(range(7)), 2))) == 21
+    assert vf.check_tuples(list(range(7)), (2,), lambda combo: (), None,
+                           labels).tuple_count == 21
     elapsed = time.time() - start
     assert elapsed < 600
     _passed(5, f"DOM-AND order 1@d=2 leaks, 2@d=2 secure, 2@d=3 leaks; "

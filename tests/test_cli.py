@@ -300,6 +300,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "stimuli line 1: witness: expected an object"),
     (_edit("stimuli", _set(0, "witness", "m", _DROP)),
      "stimuli: witness.m: missing"),
+    (_edit("stimuli", lambda doc: []), "stimuli: no frames"),
+    (_edit("stimuli", lambda doc: doc[:1]), "stimuli: no frames"),
     (_share_a0(secret=[1]), "symbols[1].secret: expected a string"),
     (_share_a0(index="0"),
      "symbols[1].index: expected a non-negative integer, got '0'"),
@@ -320,7 +322,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "drive-int", "drive-symbol-list", "drive-expr-int", "drive-expr-junk",
         "drive-expr-array", "frame-cycle-null", "drive-width",
         "drive-missing",
-        "witness-int", "witness-missing", "share-secret-list",
+        "witness-int", "witness-missing", "stimuli-empty",
+        "stimuli-witness-only", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
         "share-width", "enum-limit-negative"])
 def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,

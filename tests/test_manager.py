@@ -9,7 +9,6 @@ import pytest
 from probewise import expr as ex, gadgets, manager as mg, netlist, sim
 from probewise import verify as vf
 from probewise.manager import (BIT, SUPPORT_WISE, LeakageModel, RunOptions,
-                               TooMany, enumerate_duplets,
                                expr_sets_for, recombine_split_wires, run,
                                wires_to_verify)
 from probewise.verify import make_expr_set
@@ -390,11 +389,35 @@ def test_expr_set_tuples_identify_member_sets():
         assert len(idents) == 1, [ex.render(e) for e in key]
 
 
-def test_enumerate_duplets_counts():
-    assert len(list(enumerate_duplets(list(range(4)), 2))) == 6
-    assert len(list(enumerate_duplets(list(range(10)), 3))) == 120
-    with pytest.raises(TooMany):
-        enumerate_duplets(list(range(100)), 4, cap=1000)
+def test_check_tuples_counts():
+    # every C(p, q) tuple is walked; one distinct view is decided once
+    labels = ex.SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    part = vf.make_part((labels.sym("k"),), labels)
+    decided = []
+
+    def decide(exprs, budget):
+        decided.append((exprs, budget))
+        return vf.Verdict.secure()
+
+    for p, sizes, count in ((4, (2,), 6), (10, (3,), 120),
+                            (5, (1, 2, 3), 25)):
+        decided.clear()
+        res = vf.check_tuples(list(range(p)), sizes,
+                              lambda combo: (([part] * len(combo), None),),
+                              decide, labels)
+        assert (res.verdict.is_secure, res.tuples_checked,
+                res.tuple_count) == (True, count, count)
+        assert decided == [((labels.sym("k"),), None)]
+
+    # past the cap, TooMany before any view or decision
+    viewed = []
+    decided.clear()
+    with pytest.raises(vf.TooMany, match="3921225 tuples exceed the cap "
+                                         "of 1000"):
+        vf.check_tuples(list(range(100)), (1, 4), viewed.append, decide,
+                        labels, cap=1000)
+    assert viewed == [] and decided == []
 
 
 def test_higher_order_rejects_unknown_mode():
@@ -511,15 +534,18 @@ def test_higher_order_results_are_pinned(gen, d, glitches, mode, expected):
 
 
 @pytest.mark.parametrize("mode", [mg.SPATIAL, mg.MIXED])
-def test_higher_order_names_an_unlabeled_symbol(mode):
-    # a view with an unlabeled part is not counted: its check names the
-    # symbol
+def test_higher_order_names_an_unlabeled_symbol(mode, monkeypatch):
+    # a set with an unlabeled symbol is rejected when its part is built,
+    # before any view is checked, and the error names the symbol
+    checked = []
+    monkeypatch.setattr(vf, "check", lambda *args: checked.append(args))
     circuit, labels, stimuli, _ = gadgets.gen_dom_and(2)
     doc = labels.to_json()
     doc["symbols"] = [e for e in doc["symbols"] if e["name"] != "z01"]
     with pytest.raises(KeyError, match="symbol 'z01' is not labeled"):
         mg.verify_higher_order(circuit, stimuli, ex.SymbolTable.from_json(doc),
                                LeakageModel(order=2), mode=mode)
+    assert checked == []
 
 
 def test_higher_order_honours_the_model_stability_switch():

@@ -317,6 +317,19 @@ def test_ni_tuple_a_count_proves_is_secure_past_the_limit():
     assert check_ni(spec, 2, glitches=False, limit=4).verdict.is_secure
 
 
+def test_ni_names_an_unlabeled_mask_before_any_check(monkeypatch):
+    decided = []
+    monkeypatch.setattr(vf, "_simulatable", lambda *args: decided.append(args))
+    circuit, labels, stimuli, spec = gadgets.gen_dom_and(1)
+    doc = labels.to_json()
+    doc["symbols"] = [e for e in doc["symbols"] if e["name"] != "z01"]
+    unlabeled = GadgetSpec(circuit, SymbolTable.from_json(doc), stimuli,
+                           spec.output_wires, spec.order)
+    with pytest.raises(KeyError, match="symbol 'z01' is not labeled"):
+        check_ni(unlabeled, 1, glitches=False)
+    assert decided == []
+
+
 def _secrets(labels):
     """Each declared secret's shares, by share index."""
     return {n: labels.shares_of(n) for n in labels
@@ -741,6 +754,9 @@ def _assert_share_counts_sound(exprs, labels, secrets, budget):
     if proved:
         assert oracles.independence_bruteforce(exprs, labels), \
             [ex.render(e) for e in exprs]
+    if check_substitution(exprs, labels, budget).is_secure:
+        assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
+            (budget, [ex.render(e) for e in exprs])
     assert vf._simulatable(exprs, labels, budget, limit=20).is_secure == \
         oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
         (budget, [ex.render(e) for e in exprs])
@@ -855,18 +871,28 @@ def test_footprints_follow_later_declarations():
 @pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
 @pytest.mark.parametrize("glitches", [False, True])
 def test_footprint_proven_probe_tuples_are_simulatable(gen, glitches):
-    # every NI/SNI tuple of the order-1 gadget at d=2 that the footprint
-    # count proves is simulatable under brute force
+    # every NI/SNI view of the order-1 gadget at d=2 that the engine never
+    # decides is simulatable under brute force
     _, labels, _, spec = gen(1)
     probes = vf.collect_probes(spec, glitches)
-    parts = {id(p): vf._part_footprint(p.obs, labels) for p in probes}
-    proven = set()
-    for combo in itertools.chain(*(itertools.combinations(probes, q)
-                                   for q in (1, 2))):
-        for budget in {len(combo), sum(1 for p in combo if not p.is_output)}:
-            if vf._parts_prove((parts[id(p)] for p in combo), labels, budget):
-                proven.add((make_expr_set(e for p in combo for e in p.obs),
-                            budget))
+    parts = {id(p): vf.make_part(p.obs, labels) for p in probes}
+    views, decided = set(), []
+
+    def ni_and_sni_views(combo):
+        out = [([parts[id(p)] for p in combo], budget) for budget in
+               {len(combo), sum(1 for p in combo if not p.is_output)}]
+        views.update((make_expr_set(e for p in combo for e in p.obs), budget)
+                     for _, budget in out)
+        return out
+
+    def decide(exprs, budget):
+        decided.append((exprs, budget))
+        return vf.Verdict.secure()   # walk every tuple
+
+    res = vf.check_tuples(probes, (1, 2), ni_and_sni_views, decide, labels)
+    assert res.tuples_checked == res.tuple_count
+    assert len(decided) == len(set(decided))
+    proven = views - set(decided)
     assert len(proven) > 20
     for exprs, budget in proven:
         assert oracles.simulatable_bruteforce(exprs, labels, _secrets(labels),
