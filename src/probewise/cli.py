@@ -13,6 +13,7 @@ consistency violation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -42,6 +43,7 @@ def _bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
+@functools.cache     # parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probewise",

@@ -129,7 +129,18 @@ class LeakReport:
 
     def to_jsonl(self) -> str:
         encode = json.JSONEncoder(sort_keys=True).encode
-        lines = [encode(e.to_json()) for e in self.entries]
+        # sort_keys puts "cycle" first, so a line is that field followed by
+        # a tail that entries of one unit over settled cycles share
+        tails: dict[tuple, str] = {}
+        lines = []
+        for e in self.entries:
+            key = (e.wire, e.src, e.facet, id(e.verdict), e.exprs)
+            tail = tails.get(key)
+            if tail is None:
+                doc = e.to_json()
+                del doc["cycle"]
+                tail = tails[key] = encode(doc)[1:]
+            lines.append(f'{{"cycle": {e.cycle}, {tail}')
         lines += [encode({"cycle": c, "wire": w, "warning": msg})
                   for c, w, msg in self.warnings]
         lines.append(encode(self.summary.to_json()))
@@ -349,6 +360,9 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     index = structural_index(circuit)
     report = LeakReport()
     cache: dict[tuple, Verdict] = {}
+    rendered: dict[tuple, tuple[str, ...]] = {}
+    carried: dict[int, tuple] = {}
+    facet = model.facet
     memo: dict = {}
     baseline_memo: dict = {}
     baseline_seen: set[tuple] = set()
@@ -359,22 +373,34 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         report.warnings = state.warnings
 
         units = wires_to_verify(circuit, index, model, state)
-        requests: list[tuple] = []
-        for label, src, key in _unit_sets(circuit, model, state, units, memo):
-            if not key:
-                report.summary.trivial_skipped += 1
-                continue
-            requests.append((label, src, key))
+        sets = _unit_sets(circuit, model, state, units, memo)
+        requests = [s for s in sets if s[2]]
+        report.summary.trivial_skipped += len(sets) - len(requests)
 
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
                 circuit, index, model, state, baseline_memo, baseline_seen)
-        verdicts = _dispatch(requests, cache, labels, options, report)
+        # A set _unit_sets carried is the same object as last cycle's, with
+        # the same key, so it keeps last cycle's verdict and rendering; the
+        # entry holds the set, so its id is not reused while it is here.
+        last, carried = carried, {}
+        misses = [s for s in requests if id(s) not in last]
+        verdicts = iter(_dispatch(misses, cache, labels, options, report))
+        report.summary.cache_hits += len(requests) - len(misses)
         cycle_flagged = False
-        for (label, src, exprs), verdict in zip(requests, verdicts):
-            report.entries.append(ReportEntry(
-                t, label, src, model.facet, verdict,
-                tuple(render(e) for e in exprs)))
+        for unit_set in requests:
+            label, src, key = unit_set
+            entry = last.get(id(unit_set))
+            if entry is None:
+                exprs = rendered.get(key)
+                if exprs is None:
+                    exprs = rendered[key] = tuple(map(render, key))
+                entry = (unit_set, next(verdicts), exprs)
+            if options.use_cache:
+                carried[id(unit_set)] = entry
+            _, verdict, exprs = entry
+            report.entries.append(ReportEntry(t, label, src, facet, verdict,
+                                              exprs))
             if not verdict.is_secure:
                 cycle_flagged = True
                 if options.stop_on_first_leak:
@@ -389,7 +415,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         # without the over-approximation both counters mean the same thing
         report.summary.expr_to_verify = report.summary.verified_expr
     report.warnings = list(dict.fromkeys(report.warnings))
-    report.entries.sort(key=lambda e: (e.cycle, e.wire))
+    report.entries.sort(key=operator.attrgetter("cycle", "wire"))
     return report
 
 

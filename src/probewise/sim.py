@@ -597,6 +597,7 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
     driven: set[str] = set()
+    read: dict[tuple, Expr] = {}     # drives that validated, by _drive_key
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -613,8 +614,16 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
                 if key not in doc:
                     raise InputError(f"frame has no {key!r}")
             cycle = field(doc, "", "cycle", int, 0)
-            inputs = {name: _read_drive(drive, f"inputs.{name}", widths)
-                      for name, drive in field(doc, "", "inputs", dict).items()}
+            inputs = {}
+            for name, drive in field(doc, "", "inputs", dict).items():
+                key = _drive_key(name, drive)
+                e = read.get(key)
+                if e is None:
+                    e = _read_drive(drive, f"inputs.{name}", widths)
+                    driven |= ex.symbols_of(e)
+                    if key is not None:
+                        read[key] = e
+                inputs[name] = e
             for wire in ports:
                 e = inputs.get(wire.name)
                 if e is None:
@@ -624,8 +633,6 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
                                      f"wire is {wire.width}")
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from None
-        for e in inputs.values():
-            driven |= ex.symbols_of(e)
         frames.append((cycle, StimulusFrame(inputs)))
     if not frames:
         raise InputError("stimuli: no frames")
@@ -636,6 +643,18 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     if [c for c, _ in frames] != list(range(len(frames))):
         raise InputError("stimuli: cycles must be 0..n-1 without gaps")
     return Stimuli(witness, [f for _, f in frames])
+
+
+def _drive_key(name: str, drive) -> tuple | None:
+    """``(input, kind, text)`` for the kind :func:`_read_drive` reads first,
+    whose expression follows from that text alone; None when the text is
+    not a string."""
+    if type(drive) is dict:
+        for kind in ("const", "symbol", "expr"):
+            if kind in drive:
+                text = drive[kind]
+                return (name, kind, text) if type(text) is str else None
+    return None
 
 
 def _read_drive(drive, where: str, widths: Mapping[str, int]) -> Expr:

@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import probewise
 from probewise import gadgets
 from probewise.cli import main
 from probewise.manager import BIT, LeakageModel, run
@@ -228,6 +233,18 @@ def _share_a0(**changes):
                  "dom_and_d1")
 
 
+def _third_frame_drive(drive):
+    """Fig5's cycle-0 frame three times over, with i1 driven by ``drive``
+    (given the frames' i1 drive) on the third."""
+    def edit(doc):
+        witness, frame = doc[0], doc[1]
+        frames = [dict(frame, cycle=c, inputs=dict(frame["inputs"]))
+                  for c in range(3)]
+        frames[2]["inputs"]["i1"] = drive(frame["inputs"]["i1"])
+        return [witness, *frames]
+    return _edit("stimuli", edit)
+
+
 def _over_tuple_cap(fixture_dir, tmp_path):
     # C(36 wires, 6) = 1,947,792 spatial 6-uplets
     return [*_fig_args(fixture_dir, "dom_and_d2"), "--model", "0,0",
@@ -290,6 +307,11 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "stimuli line 2: inputs.i1.expr: unexpected character '!'"),
     (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "ARRAY(k)"})),
      "stimuli line 2: inputs.i1.expr: table reads (ARRAY) cannot be parsed"),
+    (_third_frame_drive(lambda good: {"expr": good["expr"] + " !!"}),
+     "stimuli line 4: inputs.i1.expr: unexpected character '!'"),
+    # the const key is read first, so the valid expr beside it is not used
+    (_third_frame_drive(lambda good: {**good, "const": 5}),
+     "stimuli line 4: inputs.i1.const: expected a string"),
     (_edit("stimuli", _set(1, "cycle", None)),
      "stimuli line 2: cycle: expected a non-negative integer, got None"),
     (_edit("stimuli", _set(1, "inputs", "i0", {"const": "0b00"})),
@@ -320,7 +342,8 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "split-index-null", "memory-depth-null", "memory-init-int",
         "memory-id-list", "gate-params-list", "frame-inputs-int",
         "drive-int", "drive-symbol-list", "drive-expr-int", "drive-expr-junk",
-        "drive-expr-array", "frame-cycle-null", "drive-width",
+        "drive-expr-array", "drive-expr-junk-frame-3",
+        "drive-const-int-frame-3", "frame-cycle-null", "drive-width",
         "drive-missing",
         "witness-int", "witness-missing", "stimuli-empty",
         "stimuli-witness-only", "share-secret-list",
@@ -336,6 +359,25 @@ def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_one_process_answers_like_fresh_ones(fixture_dir, capsys):
+    # the parser is built once per process: a call after a usage error
+    # answers as the same call does in a fresh process
+    calls = [(["ni", "--gadget", "aes", "--order", "1"], 2),
+             (["ni", "--gadget", "dom_and", "--order", "1"], 0),
+             (["verify", *_fig_args(fixture_dir, "fig5"), "--model", "0,1"],
+              1)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(probewise.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    for argv, code in calls:
+        assert main(argv) == code
+        ours = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "probewise.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert fresh.returncode == code
+        assert (ours.out, ours.err) == (fresh.stdout, fresh.stderr), argv
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Manager: expression sets per model, wire selection, cache, runs, duplets."""
 
 import itertools
+import json
 import math
 import random
 
@@ -240,6 +241,67 @@ def test_stop_on_first_leak():
     assert report.summary.cycles == flagged[0].cycle + 1   # run terminates
 
 
+LONG_TRACE_MODELS = [LeakageModel(granularity=BIT),
+                     LeakageModel(transitions=True, granularity=BIT),
+                     LeakageModel(glitches=True, granularity=BIT),
+                     LeakageModel(glitches=True, transitions=True,
+                                  granularity=BIT),
+                     LeakageModel.rr1sw()]
+
+
+@pytest.mark.parametrize("model", LONG_TRACE_MODELS,
+                         ids=["0,0", "0,1", "1,0", "1,1", "rr1sw"])
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and],
+                         ids=["dom_and", "isw_and"])
+def test_cache_on_and_off_give_the_same_entry_lines(gen, model):
+    # a carried unit reuses last cycle's verdict and rendering only with the
+    # cache on; with it off every request is decided and rendered again
+    circuit, labels, stimuli, _ = gen(2, cycles=20)
+
+    def entry_lines(**options):
+        reports = [run(circuit, stimuli, labels, model,
+                       RunOptions(use_cache=cache, **options))
+                   for cache in (True, False)]
+        for report in reports:
+            assert report.summary.cache_hits + report.summary.verified_expr \
+                == len(report.entries)
+        lines = [report.to_jsonl().splitlines()[:-1] for report in reports]
+        assert lines[0] == lines[1]
+        return reports[0]
+
+    full = entry_lines()
+    stopped = entry_lines(stop_on_first_leak=True)
+    assert len(stopped.flagged()) == min(1, len(full.flagged()))
+
+
+def test_report_lines_encode_each_entry():
+    # to_jsonl encodes an entry's fields other than its cycle once per
+    # distinct tail; every line must still be the entry's own encoding
+    fig5, fig6 = (gadgets.gen_counterexamples()[name]
+                  for name in ("fig5", "fig6"))
+    doc = json.loads(netlist.serialize_netlist(fig5.circuit))
+    doc["wires"][1]["src"] = {"file": "fig5.v", "line": 7}    # i1 leaks
+    with_src = netlist.parse_netlist(json.dumps(doc))
+    reports = [run(fig5.circuit, fig5.stimuli, fig5.labels,
+                   LeakageModel(transitions=True)),
+               # i1 is secure at both cycles, with other members at each
+               run(fig5.circuit, fig5.stimuli, fig5.labels, LeakageModel()),
+               run(fig6.circuit, fig6.stimuli, fig6.labels, LeakageModel(),
+                   RunOptions(enum_limit=0)),
+               run(with_src, fig5.stimuli, fig5.labels,
+                   LeakageModel(transitions=True))]
+    entries = [e for report in reports for e in report.entries]
+    assert any(e.verdict.witness is not None for e in entries)
+    assert any(e.verdict.reason for e in entries)
+    assert any(e.src is not None and e.verdict.witness is not None
+               for e in entries)
+    for report in reports:
+        lines = report.to_jsonl().splitlines()
+        assert len(lines) == len(report.entries) + 1
+        for e, line in zip(report.entries, lines):
+            assert line == json.dumps(e.to_json(), sort_keys=True)
+
+
 def test_overapprox_counters():
     # rr1sw's expr_to_verify counts what the same model without the
     # over-approximation dispatches.
@@ -341,7 +403,6 @@ def test_reduction_covers_stable_mux_selector_drop(monkeypatch):
 
 
 def test_report_jsonl_schema():
-    import json
     fx = gadgets.gen_counterexamples()["fig5"]
     report = run(fx.circuit, fx.stimuli, fx.labels,
                  LeakageModel(transitions=True))
