@@ -26,21 +26,25 @@ fixed symbols is the same for every vary value. :func:`check_enumeration`
 varies the secrets; a probe tuple fixes each selection of its budget of
 shares, varies the other shares and marginalises the publics.
 
-The test is a counting kernel (:func:`_first_bad_group`) over int64 keys
-packed in order by :func:`_pack`: the publics or the fixed symbols (never
-both), then the members, form the group key, the vary symbols the vary
-key. A selection is invariant iff each group's rows are spread alike over
-the vary values. Public values are walked in key order, one range at a
-time, and the first range that leaks decides.
+Columns are narrow: a symbol's or a term's values are held in the
+smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
+as Python ints past 31 bits. The test is a counting kernel
+(:func:`_first_bad_group`) over int64 keys packed in order by
+:func:`_pack`: the publics or the fixed symbols (never both), then the
+members, form the group key, the vary symbols the vary key. A selection
+is invariant iff each group's rows are spread alike over the vary values.
+Public values are walked in key order, one range at a time, and the first
+range that leaks decides.
 
-:func:`check_substitution` is steps 1 and 2 for both questions.
-:func:`check` runs them, then 3; a set past the bit budget is Inconclusive,
-a potential false positive, and so is a probe tuple that neither count
-proves. Tuples are drawn from symbolic values (or flattened LeakSets when
-glitches are modelled). :func:`check_tuples` is the one probe-tuple engine:
-NI/SNI and the higher-order d-uplet checks name their positions, the views
-of a tuple and how to decide a view's set, and it counts, builds, memoises
-and decides every view.
+:func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
+sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
+:func:`check` runs steps 1 and 2, then 3; a set past the bit budget is
+Inconclusive, a potential false positive, and so is a probe tuple that
+neither count proves. Tuples are drawn from symbolic values (or flattened
+LeakSets when glitches are modelled). :func:`check_tuples` is the one
+probe-tuple engine: NI/SNI and the higher-order d-uplet checks name their
+positions, the views of a tuple and how to decide a view's set, and it
+counts, builds, memoises and decides every view.
 """
 
 from __future__ import annotations
@@ -282,6 +286,14 @@ def check_substitution(exprs: tuple[Expr, ...], labels: SymbolTable,
     if _share_count_proves(_footprint(_symbols(exprs, labels), labels),
                            labels, budget):
         return Verdict.secure()
+    return _fixpoint_count(exprs, labels, budget)
+
+
+def _fixpoint_count(exprs: tuple[Expr, ...], labels: SymbolTable,
+                    budget: int | None) -> Verdict:
+    """The share count on the symbols :func:`_substitution_fixpoint` leaves.
+    They are a subset of the members' symbols, so this count proves all
+    that a count on those would."""
     left = _substitution_fixpoint(exprs, labels)
     if _share_count_proves(_footprint(left, labels), labels, budget):
         return Verdict.secure()
@@ -294,11 +306,42 @@ def check_substitution(exprs: tuple[Expr, ...], labels: SymbolTable,
 # Enumeration
 # ---------------------------------------------------------------------------
 
+_INT64_WIDTH = 31   # int64 holds products and sums of values this wide
+_U8, _U16, _I64, _OBJECT = map(np.dtype, (np.uint8, np.uint16, np.int64,
+                                          object))
+
+
+def _dtype(width: int) -> np.dtype:
+    """The column type of ``width``-bit values: the narrowest of uint8,
+    uint16 and int64 that holds them, Python ints past ``_INT64_WIDTH``."""
+    if width <= 8:
+        return _U8
+    if width <= 16:
+        return _U16
+    return _I64 if width <= _INT64_WIDTH else _OBJECT
+
+
+def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
+    """Rows ``[start, stop)`` of the bit field ``(row >> off) & mask(width)``,
+    in the type of its width: each value is made once per run of ``2^off``
+    rows and repeated, so no row index is built."""
+    first, last = start >> off, -(-stop >> off)
+    values = (np.arange(first, last) & mask(width)).astype(_dtype(width))
+    run = 1 << off
+    if not (start | stop) & (run - 1):
+        return values.repeat(run) if off else values
+    # the range cuts a run (a public field above a range's rows): each
+    # value is repeated only over the rows of its run inside the range
+    edges = np.clip(np.arange(first, last + 1) << off, start, stop)
+    return values.repeat(np.diff(edges))
+
+
 @dataclass
 class _Space:
     """Cartesian assignment space over base variables, with derived symbols,
     each the XOR of its parts; ``cols`` hold the ``rows`` rows last
-    materialised."""
+    materialised, a symbol's in the narrow type :func:`_dtype` gives its
+    width. Only the keys :func:`_pack` builds from them are int64."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
@@ -315,11 +358,11 @@ class _Space:
         """Columns of the rows ``[start, stop)``, by default all of them; they
         replace those of the range materialised before."""
         stop = self.size if stop is None else stop
-        idx = np.arange(start, stop, dtype=np.int64)
         self.rows = stop - start
         self.cols = {}
         for name in self.order:
-            self.cols[name] = (idx >> self.offsets[name]) & mask(self.widths[name])
+            self.cols[name] = _field(self.offsets[name], self.widths[name],
+                                     start, stop)
         for name, (first, *rest) in derived.items():
             col = self.cols[first]
             for part in rest:
@@ -398,27 +441,23 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
     return space, derived, sorted(set(secrets)), publics
 
 
-_INT64_WIDTH = 31   # int64 holds products and sums of values this wide
-
-
 def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
                  memo: dict) -> np.ndarray:
     got = memo.get(e)
     if got is not None:
         return got
     if e.kind == "cst":
-        wide = e.width > _INT64_WIDTH
-        out = np.full(n, e.value, dtype=object if wide else np.int64)
+        out = np.full(n, e.value, dtype=_dtype(e.width))
     elif e.kind == "sym":
         out = cols[e.name]
     else:
-        kids = [_eval_column(c, cols, n, memo) for c in e.children]
-        # spill to Python-int arithmetic as soon as int64 could overflow
-        if e.width > _INT64_WIDTH or any(c.width > _INT64_WIDTH
-                                         for c in e.children):
-            kids = [k if k.dtype == object else k.astype(object)
-                    for k in kids]
         op, w = e.op, e.width
+        # compute in the type of the widest of the node and its children
+        # (Python ints past int64): a sum or a product wraps modulo its
+        # size, which the mask to w, no wider, leaves exact
+        wide = _dtype(max(w, *(c.width for c in e.children)))
+        kids = [_eval_column(c, cols, n, memo).astype(wide, copy=False)
+                for c in e.children]
         if op == "XOR":
             out = kids[0]
             for k in kids[1:]:
@@ -458,6 +497,7 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
             out = np.frompyfunc(lambda i: table[int(i) % depth] & mask(w), 1, 1)(kids[0])
         else:
             raise AssertionError(op)
+        out = out.astype(_dtype(w), copy=False)
     memo[e] = out
     return out
 
@@ -487,13 +527,11 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
             key, bound = _dense(key)
             if bound * b >= _COMPOSE_CAP:   # degenerate: huge single column
                 col, b = _dense(col)
-        # the first part is copied: the key is then updated in place
-        col = col.astype(np.int64, copy=key is None)
         if key is None:
-            key = col
+            key = col.astype(np.int64)   # a copy: the key is updated in place
         else:
             key *= b
-            key += col
+            key += col   # a narrow column is widened as it is added
         bound *= b
     return key, bound
 
@@ -625,10 +663,11 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
         memo.clear()
         space.materialise(derived, start, stop)
         parts = _member_parts(exprs, space, memo)
-        if stop - start > 1 << low:
+        values = (stop - start) >> low
+        if values > 1:
             # the publics packed in key order are the row index's top bits
-            value = np.arange(start, stop, dtype=np.int64) >> low
-            parts.insert(0, (value - (start >> low), (stop - start) >> low))
+            parts.insert(0, (_field(low, (values - 1).bit_length(), 0,
+                                    stop - start), values))
         members, n_members = _pack(parts)
         dense = None
         invariant = []
@@ -817,7 +856,9 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     joint distribution of ``exprs``? Observing a secret observes all of its
     shares. A leak carries the first selection's witness; past ``limit``
     bits the verdict is Inconclusive."""
-    if check_substitution(exprs, labels, budget).is_secure:
+    # check_tuples decides only a set whose count on all of its symbols
+    # failed: start at the fixpoint
+    if _fixpoint_count(exprs, labels, budget).is_secure:
         return Verdict.secure()
     try:
         space, derived, _, _ = _space_for(_symbols(exprs, labels), labels,

@@ -6,6 +6,7 @@ import math
 import re
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -679,6 +680,92 @@ def test_range_wise_random_sets(monkeypatch, first, cap):
             continue
         leaks += _agrees_with_oracle(exprs, labels).status == vf.LEAKS
     assert leaks > 10
+
+
+# ---------------------------------------------------------------------------
+# Narrow columns
+# ---------------------------------------------------------------------------
+
+_BOUNDARY_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 30, 31, 32)
+
+
+def test_column_type_follows_width():
+    assert [vf._dtype(w).name for w in _BOUNDARY_WIDTHS] == \
+        ["uint8"] * 3 + ["uint16"] * 3 + ["int64"] * 3 + ["object"]
+
+
+def test_narrow_columns_equal_the_tree_oracle():
+    rng = random.Random(17)
+    symbols = {f"x{w}": w for w in _BOUNDARY_WIDTHS}
+    rows = 48
+    cols = {name: np.array([rng.getrandbits(w) for _ in range(rows)],
+                           dtype=vf._dtype(w)) for name, w in symbols.items()}
+    x = {w: ("sym", f"x{w}", w) for w in _BOUNDARY_WIDTHS}
+    trees = [oracles.random_tree(rng, symbols, 3, w)
+             for w in _BOUNDARY_WIDTHS for _ in range(6)]
+    trees += [
+        # sums, differences and products that wrap in uint8/uint16/int64
+        ("ADD", [x[8], ("cst", 255, 8)], ()), ("SUB", [x[7], x[7]], ()),
+        ("SUB", [("cst", 0, 16), x[16]], ()), ("MUL", [x[9], x[9]], ()),
+        ("MUL", [x[16], x[16]], ()), ("MUL", [x[31], x[31]], ()),
+        ("ADD", [x[17], x[17]], ()), ("POW", [x[15], x[15]], ()),
+        # concatenations and extractions across a type boundary
+        ("CONCAT", [x[8], x[1]], ()), ("CONCAT", [x[16], x[15]], ()),
+        ("CONCAT", [x[16], x[16]], ()), ("CONCAT", [x[1], x[30]], ()),
+        ("EXTRACT", [x[17]], (16, 16)), ("EXTRACT", [x[9]], (1, 8)),
+        ("EXTRACT", [x[32]], (1, 31)), ("EXTRACT", [x[32]], (0, 15)),
+        # shifts by a symbolic amount, and a constant past int64
+        ("LSL", [x[9], x[7]], ()), ("ASR", [x[16], x[1]], ()),
+        ("LSR", [x[32], x[7]], ()), ("XOR", [x[32], ("cst", 1 << 31, 32)], ()),
+    ]
+    memo = {}
+    for tree in trees:
+        e = oracles.tree_to_expr(tree)
+        got = [int(v) for v in vf._eval_column(e, cols, rows, memo)]
+        want = [oracles.tree_eval(tree, {n: int(c[r])
+                                         for n, c in cols.items()})
+                for r in range(rows)]
+        assert got == want, ex.render(e)
+    # a bound table read, indexed past uint16, its values past its width
+    table = [rng.getrandbits(7) for _ in range(10)]
+    read = ex.array_lookup("t", oracles.tree_to_expr(x[17]), 5, table)
+    got = [int(v) for v in vf._eval_column(read, cols, rows, memo)]
+    assert got == [table[int(i) % 10] & 31 for i in cols["x17"]]
+    assert len(memo) > len(trees)
+    for e, col in memo.items():
+        assert col.dtype == vf._dtype(e.width), ex.render(e)
+
+
+def test_materialise_every_public_range(monkeypatch):
+    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", 4)
+    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", 1 << 11)
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    for i in range(2):
+        labels.declare(f"k{i}", 1, ex.SHARE, secret="k", index=i)
+    labels.declare("m", 3, ex.MASK)
+    labels.declare("pa", 8, ex.PUBLIC)
+    labels.declare("pb", 9, ex.PUBLIC)
+    space, derived, _, publics = vf._space_for({"k1", "m", "pa", "pb"},
+                                               labels, 22, shares_free=False)
+    assert derived == {"k1": ["k", "k0"]} and publics == ["pa", "pb"]
+    assert sorted(space.widths.values()) == [1, 1, 3, 8, 9]
+    low = space.total_bits - 17
+    ranges = list(vf._public_ranges(space.size, 1 << low))
+    # the public fields' runs outgrow the ranges, which then cut them
+    assert len(ranges) > 2 and ranges[-1][1] == space.size
+    for start, stop in ranges:
+        space.materialise(derived, start, stop)
+        assert space.rows == stop - start
+        for name in space.order:
+            off, w = space.offsets[name], space.widths[name]
+            col = space.cols[name]
+            assert col.dtype == vf._dtype(w) and len(col) == stop - start
+            assert col.tolist() == [(r >> off) & ((1 << w) - 1)
+                                    for r in range(start, stop)], name
+        k1 = space.cols["k1"]
+        assert k1.dtype == np.uint8
+        assert np.array_equal(k1, space.cols["k"] ^ space.cols["k0"])
 
 
 # ---------------------------------------------------------------------------
