@@ -6,8 +6,8 @@ from .expr import (Expr, SymbolTable, build, cst, sym, bit, bits, concat,
 from .netlist import (Circuit, CombinatorialLoop, Gate, Register,
                       StructuralIndex, parse_netlist, serialize_netlist,
                       structural_index, validate_and_schedule)
-from .sim import (ConsistencyViolation, MaskedTableHook, SimOptions, SimState,
-                  Stimuli, StimulusFrame, SymbolicIndexUnhandled, Valuation,
+from .sim import (ConsistencyViolation, SimOptions, SimState, Stimuli,
+                  StimulusFrame, SymbolicIndexUnhandled, Valuation,
                   consistency_check, eval_combinational, initial_state,
                   parse_stimuli, register_step, simulate, step_cycle)
 from .verify import (GadgetSpec, LeakWitness, TooLarge, TooMany,

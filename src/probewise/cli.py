@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 no leak found; 1 leaks or inconclusive verdicts; 2 usage, I/O
 or malformed-input errors; 3 simulation errors (combinatorial loop,
-consistency violation).
+consistency violation, a memory write at a symbolic index or a symbolic-index
+read of a memory that holds a symbolic value).
 """
 
 from __future__ import annotations

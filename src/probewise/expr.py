@@ -399,39 +399,15 @@ def bits(e: Expr) -> tuple[Expr, ...]:
 
 
 def array_lookup(mem_id: str, index: Expr, width: int,
-                 table: Sequence[int] | None = None, version: int = 0) -> Expr:
+                 table: Sequence[int], version: int = 0) -> Expr:
     """Opaque symbolic read of ``mem_id``; untouched by simplification.
 
     Its params are ``(mem_id, version, table)``: the contents it read, after
-    ``version`` changes of the memory, or no table until :func:`bind_tables`
-    binds it. Reads of different contents are different terms.
+    ``version`` changes of the memory. Reads of different contents are
+    different terms.
     """
-    params = (mem_id, version, None if table is None else tuple(table))
-    return _make("op", width, op="ARRAY", children=(index,), params=params)
-
-
-def bind_tables(e: Expr, contents: Mapping[str, Sequence[int]],
-                versions: Mapping[str, int],
-                _memo: dict | None = None) -> Expr:
-    """``e`` with each unbound ARRAY node of a memory in ``contents`` bound
-    to that memory's contents and version there."""
-    if e.kind != "op" or not contents:
-        return e
-    memo = {} if _memo is None else _memo
-    got = memo.get(e)
-    if got is None:
-        kids = [bind_tables(c, contents, versions, memo) for c in e.children]
-        if e.op == "ARRAY":
-            mem_id, version, table = e.params
-            if table is None and mem_id in contents:
-                version, table = versions[mem_id], contents[mem_id]
-            got = array_lookup(mem_id, kids[0], e.width, table, version)
-        elif all(k is c for k, c in zip(kids, e.children)):
-            got = e
-        else:
-            got = build(e.op, kids, e.params)
-        memo[e] = got
-    return got
+    return _make("op", width, op="ARRAY", children=(index,),
+                 params=(mem_id, version, tuple(table)))
 
 
 def symbols_of(e: Expr) -> frozenset[str]:
@@ -497,9 +473,7 @@ def _eval(e: Expr, a: Assignment, memo) -> int:
         lo, hi = e.params
         return (eval_concrete(e.children[0], a, memo) >> lo) & mask(hi - lo + 1)
     if op == "ARRAY":
-        mem_id, _, table = e.params
-        if table is None:
-            raise UnboundSymbol(f"memory {mem_id}")
+        table = e.params[2]
         idx = eval_concrete(e.children[0], a, memo) % len(table)
         return table[idx] & mask(w)
     raise AssertionError(f"unreachable operator {op}")

@@ -338,15 +338,13 @@ class RunOptions:
     reset_unstable: bool = False            # registers unstable at cycle 0
     keep_going: bool = False                # consistency violations warn
     check_consistency: bool = False
-    memory_hook: sm.MemoryHook | None = None
 
 
 def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
               options: RunOptions) -> Iterator[SimState]:
     opts = SimOptions(model.use_stability, options.reset_unstable,
                       options.keep_going, options.check_consistency)
-    return sm.simulate(circuit, validate_and_schedule(circuit), stimuli, opts,
-                       options.memory_hook)
+    return sm.simulate(circuit, validate_and_schedule(circuit), stimuli, opts)
 
 
 def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
@@ -382,20 +380,28 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
                 circuit, index, model, state, baseline_memo, baseline_seen)
         # A set _unit_sets carried is the same object as last cycle's, with
         # the same key, so it keeps last cycle's verdict and rendering; the
-        # entry holds the set, so its id is not reused while it is here.
+        # entry holds the set, so its id is not reused while it is here. Any
+        # other set is decided as the loop reaches it, once per distinct key.
         last, carried = carried, {}
-        misses = [s for s in requests if id(s) not in last]
-        verdicts = iter(_dispatch(misses, cache, labels, options, report))
-        report.summary.cache_hits += len(requests) - len(misses)
         cycle_flagged = False
         for unit_set in requests:
             label, src, key = unit_set
             entry = last.get(id(unit_set))
             if entry is None:
+                verdict = cache.get(key)
+                if verdict is None:
+                    verdict = vf.check(key, labels, options.enum_limit)
+                    report.summary.verified_expr += 1
+                    if options.use_cache:
+                        cache[key] = verdict
+                else:
+                    report.summary.cache_hits += 1
                 exprs = rendered.get(key)
                 if exprs is None:
                     exprs = rendered[key] = tuple(map(render, key))
-                entry = (unit_set, next(verdicts), exprs)
+                entry = (unit_set, verdict, exprs)
+            else:
+                report.summary.cache_hits += 1
             if options.use_cache:
                 carried[id(unit_set)] = entry
             _, verdict, exprs = entry
@@ -417,24 +423,6 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     report.warnings = list(dict.fromkeys(report.warnings))
     report.entries.sort(key=operator.attrgetter("cycle", "wire"))
     return report
-
-
-def _dispatch(requests, cache: dict[tuple, Verdict], labels: SymbolTable,
-              options: RunOptions, report: LeakReport) -> list[Verdict]:
-    """Resolve every request's verdict; each distinct new key is decided
-    once."""
-    keys = [key for _, _, key in requests]
-    if options.use_cache:
-        fresh = list(dict.fromkeys(key for key in keys if key not in cache))
-    else:
-        fresh = keys
-    solved = [vf.check(key, labels, options.enum_limit) for key in fresh]
-    report.summary.verified_expr += len(fresh)
-    if not options.use_cache:
-        return solved
-    cache.update(zip(fresh, solved))
-    report.summary.cache_hits += len(requests) - len(fresh)
-    return [cache[key] for key in keys]
 
 
 def _baseline_count(circuit: Circuit, index: StructuralIndex,

@@ -37,9 +37,13 @@ class ConsistencyViolation(SimError):
 
 
 class SymbolicIndexUnhandled(SimError):
-    def __init__(self, wire: str):
-        super().__init__(f"memory access at {wire!r} has a symbolic index and "
-                         f"no hook claimed it")
+    """A memory access at a symbolic index with no exact term: a write, or a
+    read of a memory that holds a symbolic value."""
+    def __init__(self, wire: str, access: str):
+        why = " into a memory holding a symbolic value" \
+            if access == "read" else ""
+        super().__init__(f"memory {access} at {wire!r} has a symbolic "
+                         f"index{why}")
         self.wire = wire
 
 
@@ -87,41 +91,6 @@ class Stimuli:
     frames: list[StimulusFrame]
 
 
-MemoryHook = Callable[[str, Expr, "SimState"], Expr | None]
-
-
-@dataclass(frozen=True)
-class MaskedTableHook:
-    """Rewrites reads of a remasked lookup table.
-
-    For a table initialised as masked[i ^ index_mask] = base[i] ^ value_mask,
-    a read whose index expression is ``something ^ index_mask`` resolves to
-    ``ARRAY(base, something) ^ value_mask``.
-    """
-    masked_memory: str
-    base_memory: str
-    index_mask: str
-    value_mask: str
-
-    def __call__(self, mem_id: str, index: Expr, state: "SimState") -> Expr | None:
-        if mem_id != self.masked_memory:
-            return None
-        m = ex.sym(self.index_mask, index.width)
-        rest: Expr | None = None
-        if index is m:
-            rest = cst(0, index.width)
-        elif index.kind == "op" and index.op == "XOR" and m in index.children:
-            others = [c for c in index.children if c is not m]
-            missing = len(index.children) - len(others) - 1
-            rest = ex.build("XOR", others + [m] * missing) if others or missing \
-                else cst(0, index.width)
-        if rest is None:
-            return None
-        width = state.mem_width[self.base_memory]
-        table = ex.array_lookup(self.base_memory, rest, width)
-        return ex.build("XOR", [table, ex.sym(self.value_mask, width)])
-
-
 @dataclass(frozen=True)
 class SimOptions:
     use_stability: bool = True
@@ -138,7 +107,6 @@ class SimState:
     previous: dict[int, Valuation]
     mem_conc: dict[str, tuple[int, ...]]   # after the cycle's writes
     mem_symb: dict[str, list[Expr]]
-    mem_width: dict[str, int]
     mem_version: dict[str, int]            # content changes so far
     warnings: list[tuple[int, str, str]] = dataclasses.field(
         default_factory=list)
@@ -147,21 +115,18 @@ class SimState:
 def initial_state(circuit: Circuit) -> SimState:
     mem_conc = {m.mid: tuple(m.init) for m in circuit.memories}
     mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
-    mem_width = {m.mid: m.width for m in circuit.memories}
     mem_version = {m.mid: 0 for m in circuit.memories}
-    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_width,
-                    mem_version)
+    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_version)
 
 
 def simulate(circuit: Circuit, schedule: Sequence[Gate], stimuli: Stimuli,
-             opts: SimOptions = SimOptions(),
-             hook: MemoryHook | None = None) -> Iterator[SimState]:
+             opts: SimOptions = SimOptions()) -> Iterator[SimState]:
     """Yield the state after each stimulus frame, each checked against the
     witness first when ``opts.check_consistency`` is set."""
     state = initial_state(circuit)
     for frame in stimuli.frames:
         state = step_cycle(circuit, schedule, state, frame, stimuli.witness,
-                           opts, hook)
+                           opts)
         if opts.check_consistency:
             consistency_check(state, stimuli.witness)
         yield state
@@ -169,13 +134,12 @@ def simulate(circuit: Circuit, schedule: Sequence[Gate], stimuli: Stimuli,
 
 def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
                frame: StimulusFrame, witness: Mapping[str, int],
-               opts: SimOptions = SimOptions(),
-               hook: MemoryHook | None = None) -> SimState:
+               opts: SimOptions = SimOptions()) -> SimState:
     """Advance the simulation by one cycle, computing all four domains;
     ``schedule`` is the gates in evaluation order.
 
-    Its table reads, in drives and memory hook results alike, see the
-    contents before its own writes and carry them in their ARRAY nodes.
+    Its table reads see the contents before its own writes and carry them
+    in their ARRAY nodes.
 
     ``state`` must come from the same circuit and ``opts``, as in
     :func:`simulate`: a wire whose valuation equals the last cycle's keeps
@@ -194,7 +158,6 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
         if e.width != wire.width:
             raise SimError(f"stimulus for {wire.name!r} has width {e.width}, "
                            f"wire is {wire.width}")
-        e = ex.bind_tables(e, state.mem_conc, state.mem_version)
         conc = ex.eval_concrete(e, witness)
         was = last.get(uid)
         if was is not None and was.symb is e and was.conc == conc:
@@ -215,8 +178,8 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
     for g in schedule:
         ins = [vals[w] for w in g.inputs]
         out_wire = circuit.wire(g.output)
-        val = _eval_gate(circuit, state, g, ins, opts, hook,
-                         pending_writes, warnings, t)
+        val = _eval_gate(circuit, state, g, ins, opts, pending_writes,
+                         warnings, t)
         if val.symb.is_cst and val.symb.value != val.conc:
             if opts.keep_going:
                 warnings.append((t, out_wire.name, "consistency violation"))
@@ -235,7 +198,7 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
                        for k, n in state.mem_version.items()}
 
     return SimState(circuit, t + 1, vals, state.current, mem_conc, mem_symb,
-                    state.mem_width, mem_version, warnings)
+                    mem_version, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +231,12 @@ def register_step(circuit: Circuit, register, state: SimState,
 
 
 def _eval_gate(circuit: Circuit, state: SimState, g: Gate, ins: list[Valuation],
-               opts: SimOptions, hook: MemoryHook | None,
-               pending_writes: list, warnings: list, t: int) -> Valuation:
+               opts: SimOptions, pending_writes: list, warnings: list,
+               t: int) -> Valuation:
     if g.kind == "mem_read":
-        return _eval_mem_read(circuit, state, g, ins, opts, hook, warnings, t)
+        return _eval_mem_read(circuit, state, g, ins, opts)
     if g.kind == "mem_write":
-        return _eval_mem_write(circuit, state, g, ins, pending_writes,
-                               warnings, t)
+        return _eval_mem_write(circuit, state, g, ins, pending_writes)
     if g.kind == "mux" and not ins[0].symb.is_cst:
         warnings.append((t, circuit.name(g.inputs[0]),
                          "mux selector is symbolic"))
@@ -397,24 +359,23 @@ def _eval_mux(circuit: Circuit, g: Gate, ins: list[Valuation],
 
 
 def _eval_mem_read(circuit: Circuit, state: SimState, g: Gate,
-                   ins: list[Valuation], opts: SimOptions,
-                   hook: MemoryHook | None, warnings: list, t: int) -> Valuation:
+                   ins: list[Valuation], opts: SimOptions) -> Valuation:
+    """A read sees the contents before the cycle's writes. At a symbolic
+    index it is exact only over constant contents: ``ARRAY`` reads the
+    table at the index modulo its depth."""
     mid = circuit.gate_param(g, "memory")
     index = ins[0]
-    depth = len(state.mem_conc[mid])
+    contents = state.mem_conc[mid]
+    stored = state.mem_symb[mid]
     w_out = circuit.wire(g.output).width
-    conc = state.mem_conc[mid][index.conc % depth]
-
-    symb = None if hook is None else hook(mid, index.symb, state)
-    if symb is not None:
-        symb = ex.bind_tables(symb, state.mem_conc, state.mem_version)
-        if not index.symb.is_cst:
-            warnings.append((t, circuit.name(g.inputs[0]),
-                             "memory index is symbolic"))
-    elif index.symb.is_cst:
-        symb = state.mem_symb[mid][index.symb.value % depth]
+    conc = contents[index.conc % len(contents)]
+    if index.symb.is_cst:
+        symb = stored[index.symb.value % len(stored)]
+    elif all(e.is_cst for e in stored):
+        symb = ex.array_lookup(mid, index.symb, w_out, contents,
+                               state.mem_version[mid])
     else:
-        raise SymbolicIndexUnhandled(circuit.name(g.output))
+        raise SymbolicIndexUnhandled(circuit.name(g.output), "read")
 
     index_stable = index.stab == mask(index.symb.width)
     stab = mask(w_out) if (index_stable and opts.use_stability) else 0
@@ -426,13 +387,12 @@ def _eval_mem_read(circuit: Circuit, state: SimState, g: Gate,
 
 
 def _eval_mem_write(circuit: Circuit, state: SimState, g: Gate,
-                    ins: list[Valuation], pending_writes: list,
-                    warnings: list, t: int) -> Valuation:
-    mid = circuit.gate_param(g, "memory")
+                    ins: list[Valuation], pending_writes: list) -> Valuation:
     index, value = ins
-    depth = len(state.mem_conc[mid])
     if not index.symb.is_cst:
-        warnings.append((t, circuit.name(g.inputs[0]), "memory index is symbolic"))
+        raise SymbolicIndexUnhandled(circuit.name(g.output), "write")
+    mid = circuit.gate_param(g, "memory")
+    depth = len(state.mem_conc[mid])
     pending_writes.append((mid, index.conc % depth, value.conc, value.symb))
     return value
 

@@ -490,9 +490,7 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
             lo, hi = e.params
             out = (kids[0] >> lo) & mask(hi - lo + 1)
         elif op == "ARRAY":
-            mem_id, _, table = e.params
-            if table is None:
-                raise ex.UnboundSymbol(f"memory {mem_id}")
+            table = e.params[2]
             depth = len(table)
             out = np.frompyfunc(lambda i: table[int(i) % depth] & mask(w), 1, 1)(kids[0])
         else:

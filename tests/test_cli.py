@@ -76,6 +76,67 @@ def test_combinatorial_loop_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _memory_args(tmp_path, doc, symbols, witness, frames):
+    """Verify arguments for the netlist ``doc``, the labels ``symbols``
+    (name -> (width, kind)) and stimuli of ``witness`` then ``frames``
+    (input -> drive, one dict per cycle)."""
+    (tmp_path / "mem.json").write_text(json.dumps(doc))
+    (tmp_path / "labels.json").write_text(json.dumps({"symbols": [
+        {"name": n, "width": w, "kind": k}
+        for n, (w, k) in symbols.items()]}))
+    lines = [{"witness": witness}] + [{"cycle": c, "inputs": f}
+                                      for c, f in enumerate(frames)]
+    (tmp_path / "stim.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines))
+    return ["verify", "--netlist", str(tmp_path / "mem.json"),
+            "--labels", str(tmp_path / "labels.json"),
+            "--stimuli", str(tmp_path / "stim.jsonl")]
+
+
+def test_memory_write_at_symbolic_index_exits_3(tmp_path, capsys):
+    # t[s ^ mm] = mm at cycle 0, so t[0] holds s & mm at cycle 1, which
+    # leaks; a write at the witness's index alone would give t[0] = mm
+    doc = {"wires": [{"name": n, "width": 1}
+                     for n in ("wi", "m", "ri", "ww", "out")],
+           "inputs": ["wi", "m", "ri"], "outputs": ["out"],
+           "gates": [{"kind": "mem_write", "output": "ww",
+                      "inputs": ["wi", "m"], "params": {"memory": "t"}},
+                     {"kind": "mem_read", "output": "out", "inputs": ["ri"],
+                      "params": {"memory": "t"}}],
+           "registers": [],
+           "memories": [{"id": "t", "depth": 2, "width": 1,
+                         "init": ["0b0", "0b0"]}]}
+    zero = {"const": "0b0"}
+    args = _memory_args(
+        tmp_path, doc, {"s": (1, "secret"), "mm": (1, "mask")},
+        {"s": "0b1", "mm": "0b1"},
+        [{"wi": {"expr": "XOR(s, mm)"}, "m": {"symbol": "mm"}, "ri": zero},
+         {"wi": zero, "m": zero, "ri": zero}])
+    assert main([*args, "--model", "0,0", "--check-consistency"]) == 3
+    assert capsys.readouterr().err == \
+        "error: memory write at 'ww' has a symbolic index\n"
+
+
+def test_rom_read_at_secret_index_leaks(tmp_path, capsys):
+    # a constant 4-entry ROM read at the secret k is exactly ARRAY(t, k)
+    doc = {"wires": [{"name": "i", "width": 2}, {"name": "out", "width": 1}],
+           "inputs": ["i"], "outputs": ["out"],
+           "gates": [{"kind": "mem_read", "output": "out", "inputs": ["i"],
+                      "params": {"memory": "t"}}],
+           "registers": [],
+           "memories": [{"id": "t", "depth": 4, "width": 1,
+                         "init": ["0b0", "0b1", "0b1", "0b0"]}]}
+    args = _memory_args(tmp_path, doc, {"k": (2, "secret")}, {"k": "0b01"},
+                        [{"i": {"symbol": "k"}}])
+    report = tmp_path / "report.jsonl"
+    assert main([*args, "--model", "rr1sw", "--check-consistency",
+                 "--report", str(report)]) == 1
+    assert "leaks: cycle 0 wire out" in capsys.readouterr().out
+    entry = json.loads(report.read_text().splitlines()[0])
+    assert (entry["wire"], entry["verdict"]) == ("out", "leaks")
+    assert "ARRAY(t, SYMB(k))" in entry["exprs"]
+
+
 def test_report_file_is_deterministic(fixture_dir, tmp_path, capsys):
     args = ["verify", *_fig_args(fixture_dir, "fig6"),
             "--model", "1,0", "--granularity", "sw"]

@@ -176,19 +176,18 @@ def test_eval_unbound_symbol(syms):
 
 def test_array_nodes_carry_their_table():
     k, m = ex.sym("k", 2), ex.sym("m", 2)
-    unbound = xor(ex.array_lookup("t", k, 2), m)
-    with pytest.raises(ex.UnboundSymbol):
-        ex.eval_concrete(unbound, {"k": 1, "m": 0})
-    first = ex.bind_tables(unbound, {"t": (3, 1, 0, 2)}, {"t": 0})
-    later = ex.bind_tables(unbound, {"t": (0, 0, 0, 1)}, {"t": 1})
+    first = xor(ex.array_lookup("t", k, 2, [3, 1, 0, 2]), m)
+    later = xor(ex.array_lookup("t", k, 2, (0, 0, 0, 1), version=1), m)
     assert first is not later
+    # the same read of the same contents is the same term
+    assert first is xor(ex.array_lookup("t", k, 2, (3, 1, 0, 2)), m)
     assert ex.render(first) == "OP_XOR(SYMB(m), ARRAY(t, SYMB(k)))"
     assert ex.render(later) == "OP_XOR(SYMB(m), ARRAY(t@1, SYMB(k)))"
     assert [ex.eval_concrete(e, {"k": 3, "m": 0}) for e in (first, later)] \
         == [2, 1]
-    # a bound node keeps its table; other memories are left unbound
-    assert ex.bind_tables(later, {"t": (3, 1, 0, 2)}, {"t": 0}) is later
-    assert ex.bind_tables(unbound, {"s": (0,)}, {"s": 0}) is unbound
+    # the index wraps modulo the table's depth
+    wide = ex.array_lookup("t", ex.sym("j", 3), 2, (3, 1, 0, 2))
+    assert ex.eval_concrete(wide, {"j": 6}) == 0
 
 
 def test_eval_matches_bigint_oracle_on_random_trees():

@@ -1,8 +1,11 @@
 """End-to-end scenarios modelled on classic micro-architectural leaks."""
 
+import itertools
 import json
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -110,7 +113,7 @@ def _masked_table(wires=(), gates=(), drives=({},)):
     """A table remasked as masked[i ^ m] = base[i] ^ mp, indexed by the
     masked secret k ^ m, plus extra wires and gates, over one frame per
     entry of ``drives`` (extra input -> constant); returns the circuit,
-    labels, stimuli and options with the table hook."""
+    labels, stimuli and options that check consistency."""
     base = [3, 1, 0, 2]
     m_val, mp_val = 1, 2
     masked = [0] * 4
@@ -143,9 +146,7 @@ def _masked_table(wires=(), gates=(), drives=({},)):
                                     for w, v in drive.items()}})
               for drive in drives]
     stimuli = sim.Stimuli({"k": 3, "m": m_val, "mp": mp_val}, frames)
-    hook = sim.MaskedTableHook("sbox_m", "sbox", "m", "mp")
-    return circuit, labels, stimuli, RunOptions(memory_hook=hook,
-                                                check_consistency=True)
+    return circuit, labels, stimuli, RunOptions(check_consistency=True)
 
 
 def test_masked_table_lookup_run():
@@ -183,14 +184,15 @@ def test_higher_order_reads_the_memory_contents():
 
 
 def test_higher_order_view_over_changed_memory_is_decided():
-    # sbox[0] is written 1 at cycle 0, so the temporal view of a1 = out ^ mw
-    # holds two versions of sbox, each read over the contents its own cycle
-    # saw; the view leaks, as brute force over its members confirms
+    # sbox_m[0], which out reads, is written 1 at cycle 0, so the temporal
+    # view of a1 = out ^ mw holds two versions of sbox_m, each read over the
+    # contents its own cycle saw; the view leaks, as brute force over its
+    # members confirms
     circuit, labels, stimuli, opts = _masked_table(
         ["a1", "wi", "wv", "ww"],
         [{"kind": "bit_xor", "output": "a1", "inputs": ["out", "mw"]},
          {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
-          "params": {"memory": "sbox"}}],
+          "params": {"memory": "sbox_m"}}],
         drives=[{"wi": 0, "wv": 1}, {"wi": 0, "wv": 2}])
     model = LeakageModel(order=2)
     res = mg.verify_higher_order(circuit, stimuli, labels, model,
@@ -199,28 +201,31 @@ def test_higher_order_view_over_changed_memory_is_decided():
     a1 = circuit.by_name["a1"].uid
     view = mg.make_expr_set(state.current[a1].symb for state in
                             mg._simulate(circuit, stimuli, model, opts))
+    idx = ex.render(ex.build("XOR", [ex.sym("k", 2), ex.sym("m", 2)]))
     assert [ex.render(e) for e in view] == [
-        "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox, SYMB(k)))",
-        "OP_XOR(SYMB(m), SYMB(mp), ARRAY(sbox@1, SYMB(k)))"]
+        f"OP_XOR(SYMB(m), ARRAY(sbox_m, {idx}))",
+        f"OP_XOR(SYMB(m), ARRAY(sbox_m@1, {idx}))"]
     assert not oracles.independence_bruteforce(view, labels)
     assert res.verdict.status == "leaks"
     witness = res.verdict.witness
     assert witness.fixed == {}
-    assert witness.evidence.endswith("=0b00) occurs 4 vs 0 times")
-    # a true counterexample: (0b00, 0b00) occurs 4 vs 0 times by brute force
+    assert witness.evidence.endswith("=0b00) occurs 1 vs 0 times")
+    # a true counterexample: (0b00, 0b00) occurs 1 vs 0 times by brute force
     assert [oracles.joint_value_counts(view, labels, vary).get((0, 0), 0)
-            for vary in (witness.vary_a, witness.vary_b)] == [4, 0]
+            for vary in (witness.vary_a, witness.vary_b)] == [1, 0]
 
 
 def _written_table_circuit(cycles=1):
-    """Input a reads ARRAY(t, k) from the 1-bit table t = [0, 1], and
-    t[0] = 1 is written at cycle 0 (and again at every later cycle); the
-    register q holds the previous cycle's a."""
+    """a reads ARRAY(t, k) from the 1-bit table t = [0, 1] at the index ri
+    = k, and t[0] = 1 is written at cycle 0 (and again at every later
+    cycle); the register q holds the previous cycle's a."""
     doc = {
         "wires": [{"name": n, "width": 1}
-                  for n in ("a", "mw", "wi", "wv", "ww", "q")],
-        "inputs": ["a", "mw", "wi", "wv"], "outputs": ["ww", "q"],
-        "gates": [{"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
+                  for n in ("a", "ri", "mw", "wi", "wv", "ww", "q")],
+        "inputs": ["ri", "mw", "wi", "wv"], "outputs": ["ww", "q"],
+        "gates": [{"kind": "mem_read", "output": "a", "inputs": ["ri"],
+                   "params": {"memory": "t"}},
+                  {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
                    "params": {"memory": "t"}}],
         "registers": [{"input": "a", "output": "q", "init": "0b0"}],
         "memories": [{"id": "t", "depth": 2, "width": 1,
@@ -230,7 +235,7 @@ def _written_table_circuit(cycles=1):
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 1, ex.MASK)
-    frame = sim.StimulusFrame({"a": ex.array_lookup("t", ex.sym("k", 1), 1),
+    frame = sim.StimulusFrame({"ri": ex.sym("k", 1),
                                "mw": ex.sym("m", 1),
                                "wi": ex.cst(0, 1), "wv": ex.cst(1, 1)})
     return circuit, labels, sim.Stimuli({"k": 0, "m": 1}, [frame] * cycles)
@@ -277,6 +282,122 @@ def test_register_carries_the_contents_its_value_read():
         assert entries[1, "a"] == ("secure", ("ARRAY(t@1, SYMB(k))",)), opts
 
 
+# read wire, its index wire, and the index as a function of (k, m, p)
+_READS = (("rk", "kw", lambda k, m, p: k),
+          ("rkm", "ikm", lambda k, m, p: k ^ m),
+          ("rp", "pw", lambda k, m, p: p),
+          ("rm", "mw", lambda k, m, p: m),
+          ("rkp", "ikp", lambda k, m, p: k ^ p))
+
+
+def _constant_tables(seed, cycles=3):
+    """Five seeded constant tables of one depth (2-8) and width (1-3), read
+    at k, k ^ m, p, m and k ^ p (3-bit secret, mask and public), each
+    written a seeded constant at a seeded constant index every cycle; the
+    reads are outputs, y XORs two of them and the register q holds the
+    previous cycle's y.
+    Returns the circuit, labels, stimuli and, per cycle, each table's
+    contents before that cycle's writes."""
+    rng = random.Random(seed)
+    depth, width = rng.randint(2, 8), rng.randint(1, 3)
+    tables = [[rng.randrange(1 << width) for _ in range(depth)]
+              for _ in _READS]
+    wide = ["wv", "y", "q", *(r for r, _, _ in _READS),
+            *(f"w{i}" for i in range(len(_READS)))]
+    doc = {
+        "wires": [{"name": n, "width": 3}
+                  for n in ("kw", "mw", "pw", "ikm", "ikp", "wi")]
+                 + [{"name": n, "width": width} for n in wide],
+        "inputs": ["kw", "mw", "pw", "wi", "wv"],
+        "outputs": ["y", "q", *(r for r, _, _ in _READS)],
+        "gates": [{"kind": "bit_xor", "output": "ikm", "inputs": ["kw", "mw"]},
+                  {"kind": "bit_xor", "output": "ikp", "inputs": ["kw", "pw"]},
+                  {"kind": "bit_xor", "output": "y", "inputs": ["rkm", "rm"]}],
+        "registers": [{"input": "y", "output": "q",
+                       "init": ex.format_bits(0, width)}],
+        "memories": [],
+    }
+    for i, (read, index, _) in enumerate(_READS):
+        doc["memories"].append({"id": f"t{i}", "depth": depth,
+                                "width": width,
+                                "init": [ex.format_bits(v, width)
+                                         for v in tables[i]]})
+        doc["gates"] += [
+            {"kind": "mem_read", "output": read, "inputs": [index],
+             "params": {"memory": f"t{i}"}},
+            {"kind": "mem_write", "output": f"w{i}", "inputs": ["wi", "wv"],
+             "params": {"memory": f"t{i}"}}]
+    circuit = netlist.parse_netlist(json.dumps(doc))
+    labels = ex.SymbolTable()
+    labels.declare("k", 3, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    labels.declare("p", 3, ex.PUBLIC)
+    frames, contents = [], []
+    for _ in range(cycles):
+        wi, wv = rng.randrange(8), rng.randrange(1 << width)
+        frames.append(sim.StimulusFrame({
+            "kw": ex.sym("k", 3), "mw": ex.sym("m", 3), "pw": ex.sym("p", 3),
+            "wi": ex.cst(wi, 3), "wv": ex.cst(wv, width)}))
+        contents.append([list(t) for t in tables])
+        for t in tables:
+            t[wi % depth] = wv
+    witness = {n: rng.randrange(8) for n in "kmp"}
+    return circuit, labels, sim.Stimuli(witness, frames), contents
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_exact_table_read_matches_bruteforce(seed, monkeypatch):
+    circuit, labels, stimuli, contents = _constant_tables(seed)
+    opts = RunOptions(check_consistency=True)
+    # each read is table[index mod depth] over the contents before its
+    # cycle's writes, for every value of k, m and p
+    for t, state in enumerate(mg._simulate(circuit, stimuli, LeakageModel(),
+                                           opts)):
+        for i, (read, _, index) in enumerate(_READS):
+            symb = state.current[circuit.by_name[read].uid].symb
+            table = contents[t][i]
+            assert all(ex.eval_concrete(symb, dict(zip("kmp", a)))
+                       == table[index(*a) % len(table)]
+                       for a in itertools.product(range(8), repeat=3)), \
+                (t, read)
+
+    # every entry's verdict is brute force's on its members
+    decided = {}
+    check = mg.vf.check
+
+    def recording(key, *args):
+        verdict = check(key, *args)
+        decided[tuple(map(ex.render, key))] = (key, verdict)
+        return verdict
+    monkeypatch.setattr(mg.vf, "check", recording)
+    statuses = set()
+    for model in (LeakageModel(), LeakageModel(glitches=True)):
+        report = run(circuit, stimuli, labels, model, opts)
+        for e in report.entries:
+            key, verdict = decided[e.exprs]
+            assert e.verdict is verdict
+            assert verdict.is_secure == \
+                oracles.independence_bruteforce(key, labels), (model, e)
+            statuses.add(verdict.status)
+    assert statuses == {"secure", "leaks"}
+    monkeypatch.undo()
+
+    # a d=2 temporal check stops at the first pair of cycles with a view
+    # that brute force finds leaking
+    model = LeakageModel(order=2)
+    res = mg.verify_higher_order(circuit, stimuli, labels, model,
+                                 mg.TEMPORAL, opts)
+    sets = [{uid: mg.expr_sets_for(val, val, model)[0][1]
+             for uid, val in state.current.items()}
+            for state in mg._simulate(circuit, stimuli, model, opts)]
+    first = next((pair for pair in itertools.combinations(range(3), 2)
+                  if any(not oracles.independence_bruteforce(
+                      mg.make_expr_set(sets[pair[0]][uid] + sets[pair[1]][uid]),
+                      labels) for uid in sets[0])), None)
+    assert res.leaking_tuple == first
+    assert res.verdict.is_secure == (first is None)
+
+
 def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():
     doc = {
         "wires": [{"name": "s", "width": 1}, {"name": "z", "width": 1},
@@ -310,16 +431,16 @@ def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():
 # ---------------------------------------------------------------------------
 
 def _repeating_frames(source, seed, picks):
-    """A circuit, stimuli and memory hook whose frame t is drive
-    ``picks[t]`` of the source's, so frames repeat and wires settle."""
+    """A circuit and stimuli whose frame t is drive ``picks[t]`` of the
+    source's, so frames repeat and wires settle."""
     if source == "table":
-        circuit, _, stimuli, opts = _masked_table(
+        circuit, _, stimuli, _ = _masked_table(
             ["a1", "wi", "wv", "ww"],
             [{"kind": "bit_xor", "output": "a1", "inputs": ["out", "mw"]},
              {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
-              "params": {"memory": "sbox"}}],
+              "params": {"memory": "sbox_m"}}],
             drives=[{"wi": 0, "wv": p} for p in picks])
-        return circuit, stimuli, opts.memory_hook
+        return circuit, stimuli
     if source == "random":
         fx = gadgets.gen_random_circuit(seed, n_gates=20, cycles=4)
         circuit, stimuli = fx.circuit, fx.stimuli
@@ -327,7 +448,7 @@ def _repeating_frames(source, seed, picks):
         gen = gadgets.gen_dom_and if source == "dom" else gadgets.gen_isw_and
         circuit, _, stimuli, _ = gen(seed % 3 + 1, cycles=4)
     frames = [stimuli.frames[p] for p in picks]
-    return circuit, sim.Stimuli(stimuli.witness, frames), None
+    return circuit, sim.Stimuli(stimuli.witness, frames)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -336,11 +457,11 @@ def _repeating_frames(source, seed, picks):
        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
        stability=st.booleans())
 def test_carried_state_equals_fresh_evaluation(source, seed, picks, stability):
-    circuit, stimuli, hook = _repeating_frames(source, seed, picks)
+    circuit, stimuli = _repeating_frames(source, seed, picks)
     opts = sim.SimOptions(use_stability=stability)
     schedule = netlist.validate_and_schedule(circuit)
     before = sim.initial_state(circuit)
-    for state in sim.simulate(circuit, schedule, stimuli, opts, hook):
+    for state in sim.simulate(circuit, schedule, stimuli, opts):
         for g in schedule:
             if g.kind not in ("mem_read", "mem_write"):
                 ins = [state.current[w] for w in g.inputs]

@@ -241,6 +241,23 @@ def test_stop_on_first_leak():
     assert report.summary.cycles == flagged[0].cycle + 1   # run terminates
 
 
+@pytest.mark.parametrize("model", [LeakageModel(),
+                                   LeakageModel(transitions=True),
+                                   LeakageModel(glitches=True,
+                                                granularity=BIT)],
+                         ids=["0,0", "0,1", "1,0-bit"])
+def test_stop_on_first_leak_decides_only_what_it_reports(model):
+    # a set after the first leak is neither decided nor counted: every
+    # reported entry is one cache hit or one decision
+    for seed in range(40):
+        fx = gadgets.gen_random_circuit(seed, n_gates=18, cycles=3)
+        for cache in (True, False):
+            report = run(fx.circuit, fx.stimuli, fx.labels, model,
+                         RunOptions(stop_on_first_leak=True, use_cache=cache))
+            assert report.summary.cache_hits + report.summary.verified_expr \
+                == len(report.entries), (seed, cache)
+
+
 LONG_TRACE_MODELS = [LeakageModel(granularity=BIT),
                      LeakageModel(transitions=True, granularity=BIT),
                      LeakageModel(glitches=True, granularity=BIT),

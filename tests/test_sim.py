@@ -5,8 +5,8 @@ import json
 import pytest
 
 from probewise import expr as ex, gadgets, netlist, sim
-from probewise.sim import (ConsistencyViolation, MaskedTableHook, SimOptions,
-                           Stimuli, StimulusFrame, SymbolicIndexUnhandled,
+from probewise.sim import (ConsistencyViolation, SimOptions, Stimuli,
+                           StimulusFrame, SymbolicIndexUnhandled,
                            consistency_check, initial_state, parse_stimuli,
                            step_cycle)
 
@@ -324,18 +324,38 @@ def test_mem_read_constant_index():
 
 
 def test_mem_read_symbolic_index_unhandled():
-    circuit = netlist.parse_netlist(json.dumps(_memory_doc()))
-    frames = [StimulusFrame({"idx": ex.sym("p", 2)})]
-    with pytest.raises(SymbolicIndexUnhandled):
-        _states(circuit, Stimuli({"p": 1}, frames))
+    # a symbolic value stored at t[1] makes every later symbolic-index read
+    # of t inexact, so it raises; the constant-index read of the write cycle
+    # and the write itself are exact
+    doc = _memory_doc()
+    doc["wires"] += [{"name": "wi", "width": 2}, {"name": "wv", "width": 2},
+                     {"name": "ww", "width": 2}]
+    doc["inputs"] += ["wi", "wv"]
+    doc["gates"].append({"kind": "mem_write", "output": "ww",
+                         "inputs": ["wi", "wv"], "params": {"memory": "t"}})
+    circuit = netlist.parse_netlist(json.dumps(doc))
+    write = {"wi": ex.cst(1, 2), "wv": ex.sym("v", 2)}
+    frames = [StimulusFrame({"idx": ex.cst(0, 2), **write}),
+              StimulusFrame({"idx": ex.sym("p", 2), **write})]
+    stimuli = Stimuli({"p": 1, "v": 2}, frames)
+    sched = netlist.validate_and_schedule(circuit)
+    states = sim.simulate(circuit, sched, stimuli)
+    assert valuation(next(states), "out").symb is ex.cst(0b11, 2)
+    with pytest.raises(SymbolicIndexUnhandled,
+                       match="memory read at 'out' has a symbolic index into "
+                             "a memory holding a symbolic value"):
+        next(states)
 
 
-def test_masked_table_hook():
+def test_masked_table_read_is_exact():
+    # tp is remasked as tp[i ^ 1] = t[i] ^ 2 for the witness's masks only;
+    # every entry is a constant, so a read at the symbolic index p ^ m is
+    # exactly ARRAY(tp, p ^ m), over the contents before the cycle's writes,
+    # and it equals tp[p ^ m] for every p and m, not just the witness's
     base = [3, 1, 0, 2]
-    m_val, mp_val = 1, 2
     masked = [0] * 4
     for i in range(4):
-        masked[i ^ m_val] = base[i] ^ mp_val
+        masked[i ^ 1] = base[i] ^ 2
     doc = _memory_doc()
     doc["memories"] = [
         {"id": "tp", "depth": 4, "width": 2,
@@ -345,15 +365,17 @@ def test_masked_table_hook():
     ]
     doc["gates"][0]["params"]["memory"] = "tp"
     circuit = netlist.parse_netlist(json.dumps(doc))
-    hook = MaskedTableHook("tp", "t", "m", "mp")
-    widths = {"p": 2, "m": 2, "mp": 2}
-    frames = [StimulusFrame({"idx": ex.parse_expr("XOR(p, m)", widths)})]
+    idx = ex.parse_expr("XOR(p, m)", {"p": 2, "m": 2})
     sched = netlist.validate_and_schedule(circuit)
-    state = initial_state(circuit)
-    witness = {"p": 2, "m": m_val, "mp": mp_val}
-    state = step_cycle(circuit, sched, state, frames[0], witness, hook=hook)
+    witness = {"p": 2, "m": 1}
+    state = step_cycle(circuit, sched, initial_state(circuit),
+                       StimulusFrame({"idx": idx}), witness)
     out = state.current[circuit.by_name["out"].uid]
-    assert ex.render(out.symb) == "OP_XOR(SYMB(mp), ARRAY(t, SYMB(p)))"
+    assert out.symb is ex.array_lookup("tp", idx, 2, masked)
+    assert ex.render(out.symb) == f"ARRAY(tp, {ex.render(idx)})"
+    assert out.conc == base[2] ^ 2 and state.warnings == []
+    assert all(ex.eval_concrete(out.symb, {"p": p, "m": m}) == masked[p ^ m]
+               for p in range(4) for m in range(4))
     consistency_check(state, witness)
     # index bits contribute to the read's LeakSet
     members = {ex.render(e) for e in out.lset[0]}
