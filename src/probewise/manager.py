@@ -9,6 +9,11 @@ A set is keyed by its members alone, since an ARRAY node carries the memory
 contents it read; order-1 runs and d-uplet checks build and decide keys
 alike.
 
+A cycle whose simulated state is settled, and whose last cycle's state was
+settled too, has the same valuations, current and previous, as that cycle:
+with the cache on, :func:`run` replays that cycle's entries under the new
+cycle number instead of selecting, building and deciding them again.
+
 Wire selection mirrors the model:
 
 * value / transition / full transition+glitch: every wire, every cycle;
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import expr as ex
 from . import sim as sm
@@ -78,8 +83,7 @@ class LeakageModel:
                             granularity=SUPPORT_WISE, order=1, overapprox=True)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     cycle: int
     wire: str
     src: tuple[str, int] | None
@@ -349,7 +353,9 @@ def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
 
 def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         model: LeakageModel, options: RunOptions | None = None) -> LeakReport:
-    """Simulate every frame and verify the selected wires each cycle."""
+    """Simulate every frame and verify the selected wires each cycle; with
+    the cache on, a settled cycle after a settled one replays the last
+    cycle's entries."""
     if model.order != 1:
         raise ValueError(f"run checks order 1, not {model.order}: use "
                          f"verify_higher_order")
@@ -359,16 +365,28 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     report = LeakReport()
     cache: dict[tuple, Verdict] = {}
     rendered: dict[tuple, tuple[str, ...]] = {}
-    carried: dict[int, tuple] = {}
     facet = model.facet
     memo: dict = {}
     baseline_memo: dict = {}
     baseline_seen: set[tuple] = set()
+    # after a cycle whose state was settled: its entries without their
+    # cycle, its trivial count and whether it leaked
+    replay = None
     stopped = False
 
     for t, state in enumerate(states):
         report.summary.cycles = t + 1
         report.warnings = state.warnings
+        if replay is not None and state.settled:
+            # this cycle's valuations, current and previous, are the same
+            # objects as the last cycle's: so are its units, sets and
+            # verdicts, every one of them now in the cache
+            tails, trivial, flagged = replay
+            report.entries += [ReportEntry._make((t, *e)) for e in tails]
+            report.summary.cache_hits += len(tails)
+            report.summary.trivial_skipped += trivial
+            report.summary.leaking_cycles += flagged
+            continue
 
         units = wires_to_verify(circuit, index, model, state)
         sets = _unit_sets(circuit, model, state, units, memo)
@@ -378,33 +396,20 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
                 circuit, index, model, state, baseline_memo, baseline_seen)
-        # A set _unit_sets carried is the same object as last cycle's, with
-        # the same key, so it keeps last cycle's verdict and rendering; the
-        # entry holds the set, so its id is not reused while it is here. Any
-        # other set is decided as the loop reaches it, once per distinct key.
-        last, carried = carried, {}
+        start = len(report.entries)
         cycle_flagged = False
-        for unit_set in requests:
-            label, src, key = unit_set
-            entry = last.get(id(unit_set))
-            if entry is None:
-                verdict = cache.get(key)
-                if verdict is None:
-                    verdict = vf.check(key, labels, options.enum_limit)
-                    report.summary.verified_expr += 1
-                    if options.use_cache:
-                        cache[key] = verdict
-                else:
-                    report.summary.cache_hits += 1
-                exprs = rendered.get(key)
-                if exprs is None:
-                    exprs = rendered[key] = tuple(map(render, key))
-                entry = (unit_set, verdict, exprs)
+        for label, src, key in requests:
+            verdict = cache.get(key)
+            if verdict is None:
+                verdict = vf.check(key, labels, options.enum_limit)
+                report.summary.verified_expr += 1
+                if options.use_cache:
+                    cache[key] = verdict
             else:
                 report.summary.cache_hits += 1
-            if options.use_cache:
-                carried[id(unit_set)] = entry
-            _, verdict, exprs = entry
+            exprs = rendered.get(key)
+            if exprs is None:
+                exprs = rendered[key] = tuple(map(render, key))
             report.entries.append(ReportEntry(t, label, src, facet, verdict,
                                               exprs))
             if not verdict.is_secure:
@@ -416,6 +421,11 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             report.summary.leaking_cycles += 1
         if stopped:
             break
+        # the next settled state replays this cycle if this one is settled
+        # too; without the cache every cycle is decided again
+        replay = ([e[1:] for e in report.entries[start:]],
+                  len(sets) - len(requests), cycle_flagged) \
+            if state.settled and options.use_cache else None
 
     if not model.overapprox:
         # without the over-approximation both counters mean the same thing

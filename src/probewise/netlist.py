@@ -232,7 +232,7 @@ def _read_netlist(doc: dict) -> Circuit:
                 for j, lit in enumerate(raw)]
         init += [0] * (depth - len(init))
         memories.append(MemoryDecl(mid, depth, width, tuple(init)))
-    memory_ids = {m.mid for m in memories}
+    memory_widths = {m.mid: m.width for m in memories}
 
     gates: list[Gate] = []
     ports_used: dict[tuple[str, str], str] = {}
@@ -249,7 +249,8 @@ def _read_netlist(doc: dict) -> Circuit:
                   if v is not None}
         gate = Gate(i, kind, tuple(w.uid for w in ins), out.uid,
                     tuple(sorted(params.items())))
-        _check_gate_shape(gate, where, ins, out, params, memory_ids, ports_used)
+        _check_gate_shape(gate, where, ins, out, params, memory_widths,
+                          ports_used)
         gates.append(gate)
 
     registers: list[Register] = []
@@ -290,7 +291,7 @@ def _read_netlist(doc: dict) -> Circuit:
 
 
 def _check_gate_shape(gate: Gate, where: str, ins: Sequence[Wire], out: Wire,
-                      params: dict, memory_ids: set[str],
+                      params: dict, memory_widths: dict[str, int],
                       ports_used: dict) -> None:
     kind = gate.kind
     at = f"{where} ({kind} -> {out.name})"
@@ -334,13 +335,17 @@ def _check_gate_shape(gate: Gate, where: str, ins: Sequence[Wire], out: Wire,
         want(ins[1].width == ins[2].width == out.width, out.width, ins[1].width)
     elif kind in ("mem_read", "mem_write"):
         mem_id = field(params, p, "memory", str)
-        if mem_id not in memory_ids:
+        if mem_id not in memory_widths:
             raise DanglingReference(mem_id, f"{p}.memory")
         port = (mem_id, kind)
         if port in ports_used:
             raise MalformedDocument(
                 f"{at}: memory {mem_id!r} already has a {kind} port")
         ports_used[port] = out.name
+        # a read gives, and a write takes, one stored word
+        data = ins[1] if kind == "mem_write" else out
+        want(data.width == memory_widths[mem_id], memory_widths[mem_id],
+             data.width)
         if kind == "mem_write":
             want(ins[1].width == out.width, ins[1].width, out.width)
 

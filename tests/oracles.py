@@ -5,7 +5,8 @@ going through the code paths under test: a direct big-integer evaluator for
 operator trees, a plain DFS cycle finder, and a brute-force concrete
 simulator used to cross-check stability and LeakSet claims by toggling the
 symbolic input bits of a cycle. It also holds the wire selections that tests
-substitute for ``manager.wires_to_verify``.
+substitute for ``manager.wires_to_verify``, and the step that tests
+substitute for ``sim.step_cycle`` to run without settled states.
 """
 
 from __future__ import annotations
@@ -612,3 +613,14 @@ def glitch_rule_at_t(select):
                                         overapprox=False)
         return select(circuit, index, model, state)
     return at_t
+
+
+def unsettled_step(step_cycle):
+    """``step_cycle`` (the real ``sim.step_cycle``) that neither takes nor
+    gives a settled state: every cycle is simulated in full, and a run over
+    it selects, builds and decides every cycle's sets."""
+    def step(circuit, schedule, state, *args):
+        state = dataclasses.replace(state, settled=False)
+        return dataclasses.replace(
+            step_cycle(circuit, schedule, state, *args), settled=False)
+    return step

@@ -496,6 +496,38 @@ def test_settled_pipeline_is_not_evaluated_again(monkeypatch):
     assert set(counts[0]) == {"eval_combinational", "expr_sets_for"}
 
 
+def test_cycles_after_a_replayed_one_evaluate_nothing(monkeypatch):
+    # a settled state steps without evaluating a register or a gate, and a
+    # run replays a cycle whose state and the one before were settled: from
+    # the second settled state on, nothing is evaluated or built
+    cycle, calls, settled = [0], [], []
+    for module, name in ((sim, "eval_combinational"), (sim, "register_step"),
+                         (mg, "expr_sets_for")):
+        def counted(*args, _real=getattr(module, name)):
+            calls.append(cycle[0])
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    def simulate(*args, _real=mg._simulate):
+        for t, state in enumerate(_real(*args)):
+            settled.append(state.settled)
+            yield state
+            cycle[0] = t + 1
+
+    monkeypatch.setattr(mg, "_simulate", simulate)
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(2, cycles=40)
+    models = [LeakageModel(glitches=g, transitions=t, granularity=BIT)
+              for g in (False, True) for t in (False, True)]
+    for model in models + [LeakageModel.rr1sw()]:
+        cycle[0] = 0
+        calls.clear()
+        settled.clear()
+        run(circuit, stimuli, labels, model)
+        first = settled.index(True)
+        assert all(settled[first:]) and first < 10, model
+        assert calls and max(calls) == first, model
+
+
 def test_split_parent_keeps_its_sets_while_its_members_settle(monkeypatch):
     # fig6's frame repeated, b1's drive changed at cycle 3: the sets of the
     # split parent w are built again only in the cycles where one of its

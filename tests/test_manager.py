@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -271,8 +272,8 @@ LONG_TRACE_MODELS = [LeakageModel(granularity=BIT),
 @pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and],
                          ids=["dom_and", "isw_and"])
 def test_cache_on_and_off_give_the_same_entry_lines(gen, model):
-    # a carried unit reuses last cycle's verdict and rendering only with the
-    # cache on; with it off every request is decided and rendered again
+    # a settled cycle replays last cycle's entries only with the cache on;
+    # with it off every request is decided and rendered again
     circuit, labels, stimuli, _ = gen(2, cycles=20)
 
     def entry_lines(**options):
@@ -381,6 +382,142 @@ def test_warning_on_symbolic_mux_selector():
     report = run(circuit, sim.Stimuli({"m": 1}, frames), labels,
                  LeakageModel())
     assert any("mux selector" in w[2] for w in report.warnings)
+
+
+# ---------------------------------------------------------------------------
+# Settled cycles are replayed
+# ---------------------------------------------------------------------------
+
+def _replays(monkeypatch, circuit, stimuli, labels, model, options=None):
+    """Check ``run``'s report against the same run with no settled state,
+    which takes every cycle's full path; return the number of cycles whose
+    state and the one before were settled."""
+    options = options or RunOptions()
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "step_cycle", oracles.unsettled_step(sim.step_cycle))
+        want = run(circuit, stimuli, labels, model, options)
+    got = run(circuit, stimuli, labels, model, options)
+    assert got.to_jsonl() == want.to_jsonl()
+    assert got.summary == want.summary
+    assert got.warnings == want.warnings
+    settled = [s.settled for s in mg._simulate(circuit, stimuli, model,
+                                               options)]
+    return sum(map(operator.and_, settled, settled[1:]))
+
+
+def _driven(doc, frames):
+    """``doc``'s circuit with input w driven at cycle t by ``frames[t][w]``:
+    the secret k, the mask m or n, or the constant 0."""
+    labels = ex.SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 1, ex.MASK)
+    labels.declare("n", 1, ex.MASK)
+    frames = [sim.StimulusFrame({w: labels.sym(d) if d else ex.cst(0, 1)
+                                 for w, d in frame.items()})
+              for frame in frames]
+    stimuli = sim.Stimuli({"k": 1, "m": 0, "n": 1}, frames)
+    return netlist.parse_netlist(json.dumps(doc)), stimuli, labels
+
+
+def _one_wire_run(drives):
+    """An input ``b`` and its negation ``o``, ``b`` driven by ``drives[t]``
+    at cycle t."""
+    doc = {"wires": [{"name": n, "width": 1} for n in ("b", "o")],
+           "inputs": ["b"], "outputs": ["o"],
+           "gates": [{"kind": "bit_not", "output": "o", "inputs": ["b"]}],
+           "registers": []}
+    return _driven(doc, [{"b": d} for d in drives])
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+@pytest.mark.parametrize("model", LONG_TRACE_MODELS,
+                         ids=["0,0", "0,1", "1,0", "1,1", "rr1sw"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and],
+                         ids=["dom_and", "isw_and"])
+def test_replayed_cycles_equal_the_full_path_on_gadgets(monkeypatch, gen, d,
+                                                        model, cache):
+    circuit, labels, stimuli, _ = gen(d, cycles=12)
+    assert _replays(monkeypatch, circuit, stimuli, labels, model,
+                    RunOptions(use_cache=cache)) >= 8
+
+
+def test_replayed_cycles_equal_the_full_path_on_random_circuits(monkeypatch):
+    # each circuit's last frame held for 5 more cycles
+    replayed = 0
+    for seed in range(30):
+        fx = gadgets.gen_random_circuit(seed, n_gates=20, cycles=4)
+        frames = fx.stimuli.frames + [fx.stimuli.frames[-1]] * 5
+        replayed += _replays(monkeypatch, fx.circuit,
+                             sim.Stimuli(fx.stimuli.witness, frames),
+                             fx.labels, LeakageModel.rr1sw())
+    assert replayed > 0
+
+
+def test_a_cycle_replays_only_after_two_settled_states(monkeypatch):
+    # b changes from m to n at cycle 1 and then holds: state 2 is the first
+    # settled one, but its transition set still differs from cycle 1's
+    circuit, stimuli, labels = _one_wire_run(["m", "n", "n", "n", "n"])
+    model = LeakageModel(transitions=True)
+    assert _replays(monkeypatch, circuit, stimuli, labels, model) == 2
+    report = run(circuit, stimuli, labels, model)
+    exprs = {e.cycle: list(e.exprs) for e in report.entries if e.wire == "b"}
+    assert exprs == {0: ["SYMB(m)"], 1: ["SYMB(m)", "SYMB(n)"],
+                     2: ["SYMB(n)"], 3: ["SYMB(n)"], 4: ["SYMB(n)"]}
+
+
+def test_a_change_after_replayed_cycles_is_decided(monkeypatch):
+    # b holds the mask m, then carries the secret k: the run stops there
+    circuit, stimuli, labels = _one_wire_run(["m"] * 5 + ["k", "m"])
+    options = RunOptions(stop_on_first_leak=True)
+    assert _replays(monkeypatch, circuit, stimuli, labels, LeakageModel(),
+                    options) == 3
+    report = run(circuit, stimuli, labels, LeakageModel(), options)
+    assert report.summary.cycles == 6
+    assert [(e.cycle, e.wire) for e in report.flagged()] == [(5, "b")]
+    circuit, labels, stimuli, _ = gadgets.gen_isw_and(2, cycles=12)
+    for model in LONG_TRACE_MODELS:
+        _replays(monkeypatch, circuit, stimuli, labels, model, options)
+
+
+def test_a_symbolic_mux_warns_in_every_cycle(monkeypatch):
+    doc = {"wires": [{"name": n, "width": 1} for n in ("s", "a", "c", "o")],
+           "inputs": ["s", "a", "c"], "outputs": ["o"],
+           "gates": [{"kind": "mux", "output": "o", "inputs": ["s", "a", "c"]}],
+           "registers": []}
+    circuit, stimuli, labels = _driven(doc, [{"s": "k", "a": "m", "c": "n"}]
+                                       * 6)
+    for model in LONG_TRACE_MODELS:
+        _replays(monkeypatch, circuit, stimuli, labels, model)
+        report = run(circuit, stimuli, labels, model)
+        assert report.warnings == [(t, "s", "mux selector is symbolic")
+                                   for t in range(6)]
+
+
+def test_a_memory_written_every_cycle_is_decided_alike(monkeypatch):
+    doc = {"wires": [{"name": n, "width": 1}
+                     for n in ("wi", "a", "ww", "ri", "o")],
+           "inputs": ["wi", "a", "ri"], "outputs": ["ww", "o"],
+           "gates": [{"kind": "mem_write", "output": "ww",
+                      "inputs": ["wi", "a"], "params": {"memory": "t"}},
+                     {"kind": "mem_read", "output": "o", "inputs": ["ri"],
+                      "params": {"memory": "t"}}],
+           "registers": [],
+           "memories": [{"id": "t", "depth": 2, "width": 1}]}
+    circuit, stimuli, labels = _driven(doc, [{"wi": 0, "a": "m", "ri": 0}]
+                                       * 6)
+    for model in LONG_TRACE_MODELS:
+        _replays(monkeypatch, circuit, stimuli, labels, model)
+
+
+@pytest.mark.parametrize("model", [LeakageModel(), LeakageModel.rr1sw()],
+                         ids=["0,0", "rr1sw"])
+def test_split_parents_are_replayed(monkeypatch, model):
+    fx = gadgets.gen_counterexamples()["fig6"]
+    stimuli = sim.Stimuli(fx.stimuli.witness, [fx.stimuli.frames[0]] * 10)
+    assert _replays(monkeypatch, fx.circuit, stimuli, fx.labels, model) > 0
+    report = run(fx.circuit, stimuli, fx.labels, model)
+    assert "w" in {e.wire for e in report.entries if e.cycle == 9}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from probewise import gadgets
+from probewise.cli import main
 from probewise.netlist import (CombinatorialLoop, DanglingReference,
                                MalformedDocument, MultipleDrivers,
                                UnknownGateKind, WidthMismatch, parse_netlist,
@@ -38,6 +39,54 @@ def test_minimal_and_gate():
 def test_width_mismatch():
     with pytest.raises(WidthMismatch):
         parse(doc_and(out_width=2))
+
+
+def _memory_port_doc(kind, data_width):
+    """A 3-bit memory ``t`` with one ``kind`` port whose data wire has
+    ``data_width`` bits; a read's data is XORed with the input x."""
+    doc = {"wires": [{"name": "i", "width": 1},
+                     {"name": "x", "width": data_width},
+                     {"name": "d", "width": data_width},
+                     {"name": "y", "width": data_width}],
+           "inputs": ["i", "x"], "outputs": ["y"], "registers": [],
+           "memories": [{"id": "t", "depth": 2, "width": 3}]}
+    if kind == "mem_read":
+        doc["gates"] = [{"kind": "mem_read", "output": "d", "inputs": ["i"],
+                         "params": {"memory": "t"}},
+                        {"kind": "bit_xor", "output": "y",
+                         "inputs": ["d", "x"]}]
+    else:
+        doc["inputs"].append("d")
+        doc["gates"] = [{"kind": "mem_write", "output": "y",
+                         "inputs": ["i", "d"], "params": {"memory": "t"}}]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["mem_read", "mem_write"])
+def test_memory_port_width_is_the_memory_width(kind, tmp_path, capsys):
+    out = "d" if kind == "mem_read" else "y"
+    with pytest.raises(WidthMismatch) as info:
+        parse(_memory_port_doc(kind, 1))
+    assert str(info.value) == \
+        f"gates[0] ({kind} -> {out}): expected width 3, got 1"
+    if kind == "mem_read":
+        assert parse(_memory_port_doc(kind, 3)).gates[0].kind == kind
+        # the CLI names the gate and exits 2
+        (tmp_path / "n.json").write_text(json.dumps(_memory_port_doc(kind, 1)))
+        (tmp_path / "l.json").write_text(json.dumps({"symbols": []}))
+        (tmp_path / "s.jsonl").write_text(
+            '{"witness": {}}\n'
+            '{"cycle": 0, "inputs": {"i": {"const": "0b0"}, '
+            '"x": {"const": "0b1"}}}\n')
+        code = main(["verify", "--netlist", str(tmp_path / "n.json"),
+                     "--labels", str(tmp_path / "l.json"),
+                     "--stimuli", str(tmp_path / "s.jsonl"),
+                     "--model", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: gates[0] (mem_read -> d): expected width 3, got 1\n"
+    else:
+        assert parse(_memory_port_doc(kind, 3)).gates[0].kind == kind
 
 
 def test_unknown_gate_kind():
