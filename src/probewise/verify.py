@@ -29,12 +29,14 @@ shares, varies the other shares and marginalises the publics.
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
 as Python ints past 31 bits. The test is a counting kernel
-(:func:`_first_bad_group`) over int64 keys packed in order by
-:func:`_pack`: the publics or the fixed symbols (never both), then the
-members, form the group key, the vary symbols the vary key. A selection
-is invariant iff each group's rows are spread alike over the vary values.
-Public values are walked in key order, one range at a time, and the first
-range that leaks decides.
+(:func:`_first_bad_group`): the publics or the fixed symbols (never both),
+then the members, form the group key, the vary symbols the vary key. A
+selection is invariant iff each group's rows are spread alike over the
+vary values, and a leak's witness is the first group in key order that is
+not. The kernel finds the first group column by column and counts its
+rows only; the whole keys are packed into int64 by :func:`_pack`, and
+sorted, only when that group is even. Public values are walked in key order, one
+range at a time, and the first range that leaks decides.
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
 sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
@@ -49,6 +51,7 @@ counts, builds, memoises and decides every view.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -341,7 +344,8 @@ class _Space:
     """Cartesian assignment space over base variables, with derived symbols,
     each the XOR of its parts; ``cols`` hold the ``rows`` rows last
     materialised, a symbol's in the narrow type :func:`_dtype` gives its
-    width. Only the keys :func:`_pack` builds from them are int64."""
+    width. Only the keys :func:`_pack` builds from them are int64, and a
+    leak decided at its first group builds none over all rows."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
@@ -546,17 +550,69 @@ def _member_parts(exprs: Sequence[Expr], space: _Space,
             for e in exprs]
 
 
-def _first_bad_group(groups: np.ndarray, n_groups: int, vary: np.ndarray,
-                     n_vary: int) -> tuple[int, np.ndarray] | None:
-    """The counting kernel: the first group, in key order, whose rows are not
-    spread evenly over the ``n_vary`` values of ``vary``.
+@dataclass
+class _Members:
+    """One range's member columns as key parts in key order, the publics'
+    field first when the range holds more than one public value. Each part
+    is (column, value bound), as :func:`_member_parts` gives. The key is
+    packed at most once, and densified at most once, for all of the
+    range's selections."""
+    parts: list[tuple[np.ndarray, int | None]]
+    rows: int
 
-    Returns one row of that group and its row count per vary value, or None
-    when every group is invariant. ``groups`` is densified (the only sort)
-    when its bound exceeds the row count. A group whose size is not a
-    multiple of ``n_vary`` is uneven without looking further; only the groups
-    before the first such one are histogrammed, at most 2 x rows cells.
+    @functools.cached_property
+    def key(self) -> tuple[np.ndarray, int]:
+        return _pack(self.parts)
+
+    @functools.cached_property
+    def dense(self) -> tuple[np.ndarray, int]:
+        """The key as a part after fixed fields: dense ids when its bound
+        exceeds the row count."""
+        key, bound = self.key
+        return _dense(key) if bound > self.rows else (key, bound)
+
+
+def _first_group(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows, ascending, of the first group in key order of the
+    columns ``cols``: column by column, the rows that hold the column's
+    least value among the rows still in."""
+    first, *rest = cols
+    rows = np.flatnonzero(first == first.min())
+    for col in rest:
+        col = col[rows]
+        rows = rows[col == col.min()]
+    return rows
+
+
+def _first_bad_group(fixed: Sequence[tuple[np.ndarray, int]],
+                     members: _Members,
+                     vary: Sequence[tuple[np.ndarray, int]]
+                     ) -> tuple[int, np.ndarray] | None:
+    """The counting kernel: the first group, in key order, whose rows are not
+    spread evenly over the values of the ``vary`` fields. The group key is
+    the ``fixed`` fields, then ``members``' parts; each field is (column,
+    value bound).
+
+    Returns the group's first row and its row count per vary value, or None
+    when every group is invariant, as every group is with no vary field.
+    The first group's rows (:func:`_first_group`) are counted first: if
+    they are uneven, it is the first bad group, and nothing is packed or
+    sorted over all rows. Else the whole key is packed, and densified (the
+    only sort) when its bound exceeds the row count. A group whose size is
+    not a multiple of the vary values' count is uneven without looking
+    further; only the groups before the first such one are histogrammed,
+    at most 2 x rows cells.
     """
+    if not vary:
+        return None
+    first = _first_group([col for col, _ in (*fixed, *members.parts)])
+    head_vary, n_vary = _pack([(col[first], b) for col, b in vary])
+    counts = np.bincount(head_vary, minlength=n_vary)
+    if (counts != counts[0]).any():
+        return int(first[0]), counts
+    groups, n_groups = _pack([*fixed, members.dense]) if fixed \
+        else members.key
+    vary_key, _ = _pack(vary)
     n = len(groups)
     if n_groups > n:
         groups, n_groups = _dense(groups)
@@ -571,7 +627,7 @@ def _first_bad_group(groups: np.ndarray, n_groups: int, vary: np.ndarray,
             occupied = np.flatnonzero(sizes[:stop])
             head = (np.cumsum(sizes[:stop] > 0) - 1)[head]
         n_head = stop if occupied is None else len(occupied)
-        hist = np.bincount(head * n_vary + vary[rows],
+        hist = np.bincount(head * n_vary + vary_key[rows],
                            minlength=n_head * n_vary).reshape(n_head, n_vary)
         bad = np.flatnonzero((hist != hist[:, :1]).any(axis=1))
         if bad.size:
@@ -581,7 +637,7 @@ def _first_bad_group(groups: np.ndarray, n_groups: int, vary: np.ndarray,
     if stop == n_groups:
         return None
     in_group = groups == stop
-    return int(np.argmax(in_group)), np.bincount(vary[in_group],
+    return int(np.argmax(in_group)), np.bincount(vary_key[in_group],
                                                  minlength=n_vary)
 
 
@@ -652,7 +708,10 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
     leaking range is therefore the whole space's, with the same counts, and
     a leak usually costs a small prefix of the space. This needs the
     publics to lead the group key: no selection may fix symbols when
-    ``publics`` are given."""
+    ``publics`` are given. Each range's members are evaluated once and, if
+    some selection's first group is even, packed and densified once
+    (:class:`_Members`); a selection whose first group is uneven packs
+    nothing of them."""
     low = space.total_bits - sum(space.widths[p] for p in publics)
     memo: dict = {}
     alive = selections
@@ -666,19 +725,12 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
             # the publics packed in key order are the row index's top bits
             parts.insert(0, (_field(low, (values - 1).bit_length(), 0,
                                     stop - start), values))
-        members, n_members = _pack(parts)
-        dense = None
+        members = _Members(parts, space.rows)
         invariant = []
         for sel in alive:
             fixed, vary = sel
-            groups, n_groups = members, n_members
-            if fixed:
-                if dense is None:   # densify once, not once per selection
-                    dense = _dense(members) if n_members > space.rows \
-                        else (members, n_members)
-                groups, n_groups = _pack(_base_parts(fixed, space) + [dense])
-            bad = _first_bad_group(groups, n_groups,
-                                   *_pack(_base_parts(vary, space)))
+            bad = _first_bad_group(_base_parts(fixed, space), members,
+                                   _base_parts(vary, space))
             if bad is None:
                 invariant.append(sel)
                 if stop == space.size:

@@ -446,6 +446,48 @@ def leaking_publics(exprs, labels) -> list[dict[str, int]]:
                    for h in by_secret.values())]
 
 
+def first_uneven_group(exprs, labels, selection=None):
+    """The leak witness of the counting kernel, by dict counting: the first
+    group in key order whose rows are not spread alike over the vary
+    values, and the two vary values the witness names.
+
+    Without a ``selection`` the key is the publics (sorted by name), then
+    the member values in member order, and the secrets vary, as for a set.
+    A ``(fixed, vary)`` selection of share names makes shares free, as for
+    a probe tuple: the key is the fixed shares, then the members, and the
+    publics are not in it. Vary values are compared as tuples in ``vary``
+    order. The two picked are the lowest present in the group and the
+    lowest absent from it, else the lowest present with another count.
+
+    Returns None when every group is even, else ``(fixed, vary_a, vary_b,
+    values, count_a, count_b)``: ``fixed`` maps the key's leading names to
+    the group's values, ``values`` are the members'.
+    """
+    base, derived, secrets, publics = _basis(exprs, labels,
+                                             selection is not None)
+    lead, vary = (sorted(publics), sorted(secrets)) if selection is None \
+        else selection
+    groups: dict[tuple, dict[tuple, int]] = {}
+    for a in _assignments(base, derived):
+        key = (tuple(a[n] for n in lead),
+               tuple(ex.eval_concrete(e, a) for e in exprs))
+        counts = groups.setdefault(key, {})
+        v = tuple(a[n] for n in vary)
+        counts[v] = counts.get(v, 0) + 1
+    every = list(itertools.product(*[range(1 << base[n]) for n in vary]))
+    for key in sorted(groups):
+        counts = groups[key]
+        if len({counts.get(v, 0) for v in every}) == 1:
+            continue
+        a = min(counts)
+        absent = [v for v in every if v not in counts]
+        b = absent[0] if absent else \
+            min(v for v in counts if counts[v] != counts[a])
+        return (dict(zip(lead, key[0])), dict(zip(vary, a)),
+                dict(zip(vary, b)), key[1], counts[a], counts.get(b, 0))
+    return None
+
+
 def share_count(symbols, labels, budget=None) -> bool:
     """The share count as the README states it, on a set of symbol names.
 

@@ -683,6 +683,133 @@ def test_range_wise_random_sets(monkeypatch, first, cap):
 
 
 # ---------------------------------------------------------------------------
+# A leak's witness is the first uneven group in key order
+# ---------------------------------------------------------------------------
+
+def _is_first_uneven_group(v, exprs, labels, selection=None):
+    """``v`` is Secure iff every group is even; a leak's whole witness is
+    the oracle's first uneven group."""
+    want = oracles.first_uneven_group(exprs, labels, selection)
+    if want is None:
+        assert v.is_secure, [ex.render(e) for e in exprs]
+        return v
+    fixed, vary_a, vary_b, values, count_a, count_b = want
+    assert v.witness == vf.LeakWitness(
+        vary_a, vary_b, fixed, f"joint value {_format_values(exprs, values)} "
+                               f"occurs {count_a} vs {count_b} times")
+    return v
+
+
+def _enumerated(exprs, labels):
+    eset = make_expr_set(exprs)
+    return _is_first_uneven_group(check_enumeration(eset, labels), eset,
+                                  labels)
+
+
+def test_first_uneven_group_on_random_sets():
+    rng = random.Random(20)
+    leaks = 0
+    for _ in range(300):
+        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        eset = make_expr_set(exprs)
+        try:
+            v = check_enumeration(eset, labels, limit=12)
+        except TooLarge:
+            continue
+        leaks += _is_first_uneven_group(v, eset, labels).status == vf.LEAKS
+    assert leaks > 50
+
+
+def test_first_uneven_group_is_not_row_zeros(km_labels):
+    k, m = s("k"), s("m")
+    # row 0 (k = m = 0) is in the uneven group (NOT m, k ^ m) = (1, 0); the
+    # first group in key order is (0, 0), which holds k = m = 1 only
+    v = _enumerated([ex.build("NOT", [m]), xor(k, m)], km_labels)
+    assert v.witness.vary_a == {"k": 1}
+
+
+def test_first_uneven_group_after_an_even_one_of_the_same_public():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 1, ex.MASK)
+    labels.declare("p", 1, ex.PUBLIC)
+    k, m, p = s("k"), s("m"), s("p")
+    # under p = 0, the group m = 0 holds k = 0 and k = 1; m = 1 shows k
+    v = _enumerated([xor(m, p), ex.build("AND", [m, k])], labels)
+    assert v.witness.fixed == {"p": 0}
+
+
+def test_first_uneven_group_past_the_first_range(ranges, two_publics):
+    labels, pub = two_publics
+    k, m = s("k"), s("m", 3)
+    # every group of the first 2^14 rows is even
+    v = _enumerated([ex.build("AND", [k, _at_least(pub, 1500)]),
+                     xor(k, ex.bit(m, 0))], labels)
+    assert v.witness.fixed == {"pa": 1500 >> 4, "pb": 1500 & 15}
+    assert ranges == [(0, 1 << 14), (1 << 14, 1 << 15)]
+
+
+def test_first_uneven_group_of_wide_members(km_labels):
+    k, m = s("k"), s("m")
+    # the first group (0, 0) is even, the next shows k
+    v = _enumerated([ex.zext(m, 40), ex.zext(ex.build("AND", [m, k]), 40)],
+                    km_labels)
+    assert v.witness.evidence.endswith("occurs 1 vs 0 times")
+    _enumerated([ex.concat([xor(k, m), ex.cst(0, 36), m])], km_labels)
+
+
+def test_first_uneven_group_of_array_reads():
+    labels = SymbolTable()
+    labels.declare("k", 2, ex.SECRET)
+    labels.declare("m", 2, ex.MASK)
+    k, m = s("k", 2), s("m", 2)
+    lookup = ex.array_lookup("t", xor(k, m), 2, (3, 1, 0, 2))
+    assert _enumerated([lookup, m], labels).status == vf.LEAKS
+    flat = ex.array_lookup("t", k, 2, (0, 0, 0, 1))
+    assert _enumerated([flat, ex.bit(m, 0)], labels).status == vf.LEAKS
+
+
+def test_first_uneven_group_of_a_probe_tuple():
+    labels = SymbolTable()
+    labels.declare("a", 1, ex.SECRET)
+    for i in range(3):
+        labels.declare(f"a{i}", 1, ex.SHARE, secret="a", index=i)
+    # the first selection fixes a0: a0 = 0 makes the member 0 for every
+    # (a1, a2), an even first group, and a0 = 1 shows a1 ^ a2
+    exprs = make_expr_set([ex.build("AND", [s("a0"), xor(s("a1"), s("a2"))])])
+    v = vf._simulatable(exprs, labels, 1, 20)
+    _is_first_uneven_group(v, exprs, labels, (["a0"], ["a1", "a2"]))
+    assert v.witness.fixed == {"a0": 1}
+
+
+def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    masks = [s(f"m{i}") for i in range(19)]
+    for e in masks:
+        labels.declare(e.name, 1, ex.MASK)
+    # twenty 1-bit members over 20 bits: the first group, every member 0,
+    # is the one row k = 0
+    exprs = make_expr_set([xor(s("k"), masks[0]), *masks])
+    packed, densified = [], []
+    pack, dense = vf._pack, vf._dense
+
+    def spy_pack(parts):
+        packed.append([len(col) for col, _ in parts])
+        return pack(parts)
+
+    def spy_dense(arr):
+        densified.append(len(arr))
+        return dense(arr)
+
+    monkeypatch.setattr(vf, "_pack", spy_pack)
+    monkeypatch.setattr(vf, "_dense", spy_dense)
+    v = check_enumeration(exprs, labels)
+    assert v.witness.evidence.endswith("occurs 1 vs 0 times")
+    assert packed == [[1]] and densified == []
+
+
+# ---------------------------------------------------------------------------
 # Narrow columns
 # ---------------------------------------------------------------------------
 
