@@ -9,10 +9,11 @@ A set is keyed by its members alone, since an ARRAY node carries the memory
 contents it read; order-1 runs and d-uplet checks build and decide keys
 alike.
 
+A report holds each cycle's entries as one block, a tuple sorted by wire.
 A cycle whose simulated state is settled, and whose last cycle's state was
 settled too, has the same valuations, current and previous, as that cycle:
-with the cache on, :func:`run` replays that cycle's entries under the new
-cycle number instead of selecting, building and deciding them again.
+with the cache on, :func:`run` gives it that cycle's block, the same object,
+instead of selecting, building and deciding its sets again.
 
 Wire selection mirrors the model:
 
@@ -122,33 +123,63 @@ class Summary:
                 "trivial_skipped": self.trivial_skipped}
 
 
+# one cycle's entries without their cycle number, (wire, src, facet,
+# verdict, exprs) each, stably sorted by wire
+Block = tuple[tuple[str, tuple[str, int] | None, str, Verdict,
+                    tuple[str, ...]], ...]
+
+
 @dataclass
 class LeakReport:
-    entries: list[ReportEntry] = field(default_factory=list)
+    """A run's entries as one block per cycle, in cycle order; a replayed
+    cycle holds the same block object as the cycle it replays."""
+    cycles: list[tuple[int, Block]] = field(default_factory=list)
     warnings: list[tuple[int, str, str]] = field(default_factory=list)
     summary: Summary = field(default_factory=Summary)
 
+    @property
+    def entries(self) -> list[ReportEntry]:
+        """Every entry in (cycle, wire) order, built on each access."""
+        return [ReportEntry(t, *e) for t, block in self.cycles for e in block]
+
     def flagged(self) -> list[ReportEntry]:
-        return [e for e in self.entries if not e.verdict.is_secure]
+        # a block's leak positions, found once per block
+        positions: dict[int, list[int]] = {}
+        out = []
+        for t, block in self.cycles:
+            leaks = positions.get(id(block))
+            if leaks is None:
+                leaks = positions[id(block)] = [
+                    i for i, e in enumerate(block) if not e[3].is_secure]
+            out += [ReportEntry(t, *block[i]) for i in leaks]
+        return out
 
     def to_jsonl(self) -> str:
         encode = json.JSONEncoder(sort_keys=True).encode
         # sort_keys puts "cycle" first, so a line is that field followed by
-        # a tail that entries of one unit over settled cycles share
+        # a tail that entries of one unit over settled cycles share. Each
+        # block's tails, newline included, are gathered once after an empty
+        # string: joining them with a cycle's prefix gives its lines
         tails: dict[tuple, str] = {}
+        blocks: dict[int, list[str]] = {}
         lines = []
-        for e in self.entries:
-            key = (e.wire, e.src, e.facet, id(e.verdict), e.exprs)
-            tail = tails.get(key)
-            if tail is None:
-                doc = e.to_json()
-                del doc["cycle"]
-                tail = tails[key] = encode(doc)[1:]
-            lines.append(f'{{"cycle": {e.cycle}, {tail}')
-        lines += [encode({"cycle": c, "wire": w, "warning": msg})
+        for t, block in self.cycles:
+            joined = blocks.get(id(block))
+            if joined is None:
+                joined = blocks[id(block)] = [""]
+                for e in block:
+                    key = (e[0], e[1], e[2], id(e[3]), e[4])
+                    tail = tails.get(key)
+                    if tail is None:
+                        doc = ReportEntry(t, *e).to_json()
+                        del doc["cycle"]
+                        tail = tails[key] = encode(doc)[1:] + "\n"
+                    joined.append(tail)
+            lines.append(f'{{"cycle": {t}, '.join(joined))
+        lines += [encode({"cycle": c, "wire": w, "warning": msg}) + "\n"
                   for c, w, msg in self.warnings]
-        lines.append(encode(self.summary.to_json()))
-        return "\n".join(lines) + "\n"
+        lines.append(encode(self.summary.to_json()) + "\n")
+        return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +386,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         model: LeakageModel, options: RunOptions | None = None) -> LeakReport:
     """Simulate every frame and verify the selected wires each cycle; with
     the cache on, a settled cycle after a settled one replays the last
-    cycle's entries."""
+    cycle's block."""
     if model.order != 1:
         raise ValueError(f"run checks order 1, not {model.order}: use "
                          f"verify_higher_order")
@@ -369,8 +400,8 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     memo: dict = {}
     baseline_memo: dict = {}
     baseline_seen: set[tuple] = set()
-    # after a cycle whose state was settled: its entries without their
-    # cycle, its trivial count and whether it leaked
+    # after a cycle whose state was settled: its block, its trivial count
+    # and whether it leaked
     replay = None
     stopped = False
 
@@ -381,9 +412,9 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             # this cycle's valuations, current and previous, are the same
             # objects as the last cycle's: so are its units, sets and
             # verdicts, every one of them now in the cache
-            tails, trivial, flagged = replay
-            report.entries += [ReportEntry._make((t, *e)) for e in tails]
-            report.summary.cache_hits += len(tails)
+            block, trivial, flagged = replay
+            report.cycles.append((t, block))
+            report.summary.cache_hits += len(block)
             report.summary.trivial_skipped += trivial
             report.summary.leaking_cycles += flagged
             continue
@@ -396,7 +427,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         if model.overapprox:
             report.summary.expr_to_verify += _baseline_count(
                 circuit, index, model, state, baseline_memo, baseline_seen)
-        start = len(report.entries)
+        entries = []
         cycle_flagged = False
         for label, src, key in requests:
             verdict = cache.get(key)
@@ -410,28 +441,29 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
             exprs = rendered.get(key)
             if exprs is None:
                 exprs = rendered[key] = tuple(map(render, key))
-            report.entries.append(ReportEntry(t, label, src, facet, verdict,
-                                              exprs))
+            entries.append((label, src, facet, verdict, exprs))
             if not verdict.is_secure:
                 cycle_flagged = True
                 if options.stop_on_first_leak:
                     stopped = True
                     break
+        # sorted stably by wire cycle by cycle, the report is in the
+        # (cycle, wire) order of one stable sort over all entries
+        block = tuple(sorted(entries, key=operator.itemgetter(0)))
+        report.cycles.append((t, block))
         if cycle_flagged:
             report.summary.leaking_cycles += 1
         if stopped:
             break
         # the next settled state replays this cycle if this one is settled
         # too; without the cache every cycle is decided again
-        replay = ([e[1:] for e in report.entries[start:]],
-                  len(sets) - len(requests), cycle_flagged) \
+        replay = (block, len(sets) - len(requests), cycle_flagged) \
             if state.settled and options.use_cache else None
 
     if not model.overapprox:
         # without the over-approximation both counters mean the same thing
         report.summary.expr_to_verify = report.summary.verified_expr
     report.warnings = list(dict.fromkeys(report.warnings))
-    report.entries.sort(key=operator.attrgetter("cycle", "wire"))
     return report
 
 

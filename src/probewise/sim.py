@@ -10,8 +10,9 @@ LeakSets whose members are all constants are stored as empty sets.
 Primary inputs are driven by a :class:`StimulusFrame` per cycle and are
 always unstable. A symbolic input carries a singleton LeakSet per bit.
 
-A wire whose valuation did not change keeps last cycle's object, and a gate
-whose inputs all kept theirs is not evaluated again. A state is *settled*
+A wire whose valuation did not change keeps last cycle's object. An input
+driven by the same expression under the same witness, and a gate whose
+inputs all kept theirs, are not evaluated again. A state is *settled*
 when every valuation kept its object, the cycle wrote no memory and added no
 warning; a settled state whose next frame drives every input alike steps to
 a settled state over the same valuations, without evaluating anything.
@@ -119,6 +120,8 @@ class SimState:
     # every valuation is last cycle's object, and the cycle wrote no memory
     # and added no warning
     settled: bool = False
+    # the witness mapping the state was stepped under, None before any step
+    witness: Mapping[str, int] | None = None
 
 
 def initial_state(circuit: Circuit) -> SimState:
@@ -154,11 +157,15 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
     ``state`` must come from the same circuit and ``opts``, as in
     :func:`simulate`: a wire whose valuation equals the last cycle's keeps
     that object, and a non-memory gate whose inputs all kept theirs keeps
-    its own without being evaluated again. A settled ``state`` whose inputs
-    all keep theirs steps to a settled state over the same valuations."""
+    its own without being evaluated again. An input driven by the same
+    ``Expr`` as last cycle, under the ``witness`` object ``state`` was
+    stepped under, keeps its valuation unevaluated, so that mapping must not
+    change in between. A settled ``state`` whose inputs all keep theirs
+    steps to a settled state over the same valuations."""
     t = state.cycle
     vals: dict[int, Valuation] = {}
     last = state.current
+    kept = state.settled      # and every input keeps its valuation
 
     for uid in sorted(circuit.inputs):
         wire = circuit.wire(uid)
@@ -168,18 +175,21 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
         if e.width != wire.width:
             raise SimError(f"stimulus for {wire.name!r} has width {e.width}, "
                            f"wire is {wire.width}")
-        conc = ex.eval_concrete(e, witness)
         was = last.get(uid)
-        if was is not None and was.symb is e and was.conc == conc:
-            vals[uid] = was
-        else:
-            lset = tuple(norm_set((b,)) for b in bits(e))
-            vals[uid] = Valuation(conc, e, lset, 0)
+        # the same drive under the same witness has last cycle's value
+        if was is None or was.symb is not e or state.witness is not witness:
+            conc = ex.eval_concrete(e, witness)
+            if was is None or was.symb is not e or was.conc != conc:
+                lset = tuple(norm_set((b,)) for b in bits(e))
+                was = Valuation(conc, e, lset, 0)
+                kept = False
+        vals[uid] = was
 
-    if state.settled and all(vals[uid] is last[uid] for uid in vals):
+    if kept:
         # registers and gates see what they saw last cycle
         return SimState(circuit, t + 1, last, last, state.mem_conc,
-                        state.mem_symb, state.mem_version, state.warnings, True)
+                        state.mem_symb, state.mem_version, state.warnings, True,
+                        witness)
 
     warnings = list(state.warnings)
 
@@ -217,7 +227,7 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
     settled = not pending_writes and len(warnings) == len(state.warnings) \
         and all(v is last.get(uid) for uid, v in vals.items())
     return SimState(circuit, t + 1, vals, last, mem_conc, mem_symb,
-                    mem_version, warnings, settled)
+                    mem_version, warnings, settled, witness)
 
 
 # ---------------------------------------------------------------------------

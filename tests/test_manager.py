@@ -238,7 +238,8 @@ def test_stop_on_first_leak():
                  RunOptions(stop_on_first_leak=True))
     flagged = report.flagged()
     assert len(flagged) == 1
-    assert report.entries[-1] is flagged[0]
+    # entries are built on each access: equal, field by field
+    assert report.entries[-1] == flagged[0]
     assert report.summary.cycles == flagged[0].cycle + 1   # run terminates
 
 
@@ -398,11 +399,38 @@ def _replays(monkeypatch, circuit, stimuli, labels, model, options=None):
         want = run(circuit, stimuli, labels, model, options)
     got = run(circuit, stimuli, labels, model, options)
     assert got.to_jsonl() == want.to_jsonl()
+    cycle_wire = [(e.cycle, e.wire) for e in got.entries]
+    assert cycle_wire == sorted(cycle_wire)
+    assert got.entries == want.entries
     assert got.summary == want.summary
     assert got.warnings == want.warnings
     settled = [s.settled for s in mg._simulate(circuit, stimuli, model,
                                                options)]
     return sum(map(operator.and_, settled, settled[1:]))
+
+
+@pytest.mark.parametrize("model", LONG_TRACE_MODELS,
+                         ids=["0,0", "0,1", "1,0", "1,1", "rr1sw"])
+def test_a_replayed_cycle_is_the_last_cycles_block(monkeypatch, model):
+    # nothing of a replayed cycle is copied, and to_jsonl encodes each
+    # distinct tail once however many cycles share it
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(3, cycles=100)
+    report = run(circuit, stimuli, labels, model)
+    settled = [s.settled for s in mg._simulate(circuit, stimuli, model,
+                                               RunOptions())]
+    replayed = [t for t in range(1, 100) if settled[t - 1] and settled[t]]
+    assert len(replayed) >= 90
+    assert [t for t, _ in report.cycles] == list(range(100))
+    for t in replayed:
+        assert report.cycles[t][1] is report.cycles[t - 1][1]
+
+    encoded = []
+    to_json = mg.ReportEntry.to_json
+    monkeypatch.setattr(mg.ReportEntry, "to_json",
+                        lambda e: encoded.append(e) or to_json(e))
+    lines = report.to_jsonl().splitlines()[:-1]
+    assert len(lines) == sum(len(block) for _, block in report.cycles)
+    assert len(encoded) == len({line.split(", ", 1)[1] for line in lines})
 
 
 def _driven(doc, frames):

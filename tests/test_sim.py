@@ -572,6 +572,35 @@ def test_step_cycle_under_another_witness_recomputes():
     consistency_check(state, flipped)
 
 
+def test_a_held_input_is_not_evaluated_again(monkeypatch):
+    # the same drive under the same witness has the same concrete value
+    circuit, _, stimuli, _ = gadgets.gen_dom_and(2, cycles=40)
+    schedule = netlist.validate_and_schedule(circuit)
+    drives = {id(e) for frame in stimuli.frames for e in frame.inputs.values()}
+    eval_concrete = ex.eval_concrete
+    calls = []
+
+    def counting(e, *args):
+        calls.append(id(e) in drives)
+        return eval_concrete(e, *args)
+
+    for opts in (SimOptions(), SimOptions(check_consistency=True)):
+        # calls per cycle: to the inputs' drives, and in all
+        per_cycle = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "eval_concrete", counting)
+            for state in sim.simulate(circuit, schedule, stimuli, opts):
+                per_cycle.append((sum(calls), len(calls), state.settled))
+                calls.clear()
+        consistency_check(state, stimuli.witness)
+        if not opts.check_consistency:
+            assert per_cycle[0] == (len(circuit.inputs),) * 2 + (False,)
+        first = next(t for t, (*_, settled) in enumerate(per_cycle)
+                     if settled)
+        assert first < 5
+        assert per_cycle[first + 1:] == [(0, 0, True)] * (39 - first)
+
+
 def test_missing_stimulus_is_an_error():
     fx = gadgets.gen_counterexamples()["fig5"]
     sched = netlist.validate_and_schedule(fx.circuit)
