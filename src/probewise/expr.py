@@ -688,11 +688,13 @@ class SymbolTable:
         """Each secret's share names, ordered by share index."""
         return self._shares.values()
 
-    def _share_footprints(self) -> tuple[dict[str, int], tuple[int, ...], int]:
-        """Each symbol's share footprint, each sharing's bits and the
-        "secret seen" bit, cached until the next declaration. Every share
-        has a bit of its own; a share sets its bit, a secret the secret bit
-        and all of its shares' bits, a mask or a public no bit."""
+    def _share_footprints(self) -> tuple[dict[str, int], tuple[int, ...], int,
+                                         frozenset[str]]:
+        """Each symbol's share footprint, each sharing's bits, the "secret
+        seen" bit and the mask names, cached until the next declaration.
+        Every share has a bit of its own; a share sets its bit, a secret the
+        secret bit and all of its shares' bits, a mask or a public no bit.
+        Every declared name is a key of the footprints."""
         if self._footprints is None:
             seen = 1
             bits: dict[str, int] = {}
@@ -707,7 +709,9 @@ class SymbolTable:
                         bits[s] for s in self._shares.get(name, ()))
                 elif kind != SHARE:
                     bits[name] = 0
-            self._footprints = bits, tuple(sharings), seen
+            masks = frozenset(name for name, info in self._info.items()
+                              if info[1] == MASK)
+            self._footprints = bits, tuple(sharings), seen, masks
         return self._footprints
 
     def widths(self) -> dict[str, int]:

@@ -581,12 +581,16 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     A malformed line, no frame at all, a frame that leaves an input of
     ``circuit`` undriven or drives it at another width, or a symbol that a
     frame drives without a witness value, raises
-    :class:`~probewise.inputs.InputError` naming its path."""
+    :class:`~probewise.inputs.InputError` naming its path. A frame whose
+    inputs object equals the last frame's takes the mapping that one
+    validated as."""
     ports = [circuit.wire(uid) for uid in sorted(circuit.inputs)]
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
     driven: set[str] = set()
     read: dict[tuple, Expr] = {}     # drives that validated, by _drive_key
+    # the last frame's inputs object, and the mapping it validated as
+    last: tuple[dict, dict[str, Expr]] = ({}, {})
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -603,8 +607,13 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
                 if key not in doc:
                     raise InputError(f"frame has no {key!r}")
             cycle = field(doc, "", "cycle", int, 0)
+            given = field(doc, "", "inputs", dict)
+            if frames and given == last[0]:
+                # the last frame's inputs again: no drive is read or checked
+                frames.append((cycle, StimulusFrame(last[1])))
+                continue
             inputs = {}
-            for name, drive in field(doc, "", "inputs", dict).items():
+            for name, drive in given.items():
                 key = _drive_key(name, drive)
                 e = read.get(key)
                 if e is None:
@@ -623,6 +632,7 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from None
         frames.append((cycle, StimulusFrame(inputs)))
+        last = given, inputs
     if not frames:
         raise InputError("stimuli: no frames")
     missing = sorted(driven - witness.keys())

@@ -8,12 +8,16 @@ ladder; the first step that decides wins:
    symbols: with no budget, no secret and a proper subset of each sharing;
    else at most the budget of each sharing, a secret counting as all of
    its shares. :func:`check_tuples` counts each view of a probe tuple on
-   the union of its parts' footprints, each part's computed once per run,
-   and a view the count proves never becomes a set.
-2. The same count on the symbols :func:`_substitution_fixpoint` leaves. A
-   mask whose single use sits under an XOR node (reachable from a member
-   root through XOR/CONCAT/extraction context only) makes that XOR subterm
-   uniform, so it is replaced by a fresh mask. Sound, never complete.
+   the union of its parts' footprints, each part's computed once per run
+   and each distinct footprint counted once per run, and a view the count
+   proves never becomes a set.
+2. The same count after each step of :func:`_substitutions`. A mask whose
+   single use sits under an XOR node (reachable from a member root through
+   XOR/CONCAT/extraction context only) makes that XOR subterm uniform, so
+   it is replaced by a fresh mask, one per step. A step only removes
+   symbols, so the first step after which the count proves decides, as
+   the count on what the whole fixpoint leaves would. Sound, never
+   complete.
 3. :func:`_enumerate`, exact and witness-producing, over the space
    :func:`_space_for` builds; past the bit budget it raises TooLarge. Shares
    are tied to their parent secret by Boolean resharing (the top-index
@@ -200,47 +204,57 @@ def _substitute(e: Expr, name: str, rng: tuple[int, int],
     return None
 
 
-def _substitution_fixpoint(exprs: Sequence[Expr],
-                           labels: SymbolTable) -> set[str]:
-    """Labeled symbols left in ``exprs`` (all labeled) once no bijective
-    mask is left to replace. Each replacement keeps the members' joint
-    distribution for every assignment of the other symbols, so the members
-    depend on these only."""
-    masks = frozenset(n for e in exprs for n in symbols_of(e)
-                      if labels.kind(n) == ex.MASK)
-    members = list(exprs)
-    fresh_n = 0
-    progress = True
-    while progress:
-        progress = False
-        occ: dict[str, list[tuple[int, int]]] = {}
-        for m in members:
-            for name, ranges in _occurrence_ranges(m).items():
-                if name in masks:
-                    occ.setdefault(name, []).extend(ranges)
-        for name in sorted(occ):
-            ranges = occ[name]
-            if len(ranges) > _RANGE_CAP:
+def _replacement(members: Sequence[Expr], masks: frozenset[str],
+                 fresh_n: int) -> tuple[int, Expr] | None:
+    """The first bijective-mask replacement in ``members``: the first mask
+    range, in name then occurrence order, that overlaps no other occurrence
+    of its mask, at the first member that holds it under an XOR node, which
+    becomes the fresh mask ``$sub{fresh_n}``. Returns the member's index
+    and its replacement, or None when no mask is left to replace."""
+    occ: dict[str, list[tuple[int, int]]] = {}
+    for m in members:
+        for name, ranges in _occurrence_ranges(m).items():
+            if name in masks:
+                occ.setdefault(name, []).extend(ranges)
+    for name in sorted(occ):
+        ranges = occ[name]
+        if len(ranges) > _RANGE_CAP:
+            continue
+        for rng in ranges:
+            if len(ranges) > 1 and \
+                    sum(_overlaps(rng, o) for o in ranges) != 1:
                 continue
-            for rng in ranges:
-                if sum(_overlaps(rng, o) for o in ranges) != 1:
-                    continue
-                width = rng[1] - rng[0] + 1
-                fresh = ex.sym(f"$sub{fresh_n}", width)
-                for idx, m in enumerate(members):
+            fresh = ex.sym(f"$sub{fresh_n}", rng[1] - rng[0] + 1)
+            for idx, m in enumerate(members):
+                if name in _occurrence_ranges(m):   # else it holds no atom
                     sub = _substitute(m, name, rng, fresh)
                     if sub is not None:
-                        members[idx] = sub
-                        masks = masks | {fresh.name}
-                        fresh_n += 1
-                        progress = True
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-    # fresh masks are named ``$subN``, which no label can be
-    return {n for m in members for n in symbols_of(m) if n in labels}
+                        return idx, sub
+    return None
+
+
+def _substitutions(exprs: Sequence[Expr],
+                   labels: SymbolTable) -> Iterator[list[Expr]]:
+    """The members after each bijective-mask replacement, until none is
+    left (the substitution fixpoint); the list yielded is updated in place.
+    Each replacement keeps the members' joint distribution for every
+    assignment of the other symbols, and removes labeled symbols only: the
+    one symbol it adds is its fresh mask ``$subN``, which no label can be."""
+    masks = frozenset().union(*map(symbols_of, exprs)) \
+        & labels._share_footprints()[3]
+    members = list(exprs)
+    fresh_n = 0
+    while (step := _replacement(members, masks, fresh_n)) is not None:
+        idx, members[idx] = step
+        masks |= {f"$sub{fresh_n}"}
+        fresh_n += 1
+        yield members
+
+
+def _labeled(exprs: Iterable[Expr], labels: SymbolTable) -> set[str]:
+    """The labeled symbols of ``exprs``."""
+    return frozenset().union(*map(symbols_of, exprs)) \
+        & labels._share_footprints()[0].keys()
 
 
 def _symbols(exprs: Iterable[Expr], labels: SymbolTable) -> set[str]:
@@ -269,7 +283,7 @@ def _share_count_proves(fp: int, labels: SymbolTable,
     sharing, a secret counting as all of its shares, or, with no budget, no
     secret and a proper subset of each sharing, which is uniform and
     independent of its secret."""
-    _, sharings, secret = labels._share_footprints()
+    _, sharings, secret, _ = labels._share_footprints()
     if budget is None and fp & secret:
         return False
     for shares in sharings:
@@ -294,11 +308,20 @@ def check_substitution(exprs: tuple[Expr, ...], labels: SymbolTable,
 
 def _fixpoint_count(exprs: tuple[Expr, ...], labels: SymbolTable,
                     budget: int | None) -> Verdict:
-    """The share count on the symbols :func:`_substitution_fixpoint` leaves.
-    They are a subset of the members' symbols, so this count proves all
-    that a count on those would."""
-    left = _substitution_fixpoint(exprs, labels)
-    if _share_count_proves(_footprint(left, labels), labels, budget):
+    """The share count on the labeled symbols left after each step of the
+    substitution fixpoint (:func:`_substitutions`), Secure at the first
+    step it proves. A step only removes labeled symbols, so this is the
+    count on the symbols the whole fixpoint leaves, which are a subset of
+    the members' symbols: it proves all that a count on those would."""
+    members: Sequence[Expr] = exprs
+    for members in _substitutions(exprs, labels):
+        if _share_count_proves(_footprint(_labeled(members, labels), labels),
+                               labels, budget):
+            return Verdict.secure()
+    left = _labeled(members, labels)
+    # with no step, the members' own symbols are not counted yet
+    if members is exprs and \
+            _share_count_proves(_footprint(left, labels), labels, budget):
         return Verdict.secure()
     sensitive = sorted(n for n in left if labels.is_sensitive(n))
     return Verdict.inconclusive(
@@ -809,8 +832,10 @@ def check_tuples(positions: Sequence[object], sizes: Iterable[int],
 
     ``views(tuple)`` yields ``(parts, budget)`` pairs. A view that the share
     count proves on the union of its parts' footprints is Secure without a
-    set, the empty view included; any other becomes the set of its members,
-    and ``decide(set, budget)`` runs once per distinct pair of the run.
+    set, the empty view included; the count runs once per distinct
+    footprint and budget of the run. Any other view becomes the set of its
+    members, and ``decide(set, budget)`` runs once per distinct pair of the
+    run.
     TooMany, before any tuple is walked, if the tuples of one size exceed
     ``cap``."""
     sizes = list(sizes)
@@ -820,6 +845,7 @@ def check_tuples(positions: Sequence[object], sizes: Iterable[int],
             raise TooMany(count, cap)
     total = sum(counts)
     memo: dict[tuple, Verdict] = {}
+    proven: dict[tuple[int, int | None], bool] = {}   # by (footprint, budget)
     checked = 0
     for combo in itertools.chain.from_iterable(
             itertools.combinations(positions, q) for q in sizes):
@@ -828,7 +854,11 @@ def check_tuples(positions: Sequence[object], sizes: Iterable[int],
             fp = 0
             for _, part_fp in parts:
                 fp |= part_fp
-            if _share_count_proves(fp, labels, budget):
+            proves = proven.get((fp, budget))
+            if proves is None:
+                proves = proven[fp, budget] = _share_count_proves(fp, labels,
+                                                                  budget)
+            if proves:
                 continue
             key = (make_expr_set(e for members, _ in parts for e in members),
                    budget)

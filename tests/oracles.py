@@ -7,15 +7,22 @@ simulator used to cross-check stability and LeakSet claims by toggling the
 symbolic input bits of a cycle. It also holds the wire selections that tests
 substitute for ``manager.wires_to_verify``, and the step that tests
 substitute for ``sim.step_cycle`` to run without settled states.
+
+Two reference loops are kept for the faster code in ``verify`` to agree
+with, built on its term rewriting and share count: the substitution
+fixpoint run to its end with a rescan after each replacement, and the
+probe-tuple walk that counts every view's footprint afresh.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 
 from probewise import expr as ex
+from probewise import verify as vf
 
 
 def mask(w: int) -> int:
@@ -503,6 +510,109 @@ def share_count(symbols, labels, budget=None) -> bool:
     seen = set(symbols).union(*(labels.shares_of(s) for s in secrets))
     return all(len(set(shares) & seen) <= budget
                for shares in labels.sharings())
+
+
+def occurrence_ranges(e, masks) -> dict[str, list[tuple[int, int]]]:
+    """The bit ranges at which each of ``masks`` occurs in the tree
+    expansion of ``e``, walked afresh: an occurrence under a direct EXTRACT
+    uses the extracted range, any other the full width, and each list
+    stops past ``vf._RANGE_CAP`` ranges."""
+    out: dict[str, list[tuple[int, int]]] = {}
+    if e.kind == "sym":
+        if e.name in masks:
+            out[e.name] = [(0, e.width - 1)]
+    elif e.kind == "op":
+        if e.op == "EXTRACT" and e.children[0].kind == "sym" \
+                and e.children[0].name in masks:
+            out[e.children[0].name] = [e.params]
+        else:
+            for c in e.children:
+                for name, ranges in occurrence_ranges(c, masks).items():
+                    bucket = out.setdefault(name, [])
+                    if len(bucket) <= vf._RANGE_CAP:
+                        bucket.extend(ranges[:vf._RANGE_CAP + 1 - len(bucket)])
+    return out
+
+
+def substitution_fixpoint(exprs, labels) -> set[str]:
+    """The labeled symbols left in ``exprs`` once no bijective mask is left
+    to replace, by the loop that rescans every member after each
+    replacement and restarts at the first mask name, until a pass replaces
+    nothing."""
+    masks = frozenset(n for e in exprs for n in ex.symbols_of(e)
+                      if labels.kind(n) == ex.MASK)
+    members = list(exprs)
+    fresh_n = 0
+    progress = True
+    while progress:
+        progress = False
+        occ: dict[str, list[tuple[int, int]]] = {}
+        for m in members:
+            for name, ranges in occurrence_ranges(m, masks).items():
+                occ.setdefault(name, []).extend(ranges)
+        for name in sorted(occ):
+            ranges = occ[name]
+            if len(ranges) > vf._RANGE_CAP:
+                continue
+            for rng in ranges:
+                if sum(vf._overlaps(rng, o) for o in ranges) != 1:
+                    continue
+                fresh = ex.sym(f"$sub{fresh_n}", rng[1] - rng[0] + 1)
+                for idx, m in enumerate(members):
+                    sub = vf._substitute(m, name, rng, fresh)
+                    if sub is not None:
+                        members[idx] = sub
+                        masks = masks | {fresh.name}
+                        fresh_n += 1
+                        progress = True
+                        break
+                if progress:
+                    break
+            if progress:
+                break
+    return {n for m in members for n in ex.symbols_of(m) if n in labels}
+
+
+def fixpoint_count(exprs, labels, budget):
+    """The verdict of the share count on the symbols the whole fixpoint
+    leaves: Secure, or Inconclusive naming the sensitive ones."""
+    left = substitution_fixpoint(exprs, labels)
+    if share_count(left, labels, budget):
+        return vf.Verdict.secure()
+    sensitive = sorted(n for n in left if labels.is_sensitive(n))
+    return vf.Verdict.inconclusive(
+        "substitution left sensitive symbols: " + ", ".join(sensitive))
+
+
+def check_tuples(positions, sizes, views, decide, labels, cap=None):
+    """The probe-tuple walk with the share count run on every view's
+    footprint: the same tuples, views and ``decide`` calls in the same
+    order, and the same result, as ``vf.check_tuples``."""
+    sizes = list(sizes)
+    counts = [math.comb(len(positions), q) for q in sizes]
+    for count in counts:
+        if cap is not None and count > cap:
+            raise vf.TooMany(count, cap)
+    total = sum(counts)
+    memo: dict = {}
+    checked = 0
+    for combo in itertools.chain.from_iterable(
+            itertools.combinations(positions, q) for q in sizes):
+        checked += 1
+        for parts, budget in views(combo):
+            fp = 0
+            for _, part_fp in parts:
+                fp |= part_fp
+            if vf._share_count_proves(fp, labels, budget):
+                continue
+            key = (vf.make_expr_set(e for members, _ in parts
+                                    for e in members), budget)
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = decide(*key)
+            if not verdict.is_secure:
+                return vf.TupleResult(verdict, checked, total, combo)
+    return vf.TupleResult(vf.Verdict.secure(), checked, total)
 
 
 def independence_bruteforce(exprs, labels) -> bool:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from probewise import expr as ex, gadgets, netlist, sim
+from probewise.inputs import InputError
 from probewise.sim import (ConsistencyViolation, SimOptions, Stimuli,
                            StimulusFrame, SymbolicIndexUnhandled,
                            consistency_check, initial_state, parse_stimuli,
@@ -558,6 +559,45 @@ def test_parse_stimuli_round_trip():
     assert ex.render(stim.frames[1].inputs["b"]) == "OP_XOR(SYMB(k), SYMB(m))"
     again = parse_stimuli(sim.dump_stimuli(stim, widths), widths, circuit)
     assert again == stim
+
+
+def test_parse_stimuli_repeated_frames(monkeypatch):
+    # a frame whose inputs equal the last frame's reads no drive again, and
+    # its cycle is still read and checked
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(1)
+    widths = labels.widths()
+    header, frame = sim.dump_stimuli(stimuli, widths).splitlines()[:2]
+    held = json.loads(frame)["inputs"]
+    name = min(held)
+    width = next(w.width for w in circuit.wires if w.name == name)
+    other = {**held, name: {"const": "0b" + "0" * width}}
+    fresh = [held, held, other, other, other, held, held]
+    lines = [header] + [json.dumps({"cycle": t, "inputs": inputs})
+                        for t, inputs in enumerate(fresh)]
+    drive_key, keyed = sim._drive_key, []
+
+    def counted_drive_key(*args):
+        keyed.append(args[0])
+        return drive_key(*args)
+
+    monkeypatch.setattr(sim, "_drive_key", counted_drive_key)
+    stim = parse_stimuli("\n".join(lines), widths, circuit)
+    assert len(keyed) == 3 * len(circuit.inputs)   # frames 0, 2 and 5
+    for inputs, parsed in zip(fresh, stim.frames):
+        alone = json.dumps({"cycle": 0, "inputs": inputs})
+        assert parsed == parse_stimuli(f"{header}\n{alone}", widths,
+                                       circuit).frames[0]
+    for bad, error in (
+            ({"cycle": -1}, "cycle: expected a non-negative integer, got -1"),
+            ({"cycle": "2"}, "cycle: expected a non-negative integer"),
+            ({"cycle": 9}, None)):
+        last = {**json.loads(lines[-1]), **bad}
+        broken = "\n".join([*lines[:-1], json.dumps(last)])
+        with pytest.raises(InputError) as exc:
+            parse_stimuli(broken, widths, circuit)
+        assert str(exc.value).startswith(
+            f"stimuli line {len(lines)}: {error}" if error else
+            "stimuli: cycles must be 0..n-1 without gaps"), str(exc.value)
 
 
 def test_step_cycle_under_another_witness_recomputes():

@@ -1,5 +1,6 @@
 """Independence checking: substitution, enumeration, combined, NI/SNI."""
 
+import collections
 import itertools
 import json
 import math
@@ -975,7 +976,7 @@ def _assert_share_counts_sound(exprs, labels, secrets, budget):
         oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
         (budget, [ex.render(e) for e in exprs])
     return proved and any(labels.is_sensitive(n) for n in
-                          vf._substitution_fixpoint(exprs, labels))
+                          oracles.substitution_fixpoint(exprs, labels))
 
 
 def test_share_count_agrees_with_bruteforce_on_random_sets():
@@ -1027,14 +1028,12 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
     monkeypatch.setattr(vf, "check", proving_check)
     mg.verify_higher_order(circuit, stimuli, labels, mg.LeakageModel(order=2))
     assert any(labels.is_sensitive(n) for eset in sets
-               for n in vf._substitution_fixpoint(eset, labels))
+               for n in oracles.substitution_fixpoint(eset, labels))
     for eset in sets:
         assert check_enumeration(eset, labels).is_secure
 
     # keys past the raw count; with no substitution, enumeration decides
-    monkeypatch.setattr(vf, "_substitution_fixpoint",
-                        lambda exprs, _: {n for e in exprs
-                                          for n in ex.symbols_of(e)})
+    monkeypatch.setattr(vf, "_substitutions", lambda exprs, _: iter(()))
     assert len(proven) > 100
     for exprs, budget in proven:
         assert vf._simulatable(exprs, labels, budget, 20).is_secure
@@ -1113,25 +1112,6 @@ def test_footprint_proven_probe_tuples_are_simulatable(gen, glitches):
                                               budget), exprs
 
 
-def _walk_occurrences(e, masks):
-    """The occurrence lists of ``masks`` in ``e``, walked afresh."""
-    out = {}
-    if e.kind == "sym":
-        if e.name in masks:
-            out[e.name] = [(0, e.width - 1)]
-    elif e.kind == "op":
-        if e.op == "EXTRACT" and e.children[0].kind == "sym" \
-                and e.children[0].name in masks:
-            out[e.children[0].name] = [e.params]
-        else:
-            for c in e.children:
-                for name, ranges in _walk_occurrences(c, masks).items():
-                    bucket = out.setdefault(name, [])
-                    if len(bucket) <= vf._RANGE_CAP:
-                        bucket.extend(ranges[:vf._RANGE_CAP + 1 - len(bucket)])
-    return out
-
-
 def _random_term(rng, depth, shared):
     widths = {"m": 8, "n": 4, "k": 1}
     if depth == 0 or rng.random() < 0.2:
@@ -1168,9 +1148,17 @@ def test_cached_occurrences_equal_a_fresh_walk():
         for masks in ({"m"}, {"m", "n"}, {"n", "k"}, set()):
             cached = {name: ranges for name, ranges
                       in vf._occurrence_ranges(e).items() if name in masks}
-            assert cached == _walk_occurrences(e, masks), ex.render(e)
+            assert cached == oracles.occurrence_ranges(e, masks), ex.render(e)
         saturated += len(vf._occurrence_ranges(e).get("m", ())) > vf._RANGE_CAP
     assert saturated > 10
+
+
+def _fixpoint_left(exprs, labels):
+    """The labeled symbols left once every substitution step has run."""
+    members = exprs
+    for members in vf._substitutions(exprs, labels):
+        pass
+    return vf._labeled(members, labels)
 
 
 def test_one_term_under_two_tables_gets_each_tables_fixpoint():
@@ -1188,5 +1176,151 @@ def test_one_term_under_two_tables_gets_each_tables_fixpoint():
                            ex.build("AND", [s("u"), s("w")])])
     for _ in range(2):
         # u occurs twice, so no mask is replaced; v once, under the XOR
-        assert vf._substitution_fixpoint(exprs, tables[0]) == {"u", "v", "w"}
-        assert vf._substitution_fixpoint(exprs, tables[1]) == {"u", "w"}
+        assert _fixpoint_left(exprs, tables[0]) == {"u", "v", "w"}
+        assert _fixpoint_left(exprs, tables[1]) == {"u", "w"}
+
+
+# ---------------------------------------------------------------------------
+# The fixpoint's first proving step and the walk's count memo, refereed by
+# the reference loops in oracles
+# ---------------------------------------------------------------------------
+
+def _drawn_term(data, names, depth):
+    if depth == 0 or data.draw(st.booleans()):
+        return s(data.draw(st.sampled_from(names)))
+    kids = [_drawn_term(data, names, depth - 1)
+            for _ in range(data.draw(st.integers(2, 3)))]
+    return ex.build(data.draw(st.sampled_from(("XOR", "XOR", "AND", "OR"))),
+                    kids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _label_table())
+def test_fixpoint_count_agrees_with_the_run_to_fixpoint_loop(data, table):
+    labels, symbols = table
+    names = sorted(symbols) or sorted(labels)
+    exprs = make_expr_set(_drawn_term(data, names, 2)
+                          for _ in range(data.draw(st.integers(1, 4))))
+    for budget in (None, 1, 2):
+        if exprs:
+            assert vf._fixpoint_count(exprs, labels, budget) == \
+                oracles.fixpoint_count(exprs, labels, budget), budget
+
+
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
+def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
+    # every set that d=2 NI and SNI (glitches off and on) and the spatial
+    # order-2 check decide
+    circuit, labels, stimuli, spec = gen(2)
+    decided = set()
+    simulatable, check = vf._simulatable, vf.check
+
+    def recording_simulatable(exprs, *args):
+        decided.add(exprs)
+        return simulatable(exprs, *args)
+
+    def recording_check(exprs, *args):
+        decided.add(exprs)
+        return check(exprs, *args)
+
+    monkeypatch.setattr(vf, "_simulatable", recording_simulatable)
+    monkeypatch.setattr(vf, "check", recording_check)
+    for glitches in (False, True):
+        vf.check_ni(spec, 2, glitches)
+        vf.check_sni(spec, 2, glitches)
+    mg.verify_higher_order(circuit, stimuli, labels, mg.LeakageModel(order=2))
+    assert len(decided) > 100
+    steps = 0
+    for exprs in decided:
+        for budget in (None, 1, 2):
+            assert vf._fixpoint_count(exprs, labels, budget) == \
+                oracles.fixpoint_count(exprs, labels, budget), \
+                (budget, [ex.render(e) for e in exprs])
+        steps += any(True for _ in vf._substitutions(exprs, labels))
+    assert steps > 100   # sets with a substitution step to stop at
+
+
+def test_a_set_proven_at_its_first_substitution_stops_there(three_shares,
+                                                            monkeypatch):
+    exprs = make_expr_set([xor(s("s2"), s("m")), s("s0"), s("s1")])
+    scans, replaced = [], []
+    replacement, substitute = vf._replacement, vf._substitute
+
+    def counted_replacement(members, *args):
+        scans.append(tuple(members))
+        return replacement(members, *args)
+
+    def counted_substitute(*args):
+        sub = substitute(*args)
+        if sub is not None:
+            replaced.append(sub)
+        return sub
+
+    monkeypatch.setattr(vf, "_replacement", counted_replacement)
+    monkeypatch.setattr(vf, "_substitute", counted_substitute)
+    assert vf._fixpoint_count(exprs, three_shares, None).is_secure
+    assert len(replaced) == 1
+    assert scans == [exprs]   # the members are scanned for masks once
+    # the run to the fixpoint scans them again, and finds no mask
+    scans.clear()
+    assert _fixpoint_left(exprs, three_shares) == {"s0", "s1"}
+    assert len(scans) == 2
+
+
+def test_check_tuples_counts_each_footprint_once_per_run(monkeypatch):
+    _, labels, _, spec = gadgets.gen_dom_and(2)
+    count = vf._share_count_proves
+    for glitches in (False, True):
+        probes = vf.collect_probes(spec, glitches)
+        parts = {id(p): vf.make_part(p.obs, labels) for p in probes}
+        counted, views = collections.Counter(), []
+
+        def ni_and_sni_views(combo):
+            out = [([parts[id(p)] for p in combo], budget) for budget in
+                   {len(combo), sum(1 for p in combo if not p.is_output)}]
+            views.extend(out)
+            return out
+
+        def counted_count(fp, labels, budget=None):
+            counted[fp, budget] += 1
+            return count(fp, labels, budget)
+
+        monkeypatch.setattr(vf, "_share_count_proves", counted_count)
+        res = vf.check_tuples(probes, (1, 2), ni_and_sni_views,
+                              lambda *_: vf.Verdict.secure(), labels)
+        assert res.tuples_checked == res.tuple_count
+        assert max(counted.values()) == 1
+        assert len(views) > 5 * len(counted)   # most views repeat a count
+
+
+@pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
+def test_walk_decides_as_the_reference_walk(gen, monkeypatch):
+    # each check_tuples call is run again by the reference walk: the
+    # decide arguments, in order, and the result are the same
+    circuit, labels, stimuli, spec = gen(2)
+    walk, results = vf.check_tuples, []
+
+    def both_walks(positions, sizes, views, decide, labels, cap=None):
+        runs = []
+        for engine in (walk, oracles.check_tuples):
+            decided = []
+
+            def recording_decide(exprs, budget):
+                decided.append((exprs, budget))
+                return decide(exprs, budget)
+
+            runs.append((engine(positions, sizes, views, recording_decide,
+                                labels, cap), decided))
+        assert runs[0] == runs[1]
+        results.append(runs[0][0])
+        return runs[0][0]
+
+    monkeypatch.setattr(vf, "check_tuples", both_walks)
+    for glitches in (False, True):
+        vf.check_ni(spec, 2, glitches)
+        vf.check_sni(spec, 2, glitches)
+    for mode in (mg.SPATIAL, mg.TEMPORAL, mg.MIXED):
+        mg.verify_higher_order(circuit, stimuli, labels,
+                               mg.LeakageModel(order=2), mode)
+    assert len(results) == 7
+    assert {r.verdict.status for r in results} == {vf.SECURE, vf.LEAKS}
