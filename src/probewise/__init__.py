@@ -8,15 +8,13 @@ from .netlist import (Circuit, CombinatorialLoop, Gate, Register,
                       structural_index, validate_and_schedule)
 from .sim import (ConsistencyViolation, SimOptions, SimState, Stimuli,
                   StimulusFrame, SymbolicIndexUnhandled, Valuation,
-                  consistency_check, eval_combinational, initial_state,
-                  parse_stimuli, register_step, simulate, step_cycle)
+                  parse_stimuli, simulate, step_cycle)
 from .verify import (GadgetSpec, LeakWitness, TooLarge, TooMany,
                      TupleResult, Verdict, check, check_enumeration, check_ni,
                      check_sni, check_substitution, make_expr_set)
 from .manager import (BIT, SUPPORT_WISE, LeakReport, LeakageModel,
-                      ReportEntry, RunOptions, expr_sets_for,
-                      recombine_split_wires, run, verify_higher_order,
-                      wires_to_verify)
+                      ReportEntry, RunOptions, expr_sets_for, run,
+                      verify_higher_order, wires_to_verify)
 from . import gadgets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

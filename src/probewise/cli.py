@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--enum-limit", type=int, default=vf.DEFAULT_ENUM_LIMIT)
     v.add_argument("--stop-on-first-leak", action="store_true")
     v.add_argument("--no-cache", action="store_true")
-    v.add_argument("--keep-going", action="store_true",
-                   help="downgrade consistency violations to warnings")
     v.add_argument("--reset-unstable", action="store_true",
                    help="treat registers as unstable at cycle 0")
     v.add_argument("--check-consistency", action="store_true")
@@ -147,7 +145,6 @@ def _cmd_verify(args) -> int:
         stop_on_first_leak=args.stop_on_first_leak,
         use_cache=not args.no_cache,
         reset_unstable=args.reset_unstable,
-        keep_going=args.keep_going,
         check_consistency=args.check_consistency,
     )
     try:

@@ -371,14 +371,13 @@ class RunOptions:
     stop_on_first_leak: bool = False
     use_cache: bool = True
     reset_unstable: bool = False            # registers unstable at cycle 0
-    keep_going: bool = False                # consistency violations warn
     check_consistency: bool = False
 
 
 def _simulate(circuit: Circuit, stimuli: Stimuli, model: LeakageModel,
               options: RunOptions) -> Iterator[SimState]:
     opts = SimOptions(model.use_stability, options.reset_unstable,
-                      options.keep_going, options.check_consistency)
+                      options.check_consistency)
     return sm.simulate(circuit, validate_and_schedule(circuit), stimuli, opts)
 
 
@@ -407,7 +406,7 @@ def run(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
     for t, state in enumerate(states):
         report.summary.cycles = t + 1
-        report.warnings = state.warnings
+        report.warnings += state.warnings
         if replay is not None and state.settled:
             # this cycle's valuations, current and previous, are the same
             # objects as the last cycle's: so are its units, sets and

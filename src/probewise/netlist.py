@@ -133,7 +133,6 @@ class Circuit:
         self.memories = tuple(memories)
         self.by_name = {w.name: w for w in self.wires}
         self.by_uid = {w.uid: w for w in self.wires}
-        self.memory_by_id = {m.mid: m for m in self.memories}
         # wire uid -> ('gate'|'reg', object)
         self.driver: dict[int, tuple[str, object]] = {}
         for g in self.gates:

@@ -10,12 +10,17 @@ LeakSets whose members are all constants are stored as empty sets.
 Primary inputs are driven by a :class:`StimulusFrame` per cycle and are
 always unstable. A symbolic input carries a singleton LeakSet per bit.
 
+Each memory is one immutable :class:`Memory` record; a cycle's writes
+replace a record only when they change one of its words, and a state holds
+only its own cycle's warnings.
+
 A wire whose valuation did not change keeps last cycle's object. An input
 driven by the same expression under the same witness, and a gate whose
-inputs all kept theirs, are not evaluated again. A state is *settled*
-when every valuation kept its object, the cycle wrote no memory and added no
-warning; a settled state whose next frame drives every input alike steps to
-a settled state over the same valuations, without evaluating anything.
+inputs all kept theirs, are not evaluated again. A state is *settled* when
+all its simulation state is the last cycle's: every valuation and every
+memory record is the same object, and the cycle warned nothing. A settled
+state whose next frame drives every input alike steps to a settled state
+over the same valuations and memories, without evaluating anything.
 """
 
 from __future__ import annotations
@@ -86,6 +91,15 @@ def _const_valuation(value: int, width: int, stable: bool) -> Valuation:
 
 
 @dataclass(frozen=True)
+class Memory:
+    """A memory's contents after a cycle's writes: its concrete words, their
+    terms, and how many cycles changed a concrete word so far."""
+    conc: tuple[int, ...]
+    symb: tuple[Expr, ...]
+    version: int
+
+
+@dataclass(frozen=True)
 class StimulusFrame:
     """Input drive for one cycle: input wire name -> the expression that
     drives it, a CST node for a constant drive."""
@@ -102,7 +116,6 @@ class Stimuli:
 class SimOptions:
     use_stability: bool = True
     reset_unstable: bool = False   # registers unstable at cycle 0
-    keep_going: bool = False       # downgrade consistency violations to warnings
     check_consistency: bool = False   # check every state against the witness
 
 
@@ -112,23 +125,21 @@ class SimState:
     cycle: int
     current: dict[int, Valuation]
     previous: dict[int, Valuation]
-    mem_conc: dict[str, tuple[int, ...]]   # after the cycle's writes
-    mem_symb: dict[str, list[Expr]]
-    mem_version: dict[str, int]            # content changes so far
+    memories: dict[str, Memory]            # after the cycle's writes
+    # this cycle's warnings alone
     warnings: list[tuple[int, str, str]] = dataclasses.field(
         default_factory=list)
-    # every valuation is last cycle's object, and the cycle wrote no memory
-    # and added no warning
+    # every valuation and memory record is last cycle's object, and the
+    # cycle warned nothing
     settled: bool = False
     # the witness mapping the state was stepped under, None before any step
     witness: Mapping[str, int] | None = None
 
 
 def initial_state(circuit: Circuit) -> SimState:
-    mem_conc = {m.mid: tuple(m.init) for m in circuit.memories}
-    mem_symb = {m.mid: [cst(v, m.width) for v in m.init] for m in circuit.memories}
-    mem_version = {m.mid: 0 for m in circuit.memories}
-    return SimState(circuit, 0, {}, {}, mem_conc, mem_symb, mem_version)
+    return SimState(circuit, 0, {}, {}, {
+        m.mid: Memory(tuple(m.init), tuple(cst(v, m.width) for v in m.init), 0)
+        for m in circuit.memories})
 
 
 def simulate(circuit: Circuit, schedule: Sequence[Gate], stimuli: Stimuli,
@@ -155,12 +166,12 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
     in their ARRAY nodes.
 
     ``state`` must come from the same circuit and ``opts``, as in
-    :func:`simulate`: a wire whose valuation equals the last cycle's keeps
-    that object, and a non-memory gate whose inputs all kept theirs keeps
-    its own without being evaluated again. An input driven by the same
-    ``Expr`` as last cycle, under the ``witness`` object ``state`` was
-    stepped under, keeps its valuation unevaluated, so that mapping must not
-    change in between. A settled ``state`` whose inputs all keep theirs
+    :func:`simulate`: a register or memory read whose valuation equals the
+    last cycle's keeps that object, and a non-memory gate whose inputs all
+    kept theirs keeps its own without being evaluated again. An input driven
+    by the same ``Expr`` as last cycle, under the ``witness`` object
+    ``state`` was stepped under, keeps its valuation unevaluated, so that
+    mapping must not change in between. A settled ``state`` whose inputs all keep theirs
     steps to a settled state over the same valuations."""
     t = state.cycle
     vals: dict[int, Valuation] = {}
@@ -187,47 +198,50 @@ def step_cycle(circuit: Circuit, schedule: Sequence[Gate], state: SimState,
 
     if kept:
         # registers and gates see what they saw last cycle
-        return SimState(circuit, t + 1, last, last, state.mem_conc,
-                        state.mem_symb, state.mem_version, state.warnings, True,
+        return SimState(circuit, t + 1, last, last, state.memories, [], True,
                         witness)
 
-    warnings = list(state.warnings)
+    warnings: list[tuple[int, str, str]] = []
 
     for r in circuit.registers:
         val = register_step(circuit, r, state, opts)
         was = last.get(r.output)
         vals[r.output] = was if val == was else val
 
-    mem_conc = state.mem_conc
-    mem_symb = state.mem_symb
-    mem_version = state.mem_version
     pending_writes: list[tuple[str, int, int, Expr]] = []
     for g in schedule:
         ins = [vals[w] for w in g.inputs]
-        out_wire = circuit.wire(g.output)
         val = _eval_gate(circuit, state, g, ins, opts, pending_writes,
                          warnings, t)
         if val.symb.is_cst and val.symb.value != val.conc:
-            if opts.keep_going:
-                warnings.append((t, out_wire.name, "consistency violation"))
-            else:
-                raise ConsistencyViolation(out_wire.name, val.conc, val.symb.value)
+            raise ConsistencyViolation(circuit.name(g.output), val.conc,
+                                       val.symb.value)
         vals[g.output] = val
 
-    if pending_writes:
-        written = {k: list(v) for k, v in state.mem_conc.items()}
-        mem_symb = {k: list(v) for k, v in state.mem_symb.items()}
-        for mid, idx, conc_v, symb_v in pending_writes:
-            written[mid][idx] = conc_v
-            mem_symb[mid][idx] = symb_v
-        mem_conc = {k: tuple(v) for k, v in written.items()}
-        mem_version = {k: n + (mem_conc[k] != state.mem_conc[k])
-                       for k, n in state.mem_version.items()}
-
-    settled = not pending_writes and len(warnings) == len(state.warnings) \
+    memories = _write(state.memories, pending_writes)
+    settled = not warnings and memories is state.memories \
         and all(v is last.get(uid) for uid, v in vals.items())
-    return SimState(circuit, t + 1, vals, last, mem_conc, mem_symb,
-                    mem_version, warnings, settled, witness)
+    return SimState(circuit, t + 1, vals, last, memories, warnings, settled,
+                    witness)
+
+
+def _write(memories: dict[str, Memory],
+           writes: list[tuple[str, int, int, Expr]]) -> dict[str, Memory]:
+    """``memories`` after ``writes``, each ``(memory, index, conc, symb)``
+    and at most one per memory, since a memory has one write port. A write
+    that changes no word keeps its memory's record, and ``memories`` itself
+    is kept when every record is; a new concrete word adds one version."""
+    out = memories
+    for mid, idx, conc, symb in writes:
+        m = memories[mid]
+        if m.conc[idx] == conc and m.symb[idx] is symb:
+            continue
+        if out is memories:
+            out = dict(memories)
+        out[mid] = Memory(m.conc[:idx] + (conc,) + m.conc[idx + 1:],
+                          m.symb[:idx] + (symb,) + m.symb[idx + 1:],
+                          m.version + (m.conc[idx] != conc))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +277,9 @@ def _eval_gate(circuit: Circuit, state: SimState, g: Gate, ins: list[Valuation],
                opts: SimOptions, pending_writes: list, warnings: list,
                t: int) -> Valuation:
     if g.kind == "mem_read":
-        return _eval_mem_read(circuit, state, g, ins, opts)
+        val = _eval_mem_read(circuit, state, g, ins, opts)
+        was = state.current.get(g.output)
+        return was if val == was else val
     if g.kind == "mem_write":
         return _eval_mem_write(circuit, state, g, ins, pending_writes)
     if g.kind == "mux" and not ins[0].symb.is_cst:
@@ -394,15 +410,15 @@ def _eval_mem_read(circuit: Circuit, state: SimState, g: Gate,
     table at the index modulo its depth."""
     mid = circuit.gate_param(g, "memory")
     index = ins[0]
-    contents = state.mem_conc[mid]
-    stored = state.mem_symb[mid]
+    memory = state.memories[mid]
+    contents, stored = memory.conc, memory.symb
     w_out = circuit.wire(g.output).width
     conc = contents[index.conc % len(contents)]
     if index.symb.is_cst:
         symb = stored[index.symb.value % len(stored)]
     elif all(e.is_cst for e in stored):
         symb = ex.array_lookup(mid, index.symb, w_out, contents,
-                               state.mem_version[mid])
+                               memory.version)
     else:
         raise SymbolicIndexUnhandled(circuit.name(g.output), "read")
 
@@ -421,7 +437,7 @@ def _eval_mem_write(circuit: Circuit, state: SimState, g: Gate,
     if not index.symb.is_cst:
         raise SymbolicIndexUnhandled(circuit.name(g.output), "write")
     mid = circuit.gate_param(g, "memory")
-    depth = len(state.mem_conc[mid])
+    depth = len(state.memories[mid].conc)
     pending_writes.append((mid, index.conc % depth, value.conc, value.symb))
     return value
 
@@ -588,7 +604,6 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     witness: dict[str, int] = {}
     frames: list[tuple[int, StimulusFrame]] = []
     driven: set[str] = set()
-    read: dict[tuple, Expr] = {}     # drives that validated, by _drive_key
     # the last frame's inputs object, and the mapping it validated as
     last: tuple[dict, dict[str, Expr]] = ({}, {})
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -614,14 +629,8 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
                 continue
             inputs = {}
             for name, drive in given.items():
-                key = _drive_key(name, drive)
-                e = read.get(key)
-                if e is None:
-                    e = _read_drive(drive, f"inputs.{name}", widths)
-                    driven |= ex.symbols_of(e)
-                    if key is not None:
-                        read[key] = e
-                inputs[name] = e
+                e = inputs[name] = _read_drive(drive, f"inputs.{name}", widths)
+                driven |= ex.symbols_of(e)
             for wire in ports:
                 e = inputs.get(wire.name)
                 if e is None:
@@ -642,18 +651,6 @@ def parse_stimuli(text: str, widths: Mapping[str, int],
     if [c for c, _ in frames] != list(range(len(frames))):
         raise InputError("stimuli: cycles must be 0..n-1 without gaps")
     return Stimuli(witness, [f for _, f in frames])
-
-
-def _drive_key(name: str, drive) -> tuple | None:
-    """``(input, kind, text)`` for the kind :func:`_read_drive` reads first,
-    whose expression follows from that text alone; None when the text is
-    not a string."""
-    if type(drive) is dict:
-        for kind in ("const", "symbol", "expr"):
-            if kind in drive:
-                text = drive[kind]
-                return (name, kind, text) if type(text) is str else None
-    return None
 
 
 def _read_drive(drive, where: str, widths: Mapping[str, int]) -> Expr:

@@ -405,6 +405,44 @@ def test_mem_write_visible_next_cycle():
     assert out1.symb is ex.sym("m", 2)
 
 
+def test_a_write_replaces_only_its_memorys_record():
+    # t is written each cycle, u is only read
+    doc = {
+        "wires": [{"name": n, "width": w} for n, w in
+                  (("i", 1), ("v", 2), ("w", 2), ("out", 2))],
+        "inputs": ["i", "v"], "outputs": ["w", "out"],
+        "gates": [{"kind": "mem_write", "output": "w", "inputs": ["i", "v"],
+                   "params": {"memory": "t"}},
+                  {"kind": "mem_read", "output": "out", "inputs": ["i"],
+                   "params": {"memory": "u"}}],
+        "registers": [],
+        "memories": [{"id": "t", "depth": 2, "width": 2},
+                     {"id": "u", "depth": 2, "width": 2,
+                      "init": ["0b11", "0b11"]}],
+    }
+    circuit = netlist.parse_netlist(json.dumps(doc))
+    zero, one, two, k = (ex.cst(0, 2), ex.cst(1, 2), ex.cst(2, 2),
+                         ex.sym("k", 2))
+    drives = [(0, one),        # t[0]: 0 -> 1
+              (0, one),        # the same word again
+              (0, k),          # k's value is 1: a new term, no new value
+              (1, two)]        # t[1]: 0 -> 2
+    frames = [StimulusFrame({"i": ex.cst(i, 1), "v": v}) for i, v in drives]
+    states = _states(circuit, Stimuli({"k": 1}, frames))
+    u = states[0].memories["u"]
+    assert u == initial_state(circuit).memories["u"]
+    assert all(s.memories["u"] is u for s in states)
+    t = [s.memories["t"] for s in states]
+    assert [m.conc for m in t] == [(1, 0), (1, 0), (1, 0), (1, 2)]
+    assert [m.symb for m in t] == [(one, zero), (one, zero), (k, zero),
+                                   (k, two)]
+    assert [m.version for m in t] == [1, 1, 1, 2]
+    assert t[1] is t[0] and t[2] is not t[1]
+    # the repeated cycle reads and writes what the last one did: it settles
+    assert [s.settled for s in states] == [False, True, False, False]
+    assert states[1].memories is states[0].memories
+
+
 # ---------------------------------------------------------------------------
 # Consistency and determinism
 # ---------------------------------------------------------------------------
@@ -466,15 +504,9 @@ def test_symbolic_constant_mismatch_detected(monkeypatch):
     with pytest.raises(ConsistencyViolation) as err:
         simulate(fx)
     assert err.value.wire == "o0"
-    # keep_going downgrades the stop to a warning entry
-    states = simulate(fx, SimOptions(keep_going=True))
-    assert (0, "o0", "consistency violation") in states[-1].warnings
-    # the per-state check still stops it
-    with pytest.raises(ConsistencyViolation):
-        simulate(fx, SimOptions(keep_going=True, check_consistency=True))
 
 
-def _steady_gate(kind, inputs, opts=SimOptions()):
+def _steady_gate(kind, inputs):
     """Three cycles of one gate ``o`` of ``kind`` over inputs driven alike
     every cycle (s by k, a by CST(0), b by CST(1)); cycle 2 carries o."""
     doc = {"wires": [{"name": n, "width": 1} for n in ("s", "a", "b", "o")],
@@ -484,25 +516,18 @@ def _steady_gate(kind, inputs, opts=SimOptions()):
     circuit = netlist.parse_netlist(json.dumps(doc))
     frame = StimulusFrame({"s": ex.sym("k", 1), "a": ex.cst(0, 1),
                            "b": ex.cst(1, 1)})
-    states = _states(circuit, Stimuli({"k": 1}, [frame] * 3), opts)
+    states = _states(circuit, Stimuli({"k": 1}, [frame] * 3))
     o = circuit.by_name["o"].uid
     assert states[2].current[o] is states[1].current[o]
     return states
 
 
 def test_carried_symbolic_mux_warns_every_cycle():
+    # each state holds its own cycle's warning alone
     states = _steady_gate("mux", ["s", "a", "b"])
-    assert states[-1].warnings == [(t, "s", "mux selector is symbolic")
-                                   for t in range(3)]
-
-
-def test_carried_consistency_violation_warns_every_cycle(monkeypatch):
-    real = sim._conc_gate
-    monkeypatch.setattr(sim, "_conc_gate",
-                        lambda circuit, g, vs, w: real(circuit, g, vs, w) ^ 1)
-    states = _steady_gate("bit_and", ["a", "s"], SimOptions(keep_going=True))
-    assert states[-1].warnings == [(t, "o", "consistency violation")
-                                   for t in range(3)]
+    assert [s.warnings for s in states] == [
+        [(t, "s", "mux selector is symbolic")] for t in range(3)]
+    assert not any(s.settled for s in states)
 
 
 def test_trivial_set_invariant_on_random_circuits():
@@ -574,15 +599,15 @@ def test_parse_stimuli_repeated_frames(monkeypatch):
     fresh = [held, held, other, other, other, held, held]
     lines = [header] + [json.dumps({"cycle": t, "inputs": inputs})
                         for t, inputs in enumerate(fresh)]
-    drive_key, keyed = sim._drive_key, []
+    read_drive, read = sim._read_drive, []
 
-    def counted_drive_key(*args):
-        keyed.append(args[0])
-        return drive_key(*args)
+    def counted_read_drive(*args):
+        read.append(args[1])
+        return read_drive(*args)
 
-    monkeypatch.setattr(sim, "_drive_key", counted_drive_key)
+    monkeypatch.setattr(sim, "_read_drive", counted_read_drive)
     stim = parse_stimuli("\n".join(lines), widths, circuit)
-    assert len(keyed) == 3 * len(circuit.inputs)   # frames 0, 2 and 5
+    assert len(read) == 3 * len(circuit.inputs)   # frames 0, 2 and 5
     for inputs, parsed in zip(fresh, stim.frames):
         alone = json.dumps({"cycle": 0, "inputs": inputs})
         assert parsed == parse_stimuli(f"{header}\n{alone}", widths,
