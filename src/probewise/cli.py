@@ -193,6 +193,9 @@ def _higher_order(args, circuit, stimuli, labels, model, options) -> int:
             doc["leaking_tuple"] = list(result.leaking_tuple)
             if result.verdict.witness:
                 doc["witness"] = result.verdict.witness.to_json()
+        if result.warnings:
+            doc["warnings"] = [{"cycle": c, "wire": w, "warning": msg}
+                               for c, w, msg in result.warnings]
         Path(args.report).write_text(json.dumps(doc, sort_keys=True) + "\n")
     return EXIT_OK if result.verdict.is_secure else EXIT_LEAKS
 

@@ -19,6 +19,8 @@ opaque otherwise.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -41,6 +43,10 @@ CANONICAL_OPS = frozenset({
 
 # Accepted by build() but normalised away.
 REWRITTEN_OPS = frozenset({"NOT", "ZEXT", "SEXT"})
+
+# The flattened n-ary bitwise operators, each with its two-operand function:
+# every builder and evaluator folds their children with it.
+CONNECTIVES = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
 
 _COMMUTATIVE = frozenset({"XOR", "AND", "OR", "ADD", "MUL"})
 _KIND_RANK = {"cst": 0, "sym": 1, "op": 2}
@@ -155,7 +161,7 @@ def build(op: str, children: Sequence[Expr], params: tuple = ()) -> Expr:
         _expect_arity(op, cs, 1)
         (w,) = params
         return sext(cs[0], w)
-    if op in ("XOR", "AND", "OR"):
+    if op in CONNECTIVES:
         _expect_arity(op, cs, None)
         return _build_bitwise(op, cs)
     if op in ("ADD", "SUB", "MUL", "POW"):
@@ -195,61 +201,26 @@ def _build_bitwise(op: str, children: list[Expr]) -> Expr:
             flat.append(c)
 
     full = mask(w)
-    if op == "XOR":
-        acc = 0
-        parity: dict[Expr, int] = {}
-        order: list[Expr] = []
-        for c in flat:
-            if c.is_cst:
-                acc ^= c.value
-            else:
-                if c not in parity:
-                    order.append(c)
-                parity[c] = parity.get(c, 0) ^ 1
-        keep = [c for c in order if parity[c]]
-        if not keep:
-            return cst(acc, w)
-        if acc == 0 and len(keep) == 1:
-            return keep[0]
-        if acc:
-            keep.append(cst(acc, w))
-        return _make("op", w, op="XOR", children=_sorted_children(keep))
-
-    if op == "AND":
-        acc = full
-        seen: set[Expr] = set()
-        keep = []
-        for c in flat:
-            if c.is_cst:
-                acc &= c.value
-            elif c not in seen:
-                seen.add(c)
-                keep.append(c)
-        if acc == 0 or not keep:
-            return cst(acc, w)
-        if acc == full and len(keep) == 1:
-            return keep[0]
-        if acc != full:
-            keep.append(cst(acc, w))
-        return _make("op", w, op="AND", children=_sorted_children(keep))
-
-    # OR
-    acc = 0
-    seen = set()
-    keep = []
+    fold = CONNECTIVES[op]
+    unit = full if op == "AND" else 0
+    acc = unit
+    count: dict[Expr, int] = {}   # in first-occurrence order
     for c in flat:
         if c.is_cst:
-            acc |= c.value
-        elif c not in seen:
-            seen.add(c)
-            keep.append(c)
-    if acc == full or not keep:
+            acc = fold(acc, c.value)
+        else:
+            count[c] = count.get(c, 0) + 1
+    # x ^ x cancels; x & x and x | x are x
+    keep = [c for c, n in count.items() if n & 1] if op == "XOR" \
+        else list(count)
+    # the unit's complement absorbs: x & 0 is 0 and x | 1..1 is 1..1
+    if not keep or (op != "XOR" and acc == full ^ unit):
         return cst(acc, w)
-    if acc == 0 and len(keep) == 1:
+    if acc == unit and len(keep) == 1:
         return keep[0]
-    if acc:
+    if acc != unit:
         keep.append(cst(acc, w))
-    return _make("op", w, op="OR", children=_sorted_children(keep))
+    return _make("op", w, op=op, children=_sorted_children(keep))
 
 
 def _build_arith(op: str, a: Expr, b: Expr) -> Expr:
@@ -381,7 +352,7 @@ def extract(e: Expr, lo: int, hi: int) -> Expr:
         if e.op == "EXTRACT":
             base_lo = e.params[0]
             return extract(e.children[0], base_lo + lo, base_lo + hi)
-        if e.op in ("XOR", "AND", "OR"):
+        if e.op in CONNECTIVES:
             return _build_bitwise(e.op, [extract(c, lo, hi) for c in e.children])
     return _make("op", hi - lo + 1, op="EXTRACT", children=(e,), params=(lo, hi))
 
@@ -450,12 +421,9 @@ def _eval(e: Expr, a: Assignment, memo) -> int:
             raise UnboundSymbol(e.name) from None
     op = e.op
     w = e.width
-    if op in ("XOR", "AND", "OR"):
-        vals = [eval_concrete(c, a, memo) for c in e.children]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = acc ^ v if op == "XOR" else acc & v if op == "AND" else acc | v
-        return acc
+    if op in CONNECTIVES:
+        return functools.reduce(CONNECTIVES[op], [
+            eval_concrete(c, a, memo) for c in e.children])
     if op in ("ADD", "SUB", "MUL", "POW"):
         x = eval_concrete(e.children[0], a, memo)
         y = eval_concrete(e.children[1], a, memo)
@@ -719,9 +687,6 @@ class SymbolTable:
 
     def is_sensitive(self, name: str) -> bool:
         return self._info[name][1] in (SECRET, SHARE)
-
-    def sym(self, name: str) -> Expr:
-        return sym(name, self.width(name))
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "SymbolTable":

@@ -501,7 +501,8 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     A view is the union of its (wire, cycle) sets; each ARRAY node in it
     reads the contents its own cycle read, so a view over cycles that read
     different contents of a memory is decided like any other. KeyError,
-    before any tuple is walked, if a set holds an unlabeled symbol.
+    before any tuple is walked, if a set holds an unlabeled symbol. The
+    result holds the simulation's warnings as :func:`run`'s report does.
     """
     if mode not in (SPATIAL, TEMPORAL, MIXED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -509,9 +510,12 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
     units: list[object] = [w.uid for w in circuit.wires]
     memo: dict = {}
     # each cycle's (wire, cycle) parts, by wire label
-    per_cycle = [{label: vf.make_part(key, labels) for label, _, key in
-                  _unit_sets(circuit, model, state, units, memo)}
-                 for state in _simulate(circuit, stimuli, model, options)]
+    per_cycle = []
+    warnings: list[tuple[int, str, str]] = []
+    for state in _simulate(circuit, stimuli, model, options):
+        warnings += state.warnings
+        per_cycle.append({label: vf.make_part(key, labels) for label, _, key
+                          in _unit_sets(circuit, model, state, units, memo)})
 
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = range(len(per_cycle))
@@ -529,7 +533,8 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
         views = lambda combo: (([per_cycle[t][w] for w, t in combo], None),)
 
-    return vf.check_tuples(
+    result = vf.check_tuples(
         positions, (model.order,), views,
         lambda exprs, _: vf.check(exprs, labels, options.enum_limit), labels,
         vf.TUPLE_CAP)
+    return replace(result, warnings=tuple(dict.fromkeys(warnings)))

@@ -133,18 +133,15 @@ class Circuit:
         self.memories = tuple(memories)
         self.by_name = {w.name: w for w in self.wires}
         self.by_uid = {w.uid: w for w in self.wires}
-        # wire uid -> ('gate'|'reg', object)
-        self.driver: dict[int, tuple[str, object]] = {}
-        for g in self.gates:
-            if g.output in self.driver or g.output in self.inputs:
-                raise MultipleDrivers(self.by_uid[g.output].name)
-            self.driver[g.output] = ("gate", g)
-        for r in self.registers:
-            if r.output in self.driver or r.output in self.inputs:
-                raise MultipleDrivers(self.by_uid[r.output].name)
-            self.driver[r.output] = ("reg", r)
+        # every wire has one driver: a gate, a register or the inputs
+        driven = set(self.inputs)
+        for uid in [g.output for g in self.gates] + \
+                [r.output for r in self.registers]:
+            if uid in driven:
+                raise MultipleDrivers(self.by_uid[uid].name)
+            driven.add(uid)
         for w in self.wires:
-            if w.uid not in self.driver and w.uid not in self.inputs:
+            if w.uid not in driven:
                 raise NetlistError(f"wire {w.name!r} has no driver and is not an input")
 
     def wire(self, uid: int) -> Wire:

@@ -10,6 +10,12 @@ LeakSets whose members are all constants are stored as empty sets.
 Primary inputs are driven by a :class:`StimulusFrame` per cycle and are
 always unstable. A symbolic input carries a singleton LeakSet per bit.
 
+One switch over the gate kinds gives each non-memory, non-mux gate both its
+concrete value and its term. The value is integer arithmetic on the input
+values and never touches a term; the term is built from the input terms.
+The two share no operator table, so a consistency check compares two
+independent computations.
+
 Each memory is one immutable :class:`Memory` record; a cycle's writes
 replace a record only when they change one of its words, and a state holds
 only its own cycle's warnings.
@@ -305,8 +311,7 @@ def eval_combinational(circuit: Circuit, g: Gate, ins: list[Valuation],
     if kind == "mux":
         return _eval_mux(circuit, g, ins, opts)
 
-    conc = _conc_gate(circuit, g, [v.conc for v in ins], w_out)
-    symb = _symb_gate(circuit, g, [v.symb for v in ins], w_out)
+    conc, symb = _value_and_term(circuit, g, ins, w_out)
 
     if kind in ("bit_and", "bit_or", "bit_xor", "bit_not"):
         stab, lset = _bitwise_domains(kind, ins, symb, w_out)
@@ -446,127 +451,95 @@ def _eval_mem_write(circuit: Circuit, state: SimState, g: Gate,
 # Concrete / symbolic functionalities
 # ---------------------------------------------------------------------------
 
-def _conc_gate(circuit: Circuit, g: Gate, vs: list[int], w: int) -> int:
+# each shift kind's operator, once for the value and once for the term
+_SHIFT_VALUE = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}
+_SHIFT_TERM = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}
+
+
+def _value_and_term(circuit: Circuit, g: Gate, ins: list[Valuation],
+                    w: int) -> tuple[int, Expr]:
+    """The concrete value and the term of a non-memory, non-mux gate of
+    output width ``w``. The value is integer arithmetic on the input values
+    alone; the term is built from the input terms alone."""
     kind = g.kind
+    vs = [v.conc for v in ins]
+    es = [v.symb for v in ins]
     if kind == "bit_not":
-        return ~vs[0] & mask(w)
+        return ~vs[0] & mask(w), ex.build("NOT", es)
     if kind == "bit_and":
-        return vs[0] & vs[1]
+        return vs[0] & vs[1], ex.build("AND", es)
     if kind == "bit_or":
-        return vs[0] | vs[1]
+        return vs[0] | vs[1], ex.build("OR", es)
     if kind == "bit_xor":
-        return vs[0] ^ vs[1]
-    if kind in ("add", "sub", "mul"):
-        a, b = vs
-        return (a + b if kind == "add" else a - b if kind == "sub" else a * b) & mask(w)
+        return vs[0] ^ vs[1], ex.build("XOR", es)
+    if kind == "add":
+        return (vs[0] + vs[1]) & mask(w), ex.build("ADD", es)
+    if kind == "sub":
+        return (vs[0] - vs[1]) & mask(w), ex.build("SUB", es)
+    if kind == "mul":
+        return (vs[0] * vs[1]) & mask(w), ex.build("MUL", es)
     if kind == "neg":
-        return -vs[0] & mask(w)
+        return -vs[0] & mask(w), ex.build("SUB", [cst(0, w), es[0]])
     if kind == "ucmp":
-        return int(vs[0] < vs[1])
-    if kind == "scmp":
-        win = circuit.wire(g.inputs[0]).width
-        flip = 1 << (win - 1)
-        return int((vs[0] ^ flip) < (vs[1] ^ flip))
+        return int(vs[0] < vs[1]), _ucmp(es[0], es[1])
     if kind == "equal":
-        return int(vs[0] == vs[1])
+        return int(vs[0] == vs[1]), \
+            ex.build("NOT", [_or_reduce(ex.build("XOR", es))])
     if kind == "not_equal":
-        return int(vs[0] != vs[1])
+        return int(vs[0] != vs[1]), _or_reduce(ex.build("XOR", es))
     if kind == "is_zero":
-        return int(vs[0] == 0)
-    if kind == "is_neg":
-        win = circuit.wire(g.inputs[0]).width
-        return (vs[0] >> (win - 1)) & 1
+        return int(vs[0] == 0), ex.build("NOT", [_or_reduce(es[0])])
     if kind in SHIFT_KINDS:
         amount = circuit.gate_param(g, "amount")
-        s = int(amount) if amount is not None else vs[1]
-        op = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}[kind]
-        return ex.shift_value(op, vs[0], s, w)
+        if amount is None:
+            s, amt = vs[1], es[1]
+        else:
+            s = int(amount)
+            amt = cst(s, max(s.bit_length(), 1))
+        return ex.shift_value(_SHIFT_VALUE[kind], vs[0], s, w), \
+            ex.build(_SHIFT_TERM[kind], [es[0], amt])
     if kind == "trunc":
         lo = int(circuit.gate_param(g, "lo", 0))
-        return (vs[0] >> lo) & mask(w)
-    if kind == "zext":
-        return vs[0]
-    if kind == "sext":
-        win = circuit.wire(g.inputs[0]).width
-        v = vs[0]
-        if (v >> (win - 1)) & 1:
-            v |= mask(w) & ~mask(win)
-        return v
+        return (vs[0] >> lo) & mask(w), ex.extract(es[0], lo, lo + w - 1)
     if kind == "blit":
         lo = int(circuit.gate_param(g, "lo", 0))
         ws = circuit.wire(g.inputs[1]).width
-        return (vs[0] & ~(mask(ws) << lo) | (vs[1] << lo)) & mask(w)
+        dst, src = es
+        pieces = []
+        if lo + ws < w:
+            pieces.append(ex.extract(dst, lo + ws, w - 1))
+        pieces.append(src)
+        if lo > 0:
+            pieces.append(ex.extract(dst, 0, lo - 1))
+        return (vs[0] & ~(mask(ws) << lo) | (vs[1] << lo)) & mask(w), \
+            ex.concat(pieces)
+    if kind == "zext":
+        return vs[0], ex.zext(es[0], w)
+    # the rest read their first input's width
+    win = circuit.wire(g.inputs[0]).width
+    if kind == "scmp":
+        flip = 1 << (win - 1)
+        sign = cst(flip, win)
+        return int((vs[0] ^ flip) < (vs[1] ^ flip)), \
+            _ucmp(ex.build("XOR", [es[0], sign]), ex.build("XOR", [es[1], sign]))
+    if kind == "is_neg":
+        return (vs[0] >> (win - 1)) & 1, bit(es[0], win - 1)
+    if kind == "sext":
+        v = vs[0]
+        if (v >> (win - 1)) & 1:
+            v |= mask(w) & ~mask(win)
+        return v, ex.sext(es[0], w)
     if kind == "repeat":
-        win = circuit.wire(g.inputs[0]).width
         count = int(circuit.gate_param(g, "count"))
         out = 0
         for _ in range(count):
             out = (out << win) | vs[0]
-        return out
-    if kind == "mux":
-        return vs[2] if vs[0] else vs[1]
+        return out, ex.concat([es[0]] * count)
     raise AssertionError(kind)
 
 
 def _or_reduce(e: Expr) -> Expr:
     return ex.build("OR", list(bits(e))) if e.width > 1 else e
-
-
-def _symb_gate(circuit: Circuit, g: Gate, es: list[Expr], w: int) -> Expr:
-    kind = g.kind
-    if kind == "bit_not":
-        return ex.build("NOT", es)
-    if kind == "bit_and":
-        return ex.build("AND", es)
-    if kind == "bit_or":
-        return ex.build("OR", es)
-    if kind == "bit_xor":
-        return ex.build("XOR", es)
-    if kind in ("add", "sub", "mul"):
-        return ex.build({"add": "ADD", "sub": "SUB", "mul": "MUL"}[kind], es)
-    if kind == "neg":
-        return ex.build("SUB", [cst(0, w), es[0]])
-    if kind == "ucmp":
-        return _ucmp(es[0], es[1])
-    if kind == "scmp":
-        win = es[0].width
-        flip = cst(1 << (win - 1), win)
-        return _ucmp(ex.build("XOR", [es[0], flip]), ex.build("XOR", [es[1], flip]))
-    if kind == "equal":
-        return ex.build("NOT", [_or_reduce(ex.build("XOR", es))])
-    if kind == "not_equal":
-        return _or_reduce(ex.build("XOR", es))
-    if kind == "is_zero":
-        return ex.build("NOT", [_or_reduce(es[0])])
-    if kind == "is_neg":
-        return bit(es[0], es[0].width - 1)
-    if kind in SHIFT_KINDS:
-        op = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}[kind]
-        amount = circuit.gate_param(g, "amount")
-        amt = cst(int(amount), max(int(amount).bit_length(), 1)) \
-            if amount is not None else es[1]
-        return ex.build(op, [es[0], amt])
-    if kind == "trunc":
-        lo = int(circuit.gate_param(g, "lo", 0))
-        return ex.extract(es[0], lo, lo + w - 1)
-    if kind == "zext":
-        return ex.zext(es[0], w)
-    if kind == "sext":
-        return ex.sext(es[0], w)
-    if kind == "blit":
-        lo = int(circuit.gate_param(g, "lo", 0))
-        dst, src = es
-        pieces = []
-        if lo + src.width < dst.width:
-            pieces.append(ex.extract(dst, lo + src.width, dst.width - 1))
-        pieces.append(src)
-        if lo > 0:
-            pieces.append(ex.extract(dst, 0, lo - 1))
-        return ex.concat(pieces)
-    if kind == "repeat":
-        count = int(circuit.gate_param(g, "count"))
-        return ex.concat([es[0]] * count)
-    raise AssertionError(kind)
 
 
 def _ucmp(a: Expr, b: Expr) -> Expr:

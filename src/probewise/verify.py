@@ -485,18 +485,8 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
         wide = _dtype(max(w, *(c.width for c in e.children)))
         kids = [_eval_column(c, cols, n, memo).astype(wide, copy=False)
                 for c in e.children]
-        if op == "XOR":
-            out = kids[0]
-            for k in kids[1:]:
-                out = out ^ k
-        elif op == "AND":
-            out = kids[0]
-            for k in kids[1:]:
-                out = out & k
-        elif op == "OR":
-            out = kids[0]
-            for k in kids[1:]:
-                out = out | k
+        if op in ex.CONNECTIVES:
+            out = functools.reduce(ex.CONNECTIVES[op], kids)
         elif op == "ADD":
             out = (kids[0] + kids[1]) & mask(w)
         elif op == "SUB":
@@ -802,12 +792,13 @@ def check(exprs: tuple[Expr, ...], labels: SymbolTable,
 @dataclass(frozen=True)
 class TupleResult:
     """The first verdict over the tuples that is not Secure (else Secure),
-    how many tuples were walked out of ``tuple_count``, and the tuple that
-    decided it."""
+    how many tuples were walked out of ``tuple_count``, the tuple that
+    decided it, and the warnings of the simulation the tuples came from."""
     verdict: Verdict
     tuples_checked: int
     tuple_count: int
     leaking_tuple: tuple | None = None
+    warnings: tuple[tuple[int, str, str], ...] = ()
 
 
 TUPLE_CAP = 10 ** 6   # d-uplets of one run; more raise TooMany before any walk

@@ -199,6 +199,39 @@ def test_higher_order_mode(fixture_dir, capsys):
     assert "d-uplets" in captured.out
 
 
+def test_higher_order_report_lists_the_simulator_warnings(tmp_path, capsys):
+    # a mux whose selector s carries the mask m over three held frames: the
+    # order-2 report warns once per cycle, as the order-1 report does
+    files = {"netlist": {
+        "wires": [{"name": n, "width": 1} for n in ("s", "a", "b", "o")],
+        "inputs": ["s", "a", "b"], "outputs": ["o"], "registers": [],
+        "gates": [{"kind": "mux", "output": "o", "inputs": ["s", "a", "b"]}]},
+        "labels": {"symbols": [{"name": "k", "width": 1, "kind": "secret"},
+                               {"name": "m", "width": 1, "kind": "mask"}]},
+        "stimuli": [{"witness": {"k": "0b1", "m": "0b0"}}] + [
+            {"cycle": t, "inputs": {"s": {"symbol": "m"},
+                                    "a": {"symbol": "k"},
+                                    "b": {"const": "0b1"}}}
+            for t in range(3)]}
+    args = []
+    for kind, doc in files.items():
+        path = tmp_path / f"mux.{kind}"
+        _write(path, kind, doc)
+        args += [f"--{kind}", str(path)]
+    warned = [{"cycle": t, "wire": "s", "warning": "mux selector is symbolic"}
+              for t in range(3)]
+    for order in (1, 2):
+        report = tmp_path / f"order{order}.jsonl"
+        assert main(["verify", *args, "--model", "0,0", "--order", str(order),
+                     "--report", str(report)]) == 1
+        lines = [json.loads(line) for line in report.read_text().splitlines()]
+        if order == 1:
+            assert [d for d in lines if "warning" in d] == warned
+        else:
+            assert [d["warnings"] for d in lines] == [warned]
+    capsys.readouterr()
+
+
 def test_stimuli_with_expressions_round_trip(fixture_dir):
     text = (fixture_dir / "fig5.stim.jsonl").read_text()
     assert '"expr"' in text   # fig5 drives i1 with XOR(k, m)

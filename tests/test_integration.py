@@ -534,7 +534,8 @@ def test_split_parent_keeps_its_sets_while_its_members_settle(monkeypatch):
     # member wires changed
     fx = gadgets.gen_counterexamples()["fig6"]
     frame = fx.stimuli.frames[0]
-    later = sim.StimulusFrame({**frame.inputs, "b1": fx.labels.sym("k")})
+    later = sim.StimulusFrame({**frame.inputs,
+                               "b1": ex.sym("k", fx.labels.width("k"))})
     stimuli = sim.Stimuli(fx.stimuli.witness, [frame] * 3 + [later] * 7)
     model = LeakageModel()
     group, = fx.circuit.splits

@@ -440,7 +440,8 @@ def _driven(doc, frames):
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 1, ex.MASK)
     labels.declare("n", 1, ex.MASK)
-    frames = [sim.StimulusFrame({w: labels.sym(d) if d else ex.cst(0, 1)
+    frames = [sim.StimulusFrame({w: ex.sym(d, labels.width(d)) if d
+                                 else ex.cst(0, 1)
                                  for w, d in frame.items()})
               for frame in frames]
     stimuli = sim.Stimuli({"k": 1, "m": 0, "n": 1}, frames)
@@ -639,7 +640,7 @@ def test_check_tuples_counts():
     # every C(p, q) tuple is walked; one distinct view is decided once
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
-    part = vf.make_part((labels.sym("k"),), labels)
+    part = vf.make_part((ex.sym("k", labels.width("k")),), labels)
     decided = []
 
     def decide(exprs, budget):
@@ -654,7 +655,7 @@ def test_check_tuples_counts():
                               decide, labels)
         assert (res.verdict.is_secure, res.tuples_checked,
                 res.tuple_count) == (True, count, count)
-        assert decided == [((labels.sym("k"),), None)]
+        assert decided == [((ex.sym("k", labels.width("k")),), None)]
 
     # past the cap, TooMany before any view or decision
     viewed = []

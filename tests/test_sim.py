@@ -494,16 +494,42 @@ def test_symbolic_constant_mismatch_detected(monkeypatch):
     # Break the concrete AND on purpose: the constant symbolic value CST(0)
     # then disagrees with the faulty concrete bit and must be reported.
     fx = gadgets.gen_counterexamples()["fig5"]
-    real = sim._conc_gate
+    real = sim._value_and_term
 
-    def broken(circuit, g, vs, w):
-        v = real(circuit, g, vs, w)
-        return v ^ 1 if g.kind == "bit_and" else v
+    def broken(circuit, g, ins, w):
+        conc, symb = real(circuit, g, ins, w)
+        return (conc ^ 1 if g.kind == "bit_and" else conc), symb
 
-    monkeypatch.setattr(sim, "_conc_gate", broken)
+    monkeypatch.setattr(sim, "_value_and_term", broken)
     with pytest.raises(ConsistencyViolation) as err:
         simulate(fx)
     assert err.value.wire == "o0"
+
+
+_TERM_SWAPS = {"ADD": "SUB", "SUB": "ADD", "AND": "OR", "OR": "AND",
+               "XOR": "OR", "ASR": "LSR", "LSL": "LSR", "MUL": "ADD"}
+
+
+@pytest.mark.parametrize("op", _TERM_SWAPS)
+def test_a_wrong_term_operator_is_a_consistency_violation(monkeypatch, op):
+    # Build every op term with the operator into instead: the concrete
+    # values, computed without any term, then disagree with the terms on
+    # some random circuit.
+    into = _TERM_SWAPS[op]
+    real = ex.build
+
+    def swapped(o, children, params=()):
+        return real(into if o == op else o, children, params)
+
+    for seed in range(40):
+        fx = gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "build", swapped)
+            try:
+                simulate(fx, SimOptions(check_consistency=True))
+            except ConsistencyViolation:
+                return
+    pytest.fail(f"{op} built as {into} went unnoticed")
 
 
 def _steady_gate(kind, inputs):

@@ -290,11 +290,12 @@ def test_gadget_spec_rejects_a_secret_without_shares():
 def test_a_probed_secret_costs_all_of_its_shares():
     # observing a is observing a0 ^ a1: one share cannot simulate it
     _, labels, _, _ = gadgets.gen_dom_and(1)
-    a = labels.sym("a")
+    a = ex.sym("a", labels.width("a"))
     v = vf._simulatable((a,), labels, 1, 20)
     assert v.status == vf.LEAKS
     _assert_witness_counts((a,), labels, v.witness, shares_free=True)
-    assert vf._simulatable((xor(labels.sym("a0"), labels.sym("a1")),),
+    assert vf._simulatable((xor(ex.sym("a0", labels.width("a0")),
+                                ex.sym("a1", labels.width("a1"))),),
                            labels, 1, 20).status == vf.LEAKS
     assert not oracles.simulatable_bruteforce((a,), labels, _secrets(labels), 1)
     probed = vf._footprint({"a"}, labels)
@@ -302,7 +303,8 @@ def test_a_probed_secret_costs_all_of_its_shares():
     # with both shares in the budget, and with the secret cancelled
     assert vf._share_count_proves(probed, labels, 2)
     assert vf._simulatable((a,), labels, 2, 20).is_secure
-    assert vf._simulatable((xor(a, labels.sym("a0")),), labels, 1, 20).is_secure
+    assert vf._simulatable((xor(a, ex.sym("a0", labels.width("a0"))),),
+                           labels, 1, 20).is_secure
 
 
 def test_ni_leak_carries_witness():
