@@ -229,11 +229,12 @@ def _cmd_ni(args, strong: bool) -> int:
 
 def _cmd_gen_fixtures(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         orders = [int(x) for x in args.orders.split(",") if x]
     except ValueError:
         print("error: --orders must be comma-separated integers", file=sys.stderr)
+        return EXIT_USAGE
+    if any(_below("--orders", d, 1) for d in orders):
         return EXIT_USAGE
 
     def emit(name: str, circuit, labels, stimuli):
@@ -243,13 +244,18 @@ def _cmd_gen_fixtures(args) -> int:
         widths = labels.widths()
         (out / f"{name}.stim.jsonl").write_text(sm.dump_stimuli(stimuli, widths))
 
-    for fixture in gadgets.gen_counterexamples().values():
-        emit(fixture.name, fixture.circuit, fixture.labels, fixture.stimuli)
-    for d in orders:
-        circuit, labels, stimuli, _ = gadgets.gen_dom_and(d)
-        emit(f"dom_and_d{d}", circuit, labels, stimuli)
-        circuit, labels, stimuli, _ = gadgets.gen_isw_and(d)
-        emit(f"isw_and_d{d}", circuit, labels, stimuli)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for fixture in gadgets.gen_counterexamples().values():
+            emit(fixture.name, fixture.circuit, fixture.labels, fixture.stimuli)
+        for d in orders:
+            circuit, labels, stimuli, _ = gadgets.gen_dom_and(d)
+            emit(f"dom_and_d{d}", circuit, labels, stimuli)
+            circuit, labels, stimuli, _ = gadgets.gen_isw_and(d)
+            emit(f"isw_and_d{d}", circuit, labels, stimuli)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"fixtures written to {out}")
     return EXIT_OK
 

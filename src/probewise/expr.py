@@ -14,7 +14,9 @@ convenience wrappers), which simplifies to a canonical fixpoint:
 * EXTRACT pushes through CONCAT and the flattened bitwise operators.
 
 Arithmetic operators (ADD, SUB, MUL, POW) only fold constants; they are kept
-opaque otherwise.
+opaque otherwise. :func:`apply` is the one value rule of each operator:
+constant folding, :func:`eval_concrete` and enumeration's column evaluator
+all compute through it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import operator
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .inputs import InputError, expect, field
+from .inputs import MAX_WIDTH, InputError, expect, field
 
 
 class WidthError(TypeError):
@@ -47,6 +49,11 @@ REWRITTEN_OPS = frozenset({"NOT", "ZEXT", "SEXT"})
 # The flattened n-ary bitwise operators, each with its two-operand function:
 # every builder and evaluator folds their children with it.
 CONNECTIVES = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
+
+# ADD, SUB and MUL: a column computes them whole and masks what wrapped; the
+# INT_ONLY operators are computed row by row (int_rule).
+_WRAPPING = {"ADD": operator.add, "SUB": operator.sub, "MUL": operator.mul}
+INT_ONLY = frozenset({"POW", "LSL", "LSR", "ASR", "ARRAY"})
 
 _COMMUTATIVE = frozenset({"XOR", "AND", "OR", "ADD", "MUL"})
 _KIND_RANK = {"cst": 0, "sym": 1, "op": 2}
@@ -228,7 +235,7 @@ def _build_arith(op: str, a: Expr, b: Expr) -> Expr:
         raise WidthError(f"{op} children must share width, got {a.width} vs {b.width}")
     w = a.width
     if a.is_cst and b.is_cst:
-        return cst(_arith_value(op, a.value, b.value, w), w)
+        return cst(apply(op, w, (), (a, b), [a.value, b.value]), w)
     if op == "ADD":
         if a.is_cst and a.value == 0:
             return b
@@ -249,16 +256,6 @@ def _build_arith(op: str, a: Expr, b: Expr) -> Expr:
     if op in _COMMUTATIVE:
         a, b = sorted((a, b), key=lambda e: e.sort_key)
     return _make("op", w, op=op, children=(a, b))
-
-
-def _arith_value(op: str, a: int, b: int, w: int) -> int:
-    if op == "ADD":
-        return (a + b) & mask(w)
-    if op == "SUB":
-        return (a - b) & mask(w)
-    if op == "MUL":
-        return (a * b) & mask(w)
-    return pow(a, b, 1 << w)  # POW
 
 
 def _build_shift(op: str, value: Expr, amount: Expr) -> Expr:
@@ -400,51 +397,55 @@ Assignment = Mapping[str, int]
 
 def eval_concrete(e: Expr, assignment: Assignment,
                   _memo: dict | None = None) -> int:
-    """Two's-complement bit-vector value of ``e`` under ``assignment``; an
-    ARRAY node reads its own table."""
+    """Two's-complement bit-vector value of ``e`` under ``assignment``, by
+    :func:`apply`; an ARRAY node reads its own table."""
     memo = {} if _memo is None else _memo
-    got = memo.get(e)
-    if got is not None:
-        return got
-    v = _eval(e, assignment, memo)
-    memo[e] = v
-    return v
-
-
-def _eval(e: Expr, a: Assignment, memo) -> int:
+    v = memo.get(e)
+    if v is not None:
+        return v
     if e.kind == "cst":
         return e.value
     if e.kind == "sym":
-        try:
-            return a[e.name] & mask(e.width)
-        except KeyError:
-            raise UnboundSymbol(e.name) from None
-    op = e.op
-    w = e.width
+        if e.name not in assignment:
+            raise UnboundSymbol(e.name)
+        return assignment[e.name] & mask(e.width)
+    v = memo[e] = apply(e.op, e.width, e.params, e.children, [
+        eval_concrete(c, assignment, memo) for c in e.children])
+    return v
+
+
+def apply(op: str, w: int, params: tuple, children: Sequence[Expr], kids):
+    """The value of the ``w``-bit node ``op(children)`` from its children's
+    values ``kids``: Python ints, or numpy columns of a type that holds the
+    node's and its children's values. A column evaluator maps
+    :func:`int_rule` over the columns of an ``INT_ONLY`` operator."""
     if op in CONNECTIVES:
-        return functools.reduce(CONNECTIVES[op], [
-            eval_concrete(c, a, memo) for c in e.children])
-    if op in ("ADD", "SUB", "MUL", "POW"):
-        x = eval_concrete(e.children[0], a, memo)
-        y = eval_concrete(e.children[1], a, memo)
-        return _arith_value(op, x, y, w)
-    if op in ("LSL", "LSR", "ASR"):
-        x = eval_concrete(e.children[0], a, memo)
-        s = eval_concrete(e.children[1], a, memo)
-        return shift_value(op, x, s, w)
+        return functools.reduce(CONNECTIVES[op], kids)
+    if op in _WRAPPING:
+        return _WRAPPING[op](*kids) & mask(w)
     if op == "CONCAT":
-        acc = 0
-        for c in e.children:
-            acc = (acc << c.width) | eval_concrete(c, a, memo)
-        return acc
+        out = kids[0]
+        for child, k in zip(children[1:], kids[1:]):
+            out = (out << child.width) | k
+        return out
     if op == "EXTRACT":
-        lo, hi = e.params
-        return (eval_concrete(e.children[0], a, memo) >> lo) & mask(hi - lo + 1)
+        lo, hi = params
+        return (kids[0] >> lo) & mask(hi - lo + 1)
+    return int_rule(op, w, params)(*kids)
+
+
+def int_rule(op: str, w: int, params: tuple):
+    """The per-row rule of the ``INT_ONLY`` operator ``op`` at width ``w``,
+    chosen once per node: it takes one integer per child, numpy's included,
+    and computes on Python ints."""
+    if op == "POW":
+        m = 1 << w
+        return lambda a, b: pow(int(a), int(b), m)
     if op == "ARRAY":
-        table = e.params[2]
-        idx = eval_concrete(e.children[0], a, memo) % len(table)
-        return table[idx] & mask(w)
-    raise AssertionError(f"unreachable operator {op}")
+        table, full = params[2], mask(w)
+        depth = len(table)
+        return lambda i: table[int(i) % depth] & full
+    return lambda x, s: shift_value(op, int(x), int(s), w)   # LSL, LSR, ASR
 
 
 def shift_value(op: str, x: int, s: int, w: int) -> int:
@@ -568,6 +569,9 @@ class _Parser:
         if op in ("ZEXT", "SEXT"):
             if len(exprs) != 1 or len(ints) != 1:
                 raise ValueError(f"{op}(expr, width)")
+            if ints[0] > MAX_WIDTH:
+                raise ValueError(f"{op} width: expected at most {MAX_WIDTH}, "
+                                 f"got {ints[0]}")
             return build(op, exprs, (ints[0],))
         if ints:
             raise ValueError(f"unexpected integer argument for {op}")
@@ -699,7 +703,7 @@ class SymbolTable:
         for i, entry in enumerate(symbols):
             where = f"symbols[{i}]"
             name = field(entry, where, "name", str)
-            width = field(entry, where, "width", int, 1)
+            width = field(entry, where, "width", int, 1, maximum=MAX_WIDTH)
             kind = field(entry, where, "kind", str)
             secret = index = None
             if kind == SHARE:

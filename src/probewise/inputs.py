@@ -10,6 +10,13 @@ from __future__ import annotations
 
 import json
 
+# The largest sizes an input may declare: the width in bits of a wire, a
+# memory word, a symbol or a stimuli ZEXT/SEXT, and a memory's depth in
+# words. Past them a document could ask the simulator for any amount of
+# memory.
+MAX_WIDTH = 4096
+MAX_DEPTH = 65536
+
 _NOUNS = {dict: "an object", list: "a list", str: "a string"}
 _INT_NOUNS = {None: "an integer", 0: "a non-negative integer",
               1: "a positive integer"}
@@ -45,19 +52,23 @@ def expect(value, where: str, kind: type, minimum: int | None = None):
 
 
 def field(entry, where: str, key: str, kind: type, minimum: int | None = None,
-          default=_REQUIRED):
-    """``entry[key]`` read through :func:`expect`; an absent or null key
-    yields ``default`` when one is given. ``where`` names ``entry``, or is
-    empty for a document's top level."""
+          default=_REQUIRED, maximum: int | None = None):
+    """``entry[key]`` read through :func:`expect`, an int at most ``maximum``;
+    an absent or null key yields ``default`` when one is given. ``where``
+    names ``entry``, or is empty for a document's top level."""
     value = expect(entry, where, dict).get(key)
     if value is None and default is not _REQUIRED:
         return default
-    if type(value) is kind and (minimum is None or value >= minimum):
+    if type(value) is kind and (minimum is None or value >= minimum) \
+            and (maximum is None or value <= maximum):
         return value   # the valid case, without formatting the path
     path = f"{where}.{key}" if where else key
     if key not in entry:
         raise InputError(f"{path}: missing")
-    return expect(value, path, kind, minimum)
+    expect(value, path, kind, minimum)
+    if maximum is not None and value > maximum:
+        raise InputError(f"{path}: expected at most {maximum}, got {value}")
+    return value
 
 
 def literal(value, where: str, width: int | None = None) -> int:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .expr import format_bits
-from .inputs import InputError, expect, field, literal, load
+from .inputs import MAX_DEPTH, MAX_WIDTH, InputError, expect, field, \
+    literal, load
 
 
 class NetlistError(Exception):
@@ -185,7 +186,7 @@ def _read_netlist(doc: dict) -> Circuit:
     for i, entry in enumerate(field(doc, "", "wires", list)):
         where = f"wires[{i}]"
         name = field(entry, where, "name", str)
-        width = field(entry, where, "width", int, 1)
+        width = field(entry, where, "width", int, 1, maximum=MAX_WIDTH)
         if name in names:
             raise MalformedDocument(f"{where}.name: duplicate wire name {name!r}")
         src = field(entry, where, "src", dict, default=None)
@@ -219,8 +220,8 @@ def _read_netlist(doc: dict) -> Circuit:
         mid = field(entry, where, "id", str)
         if any(m.mid == mid for m in memories):
             raise MalformedDocument(f"{where}.id: duplicate memory id {mid!r}")
-        depth = field(entry, where, "depth", int, 1)
-        width = field(entry, where, "width", int, 1)
+        depth = field(entry, where, "depth", int, 1, maximum=MAX_DEPTH)
+        width = field(entry, where, "width", int, 1, maximum=MAX_WIDTH)
         raw = field(entry, where, "init", list, default=[])
         if len(raw) > depth:
             raise MalformedDocument(f"{where}.init: longer than depth {depth}")

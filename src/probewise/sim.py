@@ -14,7 +14,8 @@ One switch over the gate kinds gives each non-memory, non-mux gate both its
 concrete value and its term. The value is integer arithmetic on the input
 values and never touches a term; the term is built from the input terms.
 The two share no operator table, so a consistency check compares two
-independent computations.
+independent computations. It evaluates each term by :func:`expr.apply`,
+the rule enumeration's columns are computed by, so it referees that rule.
 
 Each memory is one immutable :class:`Memory` record; a cycle's writes
 replace a record only when they change one of its words, and a state holds

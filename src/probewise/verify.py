@@ -32,7 +32,10 @@ shares, varies the other shares and marginalises the publics.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
-as Python ints past 31 bits. The test is a counting kernel
+as Python ints past 31 bits. A term's column is computed by
+:func:`expr.apply`, the value rule that constant folding and
+:func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
+:func:`expr.int_rule` row by row. The test is a counting kernel
 (:func:`_first_bad_group`): the publics or the fixed symbols (never both),
 then the members, form the group key, the vary symbols the vary key. A
 selection is invariant iff each group's rows are spread alike over the
@@ -485,33 +488,10 @@ def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
         wide = _dtype(max(w, *(c.width for c in e.children)))
         kids = [_eval_column(c, cols, n, memo).astype(wide, copy=False)
                 for c in e.children]
-        if op in ex.CONNECTIVES:
-            out = functools.reduce(ex.CONNECTIVES[op], kids)
-        elif op == "ADD":
-            out = (kids[0] + kids[1]) & mask(w)
-        elif op == "SUB":
-            out = (kids[0] - kids[1]) & mask(w)
-        elif op == "MUL":
-            out = (kids[0] * kids[1]) & mask(w)
-        elif op == "POW":
-            m = 1 << w
-            out = np.frompyfunc(lambda a, b: pow(int(a), int(b), m), 2, 1)(*kids)
-        elif op in ("LSL", "LSR", "ASR"):
-            out = np.frompyfunc(
-                lambda a, s: ex.shift_value(op, int(a), int(s), w), 2, 1)(*kids)
-        elif op == "CONCAT":
-            out = kids[0]
-            for child, k in zip(e.children[1:], kids[1:]):
-                out = (out << child.width) | k
-        elif op == "EXTRACT":
-            lo, hi = e.params
-            out = (kids[0] >> lo) & mask(hi - lo + 1)
-        elif op == "ARRAY":
-            table = e.params[2]
-            depth = len(table)
-            out = np.frompyfunc(lambda i: table[int(i) % depth] & mask(w), 1, 1)(kids[0])
+        if op in ex.INT_ONLY:
+            out = np.frompyfunc(ex.int_rule(op, w, e.params), len(kids), 1)(*kids)
         else:
-            raise AssertionError(op)
+            out = ex.apply(op, w, e.params, e.children, kids)
         out = out.astype(_dtype(w), copy=False)
     memo[e] = out
     return out

@@ -17,6 +17,7 @@ from probewise.cli import main
 from probewise.manager import BIT, LeakageModel, run
 from probewise.netlist import parse_netlist, serialize_netlist
 from probewise.expr import SymbolTable
+from probewise.inputs import MAX_DEPTH, MAX_WIDTH
 from probewise.sim import dump_stimuli, parse_stimuli
 
 
@@ -428,6 +429,21 @@ def _over_tuple_cap(fixture_dir, tmp_path):
      "symbols[1].width: 2 differs from the width of secret 'a'"),
     (lambda fixture_dir, tmp_path: ["--enum-limit", "-1"],
      "--enum-limit must be >= 0, got -1"),
+    # one past each size bound, rejected before anything is simulated
+    (_edit("netlist", _set("wires", 0, "width", MAX_WIDTH + 1)),
+     "wires[0].width: expected at most 4096, got 4097"),
+    (_with_memory(_set("memories", 0, "width", MAX_WIDTH + 1)),
+     "memories[0].width: expected at most 4096, got 4097"),
+    (_with_memory(_set("memories", 0, "depth", MAX_DEPTH + 1)),
+     "memories[0].depth: expected at most 65536, got 65537"),
+    (_edit("labels", _set("symbols", 0, "width", MAX_WIDTH + 1)),
+     "symbols[0].width: expected at most 4096, got 4097"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "ZEXT(k, 4097)"})),
+     "stimuli line 2: inputs.i1.expr: ZEXT width: expected at most 4096, "
+     "got 4097"),
+    (_edit("stimuli", _set(1, "inputs", "i1", {"expr": "SEXT(k, 4097)"})),
+     "stimuli line 2: inputs.i1.expr: SEXT width: expected at most 4096, "
+     "got 4097"),
 ], ids=["gate-output", "label-width", "frame-inputs", "frame-not-object",
         "model-2x", "model-20", "gate-inputs-int", "label-width-null",
         "label-width-negative", "labels-list", "label-not-object",
@@ -442,7 +458,10 @@ def _over_tuple_cap(fixture_dir, tmp_path):
         "witness-int", "witness-missing", "stimuli-empty",
         "stimuli-witness-only", "share-secret-list",
         "share-index-string", "share-secret-undeclared", "share-of-mask",
-        "share-width", "enum-limit-negative"])
+        "share-width", "enum-limit-negative", "wire-width-past-bound",
+        "memory-width-past-bound", "memory-depth-past-bound",
+        "label-width-past-bound", "drive-zext-past-bound",
+        "drive-sext-past-bound"])
 def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
                                                mutate, message):
     # later flags override the valid fig5 paths
@@ -499,8 +518,8 @@ def mutation_sites(fixture_dir):
                                     kind))]
 
 
-# Every drawn integer stays small: a huge wire width or memory depth passes
-# the type checks and makes the simulator allocate that many bits or cells.
+# Every drawn integer stays small, so no mutated size makes the simulator
+# allocate much; the size bounds are tested at parse time only.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(),
        value=st.sampled_from([_DROP, None, True, -3, 0, 7, "x", [], {}, [1]]))
@@ -535,3 +554,49 @@ def test_ni_sni_reject_arguments_below_1(capsys, command, args, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_sizes_at_their_bounds_parse():
+    # a wire, a memory word and a symbol of MAX_WIDTH bits, a memory of
+    # MAX_DEPTH words and drives extended to MAX_WIDTH bits; parsed only
+    circuit = parse_netlist(json.dumps({
+        "wires": [{"name": "i", "width": MAX_WIDTH}], "inputs": ["i"],
+        "outputs": ["i"], "gates": [], "registers": [],
+        "memories": [{"id": "t", "depth": MAX_DEPTH, "width": MAX_WIDTH}]}))
+    assert circuit.wire(0).width == MAX_WIDTH
+    (memory,) = circuit.memories
+    assert (memory.depth, memory.width, len(memory.init)) == \
+        (MAX_DEPTH, MAX_WIDTH, MAX_DEPTH)
+    labels = SymbolTable.from_json({"symbols": [
+        {"name": "k", "width": 1, "kind": "secret"},
+        {"name": "w", "width": MAX_WIDTH, "kind": "public"}]})
+    assert labels.width("w") == MAX_WIDTH
+    lines = [{"witness": {"k": "0b1"}}] + [
+        {"cycle": c, "inputs": {"i": {"expr": f"{op}(k, {MAX_WIDTH})"}}}
+        for c, op in enumerate(("ZEXT", "SEXT"))]
+    stimuli = parse_stimuli("\n".join(map(json.dumps, lines)),
+                            labels.widths(), circuit)
+    assert [f.inputs["i"].width for f in stimuli.frames] == [MAX_WIDTH] * 2
+
+
+@pytest.mark.parametrize("orders", ["0", "-1", "1,0"])
+def test_gen_fixtures_rejects_orders_below_1(tmp_path, capsys, orders):
+    out = tmp_path / "fx"
+    assert main(["gen-fixtures", "--out", str(out), f"--orders={orders}"]) == 2
+    captured = capsys.readouterr()
+    bad = [d for d in orders.split(",") if int(d) < 1][0]
+    assert captured.err == f"error: --orders must be >= 1, got {bad}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_gen_fixtures_out_naming_a_file_exits_2(tmp_path, capsys, under):
+    # --out names a file, or a directory under one: mkdir fails
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "fx" if under else taken
+    assert main(["gen-fixtures", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(out) in err
+    assert "Traceback" not in err and taken.read_text() == ""

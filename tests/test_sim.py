@@ -532,6 +532,30 @@ def test_a_wrong_term_operator_is_a_consistency_violation(monkeypatch, op):
     pytest.fail(f"{op} built as {into} went unnoticed")
 
 
+@pytest.mark.parametrize("op", ["XOR", "AND", "OR", "ADD", "SUB", "MUL",
+                                "CONCAT", "EXTRACT"])
+def test_a_wrong_value_rule_is_a_consistency_violation(monkeypatch, op):
+    # Flip bit 0 of op's value in the one rule that folds constants,
+    # evaluates terms and fills enumeration's columns: the concrete values,
+    # computed without it, then disagree with the terms on some random
+    # circuit.
+    real = ex.apply
+
+    def flipped(o, w, params, children, kids):
+        out = real(o, w, params, children, kids)
+        return out ^ 1 if o == op else out
+
+    for seed in range(40):
+        fx = gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "apply", flipped)
+            try:
+                simulate(fx, SimOptions(check_consistency=True))
+            except ConsistencyViolation:
+                return
+    pytest.fail(f"{op} with a flipped value went unnoticed")
+
+
 def _steady_gate(kind, inputs):
     """Three cycles of one gate ``o`` of ``kind`` over inputs driven alike
     every cycle (s by k, a by CST(0), b by CST(1)); cycle 2 carries o."""

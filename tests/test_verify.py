@@ -848,19 +848,24 @@ def test_narrow_columns_equal_the_tree_oracle():
         ("LSL", [x[9], x[7]], ()), ("ASR", [x[16], x[1]], ()),
         ("LSR", [x[32], x[7]], ()), ("XOR", [x[32], ("cst", 1 << 31, 32)], ()),
     ]
+    # each row's assignment: eval_concrete computes by the same rule as
+    # the columns, on Python ints past 31 bits
+    assignments = [{n: int(c[r]) for n, c in cols.items()}
+                   for r in range(rows)]
     memo = {}
     for tree in trees:
         e = oracles.tree_to_expr(tree)
         got = [int(v) for v in vf._eval_column(e, cols, rows, memo)]
-        want = [oracles.tree_eval(tree, {n: int(c[r])
-                                         for n, c in cols.items()})
-                for r in range(rows)]
+        want = [oracles.tree_eval(tree, a) for a in assignments]
         assert got == want, ex.render(e)
+        assert [ex.eval_concrete(e, a) for a in assignments] == want, \
+            ex.render(e)
     # a bound table read, indexed past uint16, its values past its width
     table = [rng.getrandbits(7) for _ in range(10)]
     read = ex.array_lookup("t", oracles.tree_to_expr(x[17]), 5, table)
     got = [int(v) for v in vf._eval_column(read, cols, rows, memo)]
     assert got == [table[int(i) % 10] & 31 for i in cols["x17"]]
+    assert [ex.eval_concrete(read, a) for a in assignments] == got
     assert len(memo) > len(trees)
     for e, col in memo.items():
         assert col.dtype == vf._dtype(e.width), ex.render(e)
