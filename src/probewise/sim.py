@@ -452,8 +452,6 @@ def _eval_mem_write(circuit: Circuit, state: SimState, g: Gate,
 # Concrete / symbolic functionalities
 # ---------------------------------------------------------------------------
 
-# each shift kind's operator, once for the value and once for the term
-_SHIFT_VALUE = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}
 _SHIFT_TERM = {"shl": "LSL", "shr": "LSR", "sshr": "ASR"}
 
 
@@ -497,8 +495,14 @@ def _value_and_term(circuit: Circuit, g: Gate, ins: list[Valuation],
         else:
             s = int(amount)
             amt = cst(s, max(s.bit_length(), 1))
-        return ex.shift_value(_SHIFT_VALUE[kind], vs[0], s, w), \
-            ex.build(_SHIFT_TERM[kind], [es[0], amt])
+        x, s = vs[0], min(s, w)   # past w places every bit is shifted out
+        if kind == "shl":
+            value = (x << s) & mask(w)
+        elif kind == "shr":
+            value = x >> s
+        else:   # sshr: the two's-complement value, floor-shifted
+            value = ((x ^ (1 << (w - 1))) - (1 << (w - 1)) >> s) & mask(w)
+        return value, ex.build(_SHIFT_TERM[kind], [es[0], amt])
     if kind == "trunc":
         lo = int(circuit.gate_param(g, "lo", 0))
         return (vs[0] >> lo) & mask(w), ex.extract(es[0], lo, lo + w - 1)

@@ -32,18 +32,21 @@ shares, varies the other shares and marginalises the publics.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
-as Python ints past 31 bits. A term's column is computed by
-:func:`expr.apply`, the value rule that constant folding and
-:func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
-:func:`expr.int_rule` row by row. The test is a counting kernel
-(:func:`_first_bad_group`): the publics or the fixed symbols (never both),
-then the members, form the group key, the vary symbols the vary key. A
-selection is invariant iff each group's rows are spread alike over the
-vary values, and a leak's witness is the first group in key order that is
-not. The kernel finds the first group column by column and counts its
-rows only; the whole keys are packed into int64 by :func:`_pack`, and
-sorted, only when that group is even. Public values are walked in key order, one
-range at a time, and the first range that leaks decides.
+as Python ints past 31 bits, and built when first read (:class:`_Columns`).
+A term's column is computed by :func:`expr.apply`, the value rule that
+constant folding and :func:`expr.eval_concrete` use too, and an
+``INT_ONLY`` operator's by its :func:`expr.int_rule` row by row. The test
+is a counting kernel (:func:`_first_bad_group`): the publics or the fixed
+symbols (never both), then the members, form the group key, the vary
+symbols the vary key. A selection is invariant iff each group's rows are
+spread alike over the vary values, and a leak's witness is the first group
+in key order that is not. The kernel finds the first group column by
+column (:func:`_first_group`): only the key up to the first member is read
+over all rows, each later member at the rows still in the group. It
+counts that group's rows only; every member's column over all rows is
+evaluated, and the whole keys are packed into int64 by :func:`_pack` and
+sorted, only when that group is even. Public values are walked in key
+order, one range at a time, and the first range that leaks decides.
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
 sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
@@ -61,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -353,9 +357,20 @@ def _dtype(width: int) -> np.dtype:
 def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
     """Rows ``[start, stop)`` of the bit field ``(row >> off) & mask(width)``,
     in the type of its width: each value is made once per run of ``2^off``
-    rows and repeated, so no row index is built."""
+    rows and repeated, so no row index is built, and up to 16 bits the
+    values are cut from repeats of one cycle of the field, so no int64
+    temporary is built either."""
     first, last = start >> off, -(-stop >> off)
-    values = (np.arange(first, last) & mask(width)).astype(_dtype(width))
+    if width <= 16:
+        # repeats of one cycle of the field's values, cut from first's
+        lo, n = first & mask(width), last - first
+        cycle = np.arange(1 << width, dtype=_dtype(width))
+        values = cycle[None].repeat(-(-(lo + n) >> width), 0).reshape(-1)[
+            lo:lo + n]
+    else:
+        values = np.arange(first, last)
+        values &= mask(width)
+        values = values.astype(_dtype(width), copy=False)
     run = 1 << off
     if not (start | stop) & (run - 1):
         return values.repeat(run) if off else values
@@ -365,18 +380,80 @@ def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
     return values.repeat(np.diff(edges))
 
 
+def _field_at(off: int, width: int, start: int, rows: np.ndarray) -> np.ndarray:
+    """:func:`_field` at the rows ``start + rows`` only, from the indices.
+    Where ``start`` begins a run, ``rows >> off`` is cast straight to the
+    narrow type, which keeps the low bits the mask needs, so no temporary
+    int64 column is built."""
+    if start & ((1 << off) - 1):
+        rows, start = rows + start, 0   # the range cuts the run of start
+    out = np.right_shift(rows, off, out=np.empty(len(rows), _dtype(width)),
+                         casting="unsafe")
+    if (start >> off) & mask(width):
+        out += (start >> off) & mask(width)
+    out &= mask(width)
+    return out
+
+
+class _Columns(dict):
+    """The base and derived fields of the rows ``[start, stop)`` by name, or
+    of the rows ``start + at`` among them (:meth:`gather`); each is built on
+    first read, a derived one as the XOR of its parts."""
+
+    def __init__(self, space: "_Space", derived: Mapping[str, list[str]],
+                 start: int, stop: int, at: np.ndarray | None = None,
+                 source: "_Columns | None" = None,
+                 sel: np.ndarray | None = None):
+        super().__init__()
+        self.space, self.derived, self.start, self.stop = \
+            space, derived, start, stop
+        # at: the rows (None: every row); source: the columns gathered
+        # from, at the positions sel of its rows
+        self.at, self.source, self.sel = at, source, sel
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if self.source is not None and name in self.source:
+            col = self.source[name][self.sel]
+        elif name in self.derived:
+            col = functools.reduce(operator.xor,
+                                   map(self.__getitem__, self.derived[name]))
+        elif self.at is None:
+            col = _field(self.space.offsets[name], self.space.widths[name],
+                         self.start, self.stop)
+        else:
+            col = _field_at(self.space.offsets[name], self.space.widths[name],
+                            self.start, self.at)
+        self[name] = col
+        return col
+
+    def gather(self, pos: np.ndarray) -> "_Columns":
+        """The fields at the positions ``pos`` (ascending) of these rows
+        only: a field these columns hold is selected, any other computed
+        from the row indices."""
+        return _Columns(self.space, self.derived, self.start, self.stop,
+                        pos if self.at is None else self.at[pos], self, pos)
+
+    def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
+        """The values of the base fields ``names`` at ``row``."""
+        widths, offsets = self.space.widths, self.space.offsets
+        return {name: ((self.start + row) >> offsets[name]) & mask(widths[name])
+                for name in names}
+
+
 @dataclass
 class _Space:
     """Cartesian assignment space over base variables, with derived symbols,
-    each the XOR of its parts; ``cols`` hold the ``rows`` rows last
-    materialised, a symbol's in the narrow type :func:`_dtype` gives its
-    width. Only the keys :func:`_pack` builds from them are int64, and a
-    leak decided at its first group builds none over all rows."""
+    each the XOR of its parts. ``cols`` holds the fields of the ``rows``
+    rows last materialised, each built on first read, a symbol's in the
+    narrow type :func:`_dtype` gives its width; ``cols.gather`` builds
+    them at some of those rows only. A leak decided at its first group
+    therefore builds over all rows only the fields of its leading key, and
+    no packed int64 key."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
     total_bits: int
-    cols: dict[str, np.ndarray] = field(default_factory=dict)
+    cols: _Columns | None = None
     rows: int = 0
 
     @property
@@ -385,22 +462,12 @@ class _Space:
 
     def materialise(self, derived: Mapping[str, list[str]],
                     start: int = 0, stop: int | None = None) -> None:
-        """Columns of the rows ``[start, stop)``, by default all of them; they
-        replace those of the range materialised before."""
+        """Make the rows ``[start, stop)``, by default all of them, those of
+        ``cols``, in place of the range materialised before; no field is
+        built until it is read."""
         stop = self.size if stop is None else stop
         self.rows = stop - start
-        self.cols = {}
-        for name in self.order:
-            self.cols[name] = _field(self.offsets[name], self.widths[name],
-                                     start, stop)
-        for name, (first, *rest) in derived.items():
-            col = self.cols[first]
-            for part in rest:
-                col = col ^ self.cols[part]
-            self.cols[name] = col
-
-    def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
-        return {n: int(self.cols[n][row]) for n in names}
+        self.cols = _Columns(self, derived, start, stop)
 
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
@@ -531,27 +598,36 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
     return key, bound
 
 
-def _base_parts(names: Sequence[str], space: _Space) -> list[tuple[np.ndarray, int]]:
+def _base_parts(names: Sequence[str],
+                cols: _Columns) -> list[tuple[np.ndarray, int]]:
     """Bit fields in which every combination occurs: dense, sorted as packed."""
-    return [(space.cols[name], 1 << space.widths[name]) for name in names]
-
-
-def _member_parts(exprs: Sequence[Expr], space: _Space,
-                  memo: dict) -> list[tuple[np.ndarray, int | None]]:
-    return [(_eval_column(e, space.cols, space.rows, memo),
-             (1 << e.width) if e.width <= _INT64_WIDTH else None)
-            for e in exprs]
+    return [(cols[name], 1 << cols.space.widths[name]) for name in names]
 
 
 @dataclass
 class _Members:
-    """One range's member columns as key parts in key order, the publics'
-    field first when the range holds more than one public value. Each part
-    is (column, value bound), as :func:`_member_parts` gives. The key is
-    packed at most once, and densified at most once, for all of the
-    range's selections."""
-    parts: list[tuple[np.ndarray, int | None]]
-    rows: int
+    """One range's members in key order, after ``lead``: the publics' field
+    when the range holds more than one public value, as a key part (column,
+    value bound). A member's column over all rows is evaluated on the
+    range's columns under ``memo``, shared by all of the range's
+    selections: the first member's for each first group, and all of them,
+    as ``parts``, only for a selection whose first group is even. The key is
+    packed at most once, and densified at most once."""
+    exprs: Sequence[Expr]
+    space: _Space
+    lead: list[tuple[np.ndarray, int]]
+    memo: dict = field(default_factory=dict)
+
+    def column(self, e: Expr) -> np.ndarray:
+        return _eval_column(e, self.space.cols, self.space.rows, self.memo)
+
+    @functools.cached_property
+    def parts(self) -> list[tuple[np.ndarray, int | None]]:
+        """Each part is (column, value bound), the bound None for members
+        too wide for int64."""
+        return [*self.lead, *((self.column(e), (1 << e.width)
+                               if e.width <= _INT64_WIDTH else None)
+                              for e in self.exprs)]
 
     @functools.cached_property
     def key(self) -> tuple[np.ndarray, int]:
@@ -562,50 +638,90 @@ class _Members:
         """The key as a part after fixed fields: dense ids when its bound
         exceeds the row count."""
         key, bound = self.key
-        return _dense(key) if bound > self.rows else (key, bound)
+        return _dense(key) if bound > self.space.rows else (key, bound)
 
 
-def _first_group(cols: Sequence[np.ndarray]) -> np.ndarray:
-    """The rows, ascending, of the first group in key order of the
-    columns ``cols``: column by column, the rows that hold the column's
-    least value among the rows still in."""
-    first, *rest = cols
-    rows = np.flatnonzero(first == first.min())
-    for col in rest:
-        col = col[rows]
-        rows = rows[col == col.min()]
-    return rows
+_REGATHER = 8   # a stage gathers again once its group is this many times smaller
 
 
-def _first_bad_group(fixed: Sequence[tuple[np.ndarray, int]],
-                     members: _Members,
-                     vary: Sequence[tuple[np.ndarray, int]]
-                     ) -> tuple[int, np.ndarray] | None:
+def _least(col: np.ndarray, pos: np.ndarray | None):
+    """The positions among ``pos`` (None: every row) at which ``col`` holds
+    its least value there, and that value."""
+    sub = col if pos is None else col[pos]
+    least = sub.min()
+    hit = sub == least
+    return (hit.nonzero()[0] if pos is None else pos[hit]), least
+
+
+def _first_group(fixed: Sequence[np.ndarray], members: _Members
+                 ) -> tuple[_Columns, list]:
+    """The first group in key order of the columns ``fixed``, then
+    ``members``' lead and members: column by column, the rows that hold the
+    column's least value among the rows still in. Returns the fields at the
+    group's rows (their ``at``, ascending) and the group's member values.
+
+    Only that leading key, up to the first member, is read over all rows.
+    Each later member is evaluated at the rows still in alone: a stage
+    gathers the fields of its rows (:meth:`_Columns.gather`) under one node
+    memo, and gathers again only once the group is ``_REGATHER`` times
+    smaller than the rows last gathered."""
+    pos = None
+    for col in [*fixed, *(col for col, _ in members.lead)]:
+        pos, _ = _least(col, pos)
+    pos, least = _least(members.column(members.exprs[0]), pos)
+    values = [least]
+    cols = members.space.cols   # the leading key's stage: every row
+    for e in members.exprs[1:]:
+        if cols.at is None or len(pos) * _REGATHER < len(cols.at):
+            cols, memo, pos = cols.gather(pos), {}, None
+        pos, least = _least(_eval_column(e, cols, len(cols.at), memo), pos)
+        values.append(least)
+    return cols.gather(pos), values
+
+
+def _first_bad_group(fixed: Sequence[str], members: _Members,
+                     vary: Sequence[str]) -> tuple[int, np.ndarray, list] | None:
     """The counting kernel: the first group, in key order, whose rows are not
     spread evenly over the values of the ``vary`` fields. The group key is
-    the ``fixed`` fields, then ``members``' parts; each field is (column,
-    value bound).
+    the ``fixed`` fields, then ``members``' parts.
 
-    Returns the group's first row and its row count per vary value, or None
-    when every group is invariant, as every group is with no vary field.
-    The first group's rows (:func:`_first_group`) are counted first: if
-    they are uneven, it is the first bad group, and nothing is packed or
-    sorted over all rows. Else the whole key is packed, and densified (the
-    only sort) when its bound exceeds the row count. A group whose size is
-    not a multiple of the vary values' count is uneven without looking
-    further; only the groups before the first such one are histogrammed,
-    at most 2 x rows cells.
+    Returns the group's first row, its row count per vary value and its
+    member values, or None when every group is invariant, as every group is
+    with no vary field. The first group's rows (:func:`_first_group`) are
+    counted first, on the vary fields gathered at them: if they are uneven,
+    it is the first bad group, and no vary field, later member or key is
+    built over all rows. Else the members' full columns are evaluated and
+    the whole key packed (:func:`_bad_group`), and the member values are
+    read from those columns.
     """
     if not vary:
         return None
-    first = _first_group([col for col, _ in (*fixed, *members.parts)])
-    head_vary, n_vary = _pack([(col[first], b) for col, b in vary])
+    cols = members.space.cols
+    group, values = _first_group([cols[name] for name in fixed], members)
+    head_vary, n_vary = _pack(_base_parts(vary, group))
     counts = np.bincount(head_vary, minlength=n_vary)
     if (counts != counts[0]).any():
-        return int(first[0]), counts
-    groups, n_groups = _pack([*fixed, members.dense]) if fixed \
-        else members.key
-    vary_key, _ = _pack(vary)
+        return int(group.at[0]), counts, values
+    groups, n_groups = _pack([*_base_parts(fixed, cols), members.dense]) \
+        if fixed else members.key
+    vary_key, _ = _pack(_base_parts(vary, cols))
+    bad = _bad_group(groups, n_groups, vary_key, n_vary)
+    if bad is None:
+        return None
+    row, counts = bad
+    return row, counts, [col[row] for col, _ in
+                         members.parts[len(members.lead):]]
+
+
+def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
+               n_vary: int) -> tuple[int, np.ndarray] | None:
+    """The first row and the count per vary value of the first group of the
+    packed keys ``groups`` whose rows are not spread evenly over the
+    ``n_vary`` values of ``vary_key``, or None. The keys are densified (the
+    only sort) when their bound exceeds the row count. A group whose size is
+    not a multiple of ``n_vary`` is uneven without looking further; only the
+    groups before the first such one are histogrammed, at most 2 x rows
+    cells."""
     n = len(groups)
     if n_groups > n:
         groups, n_groups = _dense(groups)
@@ -644,31 +760,26 @@ def _unpack(key: int, names: Sequence[str],
     return out
 
 
-def _witness(row: int, counts: np.ndarray, space: _Space,
-             exprs: Sequence[Expr], memo: dict, vary: Sequence[str],
+def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
+             exprs: Sequence[Expr], vary: Sequence[str],
              fixed: Sequence[str]) -> LeakWitness:
-    """Every row of a group shares its fixed and member values, so ``row``
-    stands for the group; the two assignments are the lowest vary value
-    present and the lowest absent one, or else the lowest with another
-    count."""
+    """Every row of a group shares its fixed and member ``values``, so
+    ``row`` stands for the group; the two assignments are the lowest vary
+    value present and the lowest absent one, or else the lowest with
+    another count."""
     a = int(np.flatnonzero(counts)[0])
     absent = np.flatnonzero(counts == 0)
     b = int(absent[0]) if absent.size else \
         int(np.flatnonzero(counts != counts[a])[0])
-    tuple_text = _format_tuple(exprs, memo, row)
+    tuple_text = ", ".join(f"{render(e)}={ex.format_bits(int(v), e.width)}"
+                           for e, v in zip(exprs, values))
     return LeakWitness(
         vary_a=_unpack(a, vary, space.widths),
         vary_b=_unpack(b, vary, space.widths),
-        fixed=space.decode(row, fixed),
-        evidence=(f"joint value {tuple_text} "
+        fixed=space.cols.decode(row, fixed),
+        evidence=(f"joint value ({tuple_text}) "
                   f"occurs {int(counts[a])} vs {int(counts[b])} times"),
     )
-
-
-def _format_tuple(exprs: Sequence[Expr], memo: dict, row: int) -> str:
-    parts = [f"{render(e)}={ex.format_bits(int(memo[e][row]), e.width)}"
-             for e in exprs]
-    return "(" + ", ".join(parts) + ")"
 
 
 _FIRST_RANGE_ROWS = 1 << 14   # rows of the first range of public values
@@ -701,35 +812,30 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
     leaking range is therefore the whole space's, with the same counts, and
     a leak usually costs a small prefix of the space. This needs the
     publics to lead the group key: no selection may fix symbols when
-    ``publics`` are given. Each range's members are evaluated once and, if
-    some selection's first group is even, packed and densified once
-    (:class:`_Members`); a selection whose first group is uneven packs
-    nothing of them."""
+    ``publics`` are given. A range's fields are built, and its members
+    evaluated over all of its rows, on first need and once for all of its
+    selections (:class:`_Members`): a selection whose first group is uneven
+    builds only its leading key over all rows, and packs nothing of it."""
     low = space.total_bits - sum(space.widths[p] for p in publics)
-    memo: dict = {}
     alive = selections
     witness: LeakWitness | None = None
     for start, stop in _public_ranges(space.size, 1 << low):
-        memo.clear()
         space.materialise(derived, start, stop)
-        parts = _member_parts(exprs, space, memo)
         values = (stop - start) >> low
-        if values > 1:
-            # the publics packed in key order are the row index's top bits
-            parts.insert(0, (_field(low, (values - 1).bit_length(), 0,
-                                    stop - start), values))
-        members = _Members(parts, space.rows)
+        # the publics packed in key order are the row index's top bits
+        lead = [(_field(low, (values - 1).bit_length(), 0, stop - start),
+                 values)] if values > 1 else []
+        members = _Members(exprs, space, lead)
         invariant = []
         for sel in alive:
             fixed, vary = sel
-            bad = _first_bad_group(_base_parts(fixed, space), members,
-                                   _base_parts(vary, space))
+            bad = _first_bad_group(fixed, members, vary)
             if bad is None:
                 invariant.append(sel)
                 if stop == space.size:
                     break   # invariant in every range: nothing else to see
             elif sel is selections[0]:
-                witness = _witness(*bad, space, exprs, memo, vary,
+                witness = _witness(*bad, space, exprs, vary,
                                    [*publics, *fixed])
         if not invariant:
             return Verdict.leaks(witness)

@@ -6,6 +6,7 @@ import pytest
 
 from probewise import expr as ex, gadgets, netlist, sim
 from probewise.inputs import InputError
+from probewise.netlist import SHIFT_KINDS
 from probewise.sim import (ConsistencyViolation, SimOptions, Stimuli,
                            StimulusFrame, SymbolicIndexUnhandled,
                            consistency_check, initial_state, parse_stimuli,
@@ -477,6 +478,48 @@ def test_dynamic_shift_is_width_mixing():
         {ex.render(b) for b in ex.bits(ex.sym("s", 2))}
     assert flat == expected
     assert o.stab == 0
+
+
+def _shift_by_a_symbol(kinds=SHIFT_KINDS):
+    """A gate of each of ``kinds``, named after it, shifting a 4-bit ``v``
+    by a 3-bit symbolic amount ``n``, which reaches past the width."""
+    doc = {
+        "wires": [{"name": "v", "width": 4}, {"name": "n", "width": 3},
+                  *({"name": k, "width": 4} for k in kinds)],
+        "inputs": ["v", "n"], "outputs": list(kinds),
+        "gates": [{"kind": k, "output": k, "inputs": ["v", "n"]}
+                  for k in kinds],
+        "registers": [],
+    }
+    return netlist.parse_netlist(json.dumps(doc))
+
+
+_SHIFT_FRAMES = [StimulusFrame({"v": ex.sym("m", 4), "n": ex.sym("s", 3)})]
+
+
+def test_shift_values_by_a_symbolic_amount():
+    circuit = _shift_by_a_symbol()
+    for m in (0b0110, 0b1011):
+        for s in range(8):
+            (st,) = _states(circuit, Stimuli({"m": m, "s": s}, _SHIFT_FRAMES),
+                            SimOptions(check_consistency=True))
+            signed = m - 16 if m & 8 else m
+            assert [valuation(st, k).conc for k in SHIFT_KINDS] == \
+                [(m << s) & 15, m >> s, (signed >> s) & 15]
+
+
+@pytest.mark.parametrize("kind", SHIFT_KINDS)
+def test_a_wrong_shift_value_is_a_consistency_violation(monkeypatch, kind):
+    # The term evaluates by ex.shift_value, the gate's value by the
+    # simulator's own arithmetic: a fault in the first shows.
+    real = ex.shift_value
+    monkeypatch.setattr(ex, "shift_value",
+                        lambda op, x, s, w: real(op, x, s, w) ^ 1)
+    with pytest.raises(ConsistencyViolation) as err:
+        _states(_shift_by_a_symbol([kind]),
+                Stimuli({"m": 0b1011, "s": 1}, _SHIFT_FRAMES),
+                SimOptions(check_consistency=True))
+    assert err.value.wire == kind
 
 
 def test_consistency_fault_injection():

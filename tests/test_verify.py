@@ -6,6 +6,7 @@ import json
 import math
 import re
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -785,17 +786,60 @@ def test_first_uneven_group_of_a_probe_tuple():
     assert v.witness.fixed == {"a0": 1}
 
 
-def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
+def test_an_even_first_group_before_a_leak_far_into_the_range():
+    for width, t in ((3, 5), (15, 30000)):
+        labels = SymbolTable()
+        labels.declare("k", 1, ex.SECRET)
+        labels.declare("m", width, ex.MASK)
+        k, m = s("k"), s("m", width)
+        # groups (0, m) are even below t and show k from t on: the witness
+        # is read from the members' columns over all rows, at row 2t
+        exprs = make_expr_set([ex.build("AND", [k, _at_least(m, t)]), m])
+        v = _enumerated(exprs, labels)
+        assert v.witness.vary_a == {"k": 0}
+        assert v.witness.evidence.endswith(
+            f"SYMB(m)={ex.format_bits(t, width)}) occurs 1 vs 0 times")
+        assert _assert_witness_counts(exprs, labels, v.witness) == [1, 0]
+
+
+def test_an_even_first_group_of_the_first_of_many_selections():
+    labels = SymbolTable()
+    labels.declare("a", 3, ex.SECRET)
+    for i in range(3):
+        labels.declare(f"a{i}", 3, ex.SHARE, secret="a", index=i)
+    a0, a1, a2 = (s(f"a{i}", 3) for i in range(3))
+    # three selections, each of one share, and all leak. Fixing a0, the
+    # first group (a0 = 0, both members 0) holds every (a1, a2); under
+    # a0 = 1 the AND shows a1 ^ a2, and the witness is read from the
+    # members' columns over all rows
+    exprs = make_expr_set([ex.build("AND", [a0, xor(a1, a2)]), a0])
+    v = vf._simulatable(exprs, labels, 1, 20)
+    assert v.status == vf.LEAKS
+    _is_first_uneven_group(v, exprs, labels, (["a0"], ["a1", "a2"]))
+    assert v.witness.fixed == {"a0": 1}
+    _assert_witness_counts(exprs, labels, v.witness, shares_free=True)
+
+
+def _first_group_leaks():
+    """Two 2^20-row sets that leak at their first group: ``k ^ m0`` and
+    nineteen 1-bit masks, and ``k ^ m0`` and eighteen nodes
+    ``(m_i & m_i+1) ^ m_i+2`` over them, indices modulo 19."""
     labels = SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     masks = [s(f"m{i}") for i in range(19)]
     for e in masks:
         labels.declare(e.name, 1, ex.MASK)
-    # twenty 1-bit members over 20 bits: the first group, every member 0,
-    # is the one row k = 0
-    exprs = make_expr_set([xor(s("k"), masks[0]), *masks])
-    packed, densified = [], []
-    pack, dense = vf._pack, vf._dense
+    nodes = [xor(ex.build("AND", [masks[i], masks[(i + 1) % 19]]),
+                 masks[(i + 2) % 19]) for i in range(18)]
+    head = xor(s("k"), masks[0])
+    return labels, make_expr_set([head, *masks]), make_expr_set([head, *nodes])
+
+
+def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
+    labels, bare, nodes = _first_group_leaks()
+    packed, densified, fields, evaluated = [], [], [], []
+    pack, dense, field, evaluate = vf._pack, vf._dense, vf._field, \
+        vf._eval_column
 
     def spy_pack(parts):
         packed.append([len(col) for col, _ in parts])
@@ -805,11 +849,55 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
         densified.append(len(arr))
         return dense(arr)
 
+    def spy_field(off, width, start, stop):
+        fields.append(off)
+        return field(off, width, start, stop)
+
+    def spy_evaluate(e, cols, n, memo):
+        evaluated.append((e, n))
+        return evaluate(e, cols, n, memo)
+
     monkeypatch.setattr(vf, "_pack", spy_pack)
     monkeypatch.setattr(vf, "_dense", spy_dense)
-    v = check_enumeration(exprs, labels)
+    monkeypatch.setattr(vf, "_field", spy_field)
+    monkeypatch.setattr(vf, "_eval_column", spy_evaluate)
+    # twenty 1-bit members over 20 bits: the first group, every member 0,
+    # is the one row k = 0
+    v = check_enumeration(bare, labels)
     assert v.witness.evidence.endswith("occurs 1 vs 0 times")
     assert packed == [[1]] and densified == []
+    # only the fields of the first member, k ^ m0, are built over all rows
+    assert bare[0] is xor(s("k"), s("m0")) and sorted(fields) == [0, 1]
+    packed.clear()
+    evaluated.clear()
+    v = check_enumeration(nodes, labels)
+    assert v.witness.evidence.endswith("occurs 2 vs 1 times")
+    assert packed == [[3]] and densified == []
+    # the first member is evaluated over all rows, each later one only at
+    # rows of its group that a stage gathered
+    rows = {e: n for e, n in evaluated if e in nodes}
+    assert rows.pop(nodes[0]) == 1 << 20
+    assert len(rows) == len(nodes) - 1 and max(rows.values()) < 1 << 20
+
+
+def test_a_leak_in_the_first_group_stays_within_its_memory_bound():
+    labels, bare, nodes = _first_group_leaks()
+    # traced peaks (numpy's buffers included): 28 and 64 MiB when every
+    # field and member column was built over all rows, 11.5 and 17 MiB
+    # when only the first member's are: the bounds keep a margin over
+    # the latter, and the nodes' is below half of its 64 MiB
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for exprs, bound in ((bare, 16), (nodes, 24)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert check_enumeration(exprs, labels).status == vf.LEAKS
+            peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+            assert peak < bound, f"{peak:.1f} MiB traced, bound {bound}"
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +980,14 @@ def test_materialise_every_public_range(monkeypatch):
     for start, stop in ranges:
         space.materialise(derived, start, stop)
         assert space.rows == stop - start
+        # every third row, computed from the row indices before any field
+        # is built over the range
+        at = np.arange(0, stop - start, 3)
+        gathered = space.cols.gather(at)
+        for name in [*space.order, "k1"]:
+            assert gathered[name].dtype == vf._dtype(space.widths.get(name, 1))
+            assert gathered[name].tolist() == \
+                space.cols[name][at].tolist(), name
         for name in space.order:
             off, w = space.offsets[name], space.widths[name]
             col = space.cols[name]
