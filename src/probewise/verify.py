@@ -40,12 +40,15 @@ is a counting kernel (:func:`_first_bad_group`): the publics or the fixed
 symbols (never both), then the members, form the group key, the vary
 symbols the vary key. A selection is invariant iff each group's rows are
 spread alike over the vary values, and a leak's witness is the first group
-in key order that is not. The kernel finds the first group column by
-column (:func:`_first_group`): only the key up to the first member is read
-over all rows, each later member at the rows still in the group. It
-counts that group's rows only; every member's column over all rows is
-evaluated, and the whole keys are packed into int64 by :func:`_pack` and
-sorted, only when that group is even. Public values are walked in key
+in key order that is not. The kernel finds the first group one block of
+at most ``_BLOCK_ROWS`` rows at a time (:func:`_first_group`), column by
+column: the key up to the first member is read at every row of the
+block, each later member at the rows still in the group, and a block
+whose key already exceeds the least so far is left. It counts that
+group's rows only, so a leak decided there holds at most one block of any
+column, plus the rows of its group. Every member's column over all rows
+is evaluated, and the whole keys are packed into int64 by :func:`_pack`
+and sorted, only when that group is even. Public values are walked in key
 order, one range at a time, and the first range that leaks decides.
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
@@ -447,8 +450,9 @@ class _Space:
     rows last materialised, each built on first read, a symbol's in the
     narrow type :func:`_dtype` gives its width; ``cols.gather`` builds
     them at some of those rows only. A leak decided at its first group
-    therefore builds over all rows only the fields of its leading key, and
-    no packed int64 key."""
+    reads these rows one block at a time (:func:`_first_group`): it builds
+    no field over more than one block, and no packed int64 key; an even
+    first group builds them over all rows."""
     order: list[str]                     # base variable names, offset order
     offsets: dict[str, int]
     widths: dict[str, int]
@@ -606,17 +610,28 @@ def _base_parts(names: Sequence[str],
 
 @dataclass
 class _Members:
-    """One range's members in key order, after ``lead``: the publics' field
-    when the range holds more than one public value, as a key part (column,
-    value bound). A member's column over all rows is evaluated on the
+    """One range's members in key order, after the lead: the publics'
+    field, the row bits from ``low`` up, when the range holds more than one
+    public value. A member's column over all rows is evaluated on the
     range's columns under ``memo``, shared by all of the range's
-    selections: the first member's for each first group, and all of them,
-    as ``parts``, only for a selection whose first group is even. The key is
-    packed at most once, and densified at most once."""
+    selections, and only for a selection whose first group is even, as
+    ``parts``; a range of one block shares them with its first-group walks.
+    The key is packed at most once, and densified at most once."""
     exprs: Sequence[Expr]
     space: _Space
-    lead: list[tuple[np.ndarray, int]]
+    low: int
     memo: dict = field(default_factory=dict)
+
+    def lead(self, start: int = 0, stop: int | None = None
+             ) -> list[tuple[np.ndarray, int]]:
+        """The lead over the rows ``[start, stop)`` of the range, by default
+        all of them, as a key part (column, value bound), or no part."""
+        values = self.space.rows >> self.low
+        if values == 1:
+            return []
+        stop = self.space.rows if stop is None else stop
+        return [(_field(self.low, (values - 1).bit_length(), start, stop),
+                 values)]
 
     def column(self, e: Expr) -> np.ndarray:
         return _eval_column(e, self.space.cols, self.space.rows, self.memo)
@@ -625,9 +640,9 @@ class _Members:
     def parts(self) -> list[tuple[np.ndarray, int | None]]:
         """Each part is (column, value bound), the bound None for members
         too wide for int64."""
-        return [*self.lead, *((self.column(e), (1 << e.width)
-                               if e.width <= _INT64_WIDTH else None)
-                              for e in self.exprs)]
+        return [*self.lead(), *((self.column(e), (1 << e.width)
+                                 if e.width <= _INT64_WIDTH else None)
+                                for e in self.exprs)]
 
     @functools.cached_property
     def key(self) -> tuple[np.ndarray, int]:
@@ -642,6 +657,7 @@ class _Members:
 
 
 _REGATHER = 8   # a stage gathers again once its group is this many times smaller
+_BLOCK_ROWS = 1 << 16   # the first-group walk reads this many rows at a time
 
 
 def _least(col: np.ndarray, pos: np.ndarray | None):
@@ -653,30 +669,70 @@ def _least(col: np.ndarray, pos: np.ndarray | None):
     return (hit.nonzero()[0] if pos is None else pos[hit]), least
 
 
-def _first_group(fixed: Sequence[np.ndarray], members: _Members
+def _first_group(fixed: Sequence[str], members: _Members
                  ) -> tuple[_Columns, list]:
-    """The first group in key order of the columns ``fixed``, then
-    ``members``' lead and members: column by column, the rows that hold the
-    column's least value among the rows still in. Returns the fields at the
-    group's rows (their ``at``, ascending) and the group's member values.
+    """The first group in key order of the ``fixed`` fields, then
+    ``members``' lead and members, found one block of at most
+    ``_BLOCK_ROWS`` rows of the range at a time (:func:`_block_group`): a
+    block with a smaller key than the least so far replaces it, and one
+    with an equal key adds its rows. Returns the fields at the group's rows
+    (their ``at``, ascending) and the group's member values. No column is
+    read over more than one block; only the group's rows are kept."""
+    rows = members.space.rows
+    least, found = None, []
+    for start in range(0, rows, _BLOCK_ROWS):
+        got = _block_group(fixed, members, start,
+                           min(rows, start + _BLOCK_ROWS), least)
+        if got is None:
+            continue
+        key, at = got
+        if least is None or key < least:
+            least, found = key, [at]
+        else:
+            found.append(at)
+    at = found[0] if len(found) == 1 else np.concatenate(found)
+    return members.space.cols.gather(at), least[-len(members.exprs):]
 
-    Only that leading key, up to the first member, is read over all rows.
-    Each later member is evaluated at the rows still in alone: a stage
-    gathers the fields of its rows (:meth:`_Columns.gather`) under one node
-    memo, and gathers again only once the group is ``_REGATHER`` times
-    smaller than the rows last gathered."""
-    pos = None
-    for col in [*fixed, *(col for col, _ in members.lead)]:
-        pos, _ = _least(col, pos)
-    pos, least = _least(members.column(members.exprs[0]), pos)
-    values = [least]
-    cols = members.space.cols   # the leading key's stage: every row
-    for e in members.exprs[1:]:
-        if cols.at is None or len(pos) * _REGATHER < len(cols.at):
-            cols, memo, pos = cols.gather(pos), {}, None
-        pos, least = _least(_eval_column(e, cols, len(cols.at), memo), pos)
-        values.append(least)
-    return cols.gather(pos), values
+
+def _block_group(fixed: Sequence[str], members: _Members, start: int,
+                 stop: int, least: list | None
+                 ) -> tuple[list, np.ndarray] | None:
+    """The first group in key order of the rows ``[start, stop)`` of the
+    range: its key (the fixed, lead and member values) and its rows in the
+    range, or None as soon as a column's least value puts the key past
+    ``least``.
+
+    Column by column, the rows that hold the column's least value among
+    the rows still in. The fixed fields, the lead and the first member are
+    read at every row of the block; a range of one block is read on its
+    own columns and member memo, which its selections share. Before each
+    later member, a stage gathers the fields of the rows still in
+    (:meth:`_Columns.gather`) under a node memo of its own once they are
+    ``_REGATHER`` times fewer than the stage's rows, and the member is
+    evaluated at the rows of the last stage alone."""
+    space = members.space
+    if stop - start == space.rows:
+        cols, memo = space.cols, members.memo
+    else:
+        cols, memo = _Columns(space, space.cols.derived,
+                              space.cols.start + start,
+                              space.cols.start + stop), {}
+    key: list = []
+    pos, n = None, stop - start
+    for col in [*(cols[name] for name in fixed),
+                *(col for col, _ in members.lead(start, stop))]:
+        pos, value = _least(col, pos)
+        key.append(value)
+        if least is not None and key > least[:len(key)]:
+            return None
+    for i, e in enumerate(members.exprs):
+        if i and len(pos) * _REGATHER < n:
+            cols, memo, pos, n = cols.gather(pos), {}, None, len(pos)
+        pos, value = _least(_eval_column(e, cols, n, memo), pos)
+        key.append(value)
+        if least is not None and key > least[:len(key)]:
+            return None
+    return key, (pos if cols.at is None else cols.at[pos]) + start
 
 
 def _first_bad_group(fixed: Sequence[str], members: _Members,
@@ -689,15 +745,15 @@ def _first_bad_group(fixed: Sequence[str], members: _Members,
     member values, or None when every group is invariant, as every group is
     with no vary field. The first group's rows (:func:`_first_group`) are
     counted first, on the vary fields gathered at them: if they are uneven,
-    it is the first bad group, and no vary field, later member or key is
-    built over all rows. Else the members' full columns are evaluated and
+    it is the first bad group, and no field, member or key is built over
+    more than one block. Else the members' full columns are evaluated and
     the whole key packed (:func:`_bad_group`), and the member values are
     read from those columns.
     """
     if not vary:
         return None
     cols = members.space.cols
-    group, values = _first_group([cols[name] for name in fixed], members)
+    group, values = _first_group(fixed, members)
     head_vary, n_vary = _pack(_base_parts(vary, group))
     counts = np.bincount(head_vary, minlength=n_vary)
     if (counts != counts[0]).any():
@@ -710,7 +766,7 @@ def _first_bad_group(fixed: Sequence[str], members: _Members,
         return None
     row, counts = bad
     return row, counts, [col[row] for col, _ in
-                         members.parts[len(members.lead):]]
+                         members.parts[-len(members.exprs):]]
 
 
 def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
@@ -815,17 +871,14 @@ def _enumerate(exprs: Sequence[Expr], space: _Space,
     ``publics`` are given. A range's fields are built, and its members
     evaluated over all of its rows, on first need and once for all of its
     selections (:class:`_Members`): a selection whose first group is uneven
-    builds only its leading key over all rows, and packs nothing of it."""
+    reads the range one block at a time, and packs nothing of it."""
     low = space.total_bits - sum(space.widths[p] for p in publics)
     alive = selections
     witness: LeakWitness | None = None
     for start, stop in _public_ranges(space.size, 1 << low):
         space.materialise(derived, start, stop)
-        values = (stop - start) >> low
         # the publics packed in key order are the row index's top bits
-        lead = [(_field(low, (values - 1).bit_length(), 0, stop - start),
-                 values)] if values > 1 else []
-        members = _Members(exprs, space, lead)
+        members = _Members(exprs, space, low)
         invariant = []
         for sel in alive:
             fixed, vary = sel

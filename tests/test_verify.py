@@ -837,9 +837,9 @@ def _first_group_leaks():
 
 def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     labels, bare, nodes = _first_group_leaks()
-    packed, densified, fields, evaluated = [], [], [], []
-    pack, dense, field, evaluate = vf._pack, vf._dense, vf._field, \
-        vf._eval_column
+    packed, densified, columns = [], [], []
+    pack, dense, field, field_at, evaluate = vf._pack, vf._dense, vf._field, \
+        vf._field_at, vf._eval_column
 
     def spy_pack(parts):
         packed.append([len(col) for col, _ in parts])
@@ -850,54 +850,124 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
         return dense(arr)
 
     def spy_field(off, width, start, stop):
-        fields.append(off)
+        columns.append(("field", stop - start))
         return field(off, width, start, stop)
 
+    def spy_field_at(off, width, start, rows):
+        columns.append(("field", len(rows)))
+        return field_at(off, width, start, rows)
+
     def spy_evaluate(e, cols, n, memo):
-        evaluated.append((e, n))
+        columns.append((e, n))
         return evaluate(e, cols, n, memo)
 
     monkeypatch.setattr(vf, "_pack", spy_pack)
     monkeypatch.setattr(vf, "_dense", spy_dense)
     monkeypatch.setattr(vf, "_field", spy_field)
+    monkeypatch.setattr(vf, "_field_at", spy_field_at)
     monkeypatch.setattr(vf, "_eval_column", spy_evaluate)
     # twenty 1-bit members over 20 bits: the first group, every member 0,
     # is the one row k = 0
     v = check_enumeration(bare, labels)
     assert v.witness.evidence.endswith("occurs 1 vs 0 times")
     assert packed == [[1]] and densified == []
-    # only the fields of the first member, k ^ m0, are built over all rows
-    assert bare[0] is xor(s("k"), s("m0")) and sorted(fields) == [0, 1]
+    # the 2^20 rows are walked one block at a time: no field and no member
+    # column is built over more than one block
+    assert max(n for _, n in columns) == vf._BLOCK_ROWS
     packed.clear()
-    evaluated.clear()
+    columns.clear()
     v = check_enumeration(nodes, labels)
     assert v.witness.evidence.endswith("occurs 2 vs 1 times")
     assert packed == [[3]] and densified == []
-    # the first member is evaluated over all rows, each later one only at
-    # rows of its group that a stage gathered
-    rows = {e: n for e, n in evaluated if e in nodes}
-    assert rows.pop(nodes[0]) == 1 << 20
-    assert len(rows) == len(nodes) - 1 and max(rows.values()) < 1 << 20
+    assert {e for e, _ in columns} >= set(nodes)
+    assert max(n for _, n in columns) == vf._BLOCK_ROWS
 
 
 def test_a_leak_in_the_first_group_stays_within_its_memory_bound():
     labels, bare, nodes = _first_group_leaks()
     # traced peaks (numpy's buffers included): 28 and 64 MiB when every
     # field and member column was built over all rows, 11.5 and 17 MiB
-    # when only the first member's are: the bounds keep a margin over
-    # the latter, and the nodes' is below half of its 64 MiB
+    # when the first member's were, 0.6 and 1.1 MiB when no column is
+    # built over more than one 2^16-row block: the bound keeps a margin
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        for exprs, bound in ((bare, 16), (nodes, 24)):
+        for exprs in (bare, nodes):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             assert check_enumeration(exprs, labels).status == vf.LEAKS
             peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
-            assert peak < bound, f"{peak:.1f} MiB traced, bound {bound}"
+            assert peak < 4, f"{peak:.1f} MiB traced, bound 4"
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+@pytest.fixture
+def first_selections(monkeypatch):
+    """The first (fixed, vary) selection of each enumeration, in call
+    order."""
+    seen = []
+    enumerate_ = vf._enumerate
+
+    def spy(exprs, space, derived, publics, selections):
+        seen.append(selections[0])
+        return enumerate_(exprs, space, derived, publics, selections)
+
+    monkeypatch.setattr(vf, "_enumerate", spy)
+    return seen
+
+
+@pytest.mark.parametrize("block", [1, 4, 16])
+def test_block_wise_first_groups_on_random_sets(monkeypatch, first_selections,
+                                                block):
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", block)
+    rng = random.Random(block)
+    leaks = probe_leaks = 0
+    for _ in range(200):
+        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        eset = make_expr_set(exprs)
+        try:
+            v = check_enumeration(eset, labels, limit=12)
+        except TooLarge:
+            continue
+        leaks += _is_first_uneven_group(v, eset, labels).status == vf.LEAKS
+    for _ in range(100):
+        exprs, labels, _ = _shared_set(rng.choice)
+        first_selections.clear()
+        v = vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+        if v.status == vf.LEAKS:
+            _is_first_uneven_group(v, exprs, labels, first_selections[0])
+            probe_leaks += 1
+    assert leaks > 30 and probe_leaks > 10
+
+
+def test_block_wise_first_group_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", 4)
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    k, m = s("k"), s("m", 3)
+    # row k + 2m: the block b holds m = 2b and 2b + 1, so each block's
+    # least NOT m is smaller than the last one's, and the first group,
+    # m = 7 and k = 0, lies in the last block
+    v = _enumerated([xor(m, ex.cst(7, 3)), ex.build("AND", [k, ex.bit(m, 0)])],
+                    labels)
+    assert v.witness.evidence.endswith("occurs 1 vs 0 times")
+
+
+def test_block_wise_first_group_across_blocks(monkeypatch):
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", 4)
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    k, m = s("k"), s("m", 3)
+    # the first group, m < 4 and k & m0 = 0, has rows in the first two
+    # blocks, which tie on its key; the last two are abandoned at m's top
+    # bit
+    v = _enumerated([ex.bit(m, 2), ex.build("AND", [k, ex.bit(m, 0)])],
+                    labels)
+    assert v.witness.evidence.endswith("occurs 4 vs 2 times")
 
 
 # ---------------------------------------------------------------------------
