@@ -32,24 +32,28 @@ shares, varies the other shares and marginalises the publics.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
-as Python ints past 31 bits, and built when first read (:class:`_Columns`).
-A term's column is computed by :func:`expr.apply`, the value rule that
-constant folding and :func:`expr.eval_concrete` use too, and an
-``INT_ONLY`` operator's by its :func:`expr.int_rule` row by row. The test
-is a counting kernel (:func:`_first_bad_group`): the publics or the fixed
-symbols (never both), then the members, form the group key, the vary
-symbols the vary key. A selection is invariant iff each group's rows are
-spread alike over the vary values, and a leak's witness is the first group
-in key order that is not. The kernel finds the first group one block of
-at most ``_BLOCK_ROWS`` rows at a time (:func:`_first_group`), column by
-column: the key up to the first member is read at every row of the
-block, each later member at the rows still in the group, and a block
-whose key already exceeds the least so far is left. It counts that
-group's rows only, so a leak decided there holds at most one block of any
-column, plus the rows of its group. Every member's column over all rows
-is evaluated, and the whole keys are packed into int64 by :func:`_pack`
-and sorted, only when that group is even. Public values are walked in key
-order, one range at a time, and the first range that leaks decides.
+as Python ints past 31 bits. One :class:`_Rows` holds the columns of one
+set of rows (a range, a block of it, or a stage gathered from either),
+each built when first read: a symbol's from the row indices, a term's by
+:func:`expr.apply`, the value rule that constant folding and
+:func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
+:func:`expr.int_rule` row by row. The test is a counting kernel
+(:func:`_first_bad_group`): the publics or the fixed symbols (never both),
+then the members, form the group key, the vary symbols the vary key. A
+selection is invariant iff each group's rows are spread alike over the
+vary values, and a leak's witness is the first group in key order that is
+not. Public values are walked in key order, one range of
+``max(_RANGE_ROWS, one public value)`` rows at a time, and the first range
+that leaks decides. A range's first group lies in its first public value,
+and the kernel finds it there one block of at most ``_BLOCK_ROWS`` rows at
+a time (:func:`_first_group`), column by column: the key up to the first
+member is read at every row of the block, each later member at the rows
+still in the group, and a block whose key already exceeds the least so far
+is left. It counts that group's rows only, so a leak decided there holds
+at most one block of any column, plus the rows of its group. Every
+member's column over all of the range's rows is evaluated, and the whole
+keys are packed into int64 by :func:`_pack` and sorted, only when that
+group is even.
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
 sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
@@ -68,7 +72,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -398,43 +402,81 @@ def _field_at(off: int, width: int, start: int, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Columns(dict):
-    """The base and derived fields of the rows ``[start, stop)`` by name, or
-    of the rows ``start + at`` among them (:meth:`gather`); each is built on
-    first read, a derived one as the XOR of its parts."""
+@dataclass(frozen=True)
+class _Space:
+    """Cartesian assignment space over base variables, with derived symbols,
+    each the XOR of its parts: the layout of the row index, whose columns
+    :class:`_Rows` builds."""
+    order: list[str]                     # base variable names, offset order
+    offsets: dict[str, int]
+    widths: dict[str, int]
+    total_bits: int
+    derived: dict[str, list[str]]        # name -> XOR parts
 
-    def __init__(self, space: "_Space", derived: Mapping[str, list[str]],
-                 start: int, stop: int, at: np.ndarray | None = None,
-                 source: "_Columns | None" = None,
+    @property
+    def size(self) -> int:
+        return 1 << self.total_bits
+
+
+class _Rows(dict):
+    """The columns of the rows ``[start, stop)`` of ``space`` (a range or a
+    block), or of the rows ``start + at`` among them (a stage gathered by
+    :meth:`gather`): a base or derived field by name, a term by node, each
+    built on first read in the narrow type :func:`_dtype` gives its width.
+    A derived field is the XOR of its parts; a gathered stage selects any
+    column its source holds, and computes any other field from the row
+    indices."""
+
+    def __init__(self, space: _Space, start: int, stop: int,
+                 at: np.ndarray | None = None, source: "_Rows | None" = None,
                  sel: np.ndarray | None = None):
         super().__init__()
-        self.space, self.derived, self.start, self.stop = \
-            space, derived, start, stop
-        # at: the rows (None: every row); source: the columns gathered
-        # from, at the positions sel of its rows
+        self.space, self.start, self.stop = space, start, stop
+        # at: the rows (None: every row); source: the rows gathered from,
+        # at the positions sel among them
         self.at, self.source, self.sel = at, source, sel
+        self.n = stop - start if at is None else len(at)
 
-    def __missing__(self, name: str) -> np.ndarray:
-        if self.source is not None and name in self.source:
-            col = self.source[name][self.sel]
-        elif name in self.derived:
+    def __missing__(self, key: str | Expr) -> np.ndarray:
+        space = self.space
+        if self.source is not None and key in self.source:
+            col = self.source[key][self.sel]
+        elif not isinstance(key, str):
+            col = self[key.name] if key.kind == "sym" else self._term(key)
+        elif key in space.derived:
             col = functools.reduce(operator.xor,
-                                   map(self.__getitem__, self.derived[name]))
+                                   map(self.__getitem__, space.derived[key]))
         elif self.at is None:
-            col = _field(self.space.offsets[name], self.space.widths[name],
-                         self.start, self.stop)
+            col = _field(space.offsets[key], space.widths[key], self.start,
+                         self.stop)
         else:
-            col = _field_at(self.space.offsets[name], self.space.widths[name],
-                            self.start, self.at)
-        self[name] = col
+            col = _field_at(space.offsets[key], space.widths[key], self.start,
+                            self.at)
+        self[key] = col
         return col
 
-    def gather(self, pos: np.ndarray) -> "_Columns":
-        """The fields at the positions ``pos`` (ascending) of these rows
-        only: a field these columns hold is selected, any other computed
-        from the row indices."""
-        return _Columns(self.space, self.derived, self.start, self.stop,
-                        pos if self.at is None else self.at[pos], self, pos)
+    def _term(self, e: Expr) -> np.ndarray:
+        """The column of a constant or an operator node ``e``, the latter
+        from its children's."""
+        if e.kind == "cst":
+            return np.full(self.n, e.value, dtype=_dtype(e.width))
+        op, w = e.op, e.width
+        # compute in the type of the widest of the node and its children
+        # (Python ints past int64): a sum or a product wraps modulo its
+        # size, which the mask to w, no wider, leaves exact
+        wide = _dtype(max(w, *(c.width for c in e.children)))
+        kids = [col.astype(wide, copy=False)
+                for col in map(self.__getitem__, e.children)]
+        if op in ex.INT_ONLY:
+            out = np.frompyfunc(ex.int_rule(op, w, e.params), len(kids), 1)(*kids)
+        else:
+            out = ex.apply(op, w, e.params, e.children, kids)
+        return out.astype(_dtype(w), copy=False)
+
+    def gather(self, pos: np.ndarray) -> "_Rows":
+        """These rows at the positions ``pos`` (ascending) only."""
+        return _Rows(self.space, self.start, self.stop,
+                     pos if self.at is None else self.at[pos], self, pos)
 
     def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
         """The values of the base fields ``names`` at ``row``."""
@@ -443,44 +485,12 @@ class _Columns(dict):
                 for name in names}
 
 
-@dataclass
-class _Space:
-    """Cartesian assignment space over base variables, with derived symbols,
-    each the XOR of its parts. ``cols`` holds the fields of the ``rows``
-    rows last materialised, each built on first read, a symbol's in the
-    narrow type :func:`_dtype` gives its width; ``cols.gather`` builds
-    them at some of those rows only. A leak decided at its first group
-    reads these rows one block at a time (:func:`_first_group`): it builds
-    no field over more than one block, and no packed int64 key; an even
-    first group builds them over all rows."""
-    order: list[str]                     # base variable names, offset order
-    offsets: dict[str, int]
-    widths: dict[str, int]
-    total_bits: int
-    cols: _Columns | None = None
-    rows: int = 0
-
-    @property
-    def size(self) -> int:
-        return 1 << self.total_bits
-
-    def materialise(self, derived: Mapping[str, list[str]],
-                    start: int = 0, stop: int | None = None) -> None:
-        """Make the rows ``[start, stop)``, by default all of them, those of
-        ``cols``, in place of the range materialised before; no field is
-        built until it is read."""
-        stop = self.size if stop is None else stop
-        self.rows = stop - start
-        self.cols = _Columns(self, derived, start, stop)
-
-
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
-               shares_free: bool) -> tuple[_Space, dict, list[str], list[str]]:
-    """Enumeration space (not yet materialised) of labeled ``symbols``,
-    derived map (name -> XOR parts), secret vars, public vars; raises
-    TooLarge past ``limit`` bits, the one bit count of the module. The
-    publics take the top bits of the row index, the first in key order most
-    significant, so a public value is a contiguous run of rows.
+               shares_free: bool) -> tuple[_Space, list[str], list[str]]:
+    """Enumeration space of labeled ``symbols``, secret vars, public vars;
+    raises TooLarge past ``limit`` bits, the one bit count of the module.
+    The publics take the top bits of the row index, the first in key order
+    most significant, so a public value is a contiguous run of rows.
 
     Tied shares: the top share is derived from its secret and siblings.
     Free shares: every share is a base variable, and a secret is derived as
@@ -538,34 +548,9 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
         off += width
     if off > limit:
         raise TooLarge(off, limit)
-    space = _Space([n for n, _ in base], offsets, {n: w for n, w in base}, off)
-    return space, derived, sorted(set(secrets)), publics
-
-
-def _eval_column(e: Expr, cols: Mapping[str, np.ndarray], n: int,
-                 memo: dict) -> np.ndarray:
-    got = memo.get(e)
-    if got is not None:
-        return got
-    if e.kind == "cst":
-        out = np.full(n, e.value, dtype=_dtype(e.width))
-    elif e.kind == "sym":
-        out = cols[e.name]
-    else:
-        op, w = e.op, e.width
-        # compute in the type of the widest of the node and its children
-        # (Python ints past int64): a sum or a product wraps modulo its
-        # size, which the mask to w, no wider, leaves exact
-        wide = _dtype(max(w, *(c.width for c in e.children)))
-        kids = [_eval_column(c, cols, n, memo).astype(wide, copy=False)
-                for c in e.children]
-        if op in ex.INT_ONLY:
-            out = np.frompyfunc(ex.int_rule(op, w, e.params), len(kids), 1)(*kids)
-        else:
-            out = ex.apply(op, w, e.params, e.children, kids)
-        out = out.astype(_dtype(w), copy=False)
-    memo[e] = out
-    return out
+    space = _Space([n for n, _ in base], offsets, {n: w for n, w in base}, off,
+                   derived)
+    return space, sorted(set(secrets)), publics
 
 
 def _dense(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -603,46 +588,34 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
 
 
 def _base_parts(names: Sequence[str],
-                cols: _Columns) -> list[tuple[np.ndarray, int]]:
+                rows: _Rows) -> list[tuple[np.ndarray, int]]:
     """Bit fields in which every combination occurs: dense, sorted as packed."""
-    return [(cols[name], 1 << cols.space.widths[name]) for name in names]
+    return [(rows[name], 1 << rows.space.widths[name]) for name in names]
 
 
 @dataclass
 class _Members:
-    """One range's members in key order, after the lead: the publics'
-    field, the row bits from ``low`` up, when the range holds more than one
-    public value. A member's column over all rows is evaluated on the
-    range's columns under ``memo``, shared by all of the range's
-    selections, and only for a selection whose first group is even, as
-    ``parts``; a range of one block shares them with its first-group walks.
-    The key is packed at most once, and densified at most once."""
+    """One range's members in key order, and for a selection whose first
+    group is even the key parts over all of the range's ``rows``: the lead,
+    the publics' field (the row bits from ``low`` up) when the range holds
+    more than one public value, then each member's column. The parts are
+    built, the key packed and densified at most once, for all of the
+    range's selections."""
     exprs: Sequence[Expr]
-    space: _Space
+    rows: _Rows
     low: int
-    memo: dict = field(default_factory=dict)
-
-    def lead(self, start: int = 0, stop: int | None = None
-             ) -> list[tuple[np.ndarray, int]]:
-        """The lead over the rows ``[start, stop)`` of the range, by default
-        all of them, as a key part (column, value bound), or no part."""
-        values = self.space.rows >> self.low
-        if values == 1:
-            return []
-        stop = self.space.rows if stop is None else stop
-        return [(_field(self.low, (values - 1).bit_length(), start, stop),
-                 values)]
-
-    def column(self, e: Expr) -> np.ndarray:
-        return _eval_column(e, self.space.cols, self.space.rows, self.memo)
 
     @functools.cached_property
     def parts(self) -> list[tuple[np.ndarray, int | None]]:
         """Each part is (column, value bound), the bound None for members
         too wide for int64."""
-        return [*self.lead(), *((self.column(e), (1 << e.width)
-                                 if e.width <= _INT64_WIDTH else None)
-                                for e in self.exprs)]
+        n = self.rows.n
+        values = n >> self.low
+        lead = [(_field(self.low, (values - 1).bit_length(), 0, n), values)] \
+            if values > 1 else []
+        return [*lead, *((self.rows[e], (1 << e.width)
+                          if e.width <= _INT64_WIDTH else None)
+                         for e in self.exprs)]
 
     @functools.cached_property
     def key(self) -> tuple[np.ndarray, int]:
@@ -653,7 +626,7 @@ class _Members:
         """The key as a part after fixed fields: dense ids when its bound
         exceeds the row count."""
         key, bound = self.key
-        return _dense(key) if bound > self.space.rows else (key, bound)
+        return _dense(key) if bound > self.rows.n else (key, bound)
 
 
 _REGATHER = 8   # a stage gathers again once its group is this many times smaller
@@ -670,69 +643,61 @@ def _least(col: np.ndarray, pos: np.ndarray | None):
 
 
 def _first_group(fixed: Sequence[str], members: _Members
-                 ) -> tuple[_Columns, list]:
-    """The first group in key order of the ``fixed`` fields, then
-    ``members``' lead and members, found one block of at most
-    ``_BLOCK_ROWS`` rows of the range at a time (:func:`_block_group`): a
-    block with a smaller key than the least so far replaces it, and one
-    with an equal key adds its rows. Returns the fields at the group's rows
-    (their ``at``, ascending) and the group's member values. No column is
-    read over more than one block; only the group's rows are kept."""
-    rows = members.space.rows
+                 ) -> tuple[_Rows, list]:
+    """The first group in key order of the ``fixed`` fields, then the
+    members. The lead is least on the range's first public value, so the
+    group lies there, and only those rows are read, one block of at most
+    ``_BLOCK_ROWS`` rows at a time (:func:`_block_group`): a block with a
+    smaller key than the least so far replaces it, and one with an equal
+    key adds its rows. Returns the range's fields at the group's rows (a
+    stage whose ``at`` is ascending) and the group's member values. No
+    column is read over more than one block; only the group's rows are
+    kept. A range of one block is read on its own columns, which its
+    selections and its even path share."""
+    rows = members.rows
+    first = min(rows.n, 1 << members.low)
+    keys = [*fixed, *members.exprs]
     least, found = None, []
-    for start in range(0, rows, _BLOCK_ROWS):
-        got = _block_group(fixed, members, start,
-                           min(rows, start + _BLOCK_ROWS), least)
+    for start in range(0, first, _BLOCK_ROWS):
+        stop = min(first, start + _BLOCK_ROWS)
+        # no name holds the block: its columns are freed once it is walked
+        got = _block_group(keys, len(fixed), rows if stop - start == rows.n
+                           else _Rows(rows.space, rows.start + start,
+                                      rows.start + stop), least)
         if got is None:
             continue
         key, at = got
         if least is None or key < least:
-            least, found = key, [at]
+            least, found = key, [at + start]
         else:
-            found.append(at)
+            found.append(at + start)
     at = found[0] if len(found) == 1 else np.concatenate(found)
-    return members.space.cols.gather(at), least[-len(members.exprs):]
+    return rows.gather(at), least[len(fixed):]
 
 
-def _block_group(fixed: Sequence[str], members: _Members, start: int,
-                 stop: int, least: list | None
-                 ) -> tuple[list, np.ndarray] | None:
-    """The first group in key order of the rows ``[start, stop)`` of the
-    range: its key (the fixed, lead and member values) and its rows in the
-    range, or None as soon as a column's least value puts the key past
+def _block_group(keys: Sequence[str | Expr], n_fixed: int, rows: _Rows,
+                 least: list | None) -> tuple[list, np.ndarray] | None:
+    """The first group in key order of ``rows``: its key (the values of
+    ``keys``, fixed field names then member nodes) and its positions among
+    ``rows``, or None as soon as a column's least value puts the key past
     ``least``.
 
     Column by column, the rows that hold the column's least value among
-    the rows still in. The fixed fields, the lead and the first member are
-    read at every row of the block; a range of one block is read on its
-    own columns and member memo, which its selections share. Before each
-    later member, a stage gathers the fields of the rows still in
-    (:meth:`_Columns.gather`) under a node memo of its own once they are
+    the rows still in. The first ``n_fixed + 1`` keys, the fixed fields
+    and the first member, are read at every row. Before each later member, a
+    stage gathers the rows still in (:meth:`_Rows.gather`) once they are
     ``_REGATHER`` times fewer than the stage's rows, and the member is
     evaluated at the rows of the last stage alone."""
-    space = members.space
-    if stop - start == space.rows:
-        cols, memo = space.cols, members.memo
-    else:
-        cols, memo = _Columns(space, space.cols.derived,
-                              space.cols.start + start,
-                              space.cols.start + stop), {}
     key: list = []
-    pos, n = None, stop - start
-    for col in [*(cols[name] for name in fixed),
-                *(col for col, _ in members.lead(start, stop))]:
-        pos, value = _least(col, pos)
+    pos = None
+    for i, k in enumerate(keys):
+        if i > n_fixed and len(pos) * _REGATHER < rows.n:
+            rows, pos = rows.gather(pos), None
+        pos, value = _least(rows[k], pos)
         key.append(value)
         if least is not None and key > least[:len(key)]:
             return None
-    for i, e in enumerate(members.exprs):
-        if i and len(pos) * _REGATHER < n:
-            cols, memo, pos, n = cols.gather(pos), {}, None, len(pos)
-        pos, value = _least(_eval_column(e, cols, n, memo), pos)
-        key.append(value)
-        if least is not None and key > least[:len(key)]:
-            return None
-    return key, (pos if cols.at is None else cols.at[pos]) + start
+    return key, pos if rows.at is None else rows.at[pos]
 
 
 def _first_bad_group(fixed: Sequence[str], members: _Members,
@@ -741,32 +706,32 @@ def _first_bad_group(fixed: Sequence[str], members: _Members,
     spread evenly over the values of the ``vary`` fields. The group key is
     the ``fixed`` fields, then ``members``' parts.
 
-    Returns the group's first row, its row count per vary value and its
-    member values, or None when every group is invariant, as every group is
-    with no vary field. The first group's rows (:func:`_first_group`) are
-    counted first, on the vary fields gathered at them: if they are uneven,
-    it is the first bad group, and no field, member or key is built over
-    more than one block. Else the members' full columns are evaluated and
-    the whole key packed (:func:`_bad_group`), and the member values are
-    read from those columns.
+    Returns the group's first row in the range, its row count per vary
+    value and its member values, or None when every group is invariant, as
+    every group is with no vary field. The first group's rows
+    (:func:`_first_group`) are counted first, on the vary fields gathered
+    at them: if they are uneven, it is the first bad group, and no field,
+    member or key is built over more than one block. Else the members'
+    columns over the range are evaluated and the whole key packed
+    (:func:`_bad_group`), and the member values are read from those
+    columns.
     """
     if not vary:
         return None
-    cols = members.space.cols
+    rows = members.rows
     group, values = _first_group(fixed, members)
     head_vary, n_vary = _pack(_base_parts(vary, group))
     counts = np.bincount(head_vary, minlength=n_vary)
     if (counts != counts[0]).any():
         return int(group.at[0]), counts, values
-    groups, n_groups = _pack([*_base_parts(fixed, cols), members.dense]) \
+    groups, n_groups = _pack([*_base_parts(fixed, rows), members.dense]) \
         if fixed else members.key
-    vary_key, _ = _pack(_base_parts(vary, cols))
+    vary_key, _ = _pack(_base_parts(vary, rows))
     bad = _bad_group(groups, n_groups, vary_key, n_vary)
     if bad is None:
         return None
     row, counts = bad
-    return row, counts, [col[row] for col, _ in
-                         members.parts[-len(members.exprs):]]
+    return row, counts, [rows[e][row] for e in members.exprs]
 
 
 def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
@@ -816,11 +781,12 @@ def _unpack(key: int, names: Sequence[str],
     return out
 
 
-def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
+def _witness(row: int, counts: np.ndarray, values: Sequence, rows: _Rows,
              exprs: Sequence[Expr], vary: Sequence[str],
              fixed: Sequence[str]) -> LeakWitness:
     """Every row of a group shares its fixed and member ``values``, so
-    ``row`` stands for the group; the two assignments are the lowest vary
+    ``row`` of ``rows`` stands for the group; the two assignments are the
+    lowest vary
     value present and the lowest absent one, or else the lowest with
     another count."""
     a = int(np.flatnonzero(counts)[0])
@@ -830,65 +796,51 @@ def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
     tuple_text = ", ".join(f"{render(e)}={ex.format_bits(int(v), e.width)}"
                            for e, v in zip(exprs, values))
     return LeakWitness(
-        vary_a=_unpack(a, vary, space.widths),
-        vary_b=_unpack(b, vary, space.widths),
-        fixed=space.cols.decode(row, fixed),
+        vary_a=_unpack(a, vary, rows.space.widths),
+        vary_b=_unpack(b, vary, rows.space.widths),
+        fixed=rows.decode(row, fixed),
         evidence=(f"joint value ({tuple_text}) "
                   f"occurs {int(counts[a])} vs {int(counts[b])} times"),
     )
 
 
-_FIRST_RANGE_ROWS = 1 << 14   # rows of the first range of public values
-_MAX_RANGE_ROWS = 1 << 20     # later ranges double up to this many rows
+_RANGE_ROWS = 1 << 14   # a range holds this many rows, or one public value
 
 
-def _public_ranges(size: int, block: int) -> Iterator[tuple[int, int]]:
-    """Row ranges ``[start, stop)`` that cover ``size`` rows in ascending
-    order, each a whole number of ``block``-row public values: at least
-    ``_FIRST_RANGE_ROWS`` rows, then twice as many each time up to
-    ``_MAX_RANGE_ROWS``, and never less than one block."""
-    start, rows = 0, _FIRST_RANGE_ROWS
-    while start < size:
-        stop = min(size, start + -(-rows // block) * block)
-        yield start, stop
-        start, rows = stop, min(2 * rows, _MAX_RANGE_ROWS)
-
-
-def _enumerate(exprs: Sequence[Expr], space: _Space,
-               derived: Mapping[str, list[str]],
-               publics: Sequence[str],
+def _enumerate(exprs: Sequence[Expr], space: _Space, publics: Sequence[str],
                selections: Sequence[tuple[list[str], list[str]]]) -> Verdict:
     """Secure iff some ``(fixed, vary)`` selection is invariant in every
     range of public values; a leak carries the first selection's witness.
 
-    Ranges are walked in key order, and the walk stops at the first in which
-    no selection is invariant. The publics hold the top bits of the row
-    index, so each public value is one contiguous run of rows, and every
-    group lies inside one public value. The first bad group of the first
-    leaking range is therefore the whole space's, with the same counts, and
-    a leak usually costs a small prefix of the space. This needs the
-    publics to lead the group key: no selection may fix symbols when
-    ``publics`` are given. A range's fields are built, and its members
-    evaluated over all of its rows, on first need and once for all of its
-    selections (:class:`_Members`): a selection whose first group is uneven
-    reads the range one block at a time, and packs nothing of it."""
+    A range is ``max(_RANGE_ROWS, one public value)`` rows, the whole space
+    when there is no public. Ranges are walked in key order, and the walk
+    stops at the first in which no selection is invariant. The publics hold
+    the top bits of the row index, so each public value is one contiguous
+    run of rows, and every group lies inside one public value. The first
+    bad group of the first leaking range is therefore the whole space's,
+    with the same counts, and a leak usually costs a small prefix of the
+    space. This needs the publics to lead the group key: no selection may
+    fix symbols when ``publics`` are given. A range's columns are built on
+    first need and once for all of its selections (:class:`_Members`): a
+    selection whose first group is uneven reads the range's first public
+    value one block at a time, and packs nothing of it."""
     low = space.total_bits - sum(space.widths[p] for p in publics)
+    step = min(space.size, max(_RANGE_ROWS, 1 << low))
     alive = selections
     witness: LeakWitness | None = None
-    for start, stop in _public_ranges(space.size, 1 << low):
-        space.materialise(derived, start, stop)
+    for start in range(0, space.size, step):
         # the publics packed in key order are the row index's top bits
-        members = _Members(exprs, space, low)
+        members = _Members(exprs, _Rows(space, start, start + step), low)
         invariant = []
         for sel in alive:
             fixed, vary = sel
             bad = _first_bad_group(fixed, members, vary)
             if bad is None:
                 invariant.append(sel)
-                if stop == space.size:
+                if start + step == space.size:
                     break   # invariant in every range: nothing else to see
             elif sel is selections[0]:
-                witness = _witness(*bad, space, exprs, vary,
+                witness = _witness(*bad, members.rows, exprs, vary,
                                    [*publics, *fixed])
         if not invariant:
             return Verdict.leaks(witness)
@@ -900,11 +852,11 @@ def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Exact independence check by exhausting all symbol assignments, one
     range of public values at a time; the first range that leaks decides."""
-    space, derived, secrets, publics = _space_for(
+    space, secrets, publics = _space_for(
         _symbols(exprs, labels), labels, limit, shares_free=False)
     if not secrets:
         return Verdict.secure()
-    return _enumerate(exprs, space, derived, publics, [([], secrets)])
+    return _enumerate(exprs, space, publics, [([], secrets)])
 
 
 def check(exprs: tuple[Expr, ...], labels: SymbolTable,
@@ -1071,8 +1023,8 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     if _fixpoint_count(exprs, labels, budget).is_secure:
         return Verdict.secure()
     try:
-        space, derived, _, _ = _space_for(_symbols(exprs, labels), labels,
-                                          limit, shares_free=True)
+        space, _, _ = _space_for(_symbols(exprs, labels), labels, limit,
+                                 shares_free=True)
     except TooLarge as exc:
         return Verdict.inconclusive(str(exc))
     by_secret = sorted(labels.sharings(),
@@ -1088,7 +1040,7 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                          if n not in sel)
         selections.append((sel, non_sel))
     # the simulator draws the publics too: they are not conditioned on
-    return _enumerate(exprs, space, derived, [], selections)
+    return _enumerate(exprs, space, [], selections)
 
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,

@@ -16,13 +16,17 @@ probe-tuple walk that counts every view's footprint afresh.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import json
 import math
 import random
 
 from probewise import expr as ex
+from probewise import gadgets, netlist
 from probewise import verify as vf
+from probewise.sim import Stimuli, StimulusFrame
 
 
 def mask(w: int) -> int:
@@ -203,6 +207,46 @@ def has_combinational_cycle(doc: dict) -> bool:
         return False
 
     return any(color[i] == 0 and dfs(i) for i in adj)
+
+
+# ---------------------------------------------------------------------------
+# Random circuits that shift by a symbolic amount
+# ---------------------------------------------------------------------------
+
+def dynamic_shift_circuit(seed: int) -> gadgets.Fixture | None:
+    """``gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)`` with each
+    of its ``shl``/``shr``/``sshr`` gates, which shift by a constant
+    ``params.amount``, made a two-input shift by a fresh 3-bit input
+    ``amt<i>``. Each cycle drives every such input by a new 3-bit mask or
+    public symbol. None when the circuit has no shift gate.
+
+    The builder rewrites a shift by a constant into CONCAT and EXTRACT, so
+    only a shift by a symbolic amount keeps an LSL, LSR or ASR term."""
+    fx = gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)
+    doc = copy.deepcopy(fx.doc)
+    amounts = []
+    for g in doc["gates"]:
+        if g["kind"] in netlist.SHIFT_KINDS:
+            name = f"amt{len(amounts)}"
+            doc["wires"].append({"name": name, "width": 3})
+            doc["inputs"].append(name)
+            g["inputs"].append(name)
+            del g["params"]
+            amounts.append(name)
+    if not amounts:
+        return None
+    rng = random.Random(seed)
+    labels, witness, frames = fx.labels, dict(fx.stimuli.witness), []
+    for t, frame in enumerate(fx.stimuli.frames):
+        drive = dict(frame.inputs)
+        for name in amounts:
+            symbol = f"a{t}_{name}"
+            labels.declare(symbol, 3, rng.choice((ex.MASK, ex.PUBLIC)))
+            witness[symbol] = rng.getrandbits(3)
+            drive[name] = ex.sym(symbol, 3)
+        frames.append(StimulusFrame(drive))
+    return gadgets.Fixture(fx.name, netlist.parse_netlist(json.dumps(doc)),
+                           labels, Stimuli(witness, frames), doc)
 
 
 # ---------------------------------------------------------------------------

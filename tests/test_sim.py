@@ -12,6 +12,8 @@ from probewise.sim import (ConsistencyViolation, SimOptions, Stimuli,
                            consistency_check, initial_state, parse_stimuli,
                            step_cycle)
 
+import oracles
+
 
 def _states(circuit, stimuli, opts=SimOptions()):
     sched = netlist.validate_and_schedule(circuit)
@@ -592,6 +594,38 @@ def test_a_wrong_value_rule_is_a_consistency_violation(monkeypatch, op):
         fx = gadgets.gen_random_circuit(seed, n_gates=25, cycles=3)
         with monkeypatch.context() as patch:
             patch.setattr(ex, "apply", flipped)
+            try:
+                simulate(fx, SimOptions(check_consistency=True))
+            except ConsistencyViolation:
+                return
+    pytest.fail(f"{op} with a flipped value went unnoticed")
+
+
+def test_random_circuits_with_dynamic_shifts_are_consistent():
+    fixtures = [oracles.dynamic_shift_circuit(seed) for seed in range(40)]
+    assert sum(fx is not None for fx in fixtures) > 30
+    for fx in filter(None, fixtures):
+        simulate(fx, SimOptions(check_consistency=True))
+
+
+@pytest.mark.parametrize("op", ["LSL", "LSR", "ASR"])
+def test_a_wrong_shift_rule_is_a_consistency_violation(monkeypatch, op):
+    # Flip bit 0 of op's result in its per-row rule, which evaluates terms
+    # and fills enumeration's columns: the concrete values, computed
+    # without it, then disagree with the terms on some random circuit whose
+    # shifts are by a symbolic amount (a constant one leaves no op term).
+    real = ex.int_rule
+
+    def flipped(o, w, params):
+        rule = real(o, w, params)
+        return (lambda *kids: rule(*kids) ^ 1) if o == op else rule
+
+    for seed in range(40):
+        fx = oracles.dynamic_shift_circuit(seed)
+        if fx is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(ex, "int_rule", flipped)
             try:
                 simulate(fx, SimOptions(check_consistency=True))
             except ConsistencyViolation:

@@ -541,23 +541,22 @@ def test_kernel_array_reads():
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """The row ranges ``[start, stop)`` materialised, in call order."""
+    """The row ranges ``[start, stop)`` enumerated, in call order."""
     seen = []
-    materialise = vf._Space.materialise
+    members = vf._Members
 
-    def spy(space, derived, start=0, stop=None):
-        seen.append((start, space.size if stop is None else stop))
-        materialise(space, derived, start, stop)
+    def spy(exprs, rows, low):
+        seen.append((rows.start, rows.stop))
+        return members(exprs, rows, low)
 
-    monkeypatch.setattr(vf._Space, "materialise", spy)
+    monkeypatch.setattr(vf, "_Members", spy)
     return seen
 
 
 @pytest.fixture
 def small_ranges(monkeypatch, ranges):
-    """Ranges of 4 rows first, doubling up to 16: small sets span many."""
-    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", 4)
-    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", 16)
+    """Ranges of 4 rows, or one public value: small sets span many."""
+    monkeypatch.setattr(vf, "_RANGE_ROWS", 4)
     return ranges
 
 
@@ -667,15 +666,14 @@ def test_range_secret_through_its_top_share_only(small_ranges):
     small_ranges.clear()
     v = _agrees_with_oracle(members, labels)
     assert v.witness.fixed == {"p": 5} and set(v.witness.vary_a) == {"a"}
-    # 8 rows per public value; the fourth range holds values 4 and 5
-    assert small_ranges == [(0, 8), (8, 16), (16, 32), (32, 48)]
+    # 8 rows per public value, one value per range: the leak in the sixth
+    assert small_ranges == [(r, r + 8) for r in range(0, 48, 8)]
 
 
-@pytest.mark.parametrize("first, cap", [(1, 2), (4, 16)])
-def test_range_wise_random_sets(monkeypatch, first, cap):
-    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", first)
-    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", cap)
-    rng = random.Random(first)
+@pytest.mark.parametrize("rows", [1, 4, 16])
+def test_range_wise_random_sets(monkeypatch, rows):
+    monkeypatch.setattr(vf, "_RANGE_ROWS", rows)
+    rng = random.Random(rows)
     leaks = 0
     for _ in range(150):
         exprs, labels = oracles.random_expr_set(rng, max_bits=10)
@@ -838,8 +836,8 @@ def _first_group_leaks():
 def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     labels, bare, nodes = _first_group_leaks()
     packed, densified, columns = [], [], []
-    pack, dense, field, field_at, evaluate = vf._pack, vf._dense, vf._field, \
-        vf._field_at, vf._eval_column
+    pack, dense, field, field_at, term = vf._pack, vf._dense, vf._field, \
+        vf._field_at, vf._Rows._term
 
     def spy_pack(parts):
         packed.append([len(col) for col, _ in parts])
@@ -857,15 +855,15 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
         columns.append(("field", len(rows)))
         return field_at(off, width, start, rows)
 
-    def spy_evaluate(e, cols, n, memo):
-        columns.append((e, n))
-        return evaluate(e, cols, n, memo)
+    def spy_term(rows, e):
+        columns.append((e, rows.n))
+        return term(rows, e)
 
     monkeypatch.setattr(vf, "_pack", spy_pack)
     monkeypatch.setattr(vf, "_dense", spy_dense)
     monkeypatch.setattr(vf, "_field", spy_field)
     monkeypatch.setattr(vf, "_field_at", spy_field_at)
-    monkeypatch.setattr(vf, "_eval_column", spy_evaluate)
+    monkeypatch.setattr(vf._Rows, "_term", spy_term)
     # twenty 1-bit members over 20 bits: the first group, every member 0,
     # is the one row k = 0
     v = check_enumeration(bare, labels)
@@ -883,24 +881,51 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     assert max(n for _, n in columns) == vf._BLOCK_ROWS
 
 
+def _traced_enumeration(exprs, labels):
+    """The verdict of ``check_enumeration`` and its traced peak in MiB."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        v = check_enumeration(exprs, labels)
+        return v, (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_a_leak_in_the_first_group_stays_within_its_memory_bound():
     labels, bare, nodes = _first_group_leaks()
     # traced peaks (numpy's buffers included): 28 and 64 MiB when every
     # field and member column was built over all rows, 11.5 and 17 MiB
     # when the first member's were, 0.6 and 1.1 MiB when no column is
     # built over more than one 2^16-row block: the bound keeps a margin
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        for exprs in (bare, nodes):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            assert check_enumeration(exprs, labels).status == vf.LEAKS
-            peak = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
-            assert peak < 4, f"{peak:.1f} MiB traced, bound 4"
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    for exprs in (bare, nodes):
+        v, peak = _traced_enumeration(exprs, labels)
+        assert v.status == vf.LEAKS
+        assert peak < 4, f"{peak:.1f} MiB traced, bound 4"
+
+
+def test_a_secure_set_with_publics_stays_within_its_memory_bound():
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    m = [s(f"m{i}") for i in range(13)]
+    for e in m:
+        labels.declare(e.name, 1, ex.MASK)
+    labels.declare("p", 4, ex.PUBLIC)
+    p = s("p", 4)
+    exprs = make_expr_set([xor(s("k"), m[0], ex.bit(p, 0)),
+                           ex.build("AND", [xor(*m[1:7]), ex.bit(p, 3)]),
+                           xor(*m[7:13], ex.bit(p, 2))])
+    # 18 bits, 2^14 rows per public value: each range is one public value,
+    # and the even path of every range holds its members' columns and
+    # packed keys over 2^14 rows. Traced peaks (numpy's buffers included):
+    # 5.96 MiB when later ranges doubled up to 2^17 rows, 0.92 MiB with
+    # one range size: the bound keeps a margin
+    v, peak = _traced_enumeration(exprs, labels)
+    assert v.is_secure
+    assert peak < 2, f"{peak:.1f} MiB traced, bound 2"
 
 
 @pytest.fixture
@@ -910,9 +935,9 @@ def first_selections(monkeypatch):
     seen = []
     enumerate_ = vf._enumerate
 
-    def spy(exprs, space, derived, publics, selections):
+    def spy(exprs, space, publics, selections):
         seen.append(selections[0])
-        return enumerate_(exprs, space, derived, publics, selections)
+        return enumerate_(exprs, space, publics, selections)
 
     monkeypatch.setattr(vf, "_enumerate", spy)
     return seen
@@ -970,6 +995,63 @@ def test_block_wise_first_group_across_blocks(monkeypatch):
     assert v.witness.evidence.endswith("occurs 4 vs 2 times")
 
 
+def _public_set(rng):
+    """A random set with 1 to 4 public bits, in one public or two; most
+    members mix a public term in."""
+    labels = SymbolTable()
+    symbols = {}
+
+    def declare(name, width, kind, secret=None, index=None):
+        labels.declare(name, width, kind, secret, index)
+        symbols[name] = width
+
+    w = rng.choice((1, 2))
+    declare("k", w, ex.SECRET)
+    if rng.random() < 0.3:
+        labels.declare("ks", 1, ex.SECRET)
+        for i in range(rng.choice((2, 3))):
+            declare(f"ks{i}", 1, ex.SHARE, secret="ks", index=i)
+    for i in range(rng.randrange(1, 4)):
+        declare(f"m{i}", rng.choice((1, w)), ex.MASK)
+    bits = rng.randint(1, 4)
+    top = rng.randrange(1, bits) if bits > 1 and rng.random() < 0.5 else bits
+    declare("p", top, ex.PUBLIC)
+    if top < bits:
+        declare("q", bits - top, ex.PUBLIC)
+    publics = {n: symbols[n] for n in ("p", "q") if n in symbols}
+    exprs = []
+    for _ in range(rng.randrange(1, 4)):
+        e = oracles.tree_to_expr(oracles.random_tree(
+            rng, symbols, rng.randrange(1, 4), rng.choice((w, 1))))
+        if rng.random() < 0.7:
+            public = oracles.random_tree(rng, publics, 2, e.width)
+            e = ex.build(rng.choice(("AND", "OR", "XOR")),
+                         [e, oracles.tree_to_expr(public)])
+        exprs.append(e)
+    return make_expr_set(exprs), labels
+
+
+@pytest.mark.parametrize("block, rows", [(1, 16), (2, 8)])
+def test_whole_witnesses_over_many_ranges(monkeypatch, ranges, block, rows):
+    # small blocks and ranges: a set spans several ranges, a range's first
+    # public value several blocks, and a range of small public values
+    # holds several of them, told apart in the even path by the lead
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(vf, "_RANGE_ROWS", rows)
+    rng = random.Random(rows)
+    leaks = several = 0
+    for _ in range(300):
+        exprs, labels = _public_set(rng)
+        ranges.clear()
+        try:
+            v = check_enumeration(exprs, labels, limit=12)
+        except TooLarge:
+            continue
+        leaks += _is_first_uneven_group(v, exprs, labels).status == vf.LEAKS
+        several += len(ranges) > 1
+    assert leaks > 60 and several > 10
+
+
 # ---------------------------------------------------------------------------
 # Narrow columns
 # ---------------------------------------------------------------------------
@@ -1010,10 +1092,12 @@ def test_narrow_columns_equal_the_tree_oracle():
     # the columns, on Python ints past 31 bits
     assignments = [{n: int(c[r]) for n, c in cols.items()}
                    for r in range(rows)]
-    memo = {}
+    # the symbols' columns given, each term's is evaluated on first read
+    columns = vf._Rows(vf._Space([], {}, {}, 0, {}), 0, rows)
+    columns.update(cols)
     for tree in trees:
         e = oracles.tree_to_expr(tree)
-        got = [int(v) for v in vf._eval_column(e, cols, rows, memo)]
+        got = [int(v) for v in columns[e]]
         want = [oracles.tree_eval(tree, a) for a in assignments]
         assert got == want, ex.render(e)
         assert [ex.eval_concrete(e, a) for a in assignments] == want, \
@@ -1021,17 +1105,17 @@ def test_narrow_columns_equal_the_tree_oracle():
     # a bound table read, indexed past uint16, its values past its width
     table = [rng.getrandbits(7) for _ in range(10)]
     read = ex.array_lookup("t", oracles.tree_to_expr(x[17]), 5, table)
-    got = [int(v) for v in vf._eval_column(read, cols, rows, memo)]
+    got = [int(v) for v in columns[read]]
     assert got == [table[int(i) % 10] & 31 for i in cols["x17"]]
     assert [ex.eval_concrete(read, a) for a in assignments] == got
-    assert len(memo) > len(trees)
-    for e, col in memo.items():
-        assert col.dtype == vf._dtype(e.width), ex.render(e)
+    terms = {e: col for e, col in columns.items() if isinstance(e, ex.Expr)}
+    assert len(terms) > len(trees)
+    for e, col in terms.items():
+        assert len(col) == rows and col.dtype == vf._dtype(e.width), \
+            ex.render(e)
 
 
-def test_materialise_every_public_range(monkeypatch):
-    monkeypatch.setattr(vf, "_FIRST_RANGE_ROWS", 4)
-    monkeypatch.setattr(vf, "_MAX_RANGE_ROWS", 1 << 11)
+def test_materialise_every_public_range():
     labels = SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     for i in range(2):
@@ -1039,34 +1123,34 @@ def test_materialise_every_public_range(monkeypatch):
     labels.declare("m", 3, ex.MASK)
     labels.declare("pa", 8, ex.PUBLIC)
     labels.declare("pb", 9, ex.PUBLIC)
-    space, derived, _, publics = vf._space_for({"k1", "m", "pa", "pb"},
-                                               labels, 22, shares_free=False)
-    assert derived == {"k1": ["k", "k0"]} and publics == ["pa", "pb"]
+    space, _, publics = vf._space_for({"k1", "m", "pa", "pb"}, labels, 22,
+                                      shares_free=False)
+    assert space.derived == {"k1": ["k", "k0"]} and publics == ["pa", "pb"]
     assert sorted(space.widths.values()) == [1, 1, 3, 8, 9]
-    low = space.total_bits - 17
-    ranges = list(vf._public_ranges(space.size, 1 << low))
-    # the public fields' runs outgrow the ranges, which then cut them
-    assert len(ranges) > 2 and ranges[-1][1] == space.size
-    for start, stop in ranges:
-        space.materialise(derived, start, stop)
-        assert space.rows == stop - start
+    # 2^11-row ranges: the public fields' runs (pa's are 2^14 rows)
+    # outgrow the ranges, which then cut them
+    size = 1 << 11
+    assert space.size % size == 0 and 1 << space.offsets["pa"] > size
+    for start in range(0, space.size, size):
+        stop = start + size
+        rows = vf._Rows(space, start, stop)
+        assert rows.n == stop - start
         # every third row, computed from the row indices before any field
         # is built over the range
         at = np.arange(0, stop - start, 3)
-        gathered = space.cols.gather(at)
+        gathered = rows.gather(at)
         for name in [*space.order, "k1"]:
             assert gathered[name].dtype == vf._dtype(space.widths.get(name, 1))
-            assert gathered[name].tolist() == \
-                space.cols[name][at].tolist(), name
+            assert gathered[name].tolist() == rows[name][at].tolist(), name
         for name in space.order:
             off, w = space.offsets[name], space.widths[name]
-            col = space.cols[name]
+            col = rows[name]
             assert col.dtype == vf._dtype(w) and len(col) == stop - start
             assert col.tolist() == [(r >> off) & ((1 << w) - 1)
                                     for r in range(start, stop)], name
-        k1 = space.cols["k1"]
+        k1 = rows["k1"]
         assert k1.dtype == np.uint8
-        assert np.array_equal(k1, space.cols["k"] ^ space.cols["k0"])
+        assert np.array_equal(k1, rows["k"] ^ rows["k0"])
 
 
 # ---------------------------------------------------------------------------
