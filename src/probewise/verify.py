@@ -18,17 +18,19 @@ ladder; the first step that decides wins:
    symbols, so the first step after which the count proves decides, as
    the count on what the whole fixpoint leaves would. Sound, never
    complete.
-3. :func:`_enumerate`, exact and witness-producing, over the space
+3. Enumeration, exact and witness-producing, over the space
    :func:`_space_for` builds; past the bit budget it raises TooLarge. Shares
    are tied to their parent secret by Boolean resharing (the top-index
    share equals the secret XOR the others), or free for simulatability,
    where a secret is the XOR of all of its shares.
 
-Enumeration takes (fixed, vary) selections: secure iff for some selection,
-within each public value, the joint distribution of the members and the
-fixed symbols is the same for every vary value. :func:`check_enumeration`
-varies the secrets; a probe tuple fixes each selection of its budget of
-shares, varies the other shares and marginalises the publics.
+Every enumeration question is a (fixed, vary) selection of base fields:
+invariant iff, for each value of the fixed fields, the joint distribution
+of the members is the same for every vary value. :func:`check_enumeration`
+has one selection, the publics fixed and the secrets varied; a probe tuple
+(:func:`_simulatable`) is simulatable iff some selection of its budget of
+shares, fixed, is invariant with the other shares varied and the publics
+marginalised.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
@@ -37,23 +39,27 @@ set of rows (a range, a block of it, or a stage gathered from either),
 each built when first read: a symbol's from the row indices, a term's by
 :func:`expr.apply`, the value rule that constant folding and
 :func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
-:func:`expr.int_rule` row by row. The test is a counting kernel
-(:func:`_first_bad_group`): the publics or the fixed symbols (never both),
-then the members, form the group key, the vary symbols the vary key. A
-selection is invariant iff each group's rows are spread alike over the
-vary values, and a leak's witness is the first group in key order that is
-not. Public values are walked in key order, one range of
+:func:`expr.int_rule` row by row. Each selection is decided by one call of
+a counting kernel (:func:`_first_bad_group`): the fixed fields, then the
+members, form the group key, the vary fields the vary key. A selection is
+invariant iff each group's rows are spread alike over the vary values, and
+a leak's witness is the first group in key order that is not. A set's
+public values are walked in key order, one range of
 ``max(_RANGE_ROWS, one public value)`` rows at a time, and the first range
-that leaks decides. A range's first group lies in its first public value,
-and the kernel finds it there one block of at most ``_BLOCK_ROWS`` rows at
-a time (:func:`_first_group`), column by column: the key up to the first
-member is read at every row of the block, each later member at the rows
-still in the group, and a block whose key already exceeds the least so far
-is left. It counts that group's rows only, so a leak decided there holds
-at most one block of any column, plus the rows of its group. Every
-member's column over all of the range's rows is evaluated, and the whole
-keys are packed into int64 by :func:`_pack` and sorted, only when that
-group is even.
+that leaks decides; a probe tuple's selections share one range, the whole
+space. The fixed fields that hold the top bits of the row index, a set's
+publics or a tuple's leading selected shares, are least on the range's
+first rows (:func:`_top`), so its first group lies there, and the kernel
+finds it one block of at most ``_BLOCK_ROWS`` rows at a time
+(:func:`_first_group`), column by column: the key up to the first member
+is read at every row of the block, each later member at the rows still in
+the group, and a block whose key already exceeds the least so far is left.
+It counts that group's rows only, so a leak decided there holds at most
+one block of any column, plus the rows of its group. Every member's column
+over all of the range's rows is evaluated, and the whole keys are packed
+into int64 by :func:`_pack` and sorted, only when that group is even. A
+fixed field that is constant over the rows a key covers is left out of
+that key (:func:`_varying`).
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
 sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
@@ -593,42 +599,6 @@ def _base_parts(names: Sequence[str],
     return [(rows[name], 1 << rows.space.widths[name]) for name in names]
 
 
-@dataclass
-class _Members:
-    """One range's members in key order, and for a selection whose first
-    group is even the key parts over all of the range's ``rows``: the lead,
-    the publics' field (the row bits from ``low`` up) when the range holds
-    more than one public value, then each member's column. The parts are
-    built, the key packed and densified at most once, for all of the
-    range's selections."""
-    exprs: Sequence[Expr]
-    rows: _Rows
-    low: int
-
-    @functools.cached_property
-    def parts(self) -> list[tuple[np.ndarray, int | None]]:
-        """Each part is (column, value bound), the bound None for members
-        too wide for int64."""
-        n = self.rows.n
-        values = n >> self.low
-        lead = [(_field(self.low, (values - 1).bit_length(), 0, n), values)] \
-            if values > 1 else []
-        return [*lead, *((self.rows[e], (1 << e.width)
-                          if e.width <= _INT64_WIDTH else None)
-                         for e in self.exprs)]
-
-    @functools.cached_property
-    def key(self) -> tuple[np.ndarray, int]:
-        return _pack(self.parts)
-
-    @functools.cached_property
-    def dense(self) -> tuple[np.ndarray, int]:
-        """The key as a part after fixed fields: dense ids when its bound
-        exceeds the row count."""
-        key, bound = self.key
-        return _dense(key) if bound > self.rows.n else (key, bound)
-
-
 _REGATHER = 8   # a stage gathers again once its group is this many times smaller
 _BLOCK_ROWS = 1 << 16   # the first-group walk reads this many rows at a time
 
@@ -642,26 +612,51 @@ def _least(col: np.ndarray, pos: np.ndarray | None):
     return (hit.nonzero()[0] if pos is None else pos[hit]), least
 
 
-def _first_group(fixed: Sequence[str], members: _Members
+def _top(fixed: Sequence[str], space: _Space) -> int:
+    """The lowest row bit of the leading ``fixed`` fields that hold the top
+    bits of the row index, the first most significant. They are least, all
+    zero, on the first ``1 << low`` rows of a range that starts at a
+    multiple of ``1 << low``."""
+    low = space.total_bits
+    for name in fixed:
+        if space.offsets[name] + space.widths[name] != low:
+            break
+        low = space.offsets[name]
+    return low
+
+
+def _varying(fixed: Sequence[str], space: _Space, start: int,
+             stop: int) -> list[str]:
+    """The ``fixed`` fields that are not constant over the rows ``[start,
+    stop)``. The row bits from a field's offset up take one value there, or
+    several consecutive ones, which differ in the field's lowest bit."""
+    return [name for name in fixed
+            if start >> space.offsets[name] != (stop - 1) >> space.offsets[name]]
+
+
+def _first_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows
                  ) -> tuple[_Rows, list]:
     """The first group in key order of the ``fixed`` fields, then the
-    members. The lead is least on the range's first public value, so the
-    group lies there, and only those rows are read, one block of at most
-    ``_BLOCK_ROWS`` rows at a time (:func:`_block_group`): a block with a
-    smaller key than the least so far replaces it, and one with an equal
-    key adds its rows. Returns the range's fields at the group's rows (a
-    stage whose ``at`` is ascending) and the group's member values. No
-    column is read over more than one block; only the group's rows are
-    kept. A range of one block is read on its own columns, which its
-    selections and its even path share."""
-    rows = members.rows
-    first = min(rows.n, 1 << members.low)
-    keys = [*fixed, *members.exprs]
+    members ``exprs``. The fixed fields that hold the top bits of the row
+    index (:func:`_top`) are least on the range's first ``1 << low`` rows,
+    so the group lies there, and only those rows are read, one block of at
+    most ``_BLOCK_ROWS`` rows at a time (:func:`_block_group`): a block
+    with a smaller key than the least so far replaces it, and one with an
+    equal key adds its rows. A fixed field constant over those rows is left
+    out of the key (:func:`_varying`). Returns the range's fields at the
+    group's rows (a stage whose ``at`` is ascending) and the group's member
+    values. No column is read over more than one block; only the group's
+    rows are kept. A range of one block is read on its own columns, which
+    its selections and its even path share."""
+    first = min(rows.n, 1 << _top(fixed, rows.space))
+    keys = [*_varying(fixed, rows.space, rows.start, rows.start + first),
+            *exprs]
+    n_fixed = len(keys) - len(exprs)
     least, found = None, []
     for start in range(0, first, _BLOCK_ROWS):
         stop = min(first, start + _BLOCK_ROWS)
         # no name holds the block: its columns are freed once it is walked
-        got = _block_group(keys, len(fixed), rows if stop - start == rows.n
+        got = _block_group(keys, n_fixed, rows if stop - start == rows.n
                            else _Rows(rows.space, rows.start + start,
                                       rows.start + stop), least)
         if got is None:
@@ -672,7 +667,7 @@ def _first_group(fixed: Sequence[str], members: _Members
         else:
             found.append(at + start)
     at = found[0] if len(found) == 1 else np.concatenate(found)
-    return rows.gather(at), least[len(fixed):]
+    return rows.gather(at), least[n_fixed:]
 
 
 def _block_group(keys: Sequence[str | Expr], n_fixed: int, rows: _Rows,
@@ -700,38 +695,41 @@ def _block_group(keys: Sequence[str | Expr], n_fixed: int, rows: _Rows,
     return key, pos if rows.at is None else rows.at[pos]
 
 
-def _first_bad_group(fixed: Sequence[str], members: _Members,
+def _first_bad_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
                      vary: Sequence[str]) -> tuple[int, np.ndarray, list] | None:
-    """The counting kernel: the first group, in key order, whose rows are not
-    spread evenly over the values of the ``vary`` fields. The group key is
-    the ``fixed`` fields, then ``members``' parts.
+    """The counting kernel: the first group of ``rows``, in key order, whose
+    rows are not spread evenly over the values of the ``vary`` fields. The
+    group key is the ``fixed`` fields, then the members ``exprs``.
 
     Returns the group's first row in the range, its row count per vary
     value and its member values, or None when every group is invariant, as
     every group is with no vary field. The first group's rows
     (:func:`_first_group`) are counted first, on the vary fields gathered
     at them: if they are uneven, it is the first bad group, and no field,
-    member or key is built over more than one block. Else the members'
-    columns over the range are evaluated and the whole key packed
+    member or key is built over more than one block. Else the whole key
+    over the range, the fixed fields not constant there (:func:`_varying`)
+    then every member's column, is packed once and counted
     (:func:`_bad_group`), and the member values are read from those
     columns.
     """
     if not vary:
         return None
-    rows = members.rows
-    group, values = _first_group(fixed, members)
+    group, values = _first_group(fixed, exprs, rows)
     head_vary, n_vary = _pack(_base_parts(vary, group))
     counts = np.bincount(head_vary, minlength=n_vary)
     if (counts != counts[0]).any():
         return int(group.at[0]), counts, values
-    groups, n_groups = _pack([*_base_parts(fixed, rows), members.dense]) \
-        if fixed else members.key
+    fields = _varying(fixed, rows.space, rows.start, rows.stop)
+    groups, n_groups = _pack([
+        *_base_parts(fields, rows),
+        *((rows[e], (1 << e.width) if e.width <= _INT64_WIDTH else None)
+          for e in exprs)])
     vary_key, _ = _pack(_base_parts(vary, rows))
     bad = _bad_group(groups, n_groups, vary_key, n_vary)
     if bad is None:
         return None
     row, counts = bad
-    return row, counts, [rows[e][row] for e in members.exprs]
+    return row, counts, [rows[e][row] for e in exprs]
 
 
 def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
@@ -807,56 +805,29 @@ def _witness(row: int, counts: np.ndarray, values: Sequence, rows: _Rows,
 _RANGE_ROWS = 1 << 14   # a range holds this many rows, or one public value
 
 
-def _enumerate(exprs: Sequence[Expr], space: _Space, publics: Sequence[str],
-               selections: Sequence[tuple[list[str], list[str]]]) -> Verdict:
-    """Secure iff some ``(fixed, vary)`` selection is invariant in every
-    range of public values; a leak carries the first selection's witness.
-
-    A range is ``max(_RANGE_ROWS, one public value)`` rows, the whole space
-    when there is no public. Ranges are walked in key order, and the walk
-    stops at the first in which no selection is invariant. The publics hold
-    the top bits of the row index, so each public value is one contiguous
-    run of rows, and every group lies inside one public value. The first
-    bad group of the first leaking range is therefore the whole space's,
-    with the same counts, and a leak usually costs a small prefix of the
-    space. This needs the publics to lead the group key: no selection may
-    fix symbols when ``publics`` are given. A range's columns are built on
-    first need and once for all of its selections (:class:`_Members`): a
-    selection whose first group is uneven reads the range's first public
-    value one block at a time, and packs nothing of it."""
-    low = space.total_bits - sum(space.widths[p] for p in publics)
-    step = min(space.size, max(_RANGE_ROWS, 1 << low))
-    alive = selections
-    witness: LeakWitness | None = None
-    for start in range(0, space.size, step):
-        # the publics packed in key order are the row index's top bits
-        members = _Members(exprs, _Rows(space, start, start + step), low)
-        invariant = []
-        for sel in alive:
-            fixed, vary = sel
-            bad = _first_bad_group(fixed, members, vary)
-            if bad is None:
-                invariant.append(sel)
-                if start + step == space.size:
-                    break   # invariant in every range: nothing else to see
-            elif sel is selections[0]:
-                witness = _witness(*bad, members.rows, exprs, vary,
-                                   [*publics, *fixed])
-        if not invariant:
-            return Verdict.leaks(witness)
-        alive = invariant
-    return Verdict.secure()
-
-
 def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
-    """Exact independence check by exhausting all symbol assignments, one
-    range of public values at a time; the first range that leaks decides."""
+    """Exact independence check by exhausting all symbol assignments: the
+    publics fixed, the secrets varied.
+
+    The publics hold the top bits of the row index, the first in key order
+    most significant, so each public value is one contiguous run of rows,
+    and every group lies inside one public value. Ranges of
+    ``max(_RANGE_ROWS, one public value)`` rows, the whole space when there
+    is no public, are walked in key order, and the first that leaks
+    decides: its first bad group is the whole space's, with the same
+    counts, so a leak usually costs a small prefix of the space."""
     space, secrets, publics = _space_for(
         _symbols(exprs, labels), labels, limit, shares_free=False)
     if not secrets:
         return Verdict.secure()
-    return _enumerate(exprs, space, publics, [([], secrets)])
+    step = min(space.size, max(_RANGE_ROWS, 1 << _top(publics, space)))
+    for start in range(0, space.size, step):
+        rows = _Rows(space, start, start + step)
+        bad = _first_bad_group(publics, exprs, rows, secrets)
+        if bad is not None:
+            return Verdict.leaks(_witness(*bad, rows, exprs, secrets, publics))
+    return Verdict.secure()
 
 
 def check(exprs: tuple[Expr, ...], labels: SymbolTable,
@@ -1016,8 +987,10 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                  limit: int) -> Verdict:
     """Can a simulator with ``budget`` shares of each input reproduce the
     joint distribution of ``exprs``? Observing a secret observes all of its
-    shares. A leak carries the first selection's witness; past ``limit``
-    bits the verdict is Inconclusive."""
+    shares. Each selection of ``budget`` shares of each input is fixed in
+    turn, the other shares varied, over one range, the whole space; the
+    first invariant selection proves it. A leak carries the first
+    selection's witness; past ``limit`` bits the verdict is Inconclusive."""
     # check_tuples decides only a set whose count on all of its symbols
     # failed: start at the fixpoint
     if _fixpoint_count(exprs, labels, budget).is_secure:
@@ -1033,14 +1006,19 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     present = [[s for s in shares if s in space.widths] for shares in by_secret]
     choices = [itertools.combinations(shares, min(budget, len(shares)))
                for shares in present]
-    selections = []
-    for selection in itertools.product(*choices):
-        sel = sorted(n for combo in selection for n in combo)
-        non_sel = sorted(n for shares in present for n in shares
-                         if n not in sel)
-        selections.append((sel, non_sel))
     # the simulator draws the publics too: they are not conditioned on
-    return _enumerate(exprs, space, [], selections)
+    rows = _Rows(space, 0, space.size)
+    witness = None
+    for selection in itertools.product(*choices):
+        fixed = sorted(n for combo in selection for n in combo)
+        vary = sorted(n for shares in present for n in shares
+                      if n not in fixed)
+        bad = _first_bad_group(fixed, exprs, rows, vary)
+        if bad is None:
+            return Verdict.secure()
+        if witness is None:
+            witness = _witness(*bad, rows, exprs, vary, fixed)
+    return Verdict.leaks(witness)
 
 
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,

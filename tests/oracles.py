@@ -362,11 +362,13 @@ class ConcreteSim:
         raise AssertionError(kind)
 
 
-def random_expr_set(rng: random.Random, max_bits: int = 16):
+def random_expr_set(rng: random.Random):
     """A random expression set plus labels, biased toward masked patterns.
 
-    Total symbol width stays within ``max_bits`` so enumeration is always
-    available as the ground truth.
+    The members' symbols take at most 18 bits, and so does their
+    enumeration space: a 2-bit ``k``, ``k2``, three 2-bit shares of ``ks``
+    (the space holds ``ks`` for the top one), four 2-bit masks and ``p``.
+    Callers that need a smaller space skip the sets past their own limit.
     """
     labels = ex.SymbolTable()
     widths = {}

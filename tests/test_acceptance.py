@@ -166,7 +166,7 @@ def test_criterion_6_substitution_soundness():
     violations = 0
     total = 0
     while total < 1000:
-        exprs, labels = oracles.random_expr_set(rng, max_bits=16)
+        exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         total += 1
         if check_substitution(eset, labels).is_secure:

@@ -184,7 +184,7 @@ def test_enumeration_matches_bruteforce_oracle():
     rng = random.Random(88)
     compared = 0
     while compared < 250:
-        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         symbols = {n for e in eset for n in ex.symbols_of(e)}
         if sum(labels.width(n) for n in symbols) > 10:
@@ -394,7 +394,7 @@ def test_enumeration_witness_counts_match_bruteforce():
     rng = random.Random(5)
     missing_value = unequal_counts = 0
     for _ in range(400):
-        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         symbols = {n for e in eset for n in ex.symbols_of(e)}
         if sum(labels.width(n) for n in symbols) > 10:
@@ -541,15 +541,16 @@ def test_kernel_array_reads():
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """The row ranges ``[start, stop)`` enumerated, in call order."""
+    """The row ranges ``[start, stop)`` enumerated, in call order: the
+    kernel runs once per range of a set."""
     seen = []
-    members = vf._Members
+    kernel = vf._first_bad_group
 
-    def spy(exprs, rows, low):
+    def spy(fixed, exprs, rows, vary):
         seen.append((rows.start, rows.stop))
-        return members(exprs, rows, low)
+        return kernel(fixed, exprs, rows, vary)
 
-    monkeypatch.setattr(vf, "_Members", spy)
+    monkeypatch.setattr(vf, "_first_bad_group", spy)
     return seen
 
 
@@ -676,7 +677,7 @@ def test_range_wise_random_sets(monkeypatch, rows):
     rng = random.Random(rows)
     leaks = 0
     for _ in range(150):
-        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        exprs, labels = oracles.random_expr_set(rng)
         symbols = {n for e in exprs for n in ex.symbols_of(e)}
         if sum(labels.width(n) for n in symbols) > 12:
             continue
@@ -712,7 +713,7 @@ def test_first_uneven_group_on_random_sets():
     rng = random.Random(20)
     leaks = 0
     for _ in range(300):
-        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         try:
             v = check_enumeration(eset, labels, limit=12)
@@ -930,16 +931,16 @@ def test_a_secure_set_with_publics_stays_within_its_memory_bound():
 
 @pytest.fixture
 def first_selections(monkeypatch):
-    """The first (fixed, vary) selection of each enumeration, in call
-    order."""
+    """The (fixed, vary) selection of each kernel call, in call order: an
+    enumeration's first call is its first selection."""
     seen = []
-    enumerate_ = vf._enumerate
+    kernel = vf._first_bad_group
 
-    def spy(exprs, space, publics, selections):
-        seen.append(selections[0])
-        return enumerate_(exprs, space, publics, selections)
+    def spy(fixed, exprs, rows, vary):
+        seen.append((fixed, vary))
+        return kernel(fixed, exprs, rows, vary)
 
-    monkeypatch.setattr(vf, "_enumerate", spy)
+    monkeypatch.setattr(vf, "_first_bad_group", spy)
     return seen
 
 
@@ -950,7 +951,7 @@ def test_block_wise_first_groups_on_random_sets(monkeypatch, first_selections,
     rng = random.Random(block)
     leaks = probe_leaks = 0
     for _ in range(200):
-        exprs, labels = oracles.random_expr_set(rng, max_bits=10)
+        exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         try:
             v = check_enumeration(eset, labels, limit=12)
@@ -965,6 +966,74 @@ def test_block_wise_first_groups_on_random_sets(monkeypatch, first_selections,
             _is_first_uneven_group(v, exprs, labels, first_selections[0])
             probe_leaks += 1
     assert leaks > 30 and probe_leaks > 10
+
+
+def _top_share_tuple(rng):
+    """A probe tuple's members without a public, over two masks that sort
+    before every share and one or two secrets whose shares are named in
+    reverse index order: with one secret, the first selection of one share
+    fixes the last share in name order, the row index's top field. A
+    member that observes the secret ``s`` itself lays its shares out in
+    index order instead, so a selection of two shares can fix the top two
+    fields."""
+    labels = SymbolTable()
+    atoms = ["m0", "m1"]
+    for name in ("s", "t")[:rng.choice((1, 1, 2))]:
+        labels.declare(name, 1, ex.SECRET)
+        n = rng.choice((2, 3, 4))
+        for i in range(n):
+            labels.declare(f"{name}{n - 1 - i}", 1, ex.SHARE, secret=name,
+                           index=i)
+            atoms.append(f"{name}{i}")
+    labels.declare("m0", 1, ex.MASK)
+    labels.declare("m1", 1, ex.MASK)
+    exprs = []
+    for _ in range(rng.choice((1, 2, 3))):
+        leaves = [s(rng.choice(atoms + ["s"]))
+                  for _ in range(rng.choice((1, 2, 3)))]
+        exprs.append(leaves[0] if len(leaves) == 1 else
+                     ex.build(rng.choice(("XOR", "AND", "OR")), leaves))
+    return make_expr_set(exprs), labels
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_top_share_fields_cut_the_first_group_walk(monkeypatch, block):
+    # a selection whose first fixed share holds the row index's top bits is
+    # walked on the rows where those bits are 0 only: every kernel call is
+    # the oracle's first uneven group of its own selection, and a leak's
+    # witness is its first selection's
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", block)
+    calls = []
+    kernel = vf._first_bad_group
+
+    def spy(fixed, exprs, rows, vary):
+        bad = kernel(fixed, exprs, rows, vary)
+        calls.append((fixed, vary, rows, bad))
+        return bad
+
+    monkeypatch.setattr(vf, "_first_bad_group", spy)
+    rng = random.Random(block)
+    top_calls = top_tuples = leaks = 0
+    for _ in range(300):
+        exprs, labels = _top_share_tuple(rng)
+        calls.clear()
+        v = vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+        if not calls:
+            continue   # the share count proved it
+        top = 0
+        for fixed, vary, rows, bad in calls:
+            got = vf.Verdict.secure() if bad is None else vf.Verdict.leaks(
+                vf._witness(*bad, rows, exprs, vary, fixed))
+            _is_first_uneven_group(got, exprs, labels, (fixed, vary))
+            top += fixed[:1] == [rows.space.order[-1]]
+        # the walk stops at the first invariant selection
+        assert v.is_secure == (calls[-1][3] is None)
+        if v.status == vf.LEAKS:
+            _is_first_uneven_group(v, exprs, labels, calls[0][:2])
+        top_calls += top
+        top_tuples += top > 0
+        leaks += v.status == vf.LEAKS
+    assert top_tuples > 20 and top_calls > 30 and leaks > 20
 
 
 def test_block_wise_first_group_in_a_later_block(monkeypatch):
