@@ -660,21 +660,24 @@ class SymbolTable:
         """Each secret's share names, ordered by share index."""
         return self._shares.values()
 
-    def _share_footprints(self) -> tuple[dict[str, int], tuple[int, ...], int,
+    def _share_footprints(self) -> tuple[dict[str, int], list[int], int,
                                          frozenset[str]]:
-        """Each symbol's share footprint, each sharing's bits, the "secret
-        seen" bit and the mask names, cached until the next declaration.
-        Every share has a bit of its own; a share sets its bit, a secret the
-        secret bit and all of its shares' bits, a mask or a public no bit.
-        Every declared name is a key of the footprints."""
+        """Each symbol's share footprint, the owner of each footprint bit,
+        the "secret seen" bit and the mask names, cached until the next
+        declaration. Every share has a bit of its own; a share sets its bit,
+        a secret the secret bit and all of its shares' bits, a mask or a
+        public no bit. ``owner[i]`` holds the bits of the sharing that holds
+        bit ``i`` (0 for the secret bit, which no sharing holds), so a count
+        reads only the sharings a footprint touches. Every declared name is
+        a key of the footprints."""
         if self._footprints is None:
             seen = 1
             bits: dict[str, int] = {}
-            sharings = []
+            owner = [0]
             for shares in self._shares.values():
                 for share in shares:
                     bits[share] = 1 << (len(bits) + 1)
-                sharings.append(sum(bits[s] for s in shares))
+                owner += [sum(bits[s] for s in shares)] * len(shares)
             for name, (_, kind, _, _) in self._info.items():
                 if kind == SECRET:
                     bits[name] = seen | sum(
@@ -683,7 +686,7 @@ class SymbolTable:
                     bits[name] = 0
             masks = frozenset(name for name, info in self._info.items()
                               if info[1] == MASK)
-            self._footprints = bits, tuple(sharings), seen, masks
+            self._footprints = bits, owner, seen, masks
         return self._footprints
 
     def widths(self) -> dict[str, int]:

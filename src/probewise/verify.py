@@ -35,8 +35,8 @@ marginalised.
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
 as Python ints past 31 bits. One :class:`_Rows` holds the columns of one
-set of rows (a range, a block of it, or a stage gathered from either),
-each built when first read: a symbol's from the row indices, a term's by
+span of rows (a range, or a block of one), each built over all of them
+when first read: a symbol's from the row indices, a term's by
 :func:`expr.apply`, the value rule that constant folding and
 :func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
 :func:`expr.int_rule` row by row. Each selection is decided by one call of
@@ -51,15 +51,13 @@ space. The fixed fields that hold the top bits of the row index, a set's
 publics or a tuple's leading selected shares, are least on the range's
 first rows (:func:`_top`), so its first group lies there, and the kernel
 finds it one block of at most ``_BLOCK_ROWS`` rows at a time
-(:func:`_first_group`), column by column: the key up to the first member
-is read at every row of the block, each later member at the rows still in
-the group, and a block whose key already exceeds the least so far is left.
-It counts that group's rows only, so a leak decided there holds at most
-one block of any column, plus the rows of its group. Every member's column
-over all of the range's rows is evaluated, and the whole keys are packed
-into int64 by :func:`_pack` and sorted, only when that group is even. A
-fixed field that is constant over the rows a key covers is left out of
-that key (:func:`_varying`).
+(:func:`_first_group`), column by column over the whole block, and counts
+it as it goes; a block whose key already exceeds the least so far is left.
+A leak decided there holds at most one block of any column. Every member's
+column over all of the range's rows is evaluated, and the whole keys are
+packed into int64 by :func:`_pack` and sorted, only when that group is
+even. A fixed field that is constant over the rows a key covers is left
+out of that key (:func:`_varying`).
 
 :func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
 sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
@@ -302,14 +300,19 @@ def _share_count_proves(fp: int, labels: SymbolTable,
     """The share count on a footprint: at most ``budget`` shares of each
     sharing, a secret counting as all of its shares, or, with no budget, no
     secret and a proper subset of each sharing, which is uniform and
-    independent of its secret."""
-    _, sharings, secret, _ = labels._share_footprints()
-    if budget is None and fp & secret:
-        return False
-    for shares in sharings:
+    independent of its secret. Only the sharings ``fp`` touches are read,
+    from its highest bit down."""
+    _, owner, secret, _ = labels._share_footprints()
+    if fp & secret:
+        if budget is None:
+            return False
+        fp &= ~secret
+    while fp:
+        shares = owner[fp.bit_length() - 1]
         if (fp & shares).bit_count() > \
                 (shares.bit_count() - 1 if budget is None else budget):
             return False
+        fp &= ~shares
     return True
 
 
@@ -393,21 +396,6 @@ def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
     return values.repeat(np.diff(edges))
 
 
-def _field_at(off: int, width: int, start: int, rows: np.ndarray) -> np.ndarray:
-    """:func:`_field` at the rows ``start + rows`` only, from the indices.
-    Where ``start`` begins a run, ``rows >> off`` is cast straight to the
-    narrow type, which keeps the low bits the mask needs, so no temporary
-    int64 column is built."""
-    if start & ((1 << off) - 1):
-        rows, start = rows + start, 0   # the range cuts the run of start
-    out = np.right_shift(rows, off, out=np.empty(len(rows), _dtype(width)),
-                         casting="unsafe")
-    if (start >> off) & mask(width):
-        out += (start >> off) & mask(width)
-    out &= mask(width)
-    return out
-
-
 @dataclass(frozen=True)
 class _Space:
     """Cartesian assignment space over base variables, with derived symbols,
@@ -425,39 +413,26 @@ class _Space:
 
 
 class _Rows(dict):
-    """The columns of the rows ``[start, stop)`` of ``space`` (a range or a
-    block), or of the rows ``start + at`` among them (a stage gathered by
-    :meth:`gather`): a base or derived field by name, a term by node, each
-    built on first read in the narrow type :func:`_dtype` gives its width.
-    A derived field is the XOR of its parts; a gathered stage selects any
-    column its source holds, and computes any other field from the row
-    indices."""
+    """The columns of the rows ``[start, stop)`` of ``space``, a range or a
+    block of one: a base or derived field by name, a term by node, each
+    built over every row on first read in the narrow type :func:`_dtype`
+    gives its width. A derived field is the XOR of its parts."""
 
-    def __init__(self, space: _Space, start: int, stop: int,
-                 at: np.ndarray | None = None, source: "_Rows | None" = None,
-                 sel: np.ndarray | None = None):
+    def __init__(self, space: _Space, start: int, stop: int):
         super().__init__()
         self.space, self.start, self.stop = space, start, stop
-        # at: the rows (None: every row); source: the rows gathered from,
-        # at the positions sel among them
-        self.at, self.source, self.sel = at, source, sel
-        self.n = stop - start if at is None else len(at)
+        self.n = stop - start
 
     def __missing__(self, key: str | Expr) -> np.ndarray:
         space = self.space
-        if self.source is not None and key in self.source:
-            col = self.source[key][self.sel]
-        elif not isinstance(key, str):
+        if not isinstance(key, str):
             col = self[key.name] if key.kind == "sym" else self._term(key)
         elif key in space.derived:
             col = functools.reduce(operator.xor,
                                    map(self.__getitem__, space.derived[key]))
-        elif self.at is None:
+        else:
             col = _field(space.offsets[key], space.widths[key], self.start,
                          self.stop)
-        else:
-            col = _field_at(space.offsets[key], space.widths[key], self.start,
-                            self.at)
         self[key] = col
         return col
 
@@ -478,11 +453,6 @@ class _Rows(dict):
         else:
             out = ex.apply(op, w, e.params, e.children, kids)
         return out.astype(_dtype(w), copy=False)
-
-    def gather(self, pos: np.ndarray) -> "_Rows":
-        """These rows at the positions ``pos`` (ascending) only."""
-        return _Rows(self.space, self.start, self.stop,
-                     pos if self.at is None else self.at[pos], self, pos)
 
     def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
         """The values of the base fields ``names`` at ``row``."""
@@ -599,7 +569,6 @@ def _base_parts(names: Sequence[str],
     return [(rows[name], 1 << rows.space.widths[name]) for name in names]
 
 
-_REGATHER = 8   # a stage gathers again once its group is this many times smaller
 _BLOCK_ROWS = 1 << 16   # the first-group walk reads this many rows at a time
 
 
@@ -634,65 +603,57 @@ def _varying(fixed: Sequence[str], space: _Space, start: int,
             if start >> space.offsets[name] != (stop - 1) >> space.offsets[name]]
 
 
-def _first_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows
-                 ) -> tuple[_Rows, list]:
+def _first_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
+                 vary: Sequence[str]) -> tuple[int, np.ndarray, list]:
     """The first group in key order of the ``fixed`` fields, then the
-    members ``exprs``. The fixed fields that hold the top bits of the row
-    index (:func:`_top`) are least on the range's first ``1 << low`` rows,
-    so the group lies there, and only those rows are read, one block of at
-    most ``_BLOCK_ROWS`` rows at a time (:func:`_block_group`): a block
-    with a smaller key than the least so far replaces it, and one with an
-    equal key adds its rows. A fixed field constant over those rows is left
-    out of the key (:func:`_varying`). Returns the range's fields at the
-    group's rows (a stage whose ``at`` is ascending) and the group's member
-    values. No column is read over more than one block; only the group's
-    rows are kept. A range of one block is read on its own columns, which
-    its selections and its even path share."""
+    members ``exprs``: its first row in the range, its row count per value
+    of the ``vary`` fields and its member values. The fixed fields that hold
+    the top bits of the row index (:func:`_top`) are least on the range's
+    first ``1 << low`` rows, so the group lies there, and only those rows
+    are read, one block of at most ``_BLOCK_ROWS`` rows at a time
+    (:func:`_block_group`). Each block whose key ties or beats the least so
+    far counts the vary values at its group's rows: a smaller key replaces
+    the counts, an equal one adds to them. A fixed field constant over those
+    rows is left out of the key (:func:`_varying`). No column is read over
+    more than one block; a range of one block is read on its own columns,
+    which its selections and its even path share."""
     first = min(rows.n, 1 << _top(fixed, rows.space))
     keys = [*_varying(fixed, rows.space, rows.start, rows.start + first),
             *exprs]
-    n_fixed = len(keys) - len(exprs)
-    least, found = None, []
+    least = row = counts = None
     for start in range(0, first, _BLOCK_ROWS):
         stop = min(first, start + _BLOCK_ROWS)
-        # no name holds the block: its columns are freed once it is walked
-        got = _block_group(keys, n_fixed, rows if stop - start == rows.n
-                           else _Rows(rows.space, rows.start + start,
-                                      rows.start + stop), least)
+        block = rows if stop - start == rows.n else \
+            _Rows(rows.space, rows.start + start, rows.start + stop)
+        got = _block_group(keys, block, least)
         if got is None:
             continue
-        key, at = got
+        key, pos = got
+        vary_key, n_vary = _pack([(col[pos], b)
+                                  for col, b in _base_parts(vary, block)])
+        here = np.bincount(vary_key, minlength=n_vary)
         if least is None or key < least:
-            least, found = key, [at + start]
+            least, row, counts = key, start + int(pos[0]), here
         else:
-            found.append(at + start)
-    at = found[0] if len(found) == 1 else np.concatenate(found)
-    return rows.gather(at), least[n_fixed:]
+            counts += here
+    return row, counts, least[len(keys) - len(exprs):]
 
 
-def _block_group(keys: Sequence[str | Expr], n_fixed: int, rows: _Rows,
+def _block_group(keys: Sequence[str | Expr], rows: _Rows,
                  least: list | None) -> tuple[list, np.ndarray] | None:
     """The first group in key order of ``rows``: its key (the values of
     ``keys``, fixed field names then member nodes) and its positions among
     ``rows``, or None as soon as a column's least value puts the key past
-    ``least``.
-
-    Column by column, the rows that hold the column's least value among
-    the rows still in. The first ``n_fixed + 1`` keys, the fixed fields
-    and the first member, are read at every row. Before each later member, a
-    stage gathers the rows still in (:meth:`_Rows.gather`) once they are
-    ``_REGATHER`` times fewer than the stage's rows, and the member is
-    evaluated at the rows of the last stage alone."""
+    ``least``. Column by column over every row, the rows that hold the
+    column's least value among the rows still in."""
     key: list = []
     pos = None
-    for i, k in enumerate(keys):
-        if i > n_fixed and len(pos) * _REGATHER < rows.n:
-            rows, pos = rows.gather(pos), None
+    for k in keys:
         pos, value = _least(rows[k], pos)
         key.append(value)
         if least is not None and key > least[:len(key)]:
             return None
-    return key, pos if rows.at is None else rows.at[pos]
+    return key, pos
 
 
 def _first_bad_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
@@ -703,29 +664,25 @@ def _first_bad_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
 
     Returns the group's first row in the range, its row count per vary
     value and its member values, or None when every group is invariant, as
-    every group is with no vary field. The first group's rows
-    (:func:`_first_group`) are counted first, on the vary fields gathered
-    at them: if they are uneven, it is the first bad group, and no field,
-    member or key is built over more than one block. Else the whole key
-    over the range, the fixed fields not constant there (:func:`_varying`)
-    then every member's column, is packed once and counted
-    (:func:`_bad_group`), and the member values are read from those
-    columns.
+    every group is with no vary field. The first group (:func:`_first_group`)
+    is counted first: if it is uneven, it is the first bad group, and no
+    column is built over more than one block. Else the whole key over the
+    range, the fixed fields not constant there (:func:`_varying`) then every
+    member's column, is packed once and counted (:func:`_bad_group`), and
+    the member values are read from those columns.
     """
     if not vary:
         return None
-    group, values = _first_group(fixed, exprs, rows)
-    head_vary, n_vary = _pack(_base_parts(vary, group))
-    counts = np.bincount(head_vary, minlength=n_vary)
+    row, counts, values = _first_group(fixed, exprs, rows, vary)
     if (counts != counts[0]).any():
-        return int(group.at[0]), counts, values
+        return row, counts, values
     fields = _varying(fixed, rows.space, rows.start, rows.stop)
     groups, n_groups = _pack([
         *_base_parts(fields, rows),
         *((rows[e], (1 << e.width) if e.width <= _INT64_WIDTH else None)
           for e in exprs)])
     vary_key, _ = _pack(_base_parts(vary, rows))
-    bad = _bad_group(groups, n_groups, vary_key, n_vary)
+    bad = _bad_group(groups, n_groups, vary_key, len(counts))
     if bad is None:
         return None
     row, counts = bad
@@ -1000,10 +957,11 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
                                  shares_free=True)
     except TooLarge as exc:
         return Verdict.inconclusive(str(exc))
-    by_secret = sorted(labels.sharings(),
-                       key=lambda shares: labels.share_parent(shares[0]))
     # the space holds the shares observed and all shares of each secret
-    present = [[s for s in shares if s in space.widths] for shares in by_secret]
+    parents = sorted({labels.share_parent(n)[0] for n in space.order
+                      if labels.kind(n) == ex.SHARE})
+    present = [[s for s in labels.shares_of(p) if s in space.widths]
+               for p in parents]
     choices = [itertools.combinations(shares, min(budget, len(shares)))
                for shares in present]
     # the simulator draws the publics too: they are not conditioned on

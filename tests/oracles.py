@@ -250,6 +250,42 @@ def dynamic_shift_circuit(seed: int) -> gadgets.Fixture | None:
 
 
 # ---------------------------------------------------------------------------
+# A trace that draws fresh shares every cycle
+# ---------------------------------------------------------------------------
+
+def fresh_share_trace(d: int, cycles: int):
+    """``gadgets.gen_dom_and(d)``'s circuit over ``cycles`` cycles, each of
+    which drives every input by a symbol of its own: cycle t's shares
+    ``a<i>.t`` and ``b<i>.t`` of the secrets ``a.t`` and ``b.t``, and its
+    masks ``z<ij>.t``. Returns the circuit, the labels and the stimuli.
+
+    The labels grow by two sharings a cycle, so a share count that reads
+    every sharing of the table costs time quadratic in the trace's length."""
+    circuit, _, _, _ = gadgets.gen_dom_and(d)
+    rng = random.Random(d)
+    labels, witness, frames = ex.SymbolTable(), {}, []
+    for t in range(cycles):
+        drive = {}
+        for secret in "ab":
+            name = f"{secret}.{t}"
+            labels.declare(name, 1, ex.SECRET)
+            witness[name] = 0
+            for i in range(d + 1):
+                share = f"{secret}{i}.{t}"
+                labels.declare(share, 1, ex.SHARE, secret=name, index=i)
+                witness[share] = rng.getrandbits(1)
+                witness[name] ^= witness[share]
+                drive[f"{secret}{i}"] = ex.sym(share, 1)
+        for i, j in itertools.combinations(range(d + 1), 2):
+            name = f"z{i}{j}.{t}"
+            labels.declare(name, 1, ex.MASK)
+            witness[name] = rng.getrandbits(1)
+            drive[f"z{i}{j}"] = ex.sym(name, 1)
+        frames.append(StimulusFrame(drive))
+    return circuit, labels, Stimuli(witness, frames)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force concrete simulator (glitch / stability oracle)
 # ---------------------------------------------------------------------------
 

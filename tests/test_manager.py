@@ -436,6 +436,18 @@ def test_a_replayed_cycle_is_the_last_cycles_block(monkeypatch, model):
     assert len(encoded) == len({line.split(", ", 1)[1] for line in lines})
 
 
+def test_a_fresh_share_trace_is_secure_in_every_cycle():
+    # new secrets, shares and masks every cycle: no cycle replays, and every
+    # entry is decided on labels that grow by two sharings a cycle
+    circuit, labels, stimuli = oracles.fresh_share_trace(2, 100)
+    report = run(circuit, stimuli, labels,
+                 LeakageModel(glitches=True, transitions=True))
+    assert report.summary.to_json() == {
+        "cycles": 100, "leaking_cycles": 0, "expr_to_verify": 3588,
+        "verified_expr": 3588, "cache_hits": 6, "trivial_skipped": 6}
+    assert len(report.entries) == 3594 and not report.flagged()
+
+
 def _driven(doc, frames):
     """``doc``'s circuit with input w driven at cycle t by ``frames[t][w]``:
     the secret k, the mask m or n, or the constant 0."""

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -837,8 +838,7 @@ def _first_group_leaks():
 def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     labels, bare, nodes = _first_group_leaks()
     packed, densified, columns = [], [], []
-    pack, dense, field, field_at, term = vf._pack, vf._dense, vf._field, \
-        vf._field_at, vf._Rows._term
+    pack, dense, field, term = vf._pack, vf._dense, vf._field, vf._Rows._term
 
     def spy_pack(parts):
         packed.append([len(col) for col, _ in parts])
@@ -852,10 +852,6 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
         columns.append(("field", stop - start))
         return field(off, width, start, stop)
 
-    def spy_field_at(off, width, start, rows):
-        columns.append(("field", len(rows)))
-        return field_at(off, width, start, rows)
-
     def spy_term(rows, e):
         columns.append((e, rows.n))
         return term(rows, e)
@@ -863,7 +859,6 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     monkeypatch.setattr(vf, "_pack", spy_pack)
     monkeypatch.setattr(vf, "_dense", spy_dense)
     monkeypatch.setattr(vf, "_field", spy_field)
-    monkeypatch.setattr(vf, "_field_at", spy_field_at)
     monkeypatch.setattr(vf._Rows, "_term", spy_term)
     # twenty 1-bit members over 20 bits: the first group, every member 0,
     # is the one row k = 0
@@ -877,7 +872,8 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     columns.clear()
     v = check_enumeration(nodes, labels)
     assert v.witness.evidence.endswith("occurs 2 vs 1 times")
-    assert packed == [[3]] and densified == []
+    # the group's three rows lie in two blocks: each packs its own
+    assert packed == [[2], [1]] and densified == []
     assert {e for e, _ in columns} >= set(nodes)
     assert max(n for _, n in columns) == vf._BLOCK_ROWS
 
@@ -1204,13 +1200,6 @@ def test_materialise_every_public_range():
         stop = start + size
         rows = vf._Rows(space, start, stop)
         assert rows.n == stop - start
-        # every third row, computed from the row indices before any field
-        # is built over the range
-        at = np.arange(0, stop - start, 3)
-        gathered = rows.gather(at)
-        for name in [*space.order, "k1"]:
-            assert gathered[name].dtype == vf._dtype(space.widths.get(name, 1))
-            assert gathered[name].tolist() == rows[name][at].tolist(), name
         for name in space.order:
             off, w = space.offsets[name], space.widths[name]
             col = rows[name]
@@ -1371,10 +1360,10 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
 
 @st.composite
 def _label_table(draw):
-    """1-3 sharings of 2-4 shares, possibly a secret without shares, masks
+    """1-12 sharings of 2-4 shares, possibly a secret without shares, masks
     and publics, and a random subset of the declared names."""
     labels = SymbolTable()
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(st.integers(1, 12))):
         labels.declare(f"k{i}", 1, ex.SECRET)
         for j in range(draw(st.integers(2, 4))):
             labels.declare(f"k{i}s{j}", 1, ex.SHARE, secret=f"k{i}", index=j)
@@ -1396,6 +1385,23 @@ def test_footprint_count_is_the_stated_rule(table):
     for budget in (None, 0, 1, 2):
         assert vf._share_count_proves(fp, labels, budget) == \
             oracles.share_count(symbols, labels, budget), budget
+
+
+def test_a_share_count_reads_only_the_sharings_it_touches():
+    # 5,000 sharings: a count on one share's footprint reads its own
+    # sharing, not the table's 5,000
+    labels = SymbolTable()
+    for i in range(5000):
+        labels.declare(f"k{i}", 1, ex.SECRET)
+        for j in range(2):
+            labels.declare(f"k{i}s{j}", 1, ex.SHARE, secret=f"k{i}", index=j)
+    counts = [(vf._footprint({f"k{i}s{n % 2}"}, labels), (None, 0)[n % 2])
+              for n, i in enumerate(range(0, 5000, 10))]
+    start = time.perf_counter()
+    proves = [vf._share_count_proves(fp, labels, budget)
+              for fp, budget in counts]
+    assert time.perf_counter() - start < 0.1
+    assert proves == [budget is None for _, budget in counts]
 
 
 def test_footprints_follow_later_declarations():
