@@ -519,22 +519,21 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
     wires = sorted(per_cycle[0]) if per_cycle else []
     cycles = range(len(per_cycle))
-    # each mode's positions, and the views of (wire, cycle) parts a combo
-    # expands to
+    # each mode's positions, and each position's (wire, cycle) part in each
+    # view of a combo
     if mode == SPATIAL:
         positions: list = wires
-        views = lambda combo: (([per_cycle[t][w] for w in combo], None)
-                               for t in cycles)
+        parts = [[per_cycle[t][w] for t in cycles] for w in wires]
     elif mode == TEMPORAL:
         positions = list(cycles)
-        views = lambda combo: (([per_cycle[t][w] for t in combo], None)
-                               for w in wires)
+        parts = [[per_cycle[t][w] for w in wires] for t in cycles]
     else:
         positions = [(w, t) for t in cycles for w in sorted(per_cycle[t])]
-        views = lambda combo: (([per_cycle[t][w] for w, t in combo], None),)
+        parts = [[per_cycle[t][w]] for w, t in positions]
 
     result = vf.check_tuples(
-        positions, (model.order,), views,
-        lambda exprs, _: vf.check(exprs, labels, options.enum_limit), labels,
-        vf.TUPLE_CAP)
+        positions, (model.order,), parts, None,
+        lambda exprs, _: vf.check_from_fixpoint(exprs, labels,
+                                                options.enum_limit),
+        labels, vf.TUPLE_CAP)
     return replace(result, warnings=tuple(dict.fromkeys(warnings)))

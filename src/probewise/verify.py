@@ -8,8 +8,10 @@ ladder; the first step that decides wins:
    symbols: with no budget, no secret and a proper subset of each sharing;
    else at most the budget of each sharing, a secret counting as all of
    its shares. :func:`check_tuples` counts each view of a probe tuple on
-   the union of its parts' footprints, each part's computed once per run
-   and each distinct footprint counted once per run, and a view the count
+   the union of its parts' footprints: each position's footprints, one per
+   view, are packed into one int, so a tuple's OR holds all of its views'
+   unions, and the views a distinct OR and budget leave unproven are found
+   once per run, each distinct footprint counted once. A view the count
    proves never becomes a set.
 2. The same count after each step of :func:`_substitutions`. A mask whose
    single use sits under an XOR node (reachable from a member root through
@@ -59,15 +61,17 @@ packed into int64 by :func:`_pack` and sorted, only when that group is
 even. A fixed field that is constant over the rows a key covers is left
 out of that key (:func:`_varying`).
 
-:func:`check_substitution` is steps 1 and 2 for both questions; NI/SNI
-sets, which step 1 has failed on in :func:`check_tuples`, start at step 2.
+:func:`check_substitution` is steps 1 and 2 for both questions.
 :func:`check` runs steps 1 and 2, then 3; a set past the bit budget is
 Inconclusive, a potential false positive, and so is a probe tuple that
-neither count proves. Tuples are drawn from symbolic values (or flattened
-LeakSets when glitches are modelled). :func:`check_tuples` is the one
-probe-tuple engine: NI/SNI and the higher-order d-uplet checks name their
-positions, the views of a tuple and how to decide a view's set, and it
-counts, builds, memoises and decides every view.
+neither count proves. The sets of probe-tuple views, which step 1 has
+failed on in :func:`check_tuples`, start at step 2: :func:`_simulatable`
+decides NI/SNI views and :func:`check_from_fixpoint` higher-order ones.
+Tuples are drawn from symbolic values (or flattened LeakSets when glitches
+are modelled). :func:`check_tuples` is the one probe-tuple engine: NI/SNI
+and the higher-order d-uplet checks name their positions, each position's
+part in each view and its weight in a view's budget, and how to decide a
+view's set, and it counts, builds, memoises and decides every view.
 """
 
 from __future__ import annotations
@@ -333,20 +337,16 @@ def _fixpoint_count(exprs: tuple[Expr, ...], labels: SymbolTable,
                     budget: int | None) -> Verdict:
     """The share count on the labeled symbols left after each step of the
     substitution fixpoint (:func:`_substitutions`), Secure at the first
-    step it proves. A step only removes labeled symbols, so this is the
-    count on the symbols the whole fixpoint leaves, which are a subset of
-    the members' symbols: it proves all that a count on those would."""
+    step it proves, for a set whose count on its own symbols has failed. A
+    step only removes labeled symbols, so this is the count on the symbols
+    the whole fixpoint leaves: it proves all that a count on those would."""
     members: Sequence[Expr] = exprs
     for members in _substitutions(exprs, labels):
         if _share_count_proves(_footprint(_labeled(members, labels), labels),
                                labels, budget):
             return Verdict.secure()
-    left = _labeled(members, labels)
-    # with no step, the members' own symbols are not counted yet
-    if members is exprs and \
-            _share_count_proves(_footprint(left, labels), labels, budget):
-        return Verdict.secure()
-    sensitive = sorted(n for n in left if labels.is_sensitive(n))
+    sensitive = sorted(n for n in _labeled(members, labels)
+                       if labels.is_sensitive(n))
     return Verdict.inconclusive(
         "substitution left sensitive symbols: " + ", ".join(sensitive))
 
@@ -793,7 +793,21 @@ def check(exprs: tuple[Expr, ...], labels: SymbolTable,
     ``exprs`` is a set's canonical members, as :func:`make_expr_set` gives."""
     if not exprs:
         return Verdict.secure()
-    verdict = check_substitution(exprs, labels)
+    return _enumerated(check_substitution(exprs, labels), exprs, labels, limit)
+
+
+def check_from_fixpoint(exprs: tuple[Expr, ...], labels: SymbolTable,
+                        limit: int) -> Verdict:
+    """:func:`check` of a set whose share count on its own symbols has
+    failed, as :func:`check_tuples` decides one: from the fixpoint."""
+    return _enumerated(_fixpoint_count(exprs, labels, None), exprs, labels,
+                       limit)
+
+
+def _enumerated(verdict: Verdict, exprs: tuple[Expr, ...],
+                labels: SymbolTable, limit: int) -> Verdict:
+    """``verdict`` if the substitution proved the set, else enumeration's;
+    past the bit budget, Inconclusive with the substitution's reason."""
     if verdict.is_secure:
         return verdict
     try:
@@ -833,19 +847,25 @@ def make_part(members: tuple[Expr, ...], labels: SymbolTable) -> Part:
 
 
 def check_tuples(positions: Sequence[object], sizes: Iterable[int],
-                 views: Callable[[tuple], Iterable[tuple[Sequence[Part],
-                                                         int | None]]],
+                 parts: Sequence[Sequence[Part]],
+                 weights: Sequence[int] | None,
                  decide: Callable[[tuple[Expr, ...], int | None], Verdict],
                  labels: SymbolTable, cap: int | None = None) -> TupleResult:
     """Walk every tuple of ``positions`` of each size and stop at the first
     verdict that is not Secure.
 
-    ``views(tuple)`` yields ``(parts, budget)`` pairs. A view that the share
-    count proves on the union of its parts' footprints is Secure without a
-    set, the empty view included; the count runs once per distinct
-    footprint and budget of the run. Any other view becomes the set of its
-    members, and ``decide(set, budget)`` runs once per distinct pair of the
-    run.
+    ``parts[i]`` is position i's part in each view of a tuple, as many
+    views for every position; a view is the tuple's parts in it. Its budget
+    is the sum of the tuple's ``weights``, or None for independence. A view
+    that the share count proves on the union of its parts' footprints is
+    Secure without a set; the count runs once per distinct footprint and
+    budget of the run. Any other view becomes the set of its members, and
+    ``decide(set, budget)`` runs once per distinct pair of the run.
+
+    Each position's footprints are packed into one int, one slot of a
+    footprint's width per view above the bits of the largest budget, so the
+    OR of a tuple's ints holds each view's union, and with the budget added
+    keys the views the count leaves unproven, found once per distinct key.
     TooMany, before any tuple is walked, if the tuples of one size exceed
     ``cap``."""
     sizes = list(sizes)
@@ -854,29 +874,52 @@ def check_tuples(positions: Sequence[object], sizes: Iterable[int],
         if cap is not None and count > cap:
             raise TooMany(count, cap)
     total = sum(counts)
-    memo: dict[tuple, Verdict] = {}
+    width = len(labels._share_footprints()[1])
+    low = 0 if weights is None else sum(weights).bit_length()
+    packed = [sum(fp << low + v * width for v, (_, fp) in enumerate(views))
+              for views in parts]
+    n_views, slot = len(parts[0]) if parts else 0, mask(width)
     proven: dict[tuple[int, int | None], bool] = {}   # by (footprint, budget)
-    checked = 0
-    for combo in itertools.chain.from_iterable(
-            itertools.combinations(positions, q) for q in sizes):
-        checked += 1
-        for parts, budget in views(combo):
-            fp = 0
-            for _, part_fp in parts:
-                fp |= part_fp
+
+    def unproven(key: int, budget: int | None) -> tuple[int, ...]:
+        """The views whose unions in ``key`` the count does not prove."""
+        out = []
+        for v in range(n_views):
+            fp = key >> low + v * width & slot
             proves = proven.get((fp, budget))
             if proves is None:
                 proves = proven[fp, budget] = _share_count_proves(fp, labels,
                                                                   budget)
-            if proves:
-                continue
-            key = (make_expr_set(e for members, _ in parts for e in members),
-                   budget)
-            verdict = memo.get(key)
+            if not proves:
+                out.append(v)
+        return tuple(out)   # the one empty tuple when all are proven
+
+    open_views: dict[int, tuple[int, ...]] = {}
+    # each budget's verdicts by set
+    memos: dict[int | None, dict[tuple[Expr, ...], Verdict]] = {}
+    footprint = packed.__getitem__
+    weight = None if weights is None else weights.__getitem__
+    budget = None
+    checked = 0
+    for combo in itertools.chain.from_iterable(
+            itertools.combinations(range(len(positions)), q) for q in sizes):
+        checked += 1
+        key = functools.reduce(operator.or_, map(footprint, combo), 0)
+        if weight is not None:
+            budget = sum(map(weight, combo))
+            key |= budget
+        views = open_views.get(key)
+        if views is None:
+            views = open_views[key] = unproven(key, budget)
+        for v in views:
+            members = make_expr_set(e for i in combo for e in parts[i][v][0])
+            memo = memos.setdefault(budget, {})
+            verdict = memo.get(members)
             if verdict is None:
-                verdict = memo[key] = decide(*key)
+                verdict = memo[members] = decide(members, budget)
             if not verdict.is_secure:
-                return TupleResult(verdict, checked, total, combo)
+                return TupleResult(verdict, checked, total,
+                                   tuple(positions[i] for i in combo))
     return TupleResult(Verdict.secure(), checked, total)
 
 
@@ -983,15 +1026,10 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
                           strong: bool, limit: int) -> TupleResult:
     labels = gadget.labels
     probes = collect_probes(gadget, glitches)
-    parts = {id(p): make_part(p.obs, labels) for p in probes}
-
-    def views(combo: tuple[Probe, ...]):
-        budget = sum(1 for p in combo if not p.is_output) if strong \
-            else len(combo)
-        return (([parts[id(p)] for p in combo], budget),)
-
+    # one view of a probe tuple; with SNI, output probes are free
     return check_tuples(
-        probes, range(1, d + 1), views,
+        probes, range(1, d + 1), [(make_part(p.obs, labels),) for p in probes],
+        [0 if strong and p.is_output else 1 for p in probes],
         lambda exprs, budget: _simulatable(exprs, labels, budget, limit),
         labels)
 

@@ -666,10 +666,12 @@ def fixpoint_count(exprs, labels, budget):
         "substitution left sensitive symbols: " + ", ".join(sensitive))
 
 
-def check_tuples(positions, sizes, views, decide, labels, cap=None):
-    """The probe-tuple walk with the share count run on every view's
-    footprint: the same tuples, views and ``decide`` calls in the same
-    order, and the same result, as ``vf.check_tuples``."""
+def check_tuples(positions, sizes, parts, weights, decide, labels, cap=None):
+    """The reference probe-tuple walk: no packed footprints and no memo of
+    unions or counts, each view of each tuple counted as the README states
+    the count (:func:`share_count`) on its members' symbols. The same
+    tuples, views and ``decide`` calls in the same order, and the same
+    result, as ``vf.check_tuples``."""
     sizes = list(sizes)
     counts = [math.comb(len(positions), q) for q in sizes]
     for count in counts:
@@ -679,21 +681,21 @@ def check_tuples(positions, sizes, views, decide, labels, cap=None):
     memo: dict = {}
     checked = 0
     for combo in itertools.chain.from_iterable(
-            itertools.combinations(positions, q) for q in sizes):
+            itertools.combinations(range(len(positions)), q) for q in sizes):
         checked += 1
-        for parts, budget in views(combo):
-            fp = 0
-            for _, part_fp in parts:
-                fp |= part_fp
-            if vf._share_count_proves(fp, labels, budget):
+        budget = None if weights is None else sum(weights[i] for i in combo)
+        for view in range(len(parts[0]) if parts else 0):
+            members = [e for i in combo for e in parts[i][view][0]]
+            symbols = {n for e in members for n in ex.symbols_of(e)}
+            if share_count(symbols, labels, budget):
                 continue
-            key = (vf.make_expr_set(e for members, _ in parts
-                                    for e in members), budget)
+            key = (vf.make_expr_set(members), budget)
             verdict = memo.get(key)
             if verdict is None:
                 verdict = memo[key] = decide(*key)
             if not verdict.is_secure:
-                return vf.TupleResult(verdict, checked, total, combo)
+                return vf.TupleResult(verdict, checked, total,
+                                      tuple(positions[i] for i in combo))
     return vf.TupleResult(vf.Verdict.secure(), checked, total)
 
 

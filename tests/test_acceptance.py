@@ -151,7 +151,7 @@ def test_criterion_5_higher_order_verdicts():
             assert res.verdict.status == vf.LEAKS
             assert res.verdict.witness is not None
         outcomes.append(res.verdict.status)
-    assert vf.check_tuples(list(range(7)), (2,), lambda combo: (), None,
+    assert vf.check_tuples(list(range(7)), (2,), [()] * 7, None, None,
                            labels).tuple_count == 21
     elapsed = time.time() - start
     assert elapsed < 600

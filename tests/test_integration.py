@@ -427,6 +427,78 @@ def test_rr1sw_on_pipeline_is_deterministic_and_supersets_value():
 
 
 # ---------------------------------------------------------------------------
+# Model monotonicity: a stronger model observes a superset
+# ---------------------------------------------------------------------------
+
+_MODELS = {"0,0": LeakageModel(), "0,1": LeakageModel(transitions=True),
+           "1,0": LeakageModel(glitches=True),
+           "1,1": LeakageModel(glitches=True, transitions=True),
+           "rr1sw": LeakageModel.rr1sw()}
+# (weaker, stronger): each observation of the weaker model is one of the
+# stronger model's, or a function of one
+_WEAKER = (("0,0", "0,1"), ("0,0", "1,0"), ("0,1", "1,1"), ("1,0", "1,1"),
+           ("1,1", "rr1sw"))
+
+
+def _folded(report):
+    """Each (cycle, wire)'s status over its facets: Leaks if one leaks,
+    else Inconclusive if one is, else Secure."""
+    rank = {"secure": 0, "inconclusive": 1, "leaks": 2}
+    out = {}
+    for e in report.entries:
+        key = (e.cycle, e.wire)
+        if rank[e.verdict.status] >= rank[out.get(key, "secure")]:
+            out[key] = e.verdict.status
+    return out
+
+
+def _monotonicity_fixtures():
+    """Random circuits, some the size of the benchmark's random_rr1sw pool,
+    and DOM/ISW at d = 1 and 2, each with its last frame held for three
+    more cycles, so that registers settle and values become stable."""
+    def held(stimuli):
+        return sim.Stimuli(stimuli.witness,
+                           [*stimuli.frames, *[stimuli.frames[-1]] * 3])
+
+    for seed in range(40):
+        fx = gadgets.gen_random_circuit(seed, 40, 6, 4, 4)
+        yield f"random {seed}", fx.circuit, held(fx.stimuli), fx.labels
+    for seed in range(1, 13):
+        fx = gadgets.gen_random_circuit(seed, n_gates=100, n_inputs=12,
+                                        n_registers=10, cycles=10)
+        yield f"pool {seed}", fx.circuit, held(fx.stimuli), fx.labels
+    for gen in (gadgets.gen_dom_and, gadgets.gen_isw_and):
+        for d in (1, 2):
+            circuit, labels, stimuli, _ = gen(d, cycles=3)
+            yield f"{gen.__name__} d={d}", circuit, held(stimuli), labels
+
+
+def test_a_weaker_model_never_leaks_where_a_stronger_one_is_secure():
+    # a (cycle, wire) Secure under the stronger model is not Leaks under
+    # the weaker one, at every (cycle, wire) both models report
+    compared = 0
+    statuses = Counter()
+    for name, circuit, stimuli, labels in _monotonicity_fixtures():
+        folded = {m: _folded(run(circuit, stimuli, labels, model))
+                  for m, model in _MODELS.items()}
+        for weak, strong in _WEAKER:
+            for key, status in folded[strong].items():
+                weaker = folded[weak].get(key)
+                if weaker is None:
+                    continue   # not selected under the weaker model
+                compared += 1
+                statuses[status, weaker] += 1
+                assert not (status == "secure" and weaker == "leaks"), \
+                    (name, weak, strong, key)
+    print(f"model monotonicity: {compared} comparisons, "
+          f"{statuses['secure', 'secure']} Secure under both, "
+          f"{statuses['leaks', 'leaks']} Leaks under both")
+    assert compared > 40_000
+    assert statuses["secure", "secure"] > 1_000
+    assert statuses["leaks", "leaks"] > 1_000
+
+
+# ---------------------------------------------------------------------------
 # A settled pipeline is carried forward, not evaluated again
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Manager: expression sets per model, wire selection, cache, runs, duplets."""
 
+import collections
 import itertools
 import json
 import math
@@ -651,7 +652,7 @@ def test_expr_set_tuples_identify_member_sets():
         assert len(idents) == 1, [ex.render(e) for e in key]
 
 
-def test_check_tuples_counts():
+def test_check_tuples_counts(monkeypatch):
     # every C(p, q) tuple is walked; one distinct view is decided once
     labels = ex.SymbolTable()
     labels.declare("k", 1, ex.SECRET)
@@ -665,21 +666,22 @@ def test_check_tuples_counts():
     for p, sizes, count in ((4, (2,), 6), (10, (3,), 120),
                             (5, (1, 2, 3), 25)):
         decided.clear()
-        res = vf.check_tuples(list(range(p)), sizes,
-                              lambda combo: (([part] * len(combo), None),),
+        res = vf.check_tuples(list(range(p)), sizes, [(part,)] * p, None,
                               decide, labels)
         assert (res.verdict.is_secure, res.tuples_checked,
                 res.tuple_count) == (True, count, count)
         assert decided == [((ex.sym("k", labels.width("k")),), None)]
 
-    # past the cap, TooMany before any view or decision
-    viewed = []
+    # past the cap, TooMany before any count or decision
+    counted = []
+    monkeypatch.setattr(vf, "_share_count_proves",
+                        lambda *args: counted.append(args))
     decided.clear()
     with pytest.raises(vf.TooMany, match="3921225 tuples exceed the cap "
                                          "of 1000"):
-        vf.check_tuples(list(range(100)), (1, 4), viewed.append, decide,
-                        labels, cap=1000)
-    assert viewed == [] and decided == []
+        vf.check_tuples(list(range(100)), (1, 4), [(part,)] * 100, None,
+                        decide, labels, cap=1000)
+    assert counted == [] and decided == []
 
 
 def test_higher_order_rejects_unknown_mode():
@@ -712,13 +714,13 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
     circuit, labels, stimuli, _ = gadgets.gen_dom_and(2)
     model = LeakageModel(order=2)
     checked = []
-    check = vf.check
+    check = vf.check_from_fixpoint
 
     def counting_check(eset, *args):
         checked.append(eset)
         return check(eset, *args)
 
-    monkeypatch.setattr(vf, "check", counting_check)
+    monkeypatch.setattr(vf, "check_from_fixpoint", counting_check)
     res = mg.verify_higher_order(circuit, stimuli, labels, model, mode=mode)
     assert res.verdict.is_secure
     assert res.tuples_checked == res.tuple_count
@@ -749,6 +751,45 @@ def test_higher_order_checks_each_distinct_union_once(monkeypatch, mode):
     assert set(checked) == unions - counted
     for union in counted:
         assert oracles.independence_bruteforce(union, labels)
+
+
+@pytest.mark.parametrize("mode", [mg.SPATIAL, mg.TEMPORAL, mg.MIXED])
+def test_higher_order_counts_each_footprint_once(monkeypatch, mode):
+    # the walk counts each distinct footprint once per run; a set it
+    # decides is counted again only after a substitution step, never on
+    # its own symbols
+    circuit, labels, stimuli, _ = gadgets.gen_dom_and(2)
+    count, decide = vf._share_count_proves, vf.check_from_fixpoint
+    walked, deciding, decided = collections.Counter(), [], []
+
+    def counted_count(fp, labels, budget=None):
+        if deciding:
+            deciding[-1] += 1
+        else:
+            walked[fp, budget] += 1
+        return count(fp, labels, budget)
+
+    def counted_decide(eset, *args):
+        deciding.append(0)
+        verdict = decide(eset, *args)
+        decided.append((eset, deciding.pop()))
+        return verdict
+
+    monkeypatch.setattr(vf, "_share_count_proves", counted_count)
+    monkeypatch.setattr(vf, "check_from_fixpoint", counted_decide)
+    res = mg.verify_higher_order(circuit, stimuli, labels,
+                                 LeakageModel(order=2), mode=mode)
+    assert res.verdict.is_secure
+    assert max(walked.values()) == 1
+    assert {budget for _, budget in walked} == {None}
+    assert decided
+    for eset, counts in decided:
+        own = vf._footprint({n for e in eset for n in ex.symbols_of(e)},
+                            labels)
+        assert walked[own, None] == 1
+        # one count after each step, up to the first that proves
+        steps = sum(1 for _ in vf._substitutions(eset, labels))
+        assert counts <= steps, [ex.render(e) for e in eset]
 
 
 _SHARE_PAIR_LEAK = {
@@ -800,7 +841,8 @@ def test_higher_order_names_an_unlabeled_symbol(mode, monkeypatch):
     # a set with an unlabeled symbol is rejected when its part is built,
     # before any view is checked, and the error names the symbol
     checked = []
-    monkeypatch.setattr(vf, "check", lambda *args: checked.append(args))
+    monkeypatch.setattr(vf, "check_from_fixpoint",
+                        lambda *args: checked.append(args))
     circuit, labels, stimuli, _ = gadgets.gen_dom_and(2)
     doc = labels.to_json()
     doc["symbols"] = [e for e in doc["symbols"] if e["name"] != "z01"]

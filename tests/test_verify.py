@@ -1012,10 +1012,14 @@ def test_top_share_fields_cut_the_first_group_walk(monkeypatch, block):
     top_calls = top_tuples = leaks = 0
     for _ in range(300):
         exprs, labels = _top_share_tuple(rng)
+        budget = rng.choice((1, 2))
+        if vf._share_count_proves(vf._footprint(
+                vf._symbols(exprs, labels), labels), labels, budget):
+            continue   # check_tuples never decides it
         calls.clear()
-        v = vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+        v = vf._simulatable(exprs, labels, budget, 20)
         if not calls:
-            continue   # the share count proved it
+            continue   # the count after a substitution step proved it
         top = 0
         for fixed, vary, rows, bad in calls:
             got = vf.Verdict.secure() if bad is None else vf.Verdict.leaks(
@@ -1333,14 +1337,14 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
                         vf._simulatable(exprs, labels, budget, 20).is_secure:
                     proven.add((exprs, budget))
     sets = []
-    check = vf.check
+    check = vf.check_from_fixpoint
 
     def proving_check(eset, *args):
         if check_substitution(eset, labels).is_secure:
             sets.append(eset)
         return check(eset, *args)
 
-    monkeypatch.setattr(vf, "check", proving_check)
+    monkeypatch.setattr(vf, "check_from_fixpoint", proving_check)
     mg.verify_higher_order(circuit, stimuli, labels, mg.LeakageModel(order=2))
     assert any(labels.is_sensitive(n) for eset in sets
                for n in oracles.substitution_fixpoint(eset, labels))
@@ -1420,28 +1424,33 @@ def test_footprint_proven_probe_tuples_are_simulatable(gen, glitches):
     # decides is simulatable under brute force
     _, labels, _, spec = gen(1)
     probes = vf.collect_probes(spec, glitches)
-    parts = {id(p): vf.make_part(p.obs, labels) for p in probes}
-    views, decided = set(), []
+    parts = [(vf.make_part(p.obs, labels),) for p in probes]
+    views, decided = set(), set()
+    for weights in _ni_and_sni_weights(probes):
+        walked = []
 
-    def ni_and_sni_views(combo):
-        out = [([parts[id(p)] for p in combo], budget) for budget in
-               {len(combo), sum(1 for p in combo if not p.is_output)}]
-        views.update((make_expr_set(e for p in combo for e in p.obs), budget)
-                     for _, budget in out)
-        return out
+        def decide(exprs, budget):
+            walked.append((exprs, budget))
+            return vf.Verdict.secure()   # walk every tuple
 
-    def decide(exprs, budget):
-        decided.append((exprs, budget))
-        return vf.Verdict.secure()   # walk every tuple
-
-    res = vf.check_tuples(probes, (1, 2), ni_and_sni_views, decide, labels)
-    assert res.tuples_checked == res.tuple_count
-    assert len(decided) == len(set(decided))
-    proven = views - set(decided)
+        for combo in itertools.chain(*(itertools.combinations(
+                range(len(probes)), q) for q in (1, 2))):
+            views.add((make_expr_set(e for i in combo for e in probes[i].obs),
+                       sum(weights[i] for i in combo)))
+        res = vf.check_tuples(probes, (1, 2), parts, weights, decide, labels)
+        assert res.tuples_checked == res.tuple_count
+        assert len(walked) == len(set(walked))
+        decided.update(walked)
+    proven = views - decided
     assert len(proven) > 20
     for exprs, budget in proven:
         assert oracles.simulatable_bruteforce(exprs, labels, _secrets(labels),
                                               budget), exprs
+
+
+def _ni_and_sni_weights(probes):
+    """Each probe's share of a tuple's budget under NI, then under SNI."""
+    return [1] * len(probes), [0 if p.is_output else 1 for p in probes]
 
 
 def _random_term(rng, depth, shared):
@@ -1535,7 +1544,8 @@ def test_fixpoint_count_agrees_with_the_run_to_fixpoint_loop(data, table):
                           for _ in range(data.draw(st.integers(1, 4))))
     for budget in (None, 1, 2):
         if exprs:
-            assert vf._fixpoint_count(exprs, labels, budget) == \
+            # the count on the set's own symbols, then the fixpoint's
+            assert vf.check_substitution(exprs, labels, budget) == \
                 oracles.fixpoint_count(exprs, labels, budget), budget
 
 
@@ -1545,7 +1555,7 @@ def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
     # order-2 check decide
     circuit, labels, stimuli, spec = gen(2)
     decided = set()
-    simulatable, check = vf._simulatable, vf.check
+    simulatable, check = vf._simulatable, vf.check_from_fixpoint
 
     def recording_simulatable(exprs, *args):
         decided.add(exprs)
@@ -1556,7 +1566,7 @@ def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
         return check(exprs, *args)
 
     monkeypatch.setattr(vf, "_simulatable", recording_simulatable)
-    monkeypatch.setattr(vf, "check", recording_check)
+    monkeypatch.setattr(vf, "check_from_fixpoint", recording_check)
     for glitches in (False, True):
         vf.check_ni(spec, 2, glitches)
         vf.check_sni(spec, 2, glitches)
@@ -1565,7 +1575,7 @@ def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
     steps = 0
     for exprs in decided:
         for budget in (None, 1, 2):
-            assert vf._fixpoint_count(exprs, labels, budget) == \
+            assert vf.check_substitution(exprs, labels, budget) == \
                 oracles.fixpoint_count(exprs, labels, budget), \
                 (budget, [ex.render(e) for e in exprs])
         steps += any(True for _ in vf._substitutions(exprs, labels))
@@ -1600,29 +1610,26 @@ def test_a_set_proven_at_its_first_substitution_stops_there(three_shares,
 
 
 def test_check_tuples_counts_each_footprint_once_per_run(monkeypatch):
+    # one walk has one budget rule: NI's, then SNI's
     _, labels, _, spec = gadgets.gen_dom_and(2)
     count = vf._share_count_proves
     for glitches in (False, True):
         probes = vf.collect_probes(spec, glitches)
-        parts = {id(p): vf.make_part(p.obs, labels) for p in probes}
-        counted, views = collections.Counter(), []
+        parts = [(vf.make_part(p.obs, labels),) for p in probes]
+        for weights in _ni_and_sni_weights(probes):
+            counted = collections.Counter()
 
-        def ni_and_sni_views(combo):
-            out = [([parts[id(p)] for p in combo], budget) for budget in
-                   {len(combo), sum(1 for p in combo if not p.is_output)}]
-            views.extend(out)
-            return out
+            def counted_count(fp, labels, budget=None):
+                counted[fp, budget] += 1
+                return count(fp, labels, budget)
 
-        def counted_count(fp, labels, budget=None):
-            counted[fp, budget] += 1
-            return count(fp, labels, budget)
-
-        monkeypatch.setattr(vf, "_share_count_proves", counted_count)
-        res = vf.check_tuples(probes, (1, 2), ni_and_sni_views,
-                              lambda *_: vf.Verdict.secure(), labels)
-        assert res.tuples_checked == res.tuple_count
-        assert max(counted.values()) == 1
-        assert len(views) > 5 * len(counted)   # most views repeat a count
+            monkeypatch.setattr(vf, "_share_count_proves", counted_count)
+            res = vf.check_tuples(probes, (1, 2), parts, weights,
+                                  lambda *_: vf.Verdict.secure(), labels)
+            assert res.tuples_checked == res.tuple_count
+            assert max(counted.values()) == 1
+            # most tuples repeat a count
+            assert res.tuple_count > 5 * len(counted)
 
 
 @pytest.mark.parametrize("gen", [gadgets.gen_dom_and, gadgets.gen_isw_and])
@@ -1632,7 +1639,8 @@ def test_walk_decides_as_the_reference_walk(gen, monkeypatch):
     circuit, labels, stimuli, spec = gen(2)
     walk, results = vf.check_tuples, []
 
-    def both_walks(positions, sizes, views, decide, labels, cap=None):
+    def both_walks(positions, sizes, parts, weights, decide, labels,
+                   cap=None):
         runs = []
         for engine in (walk, oracles.check_tuples):
             decided = []
@@ -1641,8 +1649,8 @@ def test_walk_decides_as_the_reference_walk(gen, monkeypatch):
                 decided.append((exprs, budget))
                 return decide(exprs, budget)
 
-            runs.append((engine(positions, sizes, views, recording_decide,
-                                labels, cap), decided))
+            runs.append((engine(positions, sizes, parts, weights,
+                                recording_decide, labels, cap), decided))
         assert runs[0] == runs[1]
         results.append(runs[0][0])
         return runs[0][0]
@@ -1654,5 +1662,15 @@ def test_walk_decides_as_the_reference_walk(gen, monkeypatch):
     for mode in (mg.SPATIAL, mg.TEMPORAL, mg.MIXED):
         mg.verify_higher_order(circuit, stimuli, labels,
                                mg.LeakageModel(order=2), mode)
-    assert len(results) == 7
+    # the order-1 gadget at d=2 leaks: spatially and in (wire, cycle)
+    # pairs without glitches, over cycles with glitches and transitions
+    circuit, labels, stimuli, _ = gen(1)
+    for mode, model in ((mg.SPATIAL, mg.LeakageModel(order=2)),
+                        (mg.MIXED, mg.LeakageModel(order=2)),
+                        (mg.TEMPORAL, mg.LeakageModel(
+                            glitches=True, transitions=True, order=2))):
+        mg.verify_higher_order(circuit, stimuli, labels, model, mode)
+    assert len(results) == 10
     assert {r.verdict.status for r in results} == {vf.SECURE, vf.LEAKS}
+    # leaks found before the last tuple
+    assert sum(r.tuples_checked < r.tuple_count for r in results) >= 3
