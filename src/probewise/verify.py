@@ -32,7 +32,10 @@ of the members is the same for every vary value. :func:`check_enumeration`
 has one selection, the publics fixed and the secrets varied; a probe tuple
 (:func:`_simulatable`) is simulatable iff some selection of its budget of
 shares, fixed, is invariant with the other shares varied and the publics
-marginalised.
+marginalised. One layout rule serves both: each selection lays the fields
+out with its fixed fields on the top bits of the row index, the first most
+significant (:meth:`_Space.select`), so each fixed value is one contiguous
+run of rows, and one range walk (:func:`_first_leak`) decides it.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
@@ -41,25 +44,22 @@ span of rows (a range, or a block of one), each built over all of them
 when first read: a symbol's from the row indices, a term's by
 :func:`expr.apply`, the value rule that constant folding and
 :func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
-:func:`expr.int_rule` row by row. Each selection is decided by one call of
-a counting kernel (:func:`_first_bad_group`): the fixed fields, then the
+:func:`expr.int_rule` row by row. The fixed values are walked in key
+order, one range of ``max(_RANGE_ROWS, one fixed value)`` rows at a time,
+and the first range that leaks decides. Each range is decided by one call
+of a counting kernel (:func:`_first_bad_group`): the fixed fields, then the
 members, form the group key, the vary fields the vary key. A selection is
 invariant iff each group's rows are spread alike over the vary values, and
-a leak's witness is the first group in key order that is not. A set's
-public values are walked in key order, one range of
-``max(_RANGE_ROWS, one public value)`` rows at a time, and the first range
-that leaks decides; a probe tuple's selections share one range, the whole
-space. The fixed fields that hold the top bits of the row index, a set's
-publics or a tuple's leading selected shares, are least on the range's
-first rows (:func:`_top`), so its first group lies there, and the kernel
-finds it one block of at most ``_BLOCK_ROWS`` rows at a time
+a leak's witness is the first group in key order that is not. The fixed
+fields are least, and constant, on a range's first fixed value, so its
+first group lies there, keyed by the members alone, and the kernel finds
+it one block of at most ``_BLOCK_ROWS`` rows at a time
 (:func:`_first_group`), column by column over the whole block, and counts
 it as it goes; a block whose key already exceeds the least so far is left.
 A leak decided there holds at most one block of any column. Every member's
 column over all of the range's rows is evaluated, and the whole keys are
 packed into int64 by :func:`_pack` and sorted, only when that group is
-even. A fixed field that is constant over the rows a key covers is left
-out of that key (:func:`_varying`).
+even; the fixed fields enter those keys as the one row field they span.
 
 :func:`check_substitution` is steps 1 and 2 for both questions.
 :func:`check` runs steps 1 and 2, then 3; a set past the bit budget is
@@ -80,7 +80,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -390,26 +390,42 @@ def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
     run = 1 << off
     if not (start | stop) & (run - 1):
         return values.repeat(run) if off else values
-    # the range cuts a run (a public field above a range's rows): each
-    # value is repeated only over the rows of its run inside the range
+    # the rows cut a run (a fixed field above a range's or a block's
+    # rows): each value is repeated only over its run's rows among them
     edges = np.clip(np.arange(first, last + 1) << off, start, stop)
     return values.repeat(np.diff(edges))
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Space:
-    """Cartesian assignment space over base variables, with derived symbols,
-    each the XOR of its parts: the layout of the row index, whose columns
-    :class:`_Rows` builds."""
-    order: list[str]                     # base variable names, offset order
-    offsets: dict[str, int]
-    widths: dict[str, int]
-    total_bits: int
+    """Cartesian assignment space over base fields, with derived symbols,
+    each the XOR of its parts, and one selection of the fields: the layout
+    of the row index, whose columns :class:`_Rows` builds. The ``fixed``
+    fields hold its top bits, the first most significant, and the other
+    fields the bits below, in the order of ``widths``."""
+    widths: dict[str, int]               # base fields
     derived: dict[str, list[str]]        # name -> XOR parts
+    fixed: Sequence[str] = ()
+    vary: Sequence[str] = ()
+    offsets: dict[str, int] = field(init=False)
+    total_bits: int = field(init=False)
+    low: int = field(init=False)         # the fixed fields' lowest row bit
+
+    def __post_init__(self):
+        order = [n for n in self.widths if n not in self.fixed]
+        order += reversed(self.fixed)
+        ends = [0, *itertools.accumulate(map(self.widths.__getitem__, order))]
+        self.offsets = dict(zip(order, ends))
+        self.total_bits = ends[-1]
+        self.low = ends[len(order) - len(self.fixed)]
 
     @property
     def size(self) -> int:
         return 1 << self.total_bits
+
+    def select(self, fixed: Sequence[str], vary: Sequence[str]) -> "_Space":
+        """The same fields laid out for ``fixed`` against ``vary``."""
+        return _Space(self.widths, self.derived, fixed, vary)
 
 
 class _Rows(dict):
@@ -463,10 +479,10 @@ class _Rows(dict):
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
                shares_free: bool) -> tuple[_Space, list[str], list[str]]:
-    """Enumeration space of labeled ``symbols``, secret vars, public vars;
-    raises TooLarge past ``limit`` bits, the one bit count of the module.
-    The publics take the top bits of the row index, the first in key order
-    most significant, so a public value is a contiguous run of rows.
+    """Enumeration space of labeled ``symbols``, with no selection, secret
+    vars, public vars; raises TooLarge past ``limit`` bits, the one bit
+    count of the module. Each question lays it out for its selections
+    (:meth:`_Space.select`).
 
     Tied shares: the top share is derived from its secret and siblings.
     Free shares: every share is a base variable, and a secret is derived as
@@ -514,19 +530,10 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
             add(o, labels.width(o))
         derived[name] = [parent, *others]
 
-    # publics were added in name order: reversed, the first ends on top
-    base = [b for b in base if b[0] not in publics] \
-        + [(n, labels.width(n)) for n in reversed(publics)]
-    offsets: dict[str, int] = {}
-    off = 0
-    for name, width in base:
-        offsets[name] = off
-        off += width
-    if off > limit:
-        raise TooLarge(off, limit)
-    space = _Space([n for n, _ in base], offsets, {n: w for n, w in base}, off,
-                   derived)
-    return space, sorted(set(secrets)), publics
+    bits = sum(w for _, w in base)
+    if bits > limit:
+        raise TooLarge(bits, limit)
+    return _Space(dict(base), derived), sorted(set(secrets)), publics
 
 
 def _dense(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -563,10 +570,11 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
     return key, bound
 
 
-def _base_parts(names: Sequence[str],
-                rows: _Rows) -> list[tuple[np.ndarray, int]]:
-    """Bit fields in which every combination occurs: dense, sorted as packed."""
-    return [(rows[name], 1 << rows.space.widths[name]) for name in names]
+def _vary_parts(rows: _Rows) -> list[tuple[np.ndarray, int]]:
+    """The vary fields' columns, each with its bound: every combination
+    occurs, so they are dense, and sorted as packed."""
+    return [(rows[name], 1 << rows.space.widths[name])
+            for name in rows.space.vary]
 
 
 _BLOCK_ROWS = 1 << 16   # the first-group walk reads this many rows at a time
@@ -581,107 +589,82 @@ def _least(col: np.ndarray, pos: np.ndarray | None):
     return (hit.nonzero()[0] if pos is None else pos[hit]), least
 
 
-def _top(fixed: Sequence[str], space: _Space) -> int:
-    """The lowest row bit of the leading ``fixed`` fields that hold the top
-    bits of the row index, the first most significant. They are least, all
-    zero, on the first ``1 << low`` rows of a range that starts at a
-    multiple of ``1 << low``."""
-    low = space.total_bits
-    for name in fixed:
-        if space.offsets[name] + space.widths[name] != low:
-            break
-        low = space.offsets[name]
-    return low
-
-
-def _varying(fixed: Sequence[str], space: _Space, start: int,
-             stop: int) -> list[str]:
-    """The ``fixed`` fields that are not constant over the rows ``[start,
-    stop)``. The row bits from a field's offset up take one value there, or
-    several consecutive ones, which differ in the field's lowest bit."""
-    return [name for name in fixed
-            if start >> space.offsets[name] != (stop - 1) >> space.offsets[name]]
-
-
-def _first_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
-                 vary: Sequence[str]) -> tuple[int, np.ndarray, list]:
-    """The first group in key order of the ``fixed`` fields, then the
-    members ``exprs``: its first row in the range, its row count per value
-    of the ``vary`` fields and its member values. The fixed fields that hold
-    the top bits of the row index (:func:`_top`) are least on the range's
-    first ``1 << low`` rows, so the group lies there, and only those rows
-    are read, one block of at most ``_BLOCK_ROWS`` rows at a time
+def _first_group(exprs: Sequence[Expr],
+                 rows: _Rows) -> tuple[int, np.ndarray, list]:
+    """The first group in key order of the range: its first row in the
+    range, its row count per vary value and its member values. The fixed
+    fields hold the top bits of the row index, so they are least, and
+    constant, on the range's first ``1 << low`` rows: the group lies there,
+    and its key is the members ``exprs`` alone. Only those rows are read,
+    one block of at most ``_BLOCK_ROWS`` rows at a time
     (:func:`_block_group`). Each block whose key ties or beats the least so
     far counts the vary values at its group's rows: a smaller key replaces
-    the counts, an equal one adds to them. A fixed field constant over those
-    rows is left out of the key (:func:`_varying`). No column is read over
-    more than one block; a range of one block is read on its own columns,
-    which its selections and its even path share."""
-    first = min(rows.n, 1 << _top(fixed, rows.space))
-    keys = [*_varying(fixed, rows.space, rows.start, rows.start + first),
-            *exprs]
+    the counts, an equal one adds to them. No column is read over more than
+    one block; a range of one block is read on its own columns, which its
+    even path shares."""
+    first = 1 << rows.space.low
     least = row = counts = None
     for start in range(0, first, _BLOCK_ROWS):
         stop = min(first, start + _BLOCK_ROWS)
         block = rows if stop - start == rows.n else \
             _Rows(rows.space, rows.start + start, rows.start + stop)
-        got = _block_group(keys, block, least)
+        got = _block_group(exprs, block, least)
         if got is None:
             continue
         key, pos = got
         vary_key, n_vary = _pack([(col[pos], b)
-                                  for col, b in _base_parts(vary, block)])
+                                  for col, b in _vary_parts(block)])
         here = np.bincount(vary_key, minlength=n_vary)
         if least is None or key < least:
             least, row, counts = key, start + int(pos[0]), here
         else:
             counts += here
-    return row, counts, least[len(keys) - len(exprs):]
+    return row, counts, least
 
 
-def _block_group(keys: Sequence[str | Expr], rows: _Rows,
+def _block_group(exprs: Sequence[Expr], rows: _Rows,
                  least: list | None) -> tuple[list, np.ndarray] | None:
     """The first group in key order of ``rows``: its key (the values of
-    ``keys``, fixed field names then member nodes) and its positions among
-    ``rows``, or None as soon as a column's least value puts the key past
-    ``least``. Column by column over every row, the rows that hold the
-    column's least value among the rows still in."""
+    the members ``exprs``) and its positions among ``rows``, or None as
+    soon as a member's least value puts the key past ``least``. Member by
+    member over every row, the rows that hold the member's least value
+    among the rows still in."""
     key: list = []
     pos = None
-    for k in keys:
-        pos, value = _least(rows[k], pos)
+    for e in exprs:
+        pos, value = _least(rows[e], pos)
         key.append(value)
         if least is not None and key > least[:len(key)]:
             return None
     return key, pos
 
 
-def _first_bad_group(fixed: Sequence[str], exprs: Sequence[Expr], rows: _Rows,
-                     vary: Sequence[str]) -> tuple[int, np.ndarray, list] | None:
+def _first_bad_group(exprs: Sequence[Expr],
+                     rows: _Rows) -> tuple[int, np.ndarray, list] | None:
     """The counting kernel: the first group of ``rows``, in key order, whose
-    rows are not spread evenly over the values of the ``vary`` fields. The
-    group key is the ``fixed`` fields, then the members ``exprs``.
+    rows are not spread evenly over the values of the vary fields. The
+    group key is the fixed fields, then the members ``exprs``.
 
     Returns the group's first row in the range, its row count per vary
-    value and its member values, or None when every group is invariant, as
-    every group is with no vary field. The first group (:func:`_first_group`)
-    is counted first: if it is uneven, it is the first bad group, and no
-    column is built over more than one block. Else the whole key over the
-    range, the fixed fields not constant there (:func:`_varying`) then every
-    member's column, is packed once and counted (:func:`_bad_group`), and
-    the member values are read from those columns.
-    """
-    if not vary:
-        return None
-    row, counts, values = _first_group(fixed, exprs, rows, vary)
+    value and its member values, or None when every group is invariant.
+    The first group (:func:`_first_group`) is counted first: if it is
+    uneven, it is the first bad group, and no column is built over more
+    than one block. Else the whole key over the range is packed once and
+    counted (:func:`_bad_group`), and the member values are read from its
+    columns. The fixed fields, on top, are the row bits from ``low`` up,
+    so they enter the key as one field: those of their bits that vary over
+    the range."""
+    row, counts, values = _first_group(exprs, rows)
     if (counts != counts[0]).any():
         return row, counts, values
-    fields = _varying(fixed, rows.space, rows.start, rows.stop)
+    low = rows.space.low
+    lead = rows.n.bit_length() - 1 - low
     groups, n_groups = _pack([
-        *_base_parts(fields, rows),
+        *([(_field(low, lead, rows.start, rows.stop), 1 << lead)] if lead
+          else []),
         *((rows[e], (1 << e.width) if e.width <= _INT64_WIDTH else None)
           for e in exprs)])
-    vary_key, _ = _pack(_base_parts(vary, rows))
+    vary_key, _ = _pack(_vary_parts(rows))
     bad = _bad_group(groups, n_groups, vary_key, len(counts))
     if bad is None:
         return None
@@ -737,62 +720,66 @@ def _unpack(key: int, names: Sequence[str],
 
 
 def _witness(row: int, counts: np.ndarray, values: Sequence, rows: _Rows,
-             exprs: Sequence[Expr], vary: Sequence[str],
-             fixed: Sequence[str]) -> LeakWitness:
+             exprs: Sequence[Expr]) -> LeakWitness:
     """Every row of a group shares its fixed and member ``values``, so
     ``row`` of ``rows`` stands for the group; the two assignments are the
-    lowest vary
-    value present and the lowest absent one, or else the lowest with
-    another count."""
+    lowest vary value present and the lowest absent one, or else the lowest
+    with another count."""
     a = int(np.flatnonzero(counts)[0])
     absent = np.flatnonzero(counts == 0)
     b = int(absent[0]) if absent.size else \
         int(np.flatnonzero(counts != counts[a])[0])
     tuple_text = ", ".join(f"{render(e)}={ex.format_bits(int(v), e.width)}"
                            for e, v in zip(exprs, values))
+    space = rows.space
     return LeakWitness(
-        vary_a=_unpack(a, vary, rows.space.widths),
-        vary_b=_unpack(b, vary, rows.space.widths),
-        fixed=rows.decode(row, fixed),
+        vary_a=_unpack(a, space.vary, space.widths),
+        vary_b=_unpack(b, space.vary, space.widths),
+        fixed=rows.decode(row, space.fixed),
         evidence=(f"joint value ({tuple_text}) "
                   f"occurs {int(counts[a])} vs {int(counts[b])} times"),
     )
 
 
-_RANGE_ROWS = 1 << 14   # a range holds this many rows, or one public value
+_RANGE_ROWS = 1 << 14   # a range holds this many rows, or one fixed value
+
+
+def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
+    """The witness of the first group, in key order, of the selection laid
+    out in ``space`` whose rows are not spread evenly over the vary values,
+    or None when every group is even, as every group is with no vary field.
+
+    The fixed fields hold the top bits of the row index, so each fixed
+    value is one contiguous run of rows, and every group lies inside one.
+    Ranges of ``max(_RANGE_ROWS, one fixed value)`` rows, the whole space
+    when nothing is fixed, are walked in key order, and the first that
+    leaks decides: its first bad group is the whole space's, with the same
+    counts, so a leak usually costs a small prefix of the space."""
+    if not space.vary:
+        return None
+    step = min(space.size, max(_RANGE_ROWS, 1 << space.low))
+    for start in range(0, space.size, step):
+        rows = _Rows(space, start, start + step)
+        bad = _first_bad_group(exprs, rows)
+        if bad is not None:
+            return _witness(*bad, rows, exprs)
+    return None
 
 
 def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
                       limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Exact independence check by exhausting all symbol assignments: the
-    publics fixed, the secrets varied.
-
-    The publics hold the top bits of the row index, the first in key order
-    most significant, so each public value is one contiguous run of rows,
-    and every group lies inside one public value. Ranges of
-    ``max(_RANGE_ROWS, one public value)`` rows, the whole space when there
-    is no public, are walked in key order, and the first that leaks
-    decides: its first bad group is the whole space's, with the same
-    counts, so a leak usually costs a small prefix of the space."""
+    publics fixed, the secrets varied (:func:`_first_leak`)."""
     space, secrets, publics = _space_for(
         _symbols(exprs, labels), labels, limit, shares_free=False)
-    if not secrets:
-        return Verdict.secure()
-    step = min(space.size, max(_RANGE_ROWS, 1 << _top(publics, space)))
-    for start in range(0, space.size, step):
-        rows = _Rows(space, start, start + step)
-        bad = _first_bad_group(publics, exprs, rows, secrets)
-        if bad is not None:
-            return Verdict.leaks(_witness(*bad, rows, exprs, secrets, publics))
-    return Verdict.secure()
+    witness = _first_leak(exprs, space.select(publics, secrets))
+    return Verdict.secure() if witness is None else Verdict.leaks(witness)
 
 
 def check(exprs: tuple[Expr, ...], labels: SymbolTable,
           limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Substitution first; exact enumeration as the fallback within budget.
     ``exprs`` is a set's canonical members, as :func:`make_expr_set` gives."""
-    if not exprs:
-        return Verdict.secure()
     return _enumerated(check_substitution(exprs, labels), exprs, labels, limit)
 
 
@@ -988,9 +975,9 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     """Can a simulator with ``budget`` shares of each input reproduce the
     joint distribution of ``exprs``? Observing a secret observes all of its
     shares. Each selection of ``budget`` shares of each input is fixed in
-    turn, the other shares varied, over one range, the whole space; the
-    first invariant selection proves it. A leak carries the first
-    selection's witness; past ``limit`` bits the verdict is Inconclusive."""
+    turn, the other shares varied (:func:`_first_leak`); the first
+    invariant selection proves it. A leak carries the first selection's
+    witness; past ``limit`` bits the verdict is Inconclusive."""
     # check_tuples decides only a set whose count on all of its symbols
     # failed: start at the fixpoint
     if _fixpoint_count(exprs, labels, budget).is_secure:
@@ -1001,24 +988,22 @@ def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
     except TooLarge as exc:
         return Verdict.inconclusive(str(exc))
     # the space holds the shares observed and all shares of each secret
-    parents = sorted({labels.share_parent(n)[0] for n in space.order
+    parents = sorted({labels.share_parent(n)[0] for n in space.widths
                       if labels.kind(n) == ex.SHARE})
     present = [[s for s in labels.shares_of(p) if s in space.widths]
                for p in parents]
     choices = [itertools.combinations(shares, min(budget, len(shares)))
                for shares in present]
     # the simulator draws the publics too: they are not conditioned on
-    rows = _Rows(space, 0, space.size)
     witness = None
     for selection in itertools.product(*choices):
         fixed = sorted(n for combo in selection for n in combo)
         vary = sorted(n for shares in present for n in shares
                       if n not in fixed)
-        bad = _first_bad_group(fixed, exprs, rows, vary)
-        if bad is None:
+        leak = _first_leak(exprs, space.select(fixed, vary))
+        if leak is None:
             return Verdict.secure()
-        if witness is None:
-            witness = _witness(*bad, rows, exprs, vary, fixed)
+        witness = witness or leak
     return Verdict.leaks(witness)
 
 

@@ -9,7 +9,7 @@ substitute for ``manager.wires_to_verify``, and the step that tests
 substitute for ``sim.step_cycle`` to run without settled states.
 
 Two reference loops are kept for the faster code in ``verify`` to agree
-with, built on its term rewriting and share count: the substitution
+with, each with its own term rewriting and share count: the substitution
 fixpoint run to its end with a rescan after each replacement, and the
 probe-tuple walk that counts every view's footprint afresh.
 """
@@ -594,11 +594,14 @@ def share_count(symbols, labels, budget=None) -> bool:
                for shares in labels.sharings())
 
 
+RANGE_CAP = 6   # a mask with more occurrences than this is never replaced
+
+
 def occurrence_ranges(e, masks) -> dict[str, list[tuple[int, int]]]:
     """The bit ranges at which each of ``masks`` occurs in the tree
     expansion of ``e``, walked afresh: an occurrence under a direct EXTRACT
     uses the extracted range, any other the full width, and each list
-    stops past ``vf._RANGE_CAP`` ranges."""
+    stops past ``RANGE_CAP`` ranges."""
     out: dict[str, list[tuple[int, int]]] = {}
     if e.kind == "sym":
         if e.name in masks:
@@ -611,9 +614,40 @@ def occurrence_ranges(e, masks) -> dict[str, list[tuple[int, int]]]:
             for c in e.children:
                 for name, ranges in occurrence_ranges(c, masks).items():
                     bucket = out.setdefault(name, [])
-                    if len(bucket) <= vf._RANGE_CAP:
-                        bucket.extend(ranges[:vf._RANGE_CAP + 1 - len(bucket)])
+                    if len(bucket) <= RANGE_CAP:
+                        bucket.extend(ranges[:RANGE_CAP + 1 - len(bucket)])
     return out
+
+
+def _atom_range(node, name):
+    """The bit range of ``name`` that ``node`` is, a whole symbol or a
+    direct EXTRACT of one, else None."""
+    if node.kind == "sym" and node.name == name:
+        return (0, node.width - 1)
+    if node.kind == "op" and node.op == "EXTRACT" \
+            and node.children[0].kind == "sym" \
+            and node.children[0].name == name:
+        return node.params
+    return None
+
+
+def replace_xor_of(e, name, rng, fresh):
+    """``e`` with the first XOR node, in child order, that has the atom
+    ``(name, rng)`` as an operand replaced by ``fresh``, searched below
+    XOR, CONCAT and EXTRACT nodes only; None if there is no such node."""
+    if e.kind != "op":
+        return None
+    if e.op == "XOR" and any(_atom_range(c, name) == rng
+                             for c in e.children):
+        return fresh
+    if e.op not in ("XOR", "CONCAT", "EXTRACT"):
+        return None
+    for pos, child in enumerate(e.children):
+        sub = replace_xor_of(child, name, rng, fresh)
+        if sub is not None:
+            return ex.build(e.op, [*e.children[:pos], sub,
+                                   *e.children[pos + 1:]], e.params)
+    return None
 
 
 def substitution_fixpoint(exprs, labels) -> set[str]:
@@ -634,14 +668,16 @@ def substitution_fixpoint(exprs, labels) -> set[str]:
                 occ.setdefault(name, []).extend(ranges)
         for name in sorted(occ):
             ranges = occ[name]
-            if len(ranges) > vf._RANGE_CAP:
+            if len(ranges) > RANGE_CAP:
                 continue
             for rng in ranges:
-                if sum(vf._overlaps(rng, o) for o in ranges) != 1:
+                # a range alone: it overlaps no other occurrence
+                if sum(not (rng[1] < o[0] or o[1] < rng[0])
+                       for o in ranges) != 1:
                     continue
                 fresh = ex.sym(f"$sub{fresh_n}", rng[1] - rng[0] + 1)
                 for idx, m in enumerate(members):
-                    sub = vf._substitute(m, name, rng, fresh)
+                    sub = replace_xor_of(m, name, rng, fresh)
                     if sub is not None:
                         members[idx] = sub
                         masks = masks | {fresh.name}

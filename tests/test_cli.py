@@ -474,6 +474,77 @@ def test_malformed_input_exits_2_with_one_line(fixture_dir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _with_gates(*gates, wires=()):
+    """Fig5's netlist plus memory ``t`` (depth 2, width 1), the 1-bit
+    ``wires`` and ``gates``."""
+    def add(doc):
+        doc["wires"] += [{"name": w, "width": 1} for w in wires]
+        doc["gates"] += gates
+    return _with_memory(add)
+
+
+def _read_port(output):
+    return {"kind": "mem_read", "output": output, "inputs": ["i0"],
+            "params": {"memory": "t"}}
+
+
+def _drive(text):
+    return _edit("stimuli", _set(1, "inputs", "i1", {"expr": text}))
+
+
+def _wide_split_bit(doc):
+    doc["wires"].append({"name": "wide", "width": 2})
+    doc["splits"][0]["bits"][0]["wire"] = "wide"
+
+
+@pytest.mark.parametrize("args, message", [
+    (_with_memory(_set("memories", 0, "init", ["0b0", "0b1", "0b0"])),
+     "memories[0].init: longer than depth 2"),
+    (_edit("netlist", lambda doc: doc.update(
+        wires=[*doc["wires"], {"name": "r", "width": 2}],
+        registers=[{"input": "i0", "output": "r", "init": "0b00"}])),
+     "registers[0] (r): expected width 1, got 2"),
+    (_edit("netlist", _wide_split_bit, "fig6"),
+     "splits[0].bits[0].wire (wide): expected width 1, got 2"),
+    (_edit("netlist", _set("gates", 0, "inputs", ["i0"])),
+     "gates[0] (bit_and -> o0): expected 2 inputs, got 1"),
+    (_with_gates(dict(_read_port("r"), params={"memory": "u"}), wires=["r"]),
+     "gates[1].params.memory: reference to undeclared name 'u'"),
+    (_with_gates(_read_port("r"), _read_port("s"), wires=["r", "s"]),
+     "gates[2] (mem_read -> s): memory 't' already has a mem_read port"),
+    (_drive("XOR(k,"), "inputs.i1.expr: unexpected end of expression"),
+    (_drive("XOR k"), "inputs.i1.expr: expected '(', got 'k'"),
+    (_drive("k m"), "inputs.i1.expr: trailing tokens at 'm'"),
+    (_drive("CST(1)"), "inputs.i1.expr: CST literal must be 0b…, got '1'"),
+    (_drive("EXTRACT(k, 0)"), "inputs.i1.expr: EXTRACT(expr, lo, hi)"),
+    (_drive("ZEXT(k)"), "inputs.i1.expr: ZEXT(expr, width)"),
+    (_drive("XOR(k, 1)"),
+     "inputs.i1.expr: unexpected integer argument for XOR"),
+    (_edit("stimuli", _set(1, "inputs", "i0", {"const": "1"})),
+     "inputs.i0.const: expected a 0b literal, got '1'"),
+    (lambda fixture_dir, tmp_path: ["gen-fixtures", "--out",
+                                    str(tmp_path / "fx"), "--orders", "1,x"],
+     "--orders must be comma-separated integers"),
+], ids=["memory-init-past-depth", "register-widths", "split-bit-wide",
+        "gate-arity", "memory-undeclared", "memory-second-port",
+        "expr-end", "expr-token", "expr-trailing", "expr-cst",
+        "expr-extract", "expr-zext", "expr-int-argument", "const-literal",
+        "gen-fixtures-orders"])
+def test_rare_malformed_input_exits_2_naming_its_path(fixture_dir, tmp_path,
+                                                      capsys, args, message):
+    # the malformed inputs no other test feeds the readers: each exits 2
+    # with one line that names where in its document the fault is
+    argv = args(fixture_dir, tmp_path)
+    if argv[0] != "gen-fixtures":
+        argv = ["verify", *_fig_args(fixture_dir, "fig5"), *argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_one_process_answers_like_fresh_ones(fixture_dir, capsys):
     # the parser is built once per process: a call after a usage error
     # answers as the same call does in a fresh process

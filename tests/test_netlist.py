@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from probewise import gadgets
+from probewise import expr as ex, gadgets, manager as mg, sim
 from probewise.cli import main
 from probewise.netlist import (CombinatorialLoop, DanglingReference,
                                MalformedDocument, MultipleDrivers,
@@ -227,6 +227,48 @@ def test_duplicate_names_are_named():
     with pytest.raises(MalformedDocument) as info:
         parse(doc)
     assert str(info.value) == "wires[3].name: duplicate wire name 'a'"
+
+
+def _fields(circuit):
+    return (circuit.wires, circuit.gates, circuit.registers, circuit.inputs,
+            circuit.outputs, circuit.splits, circuit.memories)
+
+
+def test_memories_round_trip():
+    # a table remasked as sbox_m[i ^ m] = sbox[i] ^ mp, read at the masked
+    # index k ^ m, and a second memory initialised below its depth and
+    # written at a constant index each cycle
+    doc = {
+        "wires": [{"name": n, "width": 2}
+                  for n in ("kw", "mw", "idx", "out", "wi", "wv", "ww")],
+        "inputs": ["kw", "mw", "wi", "wv"], "outputs": ["out"],
+        "gates": [{"kind": "bit_xor", "output": "idx", "inputs": ["kw", "mw"]},
+                  {"kind": "mem_read", "output": "out", "inputs": ["idx"],
+                   "params": {"memory": "sbox_m"}},
+                  {"kind": "mem_write", "output": "ww", "inputs": ["wi", "wv"],
+                   "params": {"memory": "log"}}],
+        "registers": [],
+        "memories": [{"id": "sbox_m", "depth": 4, "width": 2,
+                      "init": ["0b10", "0b01", "0b11", "0b00"]},
+                     {"id": "log", "depth": 4, "width": 2, "init": ["0b01"]}],
+    }
+    circuit = parse(doc)
+    text = serialize_netlist(circuit)
+    again = parse_netlist(text)
+    assert _fields(again) == _fields(circuit)
+    assert [m.init for m in again.memories] == [(2, 1, 3, 0), (1, 0, 0, 0)]
+    assert serialize_netlist(again) == text
+    labels = ex.SymbolTable()
+    for name in ("k", "m", "v"):
+        labels.declare(name, 2, ex.SECRET if name == "k" else ex.MASK)
+    frame = sim.StimulusFrame({"kw": ex.sym("k", 2), "mw": ex.sym("m", 2),
+                               "wi": ex.cst(1, 2), "wv": ex.sym("v", 2)})
+    stimuli = sim.Stimuli({"k": 3, "m": 1, "v": 2}, [frame] * 3)
+    for model in (mg.LeakageModel(), mg.LeakageModel.rr1sw()):
+        reports = [mg.run(c, stimuli, labels, model).to_jsonl()
+                   for c in (circuit, again)]
+        assert reports[0] == reports[1]
+        assert '"verdict": "leaks"' in reports[0]
 
 
 def test_fig6_split_round_trip():

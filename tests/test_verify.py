@@ -44,6 +44,11 @@ def s(name, w=1):
 # Substitution
 # ---------------------------------------------------------------------------
 
+def test_an_empty_set_is_secure(km_labels):
+    # no member, no symbol: the share count proves the empty footprint
+    assert check((), km_labels) is vf.Verdict.secure()
+
+
 def test_substitution_one_time_pad(km_labels):
     assert check_substitution(make_expr_set([xor(s("k"), s("m"))]),
                               km_labels).is_secure
@@ -547,9 +552,9 @@ def ranges(monkeypatch):
     seen = []
     kernel = vf._first_bad_group
 
-    def spy(fixed, exprs, rows, vary):
+    def spy(exprs, rows):
         seen.append((rows.start, rows.stop))
-        return kernel(fixed, exprs, rows, vary)
+        return kernel(exprs, rows)
 
     monkeypatch.setattr(vf, "_first_bad_group", spy)
     return seen
@@ -932,9 +937,9 @@ def first_selections(monkeypatch):
     seen = []
     kernel = vf._first_bad_group
 
-    def spy(fixed, exprs, rows, vary):
-        seen.append((fixed, vary))
-        return kernel(fixed, exprs, rows, vary)
+    def spy(exprs, rows):
+        seen.append((rows.space.fixed, rows.space.vary))
+        return kernel(exprs, rows)
 
     monkeypatch.setattr(vf, "_first_bad_group", spy)
     return seen
@@ -968,10 +973,10 @@ def _top_share_tuple(rng):
     """A probe tuple's members without a public, over two masks that sort
     before every share and one or two secrets whose shares are named in
     reverse index order: with one secret, the first selection of one share
-    fixes the last share in name order, the row index's top field. A
-    member that observes the secret ``s`` itself lays its shares out in
-    index order instead, so a selection of two shares can fix the top two
-    fields."""
+    fixes the last share in name order, which the fields' own order puts
+    on top. A member that observes the secret ``s`` itself lists its shares
+    in index order instead, so the selected shares may lie anywhere in
+    that order."""
     labels = SymbolTable()
     atoms = ["m0", "m1"]
     for name in ("s", "t")[:rng.choice((1, 1, 2))]:
@@ -992,24 +997,37 @@ def _top_share_tuple(rng):
     return make_expr_set(exprs), labels
 
 
+def _assert_fixed_on_top(space):
+    """The fixed fields hold the top bits of the row index, the first most
+    significant, and every other field the bits below them."""
+    top = space.total_bits
+    for name in space.fixed:
+        top -= space.widths[name]
+        assert space.offsets[name] == top, (space.fixed, space.offsets)
+    assert space.low == top
+    assert all(space.offsets[n] + space.widths[n] <= top
+               for n in space.widths if n not in space.fixed), space.offsets
+
+
 @pytest.mark.parametrize("block", [1, 2])
 def test_top_share_fields_cut_the_first_group_walk(monkeypatch, block):
-    # a selection whose first fixed share holds the row index's top bits is
-    # walked on the rows where those bits are 0 only: every kernel call is
-    # the oracle's first uneven group of its own selection, and a leak's
-    # witness is its first selection's
+    # each selection lays its fixed shares out on the row index's top bits,
+    # so its first group is walked on the rows where they are 0 only: each
+    # selection's walk is the oracle's first uneven group of that
+    # selection, and a leak's witness is its first selection's
     monkeypatch.setattr(vf, "_BLOCK_ROWS", block)
     calls = []
-    kernel = vf._first_bad_group
+    walk = vf._first_leak
 
-    def spy(fixed, exprs, rows, vary):
-        bad = kernel(fixed, exprs, rows, vary)
-        calls.append((fixed, vary, rows, bad))
-        return bad
+    def spy(exprs, space):
+        _assert_fixed_on_top(space)
+        leak = walk(exprs, space)
+        calls.append((space.fixed, space.vary, leak))
+        return leak
 
-    monkeypatch.setattr(vf, "_first_bad_group", spy)
+    monkeypatch.setattr(vf, "_first_leak", spy)
     rng = random.Random(block)
-    top_calls = top_tuples = leaks = 0
+    selections = leaks = 0
     for _ in range(300):
         exprs, labels = _top_share_tuple(rng)
         budget = rng.choice((1, 2))
@@ -1020,20 +1038,54 @@ def test_top_share_fields_cut_the_first_group_walk(monkeypatch, block):
         v = vf._simulatable(exprs, labels, budget, 20)
         if not calls:
             continue   # the count after a substitution step proved it
-        top = 0
-        for fixed, vary, rows, bad in calls:
-            got = vf.Verdict.secure() if bad is None else vf.Verdict.leaks(
-                vf._witness(*bad, rows, exprs, vary, fixed))
+        for fixed, vary, leak in calls:
+            got = vf.Verdict.secure() if leak is None else \
+                vf.Verdict.leaks(leak)
             _is_first_uneven_group(got, exprs, labels, (fixed, vary))
-            top += fixed[:1] == [rows.space.order[-1]]
         # the walk stops at the first invariant selection
-        assert v.is_secure == (calls[-1][3] is None)
+        assert v.is_secure == (calls[-1][2] is None)
         if v.status == vf.LEAKS:
             _is_first_uneven_group(v, exprs, labels, calls[0][:2])
-        top_calls += top
-        top_tuples += top > 0
+        selections += len(calls)
         leaks += v.status == vf.LEAKS
-    assert top_tuples > 20 and top_calls > 30 and leaks > 20
+    assert selections > 100 and leaks > 20
+
+
+def test_every_kernel_call_has_its_fixed_fields_on_top(monkeypatch):
+    # a probe tuple's selected shares, like a set's publics, hold the top
+    # bits of the row index at every kernel call, though the shares seldom
+    # lead the fields' own order
+    calls = collections.Counter()
+    kernel = vf._first_bad_group
+
+    def spy(exprs, rows):
+        space = rows.space
+        _assert_fixed_on_top(space)
+        unselected = vf._Space(space.widths, space.derived)
+        calls[phase, "fixed"] += bool(space.fixed)
+        calls[phase, "moved"] += bool(space.fixed) and unselected.offsets[
+            space.fixed[0]] + space.widths[space.fixed[0]] != space.total_bits
+        return kernel(exprs, rows)
+
+    monkeypatch.setattr(vf, "_first_bad_group", spy)
+    phase = "order-2 checks"
+    for gen in (gadgets.gen_dom_and, gadgets.gen_isw_and):
+        _, _, _, spec = gen(2)
+        for checker in (check_ni, check_sni):
+            for glitches in (False, True):
+                checker(spec, 2, glitches)
+    rng = random.Random(33)
+    phase = "random tuples"
+    for _ in range(100):
+        exprs, labels, _ = _shared_set(rng.choice)
+        vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+    phase = "random sets"
+    for _ in range(200):
+        check_enumeration(*_public_set(rng), limit=12)
+    print(f"kernel calls with fixed fields: {dict(calls)}")
+    assert calls["order-2 checks", "moved"] > 4
+    assert calls["random tuples", "moved"] > 40
+    assert calls["random sets", "fixed"] > 30
 
 
 def test_block_wise_first_group_in_a_later_block(monkeypatch):
@@ -1162,7 +1214,7 @@ def test_narrow_columns_equal_the_tree_oracle():
     assignments = [{n: int(c[r]) for n, c in cols.items()}
                    for r in range(rows)]
     # the symbols' columns given, each term's is evaluated on first read
-    columns = vf._Rows(vf._Space([], {}, {}, 0, {}), 0, rows)
+    columns = vf._Rows(vf._Space({}, {}), 0, rows)
     columns.update(cols)
     for tree in trees:
         e = oracles.tree_to_expr(tree)
@@ -1192,9 +1244,10 @@ def test_materialise_every_public_range():
     labels.declare("m", 3, ex.MASK)
     labels.declare("pa", 8, ex.PUBLIC)
     labels.declare("pb", 9, ex.PUBLIC)
-    space, _, publics = vf._space_for({"k1", "m", "pa", "pb"}, labels, 22,
-                                      shares_free=False)
+    space, secrets, publics = vf._space_for({"k1", "m", "pa", "pb"}, labels,
+                                            22, shares_free=False)
     assert space.derived == {"k1": ["k", "k0"]} and publics == ["pa", "pb"]
+    space = space.select(publics, secrets)
     assert sorted(space.widths.values()) == [1, 1, 3, 8, 9]
     # 2^11-row ranges: the public fields' runs (pa's are 2^14 rows)
     # outgrow the ranges, which then cut them
@@ -1204,7 +1257,7 @@ def test_materialise_every_public_range():
         stop = start + size
         rows = vf._Rows(space, start, stop)
         assert rows.n == stop - start
-        for name in space.order:
+        for name in space.widths:
             off, w = space.offsets[name], space.widths[name]
             col = rows[name]
             assert col.dtype == vf._dtype(w) and len(col) == stop - start
@@ -1492,6 +1545,12 @@ def test_cached_occurrences_equal_a_fresh_walk():
             assert cached == oracles.occurrence_ranges(e, masks), ex.render(e)
         saturated += len(vf._occurrence_ranges(e).get("m", ())) > vf._RANGE_CAP
     assert saturated > 10
+
+
+def test_the_reference_fixpoint_keeps_its_own_range_cap():
+    # the referee saturates its occurrence lists at a cap of its own, which
+    # must stay the one it referees
+    assert oracles.RANGE_CAP == vf._RANGE_CAP
 
 
 def _fixpoint_left(exprs, labels):
