@@ -184,11 +184,15 @@ def _higher_order(args, circuit, stimuli, labels, model, options) -> int:
     print(f"verdict:  {result.verdict.status}")
     if result.leaking_tuple is not None:
         print(f"leaking:  {result.leaking_tuple}")
+    if result.verdict.reason:
+        print(f"reason:   {result.verdict.reason}")
     if args.report:
         doc = {"order": model.order, "mode": args.ho_mode,
                "tuples": result.tuple_count,
                "checked": result.tuples_checked,
                "verdict": result.verdict.status}
+        if result.verdict.reason:
+            doc["reason"] = result.verdict.reason
         if result.leaking_tuple is not None:
             doc["leaking_tuple"] = list(result.leaking_tuple)
             if result.verdict.witness:

@@ -324,8 +324,7 @@ def gen_random_circuit(seed: int, n_gates: int = 20, n_inputs: int = 4,
             g = {"kind": "mux", "inputs": [pick(1), pick(w), pick(w)],
                  "output": new_wire(w)}
         gates.append(g)
-        if registers is not None and len(registers) < n_registers \
-                and rng.random() < 0.25:
+        if len(registers) < n_registers and rng.random() < 0.25:
             w = rng.choice(_WIDTH_POOL)
             src = pick(w)
             registers.append({"input": src, "output": new_wire(w),

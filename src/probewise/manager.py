@@ -211,25 +211,25 @@ def expr_sets_for(val: Valuation, prev: Valuation, model: LeakageModel) -> \
 
 def _one_set(val: Valuation, prev: Valuation, model: LeakageModel,
              rank: int | None) -> tuple[Expr, ...]:
-    if rank is None:
-        cur_symb, prev_symb = [val.symb], [prev.symb]
-        cur_lset = _flatten(val.lset)
-        prev_lset = _flatten(prev.lset)
-    else:
-        cur_symb, prev_symb = [bits(val.symb)[rank]], [bits(prev.symb)[rank]]
-        cur_lset = list(val.lset[rank])
-        prev_lset = list(prev.lset[rank])
+    """The facet's set of one wire, or of its bit ``rank``: only the members
+    the facet reads are built."""
+    def symb(v: Valuation) -> list[Expr]:
+        return [v.symb if rank is None else bits(v.symb)[rank]]
+
+    def lset(v: Valuation) -> list[Expr]:
+        return _flatten(v.lset) if rank is None else list(v.lset[rank])
+
     g, t = model.glitches, model.transitions
     if not g and not t:
-        members = cur_symb
+        members = symb(val)
     elif not g and t:
-        members = cur_symb + prev_symb
+        members = symb(val) + symb(prev)
     elif g and not t:
-        members = cur_lset
+        members = lset(val)
     elif model.overapprox:
-        members = prev_lset + cur_lset
+        members = lset(prev) + lset(val)
     else:
-        members = prev_symb + cur_lset
+        members = symb(prev) + lset(val)
     return make_expr_set(members)
 
 
@@ -533,7 +533,7 @@ def verify_higher_order(circuit: Circuit, stimuli: Stimuli, labels: SymbolTable,
 
     result = vf.check_tuples(
         positions, (model.order,), parts, None,
-        lambda exprs, _: vf.check_from_fixpoint(exprs, labels,
-                                                options.enum_limit),
+        lambda exprs, budget: vf.check_from_fixpoint(
+            exprs, labels, options.enum_limit, budget),
         labels, vf.TUPLE_CAP)
     return replace(result, warnings=tuple(dict.fromkeys(warnings)))

@@ -2,7 +2,8 @@
 
 A set (is it independent of the secrets?) and a probe tuple (can a
 simulator with a budget of each secret's shares reproduce it?) climb one
-ladder; the first step that decides wins:
+ladder whose one parameter is that budget, None for independence; the
+first step that decides wins:
 
 1. :func:`_share_count_proves` on the share footprint of the members'
    symbols: with no budget, no secret and a proper subset of each sharing;
@@ -20,22 +21,23 @@ ladder; the first step that decides wins:
    symbols, so the first step after which the count proves decides, as
    the count on what the whole fixpoint leaves would. Sound, never
    complete.
-3. Enumeration, exact and witness-producing, over the space
-   :func:`_space_for` builds; past the bit budget it raises TooLarge. Shares
-   are tied to their parent secret by Boolean resharing (the top-index
-   share equals the secret XOR the others), or free for simulatability,
-   where a secret is the XOR of all of its shares.
+3. :func:`check_enumeration`, exact and witness-producing, over the space
+   and selections :func:`_space_for` builds for the budget; past the bit
+   limit it raises TooLarge. Shares are tied to their parent secret by
+   Boolean resharing (the top-index share equals the secret XOR the
+   others), or free for simulatability, where a secret is the XOR of all
+   of its shares.
 
-Every enumeration question is a (fixed, vary) selection of base fields:
-invariant iff, for each value of the fixed fields, the joint distribution
-of the members is the same for every vary value. :func:`check_enumeration`
-has one selection, the publics fixed and the secrets varied; a probe tuple
-(:func:`_simulatable`) is simulatable iff some selection of its budget of
-shares, fixed, is invariant with the other shares varied and the publics
-marginalised. One layout rule serves both: each selection lays the fields
-out with its fixed fields on the top bits of the row index, the first most
-significant (:meth:`_Space.select`), so each fixed value is one contiguous
-run of rows, and one range walk (:func:`_first_leak`) decides it.
+Every enumeration question is a list of (fixed, vary) selections of base
+fields, each invariant iff, for each value of the fixed fields, the joint
+distribution of the members is the same for every vary value; the first
+invariant selection proves the question. Independence has one selection,
+the publics fixed and the secrets varied; simulatability one per choice of
+its budget of shares, fixed, with the other shares varied and the publics
+marginalised. Each selection lays the fields out with its fixed fields on
+the top bits of the row index, the first most significant (:class:`_Space`),
+so each fixed value is one contiguous run of rows, and one range walk
+(:func:`_first_leak`) decides it.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
@@ -62,16 +64,16 @@ packed into int64 by :func:`_pack` and sorted, only when that group is
 even; the fixed fields enter those keys as the one row field they span.
 
 :func:`check_substitution` is steps 1 and 2 for both questions.
-:func:`check` runs steps 1 and 2, then 3; a set past the bit budget is
+:func:`check` runs steps 1 and 2, then 3; a set past the bit limit is
 Inconclusive, a potential false positive, and so is a probe tuple that
 neither count proves. The sets of probe-tuple views, which step 1 has
-failed on in :func:`check_tuples`, start at step 2: :func:`_simulatable`
-decides NI/SNI views and :func:`check_from_fixpoint` higher-order ones.
-Tuples are drawn from symbolic values (or flattened LeakSets when glitches
-are modelled). :func:`check_tuples` is the one probe-tuple engine: NI/SNI
-and the higher-order d-uplet checks name their positions, each position's
-part in each view and its weight in a view's budget, and how to decide a
-view's set, and it counts, builds, memoises and decides every view.
+failed on in :func:`check_tuples`, start at step 2: :func:`check_from_fixpoint`
+decides every view, NI/SNI and higher-order alike. Tuples are drawn from
+symbolic values (or flattened LeakSets when glitches are modelled).
+:func:`check_tuples` is the one probe-tuple engine: NI/SNI and the
+higher-order d-uplet checks name their positions, each position's part in
+each view and its weight in a view's budget, and how to decide a view's
+set, and it counts, builds, memoises and decides every view.
 """
 
 from __future__ import annotations
@@ -261,14 +263,18 @@ def _substitutions(exprs: Sequence[Expr],
     left (the substitution fixpoint); the list yielded is updated in place.
     Each replacement keeps the members' joint distribution for every
     assignment of the other symbols, and removes labeled symbols only: the
-    one symbol it adds is its fresh mask ``$subN``, which no label can be."""
+    one symbol it adds is its fresh mask ``$subN``, which no label can be.
+
+    Only the labeled masks are scanned: a fresh mask is never replaced. It
+    takes the place of a whole XOR node, whose parent is a CONCAT or a
+    member root (XOR is flattened, and EXTRACT is pushed below XOR and
+    CONCAT), so it is never an XOR operand, nor the extraction of one."""
     masks = frozenset().union(*map(symbols_of, exprs)) \
         & labels._share_footprints()[3]
     members = list(exprs)
     fresh_n = 0
     while (step := _replacement(members, masks, fresh_n)) is not None:
         idx, members[idx] = step
-        masks |= {f"$sub{fresh_n}"}
         fresh_n += 1
         yield members
 
@@ -423,10 +429,6 @@ class _Space:
     def size(self) -> int:
         return 1 << self.total_bits
 
-    def select(self, fixed: Sequence[str], vary: Sequence[str]) -> "_Space":
-        """The same fields laid out for ``fixed`` against ``vary``."""
-        return _Space(self.widths, self.derived, fixed, vary)
-
 
 class _Rows(dict):
     """The columns of the rows ``[start, stop)`` of ``space``, a range or a
@@ -478,15 +480,19 @@ class _Rows(dict):
 
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
-               shares_free: bool) -> tuple[_Space, list[str], list[str]]:
-    """Enumeration space of labeled ``symbols``, with no selection, secret
-    vars, public vars; raises TooLarge past ``limit`` bits, the one bit
-    count of the module. Each question lays it out for its selections
-    (:meth:`_Space.select`).
+               budget: int | None) -> Iterator[_Space]:
+    """The enumeration space of labeled ``symbols``, laid out for each
+    selection of the question ``budget`` asks; TooLarge past ``limit``
+    bits, the one bit count of the module, before the first selection.
 
-    Tied shares: the top share is derived from its secret and siblings.
-    Free shares: every share is a base variable, and a secret is derived as
-    the XOR of all of its shares."""
+    With no budget, independence: shares are tied, the top one derived
+    from its secret and siblings, and the one selection fixes the publics
+    against the secrets. With a budget, simulatability: every share is a
+    base variable, a secret is derived as the XOR of all of its shares,
+    and each choice of ``budget`` shares of each secret is fixed in turn
+    against its other shares; the simulator draws the publics too, so
+    they are not conditioned on."""
+    free = budget is not None
     base: list[tuple[str, int]] = []
     derived: dict[str, list[str]] = {}
     secrets: list[str] = []
@@ -500,12 +506,14 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
 
     for name in sorted(symbols):
         kind = labels.kind(name)
-        if kind == ex.SECRET and shares_free:
+        if kind == ex.SECRET and free:
             derived[name] = labels.shares_of(name)
+            if not derived[name]:
+                raise ValueError(f"secret {name!r} has no shares to simulate")
             for share in derived[name]:
                 add(share, labels.width(share))
             continue
-        if kind != ex.SHARE or shares_free:   # a base variable
+        if kind != ex.SHARE or free:   # a base variable
             add(name, labels.width(name))
             if kind == ex.PUBLIC:
                 publics.append(name)
@@ -533,7 +541,22 @@ def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
     bits = sum(w for _, w in base)
     if bits > limit:
         raise TooLarge(bits, limit)
-    return _Space(dict(base), derived), sorted(set(secrets)), publics
+    widths = dict(base)
+    if not free:
+        yield _Space(widths, derived, publics, sorted(set(secrets)))
+        return
+    # the space holds the shares observed and all shares of each secret
+    parents = sorted({labels.share_parent(n)[0] for n in widths
+                      if labels.kind(n) == ex.SHARE})
+    present = [[s for s in labels.shares_of(p) if s in widths]
+               for p in parents]
+    choices = [itertools.combinations(shares, min(budget, len(shares)))
+               for shares in present]
+    for selection in itertools.product(*choices):
+        fixed = sorted(n for combo in selection for n in combo)
+        vary = sorted(n for shares in present for n in shares
+                      if n not in fixed)
+        yield _Space(widths, derived, fixed, vary)
 
 
 def _dense(arr: np.ndarray) -> tuple[np.ndarray, int]:
@@ -767,39 +790,52 @@ def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
 
 
 def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
-                      limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
-    """Exact independence check by exhausting all symbol assignments: the
-    publics fixed, the secrets varied (:func:`_first_leak`)."""
-    space, secrets, publics = _space_for(
-        _symbols(exprs, labels), labels, limit, shares_free=False)
-    witness = _first_leak(exprs, space.select(publics, secrets))
-    return Verdict.secure() if witness is None else Verdict.leaks(witness)
+                      limit: int = DEFAULT_ENUM_LIMIT,
+                      budget: int | None = None) -> Verdict:
+    """Exact check, by exhausting all symbol assignments, of independence
+    or, with a ``budget``, simulatability: each selection of the question
+    (:func:`_space_for`) is walked in turn (:func:`_first_leak`), and the
+    first invariant one proves it; else the first selection's witness
+    leaks."""
+    witness = None
+    for space in _space_for(_symbols(exprs, labels), labels, limit, budget):
+        leak = _first_leak(exprs, space)
+        if leak is None:
+            return Verdict.secure()
+        witness = witness or leak
+    return Verdict.leaks(witness)
 
 
 def check(exprs: tuple[Expr, ...], labels: SymbolTable,
           limit: int = DEFAULT_ENUM_LIMIT) -> Verdict:
     """Substitution first; exact enumeration as the fallback within budget.
     ``exprs`` is a set's canonical members, as :func:`make_expr_set` gives."""
-    return _enumerated(check_substitution(exprs, labels), exprs, labels, limit)
+    return _enumerated(check_substitution(exprs, labels), exprs, labels, limit,
+                       None)
 
 
 def check_from_fixpoint(exprs: tuple[Expr, ...], labels: SymbolTable,
-                        limit: int) -> Verdict:
-    """:func:`check` of a set whose share count on its own symbols has
-    failed, as :func:`check_tuples` decides one: from the fixpoint."""
-    return _enumerated(_fixpoint_count(exprs, labels, None), exprs, labels,
-                       limit)
+                        limit: int, budget: int | None = None) -> Verdict:
+    """:func:`check` of the question ``budget`` asks, for a set whose share
+    count on its own symbols has failed, as :func:`check_tuples` decides
+    every view: from the fixpoint."""
+    return _enumerated(_fixpoint_count(exprs, labels, budget), exprs, labels,
+                       limit, budget)
 
 
 def _enumerated(verdict: Verdict, exprs: tuple[Expr, ...],
-                labels: SymbolTable, limit: int) -> Verdict:
-    """``verdict`` if the substitution proved the set, else enumeration's;
-    past the bit budget, Inconclusive with the substitution's reason."""
+                labels: SymbolTable, limit: int,
+                budget: int | None) -> Verdict:
+    """``verdict`` if the substitution proved the question, else
+    enumeration's; past the bit limit, Inconclusive: for independence with
+    the substitution's reason, for simulatability with TooLarge's."""
     if verdict.is_secure:
         return verdict
     try:
-        return check_enumeration(exprs, labels, limit)
+        return check_enumeration(exprs, labels, limit, budget)
     except TooLarge as exc:
+        if budget is not None:
+            return Verdict.inconclusive(str(exc))
         return Verdict.inconclusive(
             f"{verdict.reason}; enumeration over limit ({exc.bits} > {exc.limit} "
             f"bits): potential false positive")
@@ -970,43 +1006,6 @@ def collect_probes(gadget: GadgetSpec, glitches: bool) -> list[Probe]:
     return probes
 
 
-def _simulatable(exprs: tuple[Expr, ...], labels: SymbolTable, budget: int,
-                 limit: int) -> Verdict:
-    """Can a simulator with ``budget`` shares of each input reproduce the
-    joint distribution of ``exprs``? Observing a secret observes all of its
-    shares. Each selection of ``budget`` shares of each input is fixed in
-    turn, the other shares varied (:func:`_first_leak`); the first
-    invariant selection proves it. A leak carries the first selection's
-    witness; past ``limit`` bits the verdict is Inconclusive."""
-    # check_tuples decides only a set whose count on all of its symbols
-    # failed: start at the fixpoint
-    if _fixpoint_count(exprs, labels, budget).is_secure:
-        return Verdict.secure()
-    try:
-        space, _, _ = _space_for(_symbols(exprs, labels), labels, limit,
-                                 shares_free=True)
-    except TooLarge as exc:
-        return Verdict.inconclusive(str(exc))
-    # the space holds the shares observed and all shares of each secret
-    parents = sorted({labels.share_parent(n)[0] for n in space.widths
-                      if labels.kind(n) == ex.SHARE})
-    present = [[s for s in labels.shares_of(p) if s in space.widths]
-               for p in parents]
-    choices = [itertools.combinations(shares, min(budget, len(shares)))
-               for shares in present]
-    # the simulator draws the publics too: they are not conditioned on
-    witness = None
-    for selection in itertools.product(*choices):
-        fixed = sorted(n for combo in selection for n in combo)
-        vary = sorted(n for shares in present for n in shares
-                      if n not in fixed)
-        leak = _first_leak(exprs, space.select(fixed, vary))
-        if leak is None:
-            return Verdict.secure()
-        witness = witness or leak
-    return Verdict.leaks(witness)
-
-
 def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
                           strong: bool, limit: int) -> TupleResult:
     labels = gadget.labels
@@ -1015,7 +1014,7 @@ def _check_simulatability(gadget: GadgetSpec, d: int, glitches: bool,
     return check_tuples(
         probes, range(1, d + 1), [(make_part(p.obs, labels),) for p in probes],
         [0 if strong and p.is_output else 1 for p in probes],
-        lambda exprs, budget: _simulatable(exprs, labels, budget, limit),
+        lambda exprs, budget: check_from_fixpoint(exprs, labels, limit, budget),
         labels)
 
 

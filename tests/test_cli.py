@@ -200,6 +200,28 @@ def test_higher_order_mode(fixture_dir, capsys):
     assert "d-uplets" in captured.out
 
 
+def test_higher_order_inconclusive_prints_and_reports_its_reason(
+        fixture_dir, tmp_path, capsys):
+    report = tmp_path / "ho.json"
+    code = main(["verify", *_fig_args(fixture_dir, "isw_and_d1"),
+                 "--model", "0,0", "--order", "2", "--enum-limit", "1",
+                 "--report", str(report)])
+    reason = ("substitution left sensitive symbols: a0, a1; enumeration over "
+              "limit (2 > 1 bits): potential false positive")
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "d-uplets: 78 total, 1 checked", "verdict:  inconclusive",
+        "leaking:  ('a0', 'a1')", f"reason:   {reason}"]
+    doc = json.loads(report.read_text())
+    assert (doc["verdict"], doc["reason"]) == ("inconclusive", reason)
+    # a decided verdict has no reason
+    assert main(["verify", *_fig_args(fixture_dir, "isw_and_d1"),
+                 "--model", "0,0", "--order", "2", "--report",
+                 str(report)]) == 1
+    assert "reason" not in json.loads(report.read_text())
+    assert "reason:" not in capsys.readouterr().out
+
+
 def test_higher_order_report_lists_the_simulator_warnings(tmp_path, capsys):
     # a mux whose selector s carries the mask m over three held frames: the
     # order-2 report warns once per cycle, as the order-1 report does

@@ -187,9 +187,11 @@ def test_check_uses_substitution_before_enumeration(km_labels, monkeypatch):
 
 
 def test_enumeration_matches_bruteforce_oracle():
+    # independence, then simulatability with one and two shares of each
+    # secret; k and k2 are declared without shares, so no budget holds them
     rng = random.Random(88)
-    compared = 0
-    while compared < 250:
+    compared = simulated = leaks = 0
+    while compared < 250 or simulated < 150:
         exprs, labels = oracles.random_expr_set(rng)
         eset = make_expr_set(exprs)
         symbols = {n for e in eset for n in ex.symbols_of(e)}
@@ -202,6 +204,21 @@ def test_enumeration_matches_bruteforce_oracle():
         compared += 1
         slow = oracles.independence_bruteforce(eset, labels)
         assert fast == slow, [ex.render(e) for e in eset]
+        for budget in (1, 2):
+            if symbols & {"k", "k2"}:
+                with pytest.raises(ValueError, match="has no shares"):
+                    check_enumeration(eset, labels, 12, budget)
+                continue
+            try:
+                fast = check_enumeration(eset, labels, 12, budget).is_secure
+            except TooLarge:
+                continue   # every share of a probed secret joins the space
+            slow = oracles.simulatable_bruteforce(eset, labels,
+                                                  _secrets(labels), budget)
+            assert fast == slow, (budget, [ex.render(e) for e in eset])
+            simulated += any(n.startswith("ks") for n in symbols)
+            leaks += not fast
+    assert leaks > 10
 
 
 def test_substitution_secure_implies_enumeration_secure():
@@ -298,20 +315,20 @@ def test_a_probed_secret_costs_all_of_its_shares():
     # observing a is observing a0 ^ a1: one share cannot simulate it
     _, labels, _, _ = gadgets.gen_dom_and(1)
     a = ex.sym("a", labels.width("a"))
-    v = vf._simulatable((a,), labels, 1, 20)
+    v = vf.check_from_fixpoint((a,), labels, 20, 1)
     assert v.status == vf.LEAKS
     _assert_witness_counts((a,), labels, v.witness, shares_free=True)
-    assert vf._simulatable((xor(ex.sym("a0", labels.width("a0")),
-                                ex.sym("a1", labels.width("a1"))),),
-                           labels, 1, 20).status == vf.LEAKS
+    assert vf.check_from_fixpoint((xor(ex.sym("a0", labels.width("a0")),
+                                       ex.sym("a1", labels.width("a1"))),),
+                                  labels, 20, 1).status == vf.LEAKS
     assert not oracles.simulatable_bruteforce((a,), labels, _secrets(labels), 1)
     probed = vf._footprint({"a"}, labels)
     assert not vf._share_count_proves(probed, labels, 1)
     # with both shares in the budget, and with the secret cancelled
     assert vf._share_count_proves(probed, labels, 2)
-    assert vf._simulatable((a,), labels, 2, 20).is_secure
-    assert vf._simulatable((xor(a, ex.sym("a0", labels.width("a0"))),),
-                           labels, 1, 20).is_secure
+    assert vf.check_from_fixpoint((a,), labels, 20, 2).is_secure
+    assert vf.check_from_fixpoint((xor(a, ex.sym("a0", labels.width("a0"))),),
+                                  labels, 20, 1).is_secure
 
 
 def test_ni_leak_carries_witness():
@@ -330,7 +347,8 @@ def test_ni_tuple_a_count_proves_is_secure_past_the_limit():
 
 def test_ni_names_an_unlabeled_mask_before_any_check(monkeypatch):
     decided = []
-    monkeypatch.setattr(vf, "_simulatable", lambda *args: decided.append(args))
+    monkeypatch.setattr(vf, "check_from_fixpoint",
+                        lambda *args: decided.append(args))
     circuit, labels, stimuli, spec = gadgets.gen_dom_and(1)
     doc = labels.to_json()
     doc["symbols"] = [e for e in doc["symbols"] if e["name"] != "z01"]
@@ -361,8 +379,8 @@ def test_simulatability_matches_bruteforce_oracle(gen, glitches):
         for combo in it.combinations(probes, q):
             union = tuple(sorted({e for p in combo for e in p.obs},
                                  key=ex.render))
-            fast = vf._simulatable(union, spec.labels, budget,
-                                   limit=20).is_secure
+            fast = vf.check_from_fixpoint(union, spec.labels, 20,
+                                          budget).is_secure
             slow = oracles.simulatable_bruteforce(union, spec.labels,
                                                   _secrets(spec.labels), budget)
             assert fast == slow, (q, budget, [p.describe() for p in combo])
@@ -786,7 +804,7 @@ def test_first_uneven_group_of_a_probe_tuple():
     # the first selection fixes a0: a0 = 0 makes the member 0 for every
     # (a1, a2), an even first group, and a0 = 1 shows a1 ^ a2
     exprs = make_expr_set([ex.build("AND", [s("a0"), xor(s("a1"), s("a2"))])])
-    v = vf._simulatable(exprs, labels, 1, 20)
+    v = vf.check_from_fixpoint(exprs, labels, 20, 1)
     _is_first_uneven_group(v, exprs, labels, (["a0"], ["a1", "a2"]))
     assert v.witness.fixed == {"a0": 1}
 
@@ -818,7 +836,7 @@ def test_an_even_first_group_of_the_first_of_many_selections():
     # a0 = 1 the AND shows a1 ^ a2, and the witness is read from the
     # members' columns over all rows
     exprs = make_expr_set([ex.build("AND", [a0, xor(a1, a2)]), a0])
-    v = vf._simulatable(exprs, labels, 1, 20)
+    v = vf.check_from_fixpoint(exprs, labels, 20, 1)
     assert v.status == vf.LEAKS
     _is_first_uneven_group(v, exprs, labels, (["a0"], ["a1", "a2"]))
     assert v.witness.fixed == {"a0": 1}
@@ -962,7 +980,7 @@ def test_block_wise_first_groups_on_random_sets(monkeypatch, first_selections,
     for _ in range(100):
         exprs, labels, _ = _shared_set(rng.choice)
         first_selections.clear()
-        v = vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+        v = vf.check_from_fixpoint(exprs, labels, 20, rng.choice((1, 2)))
         if v.status == vf.LEAKS:
             _is_first_uneven_group(v, exprs, labels, first_selections[0])
             probe_leaks += 1
@@ -1035,7 +1053,7 @@ def test_top_share_fields_cut_the_first_group_walk(monkeypatch, block):
                 vf._symbols(exprs, labels), labels), labels, budget):
             continue   # check_tuples never decides it
         calls.clear()
-        v = vf._simulatable(exprs, labels, budget, 20)
+        v = vf.check_from_fixpoint(exprs, labels, 20, budget)
         if not calls:
             continue   # the count after a substitution step proved it
         for fixed, vary, leak in calls:
@@ -1078,7 +1096,7 @@ def test_every_kernel_call_has_its_fixed_fields_on_top(monkeypatch):
     phase = "random tuples"
     for _ in range(100):
         exprs, labels, _ = _shared_set(rng.choice)
-        vf._simulatable(exprs, labels, rng.choice((1, 2)), 20)
+        vf.check_from_fixpoint(exprs, labels, 20, rng.choice((1, 2)))
     phase = "random sets"
     for _ in range(200):
         check_enumeration(*_public_set(rng), limit=12)
@@ -1244,10 +1262,9 @@ def test_materialise_every_public_range():
     labels.declare("m", 3, ex.MASK)
     labels.declare("pa", 8, ex.PUBLIC)
     labels.declare("pb", 9, ex.PUBLIC)
-    space, secrets, publics = vf._space_for({"k1", "m", "pa", "pb"}, labels,
-                                            22, shares_free=False)
-    assert space.derived == {"k1": ["k", "k0"]} and publics == ["pa", "pb"]
-    space = space.select(publics, secrets)
+    [space] = vf._space_for({"k1", "m", "pa", "pb"}, labels, 22, budget=None)
+    assert space.derived == {"k1": ["k", "k0"]}
+    assert (space.fixed, space.vary) == (["pa", "pb"], ["k"])
     assert sorted(space.widths.values()) == [1, 1, 3, 8, 9]
     # 2^11-row ranges: the public fields' runs (pa's are 2^14 rows)
     # outgrow the ranges, which then cut them
@@ -1344,7 +1361,7 @@ def _assert_share_counts_sound(exprs, labels, secrets, budget):
     if check_substitution(exprs, labels, budget).is_secure:
         assert oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
             (budget, [ex.render(e) for e in exprs])
-    assert vf._simulatable(exprs, labels, budget, limit=20).is_secure == \
+    assert vf.check_from_fixpoint(exprs, labels, 20, budget).is_secure == \
         oracles.simulatable_bruteforce(exprs, labels, secrets, budget), \
         (budget, [ex.render(e) for e in exprs])
     return proved and any(labels.is_sensitive(n) for n in
@@ -1387,7 +1404,8 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
                            sum(1 for p in combo if not p.is_output)}:
                 if any(sum(n in symbols for n in shares) > budget
                        for shares in labels.sharings()) and \
-                        vf._simulatable(exprs, labels, budget, 20).is_secure:
+                        vf.check_from_fixpoint(exprs, labels, 20,
+                                               budget).is_secure:
                     proven.add((exprs, budget))
     sets = []
     check = vf.check_from_fixpoint
@@ -1404,11 +1422,10 @@ def test_share_count_keys_of_gadgets_are_enumeration_secure(gen, monkeypatch):
     for eset in sets:
         assert check_enumeration(eset, labels).is_secure
 
-    # keys past the raw count; with no substitution, enumeration decides
-    monkeypatch.setattr(vf, "_substitutions", lambda exprs, _: iter(()))
+    # keys past the raw count, decided by enumeration alone
     assert len(proven) > 100
     for exprs, budget in proven:
-        assert vf._simulatable(exprs, labels, budget, 20).is_secure
+        assert check_enumeration(exprs, labels, 20, budget).is_secure
 
 
 # ---------------------------------------------------------------------------
@@ -1580,6 +1597,48 @@ def test_one_term_under_two_tables_gets_each_tables_fixpoint():
         assert _fixpoint_left(exprs, tables[1]) == {"u", "w"}
 
 
+def _fresh_xor_operands(e):
+    """The fresh masks in ``e`` that are an XOR operand or the extraction
+    of one: those a substitution step could replace."""
+    out = set()
+    if e.kind == "op":
+        for c in e.children if e.op == "XOR" else ():
+            atom = c.children[0] if c.kind == "op" and c.op == "EXTRACT" else c
+            if atom.kind == "sym" and atom.name.startswith("$sub"):
+                out.add(atom.name)
+        for c in e.children:
+            out |= _fresh_xor_operands(c)
+    return out
+
+
+def test_a_fresh_mask_is_never_an_xor_operand():
+    # the fixpoint scans the labeled masks only: no step leaves a fresh
+    # mask where a later one could replace it, and the symbols left are
+    # those of the reference loop, which scans the fresh masks too
+    rng = random.Random(34)
+    sets = [(make_expr_set(exprs), labels) for exprs, labels in
+            (oracles.random_expr_set(rng) for _ in range(300))]
+    for gen in (gadgets.gen_dom_and, gadgets.gen_isw_and):
+        for d in (1, 2):
+            _, labels, _, spec = gen(d)
+            for glitches in (False, True):
+                probes = vf.collect_probes(spec, glitches)
+                sets += [(make_expr_set(e for p in combo for e in p.obs),
+                          labels) for q in (1, 2)
+                         for combo in itertools.combinations(probes, q)]
+    steps = 0
+    for exprs, labels in sets:
+        members = exprs
+        for members in vf._substitutions(exprs, labels):
+            steps += 1
+            assert not set().union(*map(_fresh_xor_operands, members)), \
+                [ex.render(e) for e in members]
+        assert vf._labeled(members, labels) == \
+            oracles.substitution_fixpoint(exprs, labels), \
+            [ex.render(e) for e in exprs]
+    assert steps > 1000
+
+
 # ---------------------------------------------------------------------------
 # The fixpoint's first proving step and the walk's count memo, refereed by
 # the reference loops in oracles
@@ -1614,17 +1673,12 @@ def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
     # order-2 check decide
     circuit, labels, stimuli, spec = gen(2)
     decided = set()
-    simulatable, check = vf._simulatable, vf.check_from_fixpoint
-
-    def recording_simulatable(exprs, *args):
-        decided.add(exprs)
-        return simulatable(exprs, *args)
+    check = vf.check_from_fixpoint
 
     def recording_check(exprs, *args):
         decided.add(exprs)
         return check(exprs, *args)
 
-    monkeypatch.setattr(vf, "_simulatable", recording_simulatable)
     monkeypatch.setattr(vf, "check_from_fixpoint", recording_check)
     for glitches in (False, True):
         vf.check_ni(spec, 2, glitches)
@@ -1639,6 +1693,59 @@ def test_fixpoint_count_agrees_on_every_decided_gadget_set(gen, monkeypatch):
                 (budget, [ex.render(e) for e in exprs])
         steps += any(True for _ in vf._substitutions(exprs, labels))
     assert steps > 100   # sets with a substitution step to stop at
+
+
+def test_every_enumerated_view_goes_through_check_enumeration(monkeypatch):
+    # NI and SNI (glitches off and on) at d=2 and 3 and the order-2 checks
+    # in every mode decide each view from the fixpoint, and each view its
+    # count leaves unproven is enumerated by check_enumeration at the
+    # view's budget, None for the d-uplets: no space is built or walked
+    # elsewhere
+    decide, enumeration = vf.check_from_fixpoint, vf.check_enumeration
+    space_for, first_leak = vf._space_for, vf._first_leak
+    decided, enumerated, inside = [], [], []
+
+    def recording_decide(exprs, labels, limit, budget):
+        decided.append((exprs, labels, budget))
+        return decide(exprs, labels, limit, budget)
+
+    def recording_enumeration(exprs, labels, limit, budget):
+        enumerated.append((exprs, labels, budget))
+        inside.append(budget)
+        try:
+            return enumeration(exprs, labels, limit, budget)
+        finally:
+            inside.pop()
+
+    def inner_space_for(symbols, labels, limit, budget):
+        assert inside == [budget]
+        return space_for(symbols, labels, limit, budget)
+
+    def inner_first_leak(exprs, space):
+        assert len(inside) == 1
+        return first_leak(exprs, space)
+
+    monkeypatch.setattr(vf, "check_from_fixpoint", recording_decide)
+    monkeypatch.setattr(vf, "check_enumeration", recording_enumeration)
+    monkeypatch.setattr(vf, "_space_for", inner_space_for)
+    monkeypatch.setattr(vf, "_first_leak", inner_first_leak)
+    for gen in (gadgets.gen_dom_and, gadgets.gen_isw_and):
+        for order in (1, 2, 3):
+            circuit, labels, stimuli, spec = gen(order)
+            before = len(decided)
+            for checker in (check_ni, check_sni):
+                for glitches in (False, True):
+                    checker(spec, max(order, 2), glitches)
+            assert None not in {b for _, _, b in decided[before:]}
+            before = len(decided)
+            for mode in (mg.SPATIAL, mg.TEMPORAL, mg.MIXED):
+                mg.verify_higher_order(circuit, stimuli, labels,
+                                       mg.LeakageModel(order=2), mode)
+            assert {b for _, _, b in decided[before:]} <= {None}
+    assert enumerated == [
+        (exprs, labels, budget) for exprs, labels, budget in decided
+        if not vf._fixpoint_count(exprs, labels, budget).is_secure]
+    assert {budget for _, _, budget in enumerated} == {None, 0, 1, 2, 3}
 
 
 def test_a_set_proven_at_its_first_substitution_stops_there(three_shares,
