@@ -35,9 +35,10 @@ invariant selection proves the question. Independence has one selection,
 the publics fixed and the secrets varied; simulatability one per choice of
 its budget of shares, fixed, with the other shares varied and the publics
 marginalised. Each selection lays the fields out with its fixed fields on
-the top bits of the row index, the first most significant (:class:`_Space`),
-so each fixed value is one contiguous run of rows, and one range walk
-(:func:`_first_leak`) decides it.
+the top bits of the row index and its vary fields right below them, each
+with the first most significant (:class:`_Space`), so each fixed value is
+one contiguous run of rows, the vary value is one row field, and one range
+walk (:func:`_first_leak`) decides it.
 
 Columns are narrow: a symbol's or a term's values are held in the
 smallest of uint8, uint16 and int64 that its width fits (:func:`_dtype`),
@@ -47,21 +48,22 @@ when first read: a symbol's from the row indices, a term's by
 :func:`expr.apply`, the value rule that constant folding and
 :func:`expr.eval_concrete` use too, and an ``INT_ONLY`` operator's by its
 :func:`expr.int_rule` row by row. The fixed values are walked in key
-order, one range of ``max(_RANGE_ROWS, one fixed value)`` rows at a time,
-and the first range that leaks decides. Each range is decided by one call
-of a counting kernel (:func:`_first_bad_group`): the fixed fields, then the
-members, form the group key, the vary fields the vary key. A selection is
-invariant iff each group's rows are spread alike over the vary values, and
-a leak's witness is the first group in key order that is not. The fixed
-fields are least, and constant, on a range's first fixed value, so its
-first group lies there, keyed by the members alone, and the kernel finds
-it one block of at most ``_BLOCK_ROWS`` rows at a time
-(:func:`_first_group`), column by column over the whole block, and counts
-it as it goes; a block whose key already exceeds the least so far is left.
-A leak decided there holds at most one block of any column. Every member's
-column over all of the range's rows is evaluated, and the whole keys are
-packed into int64 by :func:`_pack` and sorted, only when that group is
-even; the fixed fields enter those keys as the one row field they span.
+order, one range at a time, one block of ``_BLOCK_ROWS`` rows or one
+fixed value, whichever is larger, and the first range that leaks decides.
+Each range is decided by one call of a counting kernel
+(:func:`_first_bad_group`): the fixed fields' bits that vary over the
+range, then the members, form the group key (:func:`_key_parts`), the vary
+fields' row field the vary key. A selection is invariant iff each group's
+rows are spread alike over the vary values, and a leak's witness is the
+first group in key order that is not. The kernel finds the range's first
+group block by block (:func:`_first_group`), part by part over the whole
+block, and counts it as it goes; a block whose key already exceeds the
+least so far is left. A range of one block is read on its own columns; a
+larger one lies in one fixed value, so its blocks are keyed by the members
+alone, and a leak decided there holds at most one block of any column.
+Every member's column over all of the range's rows is evaluated, and the
+whole keys are packed into int64 by :func:`_pack` and sorted, only when
+that group is even.
 
 :func:`check_substitution` is steps 1 and 2 for both questions.
 :func:`check` runs steps 1 and 2, then 3; a set past the bit limit is
@@ -83,7 +85,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -406,28 +408,37 @@ def _field(off: int, width: int, start: int, stop: int) -> np.ndarray:
 class _Space:
     """Cartesian assignment space over base fields, with derived symbols,
     each the XOR of its parts, and one selection of the fields: the layout
-    of the row index, whose columns :class:`_Rows` builds. The ``fixed``
-    fields hold its top bits, the first most significant, and the other
-    fields the bits below, in the order of ``widths``."""
+    of the row index, whose columns :class:`_Rows` builds. From the low
+    bits up it holds the other fields, in the order of ``widths``, then the
+    ``vary`` fields, then the ``fixed`` fields, each of the last two with
+    its first name most significant."""
     widths: dict[str, int]               # base fields
     derived: dict[str, list[str]]        # name -> XOR parts
     fixed: Sequence[str] = ()
     vary: Sequence[str] = ()
     offsets: dict[str, int] = field(init=False)
     total_bits: int = field(init=False)
+    vary_low: int = field(init=False)    # the vary fields' lowest row bit
     low: int = field(init=False)         # the fixed fields' lowest row bit
 
     def __post_init__(self):
-        order = [n for n in self.widths if n not in self.fixed]
-        order += reversed(self.fixed)
+        selected = {*self.fixed, *self.vary}
+        order = [n for n in self.widths if n not in selected]
+        order += [*reversed(self.vary), *reversed(self.fixed)]
         ends = [0, *itertools.accumulate(map(self.widths.__getitem__, order))]
         self.offsets = dict(zip(order, ends))
         self.total_bits = ends[-1]
+        self.vary_low = ends[len(order) - len(selected)]
         self.low = ends[len(order) - len(self.fixed)]
 
     @property
     def size(self) -> int:
         return 1 << self.total_bits
+
+    def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
+        """The values of the base fields ``names`` at the row index ``row``."""
+        return {name: (row >> self.offsets[name]) & mask(self.widths[name])
+                for name in names}
 
 
 class _Rows(dict):
@@ -472,11 +483,12 @@ class _Rows(dict):
             out = ex.apply(op, w, e.params, e.children, kids)
         return out.astype(_dtype(w), copy=False)
 
-    def decode(self, row: int, names: Sequence[str]) -> dict[str, int]:
-        """The values of the base fields ``names`` at ``row``."""
-        widths, offsets = self.space.widths, self.space.offsets
-        return {name: ((self.start + row) >> offsets[name]) & mask(widths[name])
-                for name in names}
+    def vary_key(self) -> np.ndarray:
+        """The vary key: the vary fields, the first most significant, read
+        as the one row field they span."""
+        space = self.space
+        return _field(space.vary_low, space.low - space.vary_low, self.start,
+                      self.stop)
 
 
 def _space_for(symbols: Iterable[str], labels: SymbolTable, limit: int,
@@ -593,14 +605,20 @@ def _pack(parts: Sequence[tuple[np.ndarray, int | None]]) -> tuple[np.ndarray, i
     return key, bound
 
 
-def _vary_parts(rows: _Rows) -> list[tuple[np.ndarray, int]]:
-    """The vary fields' columns, each with its bound: every combination
-    occurs, so they are dense, and sorted as packed."""
-    return [(rows[name], 1 << rows.space.widths[name])
-            for name in rows.space.vary]
+def _key_parts(exprs: Sequence[Expr],
+               rows: _Rows) -> Iterator[tuple[np.ndarray, int | None]]:
+    """The group key of ``rows``, part by part as :func:`_pack` takes it,
+    each column built when its part is drawn: the fixed fields' bits that
+    vary over the rows, as one row field, then the members ``exprs``."""
+    low = rows.space.low
+    lead = rows.n.bit_length() - 1 - low
+    if lead > 0:
+        yield _field(low, lead, rows.start, rows.stop), 1 << lead
+    for e in exprs:
+        yield rows[e], (1 << e.width) if e.width <= _INT64_WIDTH else None
 
 
-_BLOCK_ROWS = 1 << 16   # the first-group walk reads this many rows at a time
+_BLOCK_ROWS = 1 << 14   # a block: the rows a range walk reads at a time
 
 
 def _least(col: np.ndarray, pos: np.ndarray | None):
@@ -614,85 +632,60 @@ def _least(col: np.ndarray, pos: np.ndarray | None):
 
 def _first_group(exprs: Sequence[Expr],
                  rows: _Rows) -> tuple[int, np.ndarray, list]:
-    """The first group in key order of the range: its first row in the
-    range, its row count per vary value and its member values. The fixed
-    fields hold the top bits of the row index, so they are least, and
-    constant, on the range's first ``1 << low`` rows: the group lies there,
-    and its key is the members ``exprs`` alone. Only those rows are read,
-    one block of at most ``_BLOCK_ROWS`` rows at a time
-    (:func:`_block_group`). Each block whose key ties or beats the least so
-    far counts the vary values at its group's rows: a smaller key replaces
-    the counts, an equal one adds to them. No column is read over more than
-    one block; a range of one block is read on its own columns, which its
-    even path shares."""
-    first = 1 << rows.space.low
+    """The first group in key order of the range ``rows``: its row index,
+    its row count per vary value and its key. A range of one block is read
+    on its own columns, which its even path shares; a larger one lies in
+    one fixed value, and is read one block of ``_BLOCK_ROWS`` rows at a
+    time, so no column is read over more than one block. Part by part
+    (:func:`_key_parts`), each block keeps the rows that hold the part's
+    least value among the rows still in, and is left as soon as its key
+    exceeds the least so far; else it counts the vary values at its
+    group's rows: a smaller key replaces the counts, an equal one adds to
+    them."""
+    blocks = [rows] if rows.n <= _BLOCK_ROWS else (
+        _Rows(rows.space, start, start + _BLOCK_ROWS)
+        for start in range(rows.start, rows.stop, _BLOCK_ROWS))
+    n_vary = 1 << rows.space.low - rows.space.vary_low
     least = row = counts = None
-    for start in range(0, first, _BLOCK_ROWS):
-        stop = min(first, start + _BLOCK_ROWS)
-        block = rows if stop - start == rows.n else \
-            _Rows(rows.space, rows.start + start, rows.start + stop)
-        got = _block_group(exprs, block, least)
-        if got is None:
-            continue
-        key, pos = got
-        vary_key, n_vary = _pack([(col[pos], b)
-                                  for col, b in _vary_parts(block)])
-        here = np.bincount(vary_key, minlength=n_vary)
-        if least is None or key < least:
-            least, row, counts = key, start + int(pos[0]), here
+    for block in blocks:
+        key, pos = [], None
+        for col, _ in _key_parts(exprs, block):
+            pos, value = _least(col, pos)
+            key.append(value)
+            if least is not None and key > least[:len(key)]:
+                break
         else:
-            counts += here
+            here = np.bincount(block.vary_key()[pos], minlength=n_vary)
+            if least is None or key < least:
+                least, row, counts = key, block.start + int(pos[0]), here
+            else:
+                counts += here
     return row, counts, least
-
-
-def _block_group(exprs: Sequence[Expr], rows: _Rows,
-                 least: list | None) -> tuple[list, np.ndarray] | None:
-    """The first group in key order of ``rows``: its key (the values of
-    the members ``exprs``) and its positions among ``rows``, or None as
-    soon as a member's least value puts the key past ``least``. Member by
-    member over every row, the rows that hold the member's least value
-    among the rows still in."""
-    key: list = []
-    pos = None
-    for e in exprs:
-        pos, value = _least(rows[e], pos)
-        key.append(value)
-        if least is not None and key > least[:len(key)]:
-            return None
-    return key, pos
 
 
 def _first_bad_group(exprs: Sequence[Expr],
                      rows: _Rows) -> tuple[int, np.ndarray, list] | None:
-    """The counting kernel: the first group of ``rows``, in key order, whose
-    rows are not spread evenly over the values of the vary fields. The
-    group key is the fixed fields, then the members ``exprs``.
+    """The counting kernel: the first group of the range ``rows``, in key
+    order, whose rows are not spread evenly over the values of the vary
+    key. The group key is the fixed fields, then the members ``exprs``
+    (:func:`_key_parts`).
 
-    Returns the group's first row in the range, its row count per vary
-    value and its member values, or None when every group is invariant.
+    Returns the group's first row index, its row count per vary value and
+    its member values, or None when every group is invariant.
     The first group (:func:`_first_group`) is counted first: if it is
     uneven, it is the first bad group, and no column is built over more
     than one block. Else the whole key over the range is packed once and
     counted (:func:`_bad_group`), and the member values are read from its
-    columns. The fixed fields, on top, are the row bits from ``low`` up,
-    so they enter the key as one field: those of their bits that vary over
-    the range."""
-    row, counts, values = _first_group(exprs, rows)
+    columns."""
+    row, counts, key = _first_group(exprs, rows)
     if (counts != counts[0]).any():
-        return row, counts, values
-    low = rows.space.low
-    lead = rows.n.bit_length() - 1 - low
-    groups, n_groups = _pack([
-        *([(_field(low, lead, rows.start, rows.stop), 1 << lead)] if lead
-          else []),
-        *((rows[e], (1 << e.width) if e.width <= _INT64_WIDTH else None)
-          for e in exprs)])
-    vary_key, _ = _pack(_vary_parts(rows))
-    bad = _bad_group(groups, n_groups, vary_key, len(counts))
+        return row, counts, key[len(key) - len(exprs):]
+    groups, n_groups = _pack(list(_key_parts(exprs, rows)))
+    bad = _bad_group(groups, n_groups, rows.vary_key(), len(counts))
     if bad is None:
         return None
     row, counts = bad
-    return row, counts, [rows[e][row] for e in exprs]
+    return rows.start + row, counts, [rows[e][row] for e in exprs]
 
 
 def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
@@ -732,39 +725,25 @@ def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
                                                  minlength=n_vary)
 
 
-def _unpack(key: int, names: Sequence[str],
-            widths: Mapping[str, int]) -> dict[str, int]:
-    shift = sum(widths[n] for n in names)
-    out = {}
-    for name in names:
-        shift -= widths[name]
-        out[name] = (key >> shift) & mask(widths[name])
-    return out
-
-
-def _witness(row: int, counts: np.ndarray, values: Sequence, rows: _Rows,
+def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
              exprs: Sequence[Expr]) -> LeakWitness:
-    """Every row of a group shares its fixed and member ``values``, so
-    ``row`` of ``rows`` stands for the group; the two assignments are the
-    lowest vary value present and the lowest absent one, or else the lowest
-    with another count."""
+    """Every row of a group shares its fixed and member ``values``, so the
+    row index ``row`` of ``space`` stands for the group; the two assignments
+    are the lowest vary value present and the lowest absent one, or else the
+    lowest with another count."""
     a = int(np.flatnonzero(counts)[0])
     absent = np.flatnonzero(counts == 0)
     b = int(absent[0]) if absent.size else \
         int(np.flatnonzero(counts != counts[a])[0])
     tuple_text = ", ".join(f"{render(e)}={ex.format_bits(int(v), e.width)}"
                            for e, v in zip(exprs, values))
-    space = rows.space
     return LeakWitness(
-        vary_a=_unpack(a, space.vary, space.widths),
-        vary_b=_unpack(b, space.vary, space.widths),
-        fixed=rows.decode(row, space.fixed),
+        vary_a=space.decode(a << space.vary_low, space.vary),
+        vary_b=space.decode(b << space.vary_low, space.vary),
+        fixed=space.decode(row, space.fixed),
         evidence=(f"joint value ({tuple_text}) "
                   f"occurs {int(counts[a])} vs {int(counts[b])} times"),
     )
-
-
-_RANGE_ROWS = 1 << 14   # a range holds this many rows, or one fixed value
 
 
 def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
@@ -774,18 +753,18 @@ def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
 
     The fixed fields hold the top bits of the row index, so each fixed
     value is one contiguous run of rows, and every group lies inside one.
-    Ranges of ``max(_RANGE_ROWS, one fixed value)`` rows, the whole space
-    when nothing is fixed, are walked in key order, and the first that
-    leaks decides: its first bad group is the whole space's, with the same
+    Ranges of one block (``_BLOCK_ROWS`` rows) or one fixed value,
+    whichever is larger, and at most the whole space, the whole space when
+    nothing is fixed, are walked in key order, and the first that leaks
+    decides: its first bad group is the whole space's, with the same
     counts, so a leak usually costs a small prefix of the space."""
     if not space.vary:
         return None
-    step = min(space.size, max(_RANGE_ROWS, 1 << space.low))
+    step = min(space.size, max(_BLOCK_ROWS, 1 << space.low))
     for start in range(0, space.size, step):
-        rows = _Rows(space, start, start + step)
-        bad = _first_bad_group(exprs, rows)
+        bad = _first_bad_group(exprs, _Rows(space, start, start + step))
         if bad is not None:
-            return _witness(*bad, rows, exprs)
+            return _witness(*bad, space, exprs)
     return None
 
 

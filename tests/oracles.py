@@ -468,7 +468,8 @@ def _basis(exprs, labels, shares_free=False):
     Base variables are masks, publics, declared secrets and all shares but
     the top-index one (which equals its secret XOR the rest). With
     ``shares_free``, as in NI/SNI, every share is a base variable and a
-    secret is the XOR of all of its shares.
+    secret is the XOR of all of its shares; ValueError for a secret
+    declared without shares, which no simulator's budget holds.
     """
     symbols = sorted({n for e in exprs for n in ex.symbols_of(e)})
     base: dict[str, int] = {}
@@ -479,6 +480,8 @@ def _basis(exprs, labels, shares_free=False):
         kind = labels.kind(name)
         if kind == "secret" and shares_free:
             derived[name] = labels.shares_of(name)
+            if not derived[name]:
+                raise ValueError(f"secret {name!r} has no shares to simulate")
             base.update((s, labels.width(s)) for s in derived[name])
         elif kind == "share" and shares_free:
             base[name] = labels.width(name)

@@ -188,7 +188,8 @@ def test_check_uses_substitution_before_enumeration(km_labels, monkeypatch):
 
 def test_enumeration_matches_bruteforce_oracle():
     # independence, then simulatability with one and two shares of each
-    # secret; k and k2 are declared without shares, so no budget holds them
+    # secret; k and k2 are declared without shares, so no budget holds
+    # them, and the engine and the oracle both refuse such a set
     rng = random.Random(88)
     compared = simulated = leaks = 0
     while compared < 250 or simulated < 150:
@@ -208,6 +209,9 @@ def test_enumeration_matches_bruteforce_oracle():
             if symbols & {"k", "k2"}:
                 with pytest.raises(ValueError, match="has no shares"):
                     check_enumeration(eset, labels, 12, budget)
+                with pytest.raises(ValueError, match="has no shares"):
+                    oracles.simulatable_bruteforce(eset, labels,
+                                                   _secrets(labels), budget)
                 continue
             try:
                 fast = check_enumeration(eset, labels, 12, budget).is_secure
@@ -580,8 +584,9 @@ def ranges(monkeypatch):
 
 @pytest.fixture
 def small_ranges(monkeypatch, ranges):
-    """Ranges of 4 rows, or one public value: small sets span many."""
-    monkeypatch.setattr(vf, "_RANGE_ROWS", 4)
+    """Blocks of 4 rows, so ranges of 4 rows or one public value: small
+    sets span many."""
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", 4)
     return ranges
 
 
@@ -697,7 +702,7 @@ def test_range_secret_through_its_top_share_only(small_ranges):
 
 @pytest.mark.parametrize("rows", [1, 4, 16])
 def test_range_wise_random_sets(monkeypatch, rows):
-    monkeypatch.setattr(vf, "_RANGE_ROWS", rows)
+    monkeypatch.setattr(vf, "_BLOCK_ROWS", rows)
     rng = random.Random(rows)
     leaks = 0
     for _ in range(150):
@@ -884,10 +889,11 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     monkeypatch.setattr(vf, "_field", spy_field)
     monkeypatch.setattr(vf._Rows, "_term", spy_term)
     # twenty 1-bit members over 20 bits: the first group, every member 0,
-    # is the one row k = 0
+    # is the one row k = 0. The walk reads the vary key as one row field,
+    # so it packs nothing
     v = check_enumeration(bare, labels)
     assert v.witness.evidence.endswith("occurs 1 vs 0 times")
-    assert packed == [[1]] and densified == []
+    assert packed == [] and densified == []
     # the 2^20 rows are walked one block at a time: no field and no member
     # column is built over more than one block
     assert max(n for _, n in columns) == vf._BLOCK_ROWS
@@ -895,8 +901,8 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     columns.clear()
     v = check_enumeration(nodes, labels)
     assert v.witness.evidence.endswith("occurs 2 vs 1 times")
-    # the group's three rows lie in two blocks: each packs its own
-    assert packed == [[2], [1]] and densified == []
+    # the group's three rows lie in two blocks: each counts its own
+    assert packed == [] and densified == []
     assert {e for e, _ in columns} >= set(nodes)
     assert max(n for _, n in columns) == vf._BLOCK_ROWS
 
@@ -919,8 +925,9 @@ def test_a_leak_in_the_first_group_stays_within_its_memory_bound():
     labels, bare, nodes = _first_group_leaks()
     # traced peaks (numpy's buffers included): 28 and 64 MiB when every
     # field and member column was built over all rows, 11.5 and 17 MiB
-    # when the first member's were, 0.6 and 1.1 MiB when no column is
-    # built over more than one 2^16-row block: the bound keeps a margin
+    # when the first member's were, 1.3 and 3.6 MiB when no column was
+    # built over more than one 2^16-row block, 0.4 and 0.9 MiB with
+    # 2^14-row blocks: the bound keeps a margin
     for exprs in (bare, nodes):
         v, peak = _traced_enumeration(exprs, labels)
         assert v.status == vf.LEAKS
@@ -1016,15 +1023,21 @@ def _top_share_tuple(rng):
 
 
 def _assert_fixed_on_top(space):
-    """The fixed fields hold the top bits of the row index, the first most
-    significant, and every other field the bits below them."""
+    """The fixed fields hold the top bits of the row index, the vary fields
+    the bits right below them, each with the first most significant, and
+    every other field the bits below those."""
     top = space.total_bits
     for name in space.fixed:
         top -= space.widths[name]
         assert space.offsets[name] == top, (space.fixed, space.offsets)
     assert space.low == top
+    for name in space.vary:
+        top -= space.widths[name]
+        assert space.offsets[name] == top, (space.vary, space.offsets)
+    assert space.vary_low == top
+    selected = {*space.fixed, *space.vary}
     assert all(space.offsets[n] + space.widths[n] <= top
-               for n in space.widths if n not in space.fixed), space.offsets
+               for n in space.widths if n not in selected), space.offsets
 
 
 @pytest.mark.parametrize("block", [1, 2])
@@ -1106,6 +1119,50 @@ def test_every_kernel_call_has_its_fixed_fields_on_top(monkeypatch):
     assert calls["random sets", "fixed"] > 30
 
 
+def test_a_range_builds_each_column_once(monkeypatch):
+    labels = SymbolTable()
+    labels.declare("k", 1, ex.SECRET)
+    labels.declare("m", 3, ex.MASK)
+    labels.declare("p", 2, ex.PUBLIC)
+    k, m, p = s("k"), s("m", 3), s("p", 2)
+    # 64 rows, one range of four public values: the walk finds the even
+    # first group on the range's own columns, and the even path reuses them
+    built = collections.Counter()
+    term = vf._Rows._term
+
+    def spy(rows, e):
+        built[e] += 1
+        return term(rows, e)
+
+    monkeypatch.setattr(vf._Rows, "_term", spy)
+    exprs = make_expr_set([xor(k, ex.bit(m, 0), ex.bit(p, 1)),
+                           ex.build("AND", [ex.bit(m, 1), ex.bit(p, 0)])])
+    assert check_enumeration(exprs, labels).is_secure
+    assert set(built) >= set(exprs) and set(built.values()) == {1}, \
+        {ex.render(e): n for e, n in built.items()}
+
+
+def test_a_witness_whose_vary_key_is_wider_than_16_bits():
+    labels = SymbolTable()
+    labels.declare("a", 9, ex.SECRET)
+    labels.declare("b", 9, ex.SECRET)
+    labels.declare("m", 1, ex.MASK)
+    labels.declare("p", 1, ex.PUBLIC)
+    a, b = s("a", 9), s("b", 9)
+    # the vary key (a, b) is an 18-bit row field, read as int64. Under
+    # p = 0 every group is even; under p = 1 the first group, both members
+    # 0, holds one row for each (a, b) with b's bit 3 clear: the lowest
+    # (a, b) present is (0, 0), the lowest absent (0, 8)
+    exprs = make_expr_set([xor(ex.bit(a, 8), s("m")),
+                           ex.build("AND", [ex.bit(b, 3), s("p")])])
+    [space] = vf._space_for(vf._symbols(exprs, labels), labels, 20, None)
+    assert space.low - space.vary_low == 18
+    v = check_enumeration(exprs, labels)
+    assert (v.witness.vary_a, v.witness.vary_b, v.witness.fixed) == \
+        ({"a": 0, "b": 0}, {"a": 0, "b": 8}, {"p": 1})
+    assert v.witness.evidence.endswith("occurs 1 vs 0 times")
+
+
 def test_block_wise_first_group_in_a_later_block(monkeypatch):
     monkeypatch.setattr(vf, "_BLOCK_ROWS", 4)
     labels = SymbolTable()
@@ -1170,14 +1227,13 @@ def _public_set(rng):
     return make_expr_set(exprs), labels
 
 
-@pytest.mark.parametrize("block, rows", [(1, 16), (2, 8)])
-def test_whole_witnesses_over_many_ranges(monkeypatch, ranges, block, rows):
-    # small blocks and ranges: a set spans several ranges, a range's first
-    # public value several blocks, and a range of small public values
-    # holds several of them, told apart in the even path by the lead
+@pytest.mark.parametrize("block", [1, 2, 8, 16])
+def test_whole_witnesses_over_many_ranges(monkeypatch, ranges, block):
+    # small blocks: a set spans several ranges, a range of one public
+    # value several blocks, and a range of one block holds several small
+    # public values, told apart in the walk and the even path by the lead
     monkeypatch.setattr(vf, "_BLOCK_ROWS", block)
-    monkeypatch.setattr(vf, "_RANGE_ROWS", rows)
-    rng = random.Random(rows)
+    rng = random.Random(block)
     leaks = several = 0
     for _ in range(300):
         exprs, labels = _public_set(rng)
