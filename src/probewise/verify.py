@@ -21,7 +21,12 @@ first step that decides wins:
    symbols, so the first step after which the count proves decides, as
    the count on what the whole fixpoint leaves would. Sound, never
    complete.
-3. :func:`check_enumeration`, exact and witness-producing, over the space
+3. For independence of an affine set, whose members are built from
+   symbols, their extractions and constants by XOR and CONCAT alone
+   (:func:`_linear`), Gaussian elimination over GF(2) (:func:`_eliminate`):
+   exact, and its witness is the one step 4 would give, byte for byte. It
+   runs on the space step 4 lays out, so the bit limit holds for it too.
+4. :func:`check_enumeration`, exact and witness-producing, over the space
    and selections :func:`_space_for` builds for the budget; past the bit
    limit it raises TooLarge. Shares are tied to their parent secret by
    Boolean resharing (the top-index share equals the secret XOR the
@@ -65,12 +70,13 @@ Every member's column over all of the range's rows is evaluated, and the
 whole keys are packed into int64 by :func:`_pack` and sorted, only when
 that group is even.
 
-:func:`check_substitution` is steps 1 and 2 for both questions.
-:func:`check` runs steps 1 and 2, then 3; a set past the bit limit is
-Inconclusive, a potential false positive, and so is a probe tuple that
-neither count proves. The sets of probe-tuple views, which step 1 has
-failed on in :func:`check_tuples`, start at step 2: :func:`check_from_fixpoint`
-decides every view, NI/SNI and higher-order alike. Tuples are drawn from
+:func:`check_substitution` is steps 1 and 2 for both questions, and
+:func:`check_enumeration` steps 3 and 4. :func:`check` runs steps 1 and 2,
+then 3 and 4; a set past the bit limit is Inconclusive, a potential false
+positive, and so is a probe tuple that neither count proves. The sets of
+probe-tuple views, which step 1 has failed on in :func:`check_tuples`,
+start at step 2: :func:`check_from_fixpoint` decides every view, NI/SNI
+and higher-order alike, and step 3 only those with no budget. Tuples are drawn from
 symbolic values (or flattened LeakSets when glitches are modelled).
 :func:`check_tuples` is the one probe-tuple engine: NI/SNI and the
 higher-order d-uplet checks name their positions, each position's part in
@@ -725,16 +731,12 @@ def _bad_group(groups: np.ndarray, n_groups: int, vary_key: np.ndarray,
                                                  minlength=n_vary)
 
 
-def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
-             exprs: Sequence[Expr]) -> LeakWitness:
-    """Every row of a group shares its fixed and member ``values``, so the
-    row index ``row`` of ``space`` stands for the group; the two assignments
-    are the lowest vary value present and the lowest absent one, or else the
-    lowest with another count."""
-    a = int(np.flatnonzero(counts)[0])
-    absent = np.flatnonzero(counts == 0)
-    b = int(absent[0]) if absent.size else \
-        int(np.flatnonzero(counts != counts[a])[0])
+def _witness(space: _Space, exprs: Sequence[Expr], row: int, a: int, b: int,
+             count_a: int, count_b: int, values: Sequence) -> LeakWitness:
+    """The witness of a group of ``space`` whose rows share the fixed fields
+    of the row index ``row`` and the member ``values``: the vary values
+    ``a`` and ``b``, read as the vary fields' row field, occur ``count_a``
+    and ``count_b`` times in it."""
     tuple_text = ", ".join(f"{render(e)}={ex.format_bits(int(v), e.width)}"
                            for e, v in zip(exprs, values))
     return LeakWitness(
@@ -742,8 +744,21 @@ def _witness(row: int, counts: np.ndarray, values: Sequence, space: _Space,
         vary_b=space.decode(b << space.vary_low, space.vary),
         fixed=space.decode(row, space.fixed),
         evidence=(f"joint value ({tuple_text}) "
-                  f"occurs {int(counts[a])} vs {int(counts[b])} times"),
+                  f"occurs {count_a} vs {count_b} times"),
     )
+
+
+def _counted_witness(row: int, counts: np.ndarray, values: Sequence,
+                     space: _Space, exprs: Sequence[Expr]) -> LeakWitness:
+    """The witness of a group the kernel counted, ``counts`` rows per vary
+    value: the lowest vary value present and the lowest absent one, or else
+    the lowest with another count."""
+    a = int(np.flatnonzero(counts)[0])
+    absent = np.flatnonzero(counts == 0)
+    b = int(absent[0]) if absent.size else \
+        int(np.flatnonzero(counts != counts[a])[0])
+    return _witness(space, exprs, row, a, b, int(counts[a]), int(counts[b]),
+                    values)
 
 
 def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
@@ -764,8 +779,106 @@ def _first_leak(exprs: Sequence[Expr], space: _Space) -> LeakWitness | None:
     for start in range(0, space.size, step):
         bad = _first_bad_group(exprs, _Rows(space, start, start + step))
         if bad is not None:
-            return _witness(*bad, space, exprs)
+            return _counted_witness(*bad, space, exprs)
     return None
+
+
+def _linear(exprs: Sequence[Expr], space: _Space
+            ) -> tuple[dict[int, int], int] | None:
+    """The members' bits, concatenated with the first most significant (the
+    key order), as an affine map of the row bits of ``space``: each row
+    bit's column of member bits, and the constant. None unless every member
+    is built from symbols, their extractions and constants by XOR and
+    CONCAT alone (extraction is pushed down to the symbols). A derived field
+    is the XOR of its parts. Each XOR and CONCAT node is mapped once."""
+    offsets, derived = space.offsets, space.derived
+    memo: dict[Expr, tuple | None] = {}
+
+    def of(nodes: Sequence[Expr], concat: bool) -> tuple | None:
+        """The XOR of the maps of ``nodes``, or of their concatenation."""
+        cols: dict[int, int] = {}
+        const = shift = 0
+        for e in reversed(nodes):
+            if e.kind == "cst":
+                const ^= e.value << shift
+            elif e.kind == "sym" or e.op == "EXTRACT" and \
+                    e.children[0].kind == "sym":
+                name = e.name or e.children[0].name
+                lo = e.params[0] if e.params else 0
+                for part in derived.get(name, (name,)):
+                    for b in range(e.width):
+                        row = offsets[part] + lo + b
+                        cols[row] = cols.get(row, 0) ^ 1 << b + shift
+            elif e.op in ("XOR", "CONCAT"):
+                if e not in memo:
+                    memo[e] = of(e.children, e.op == "CONCAT")
+                if memo[e] is None:
+                    return None
+                sub, c = memo[e]
+                const ^= c << shift
+                for row, v in sub.items():
+                    cols[row] = cols.get(row, 0) ^ v << shift
+            else:
+                return None
+            shift += e.width if concat else 0
+        return cols, const
+
+    return of(exprs, True)
+
+
+def _eliminate(exprs: Sequence[Expr], space: _Space, cols: dict[int, int],
+               const: int) -> LeakWitness | None:
+    """:func:`_first_leak` of independence for an affine set, whose member
+    bits Y are the map ``cols`` of the row bits plus ``const``
+    (:func:`_linear`), by Gaussian elimination over GF(2): no row is
+    enumerated.
+
+    Call A the columns of the vary bits and B those of the other bits below
+    them. Given the vary and fixed values, Y is uniform on a coset of
+    col(B), so the set is Secure iff every column of A lies in col(B). Else
+    the first group in key order lies at every fixed field 0, the least
+    lead, and at y*, the least element of ``const`` + col([A|B]); it is
+    uneven. Its rows number 2^(other bits - rank B) for each vary value v
+    with A v = y* + const modulo col(B), a coset of the kernel
+    {v: A v in col(B)}, and 0 for every other v: the lowest absent one is
+    0 unless 0 is present, then the lowest vary bit outside the kernel."""
+    n, low = space.low - space.vary_low, space.vary_low
+    # an echelon basis of the columns, by leading bit: each column is
+    # shifted above n bits that name the vary bits whose columns it sums
+    # (1 << j >> low is 0 below the vary bits)
+    basis: dict[int, int] = {}
+    kernel: dict[int, int] = {}   # by highest bit, the vary bit it came from
+    rank_b = 0
+    for j in range(space.low):
+        if j == low:
+            rank_b = len(basis)
+        v = cols.get(j, 0) << n | 1 << j >> low
+        while v >> n and (top := v.bit_length() - 1) in basis:
+            v ^= basis[top]
+        if v >> n:
+            basis[top] = v
+        elif v:
+            kernel[j - low] = v
+    if len(kernel) == n:
+        return None
+    # clear const's bits at every leading bit, highest first: y*, and below
+    # it a vary value that reaches y*, then reduced to its coset's least
+    y = const << n
+    for top in sorted(basis, reverse=True):
+        if y >> top & 1:
+            y ^= basis[top]
+    a = y & mask(n)
+    for i in reversed(kernel):
+        if a >> i & 1:
+            a ^= kernel[i]
+    b = 0 if a else 1 << next(i for i in range(n) if i not in kernel)
+    y >>= n
+    values = []
+    for e in reversed(exprs):
+        values.append(y & mask(e.width))
+        y >>= e.width
+    return _witness(space, exprs, 0, a, b, 1 << low - rank_b, 0,
+                    values[::-1])
 
 
 def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
@@ -775,10 +888,13 @@ def check_enumeration(exprs: tuple[Expr, ...], labels: SymbolTable,
     or, with a ``budget``, simulatability: each selection of the question
     (:func:`_space_for`) is walked in turn (:func:`_first_leak`), and the
     first invariant one proves it; else the first selection's witness
-    leaks."""
+    leaks. Independence of an affine set (:func:`_linear`) is decided by
+    elimination instead (:func:`_eliminate`), with the walk's witness."""
     witness = None
     for space in _space_for(_symbols(exprs, labels), labels, limit, budget):
-        leak = _first_leak(exprs, space)
+        affine = budget is None and _linear(exprs, space)
+        leak = _eliminate(exprs, space, *affine) if affine else \
+            _first_leak(exprs, space)
         if leak is None:
             return Verdict.secure()
         witness = witness or leak

@@ -632,10 +632,14 @@ def test_range_without_publics_is_one_pass(ranges):
     labels = SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 19, ex.MASK)
-    k, top = s("k"), ex.bit(s("m", 19), 18)
+    m = s("m", 19)
+    k, top = s("k"), ex.bit(m, 18)
     # secure, though m's top bit is 0 on every row of the first 2^14: the
-    # space is not cut where no public value ends
-    assert check_enumeration(make_expr_set([xor(k, top)]), labels).is_secure
+    # space is not cut where no public value ends. The AND member keeps
+    # the set off elimination, on the walk
+    low = ex.build("AND", [ex.bit(m, 0), ex.bit(m, 1)])
+    assert check_enumeration(make_expr_set([xor(k, top), low]),
+                             labels).is_secure
     v = check_enumeration(make_expr_set([ex.build("AND", [k, top])]), labels)
     assert v.witness.fixed == {}
     assert v.witness.evidence.endswith("occurs 524288 vs 262144 times")
@@ -646,8 +650,11 @@ def test_range_without_publics_past_the_cap(small_ranges):
     labels = SymbolTable()
     labels.declare("k", 1, ex.SECRET)
     labels.declare("m", 5, ex.MASK)
-    k, top = s("k"), ex.bit(s("m", 5), 4)
-    assert _agrees_with_oracle([xor(k, top)], labels).is_secure
+    m = s("m", 5)
+    k, top = s("k"), ex.bit(m, 4)
+    # the AND member keeps the secure set off elimination, on the walk
+    low = ex.build("AND", [ex.bit(m, 0), ex.bit(m, 1)])
+    assert _agrees_with_oracle([xor(k, top), low], labels).is_secure
     assert _agrees_with_oracle([ex.build("AND", [k, top])],
                               labels).status == vf.LEAKS
     assert small_ranges == [(0, 64)] * 2
@@ -863,6 +870,14 @@ def _first_group_leaks():
     return labels, make_expr_set([head, *masks]), make_expr_set([head, *nodes])
 
 
+def _walk(exprs, labels):
+    """The verdict of the range walk alone on a set's one selection, which
+    ``check_enumeration`` leaves to elimination when the set is affine."""
+    [space] = vf._space_for(vf._symbols(exprs, labels), labels, 20, None)
+    leak = vf._first_leak(exprs, space)
+    return vf.Verdict.secure() if leak is None else vf.Verdict.leaks(leak)
+
+
 def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     labels, bare, nodes = _first_group_leaks()
     packed, densified, columns = [], [], []
@@ -890,8 +905,8 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     monkeypatch.setattr(vf._Rows, "_term", spy_term)
     # twenty 1-bit members over 20 bits: the first group, every member 0,
     # is the one row k = 0. The walk reads the vary key as one row field,
-    # so it packs nothing
-    v = check_enumeration(bare, labels)
+    # so it packs nothing. The set is affine: it is walked directly
+    v = _walk(bare, labels)
     assert v.witness.evidence.endswith("occurs 1 vs 0 times")
     assert packed == [] and densified == []
     # the 2^20 rows are walked one block at a time: no field and no member
@@ -907,14 +922,14 @@ def test_a_leak_in_the_first_group_packs_no_full_key(monkeypatch):
     assert max(n for _, n in columns) == vf._BLOCK_ROWS
 
 
-def _traced_enumeration(exprs, labels):
-    """The verdict of ``check_enumeration`` and its traced peak in MiB."""
+def _traced_enumeration(exprs, labels, run=check_enumeration):
+    """The verdict of ``run`` and its traced peak in MiB."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        v = check_enumeration(exprs, labels)
+        v = run(exprs, labels)
         return v, (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
     finally:
         if not tracing:
@@ -927,9 +942,10 @@ def test_a_leak_in_the_first_group_stays_within_its_memory_bound():
     # field and member column was built over all rows, 11.5 and 17 MiB
     # when the first member's were, 1.3 and 3.6 MiB when no column was
     # built over more than one 2^16-row block, 0.4 and 0.9 MiB with
-    # 2^14-row blocks: the bound keeps a margin
+    # 2^14-row blocks: the bound keeps a margin. The walk is traced:
+    # elimination decides the affine set without it
     for exprs in (bare, nodes):
-        v, peak = _traced_enumeration(exprs, labels)
+        v, peak = _traced_enumeration(exprs, labels, _walk)
         assert v.status == vf.LEAKS
         assert peak < 4, f"{peak:.1f} MiB traced, bound 4"
 
@@ -1245,6 +1261,148 @@ def test_whole_witnesses_over_many_ranges(monkeypatch, ranges, block):
         leaks += _is_first_uneven_group(v, exprs, labels).status == vf.LEAKS
         several += len(ranges) > 1
     assert leaks > 60 and several > 10
+
+
+# ---------------------------------------------------------------------------
+# Affine sets are decided by elimination, with the walk's witness
+# ---------------------------------------------------------------------------
+
+def _affine_set(rng):
+    """A random affine set and its labels: members built from symbols, their
+    extractions and constants by XOR, NOT and CONCAT, some padded past 31
+    bits, over a secret, a secret seen through 2 or 3 shares (its top share
+    tied to it), masks that members share, and publics. Sometimes no secret
+    is declared."""
+    labels = SymbolTable()
+    symbols = {}
+
+    def declare(name, width, kind, secret=None, index=None):
+        labels.declare(name, width, kind, secret, index)
+        symbols[name] = width
+
+    w = rng.choice((1, 2, 3))
+    if rng.random() < 0.8:
+        declare("k", w, ex.SECRET)
+    if rng.random() < 0.4:
+        labels.declare("ks", w, ex.SECRET)
+        for i in range(rng.choice((2, 3))):
+            declare(f"ks{i}", w, ex.SHARE, secret="ks", index=i)
+    for i in range(rng.randrange(1, 4)):
+        declare(f"m{i}", rng.choice((1, w, 4)), ex.MASK)
+    for name in ("p", "q")[:rng.randrange(3)]:
+        declare(name, rng.choice((1, 2, 3)), ex.PUBLIC)
+
+    def tree(width, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.35:
+            pool = [n for n, sw in symbols.items() if sw >= width]
+            if not pool or rng.random() < 0.15:
+                return ex.cst(rng.getrandbits(width), width)
+            name = rng.choice(pool)
+            lo = rng.randrange(symbols[name] - width + 1)
+            return ex.extract(s(name, symbols[name]), lo, lo + width - 1)
+        if roll < 0.7:
+            return xor(*(tree(width, depth - 1)
+                         for _ in range(rng.choice((2, 3)))))
+        if roll < 0.8:
+            return ex.build("NOT", [tree(width, depth - 1)])
+        if width == 1:
+            return tree(1, depth - 1)
+        cut = rng.randrange(1, width)
+        return ex.concat([tree(width - cut, depth - 1), tree(cut, depth - 1)])
+
+    members = []
+    for _ in range(rng.randrange(1, 4)):
+        e = tree(rng.choice((1, w, 4)), rng.randrange(1, 4))
+        if rng.random() < 0.15:
+            e = ex.concat([e, ex.cst(rng.getrandbits(33), 33)])
+        members.append(e)
+    return make_expr_set(members), labels
+
+
+def test_elimination_gives_the_walks_verdict_and_witness():
+    rng = random.Random(37)
+    seen = collections.Counter()
+    for _ in range(700):
+        exprs, labels = _affine_set(rng)
+        try:
+            [space] = vf._space_for(vf._symbols(exprs, labels), labels, 16,
+                                    None)
+        except TooLarge:
+            continue
+        assert vf._linear(exprs, space) is not None
+        v = check_enumeration(exprs, labels)
+        walked = _walk(exprs, labels)
+        assert v.status == walked.status, [ex.render(e) for e in exprs]
+        if v.status == vf.LEAKS:
+            assert json.dumps(v.witness.to_json()) == \
+                json.dumps(walked.witness.to_json())
+            seen["leaks"] += 1
+            seen["0 absent"] += any(v.witness.vary_a.values())
+            seen["counts past 1"] += not v.witness.evidence.endswith(
+                "occurs 1 vs 0 times")
+        else:
+            seen["secure"] += 1
+        seen["top shares"] += bool(space.derived)
+        seen["publics"] += bool(space.fixed)
+        seen["several publics in one block"] += bool(space.fixed) and \
+            space.size <= vf._BLOCK_ROWS and space.low < space.total_bits
+        seen["no secret"] += not space.vary
+        seen["wide"] += any(e.width > 31 for e in exprs)
+        seen["NOT or constants"] += any(
+            c.is_cst for e in exprs for c in (e, *e.children))
+        seen["reused masks"] += any(
+            sum(n in ex.symbols_of(e) for e in exprs) > 1
+            for n in space.widths if labels.kind(n) == ex.MASK)
+        if space.total_bits <= 10:
+            _is_first_uneven_group(v, exprs, labels)
+            assert oracles.independence_bruteforce(exprs, labels) == \
+                v.is_secure
+            seen["refereed"] += 1
+    print(dict(seen))
+    assert seen["leaks"] > 150 and seen["secure"] > 100
+    assert seen["refereed"] > 150
+    assert min(seen.values()) > 10, dict(seen)
+
+
+def test_affine_sets_never_reach_the_walk(monkeypatch, km_labels):
+    walked = []
+    walk = vf._first_leak
+
+    def spy(exprs, space):
+        walked.append(exprs)
+        return walk(exprs, space)
+
+    monkeypatch.setattr(vf, "_first_leak", spy)
+    rng = random.Random(38)
+    decided = 0
+    for _ in range(300):
+        exprs, labels = _affine_set(rng)
+        try:
+            check_enumeration(exprs, labels, limit=16)
+        except TooLarge:
+            continue
+        decided += 1
+    assert decided > 200 and walked == []
+    k, m, mp = s("k"), s("m"), s("mp")
+    assert check_enumeration(make_expr_set([xor(k, m), m]),
+                             km_labels).status == vf.LEAKS
+    assert check_enumeration(make_expr_set([xor(k, m), mp]),
+                             km_labels).is_secure
+    assert walked == []
+    # one AND member takes the set to the walk
+    exprs = make_expr_set([xor(k, m), ex.build("AND", [m, mp])])
+    assert check_enumeration(exprs, km_labels).status == vf.LEAKS
+    assert walked == [exprs]
+    # and so does every probe-tuple selection, affine or not
+    labels = SymbolTable()
+    labels.declare("a", 1, ex.SECRET)
+    for i in range(3):
+        labels.declare(f"a{i}", 1, ex.SHARE, secret="a", index=i)
+    exprs = make_expr_set([xor(s("a0"), s("a1")), s("a2")])
+    walked.clear()
+    assert check_enumeration(exprs, labels, budget=1).status == vf.LEAKS
+    assert len(walked) == 3
 
 
 # ---------------------------------------------------------------------------
